@@ -21,8 +21,11 @@ import random
 from dataclasses import dataclass
 
 from .arith import fermat_quotient, validate_prime
-from .rings import UNIT, Element, WeightedRing, mono_key
+from .rings import UNIT, Element, WeightedRing, mono_key, mono_weight
 from .verdicts import Verdict
+
+# Entries one algebra's splitting cache holds; once full it stops inserting.
+SPLITTING_CACHE_SIZE = 4096
 
 
 class PrePsiAlgebra:
@@ -32,6 +35,11 @@ class PrePsiAlgebra:
     the unique ring-map extension of the layer sums (it fixes integers).  An
     optional Groebner basis over Z/p realizes the graded quotient when the
     algebra presents one (e.g. lifts of presented unstable algebras).
+
+    ``splittings`` memoizes ``atiyah_decompose`` for this algebra alone.  Its
+    key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
+    under their monomial's key at the natural level weight/2.  It holds at
+    most ``SPLITTING_CACHE_SIZE`` entries and stops inserting once full.
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -67,6 +75,7 @@ class PrePsiAlgebra:
                      ring.zero())
             for key, layers in data.items()
         }
+        self.splittings: dict = {}
 
     def apply_psi(self, e: Element) -> Element:
         """The ring endomorphism determined by the generator data."""
@@ -255,6 +264,32 @@ def atiyah_shift(d: AtiyahDecomposition) -> AtiyahDecomposition:
     return AtiyahDecomposition(A, d.source, q - 1, tuple(new))
 
 
+def _remember(algebra: PrePsiAlgebra, key, d: AtiyahDecomposition) -> AtiyahDecomposition:
+    if len(algebra.splittings) < SPLITTING_CACHE_SIZE:
+        algebra.splittings[key] = d
+    return d
+
+
+def _monomial_decomposition(algebra: PrePsiAlgebra, m) -> AtiyahDecomposition:
+    """Splitting of a monomial at its natural level weight/2: the cached
+    splitting of m with its last exponent lowered by one, times one generator
+    splitting.  Walks down to the longest cached prefix, then back up."""
+    chain = []
+    d = None
+    while m:
+        key = (frozenset({m: 1}.items()), mono_weight(m) // 2)
+        d = algebra.splittings.get(key)
+        if d is not None:
+            break
+        g, exp = m[-1]
+        chain.append((g, key))
+        m = m[:-1] if exp == 1 else m[:-1] + ((g, exp - 1),)
+    for g, key in reversed(chain):
+        gd = algebra.generator_decomposition(g)
+        d = _remember(algebra, key, gd if d is None else atiyah_product(d, gd))
+    return d
+
+
 def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomposition:
     """Canonical splitting of an arbitrary element at level q <= weight(e)/2.
 
@@ -262,6 +297,13 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
     layers, monomials multiply them together, integer coefficients enter
     through the Fermat-quotient rule at level 0, and the term splittings are
     folded together lowest level first, then shifted down to the requested q.
+
+    Results are memoized in ``algebra.splittings`` under
+    ``(frozenset(e.terms.items()), q)``, at most ``SPLITTING_CACHE_SIZE``
+    entries per algebra, after the input checks.  The splitting is built from
+    the terms alone (its source is rebuilt from the pieces), so neither the
+    ``truncated`` flag nor the identity of e can change it and neither is
+    part of the key.
     """
     if e.ring is not algebra.ring:
         raise ValueError("element lives in a different ambient ring")
@@ -273,17 +315,17 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
         raise ValueError(f"element has weight {e.weight()}, below the requested 2q={2 * q}")
     if q < 0:
         raise ValueError("level must be non-negative")
+    key = (frozenset(e.terms.items()), q)
+    cached = algebra.splittings.get(key)
+    if cached is not None:
+        return cached
 
     pieces = []
     for m, coeff in sorted(e.terms.items(), key=lambda t: mono_key(t[0])):
         if m == UNIT:
             pieces.append(scalar_decomposition(algebra, coeff))
             continue
-        d = None
-        for g, exp in m:
-            gd = algebra.generator_decomposition(g)
-            for _ in range(exp):
-                d = gd if d is None else atiyah_product(d, gd)
+        d = _monomial_decomposition(algebra, m)
         if coeff != 1:
             d = atiyah_product(scalar_decomposition(algebra, coeff), d)
         pieces.append(d)
@@ -293,7 +335,7 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
         acc = atiyah_sum(acc, nxt)
     while acc.level > q:
         acc = atiyah_shift(acc)
-    return acc
+    return _remember(algebra, key, acc)
 
 
 def explicit_lift_decomposition(algebra: PrePsiAlgebra, r: Element,

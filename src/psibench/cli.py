@@ -29,6 +29,13 @@ AXIOMS = ("exactness", "welldefined", "p0", "adem", "additivity",
           "pth-power", "instability", "cartan")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _base_report(command: str, doc: dict, seed: int | None, parameters: dict) -> dict:
     return {
         "tool": "psibench",
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--axioms", default="all",
                    help=f"comma list from: {', '.join(AXIOMS)} (default: all)")
-    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--trials", type=positive_int, default=8)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("lift", help="build the canonical lift of a presentation")

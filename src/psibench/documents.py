@@ -31,7 +31,7 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-_SCHEMA = None
+_VALIDATOR = None
 
 
 class DocumentError(ValueError):
@@ -40,15 +40,16 @@ class DocumentError(ValueError):
 
 def validate_document(doc: dict) -> dict:
     """Validate against the shipped schema: through jsonschema when it is
-    installed, otherwise through the equivalent structural checks below."""
-    global _SCHEMA
+    installed, otherwise through the equivalent structural checks below.
+    The schema itself is checked against its meta-schema in the tests."""
+    global _VALIDATOR
     if jsonschema is not None:
-        if _SCHEMA is None:
-            _SCHEMA = _schema()
-        try:
-            jsonschema.validate(doc, _SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise DocumentError(f"invalid document: {exc.message}") from exc
+        if _VALIDATOR is None:
+            schema = _schema()
+            _VALIDATOR = jsonschema.validators.validator_for(schema)(schema)
+        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+        if error is not None:
+            raise DocumentError(f"invalid document: {error.message}")
         return doc
     _structural_validate(doc)
     return doc

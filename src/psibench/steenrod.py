@@ -174,14 +174,14 @@ class DoubleDecomposition:
     """Layers of an element together with layers of each layer.
 
     ``second(i, j)`` is the j-th layer of the splitting of layer i taken at
-    level q + i(p-1); indices beyond the available ranges give zero."""
+    level q + i(p-1); indices beyond the available ranges give zero.  This is
+    a view: every splitting comes from the algebra's splitting cache."""
 
     def __init__(self, algebra: PrePsiAlgebra, element: Element, level: int):
         self.algebra = algebra
         self.element = element
         self.level = level
         self.base = atiyah_decompose(algebra, element, level)
-        self._second: dict = {}
 
     def layer(self, i: int) -> Element:
         if self.level == 0:
@@ -190,20 +190,15 @@ class DoubleDecomposition:
             return self.algebra.ring.zero()
         return self.base.layers[i]
 
-    def _second_decomposition(self, i: int):
-        if i not in self._second:
-            layer = self.layer(i)
-            level = self.level + i * (self.algebra.p - 1)
-            self._second[i] = (
-                atiyah_decompose(self.algebra, layer, level) if layer else None)
-        return self._second[i]
-
     def second(self, i: int, j: int) -> Element:
         if i > self.level:
             return self.algebra.ring.zero()
-        d = self._second_decomposition(i)
+        layer = self.layer(i)
+        if not layer:
+            return self.algebra.ring.zero()
         level = self.level + i * (self.algebra.p - 1)
-        if d is None or j > level:
+        d = atiyah_decompose(self.algebra, layer, level)
+        if j > level:
             return self.algebra.ring.zero()
         if level == 0:
             return d.layers[1] if j == 0 else self.algebra.ring.zero()

@@ -4,12 +4,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from psibench.atiyah import (_binomial_correction,
+import psibench.atiyah as atiyah
+from psibench.atiyah import (AtiyahDecomposition, _binomial_correction,
                              atiyah_decompose, atiyah_product, atiyah_shift,
-                             atiyah_sum, graded_classes_agree, random_element,
-                             scalar_decomposition, zero_decomposition)
+                             atiyah_sum, explicit_lift_decomposition,
+                             graded_classes_agree, random_element,
+                             scalar_decomposition, verify_welldefined,
+                             zero_decomposition)
+from psibench.documents import algebra_from_document, algebra_to_document
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              projective_space_ring)
+from psibench.steenrod import check_exactness
+from psibench.verdicts import FAIL
 
 
 def test_dual_numbers_psi_and_layers():
@@ -280,3 +286,100 @@ def test_generator_data_validation():
         PrePsiAlgebra(ring, 3, {x.key: (xe, xe, xe**3)})
     with pytest.raises(ValueError):  # missing generator data
         PrePsiAlgebra(ring, 3, {})
+
+
+# -- the per-algebra splitting cache ------------------------------------------------
+
+
+def _same_splitting(a, b):
+    return (a.level == b.level and a.source == b.source and a.layers == b.layers
+            and a.truncated == b.truncated)
+
+
+def test_splitting_cache_warm_equals_cold():
+    rng = random.Random(23)
+    for A in (projective_space_ring(3, 5), adem_failure_ring(3), dual_numbers_ring(2, 3)):
+        cases = []
+        for _ in range(12):
+            e = random_element(A, rng, min_weight=0)
+            if e:
+                cases.extend((e, q) for q in range(int(e.weight() // 2) + 1))
+        warm = [atiyah_decompose(A, e, q) for e, q in cases]
+        for (e, q), d in zip(cases, warm):
+            assert atiyah_decompose(A, e, q) is d
+            assert atiyah_decompose(A, A.ring.element(e.terms, truncated=True), q) is d
+        for (e, q), d in zip(cases, warm):
+            flagged = A.ring.element(e.terms, truncated=True)
+            A.splittings.clear()
+            assert _same_splitting(atiyah_decompose(A, e, q), d), (A.name, str(e), q)
+            A.splittings.clear()
+            assert _same_splitting(atiyah_decompose(A, flagged, q), d)
+        # input checks stay ahead of the lookup
+        x = A.ring.var(A.ring.generators[0])
+        atiyah_decompose(A, x, 0)
+        with pytest.raises(ValueError):
+            atiyah_decompose(A, x.reduce_mod(A.p), 0)
+        with pytest.raises(ValueError):
+            atiyah_decompose(A, x, -1)
+
+
+def test_splitting_cache_is_per_algebra():
+    doc = algebra_to_document(projective_space_ring(3, 4))
+    A, B = algebra_from_document(doc), algebra_from_document(doc)
+    d = atiyah_decompose(A, A.ring.gen("t") ** 2 * 2, 2)
+    assert A.splittings and not B.splittings
+    e = B.ring.gen("t") ** 2 * 2
+    dB = atiyah_decompose(B, e, 2)
+    assert dB is not d and dB.algebra is B and dB.source.ring is B.ring
+    assert not set(A.splittings.values()) & set(B.splittings.values())
+    with pytest.raises(ValueError):
+        atiyah_decompose(A, e, 2)
+
+
+def test_splitting_cache_bound(monkeypatch):
+    monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", 3)
+    A = projective_space_ring(3, 5)
+    t = A.ring.gen("t")
+    for e in (t**4, t + t**3, t * 2 + t**2, t**5):
+        d = atiyah_decompose(A, e, 1)
+        assert d.problems() == []
+        assert len(A.splittings) <= 3
+    assert len(A.splittings) == 3
+    atiyah_decompose(A, t**3 * 7, 1)
+    assert len(A.splittings) == 3
+
+
+def test_poisoned_splitting_cache_is_caught():
+    """A wrong cached splitting is caught: the exactness check and the
+    explicit well-definedness oracle compare against data the cache does not
+    supply (psi of the source, and splittings of h and f rather than of s)."""
+    A = projective_space_ring(3, 4)
+    t = A.ring.gen("t")
+    good = atiyah_decompose(A, t, 1)
+    key = (frozenset(t.terms.items()), 1)
+    A.splittings[key] = AtiyahDecomposition(A, t, 1, (good.layers[0] + t, good.layers[1]))
+
+    v = check_exactness(A, 2, trials=2, seed=0)
+    assert v.status == FAIL
+    assert v.witness["class"] == "t" and v.witness["problems"]
+    # the poisoned monomial splitting of t also enters every lift s, so the
+    # engine-vs-engine comparison alone agrees; the explicit oracle does not
+    v = verify_welldefined(A, t, 1, trials=3, seed=0)
+    assert v.status == FAIL
+    assert v.witness["oracle"] == "explicit construction is inexact"
+    assert verify_welldefined(A, t, 1, trials=3, seed=0, explicit_every=0).passed
+
+    # a fresh algebra, since the poison above spread into cached products of t
+    A = projective_space_ring(3, 4)
+    t = A.ring.gen("t")
+    good = atiyah_decompose(A, t, 1)
+    h, f = t, t**2
+    s = t + h * 3 + f
+    true_ds = atiyah_decompose(A, s, 1)
+    A.splittings[(frozenset(s.terms.items()), 1)] = AtiyahDecomposition(
+        A, s, 1, (true_ds.layers[0] + t, true_ds.layers[1]))
+    dx = explicit_lift_decomposition(A, t, good, h, f)
+    assert dx.weighted_sum() == A.apply_psi(s)
+    assert graded_classes_agree(A, dx.layers[0], true_ds.layers[0], 2) is True
+    poisoned = atiyah_decompose(A, s, 1)
+    assert graded_classes_agree(A, dx.layers[0], poisoned.layers[0], 2) is False

@@ -136,6 +136,17 @@ def test_input_errors_exit_two(docs, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_trials_below_one_exit_two(docs, trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--doc", docs["dual-k1.json"], "--axioms", "welldefined",
+              "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--trials: must be at least 1, got {trials}" in captured.err
+
+
 def test_byte_identical_reports(docs):
     for args in (
         ["verify", "--doc", docs["dual-k2.json"], "--seed", "7", "--trials", "3",

@@ -76,6 +76,16 @@ def test_schema_rejects_garbage():
             validate_document(bad)
 
 
+def test_shipped_schema_passes_its_meta_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    from psibench.documents import _schema
+    schema = _schema()
+    meta = jsonschema.validators.validator_for(schema)
+    meta.check_schema(schema)
+    with pytest.raises(jsonschema.exceptions.SchemaError):
+        meta.check_schema({**schema, "type": 12})
+
+
 def test_structural_validator_without_jsonschema(monkeypatch):
     import psibench.documents as documents
     monkeypatch.setattr(documents, "jsonschema", None)

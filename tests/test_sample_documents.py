@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -7,6 +8,14 @@ from psibench.cli import main
 from psibench.documents import load_document
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
+
+# stdout sha256 of `verify --axioms all --trials 2 --format json`, recorded
+# before splittings were cached: caching or refactoring must not move a byte.
+GOLDEN_VERIFY = {
+    "projective-space-p3-n4.json": "dfbfe3f055c7138dbd6ba1d71bdd1a93fd8f5457fc5aca4c6a7fe1c45c48b48e",
+    "product-projective-p3.json": "803a9ff33dc3154326d5d9a2aef18105ab4aaf777f80ec988913c1466a2c4478",
+    "broken-adem-p3.json": "18321cc1a8780508ac8cefb2a7f961b2c2dde7e3f5112806f0b7b7b43debb2ec",
+}
 
 
 @pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")
@@ -31,6 +40,16 @@ def test_sample_verify_outcomes(capsys):
                "--axioms", "adem", "--trials", "3", "--format", "json"])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_golden_verify_reports(name, capsys):
+    rc = main(["verify", "--doc", str(SAMPLES / name), "--axioms", "all",
+               "--trials", "2", "--format", "json"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[name]
+    assert rc == (1 if name.startswith("broken") else 0)
 
 
 @pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")

@@ -13,27 +13,26 @@ import json
 import sys
 
 from . import __version__
-from .atiyah import atiyah_decompose, verify_welldefined
+from .atiyah import atiyah_decompose
 from .documents import (algebra_from_document, canonical_json, document_digest,
                         dump_document, lift_to_document, load_document,
                         module_from_document, parse_element,
                         presentation_from_document, validate_document)
 from .lift import build_lift, default_k_max
 from .modules import is_fg_by
-from .steenrod import (check_additivity, check_adem, check_cartan, check_exactness,
-                       check_instability, check_p0_identity, check_pth_power, classify,
-                       gr_class, graded_basis, interesting_degrees, steenrod_P)
-from .verdicts import FAIL
-
-AXIOMS = ("exactness", "welldefined", "p0", "adem", "additivity",
-          "pth-power", "instability", "cartan")
+from .steenrod import AXIOMS, classify, gr_class, run_axioms, steenrod_P
+from .verdicts import FAIL, Verdict
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _base_report(command: str, doc: dict, seed: int | None, parameters: dict) -> dict:
@@ -84,10 +83,6 @@ def _emit(report: dict, fmt: str) -> None:
     sys.stdout.write(_render(report, fmt))
 
 
-def _fail_exit(verdicts) -> int:
-    return 1 if any(v["status"] == FAIL for v in verdicts) else 0
-
-
 def cmd_atiyah(args) -> int:
     doc = _load(args)
     algebra = algebra_from_document(doc)
@@ -118,6 +113,8 @@ def cmd_steenrod(args) -> int:
     rep = parse_element(algebra.ring, args.element, mod=algebra.p)
     if rep and not rep.is_homogeneous():
         raise ValueError("class expression must be weight-homogeneous")
+    if args.degree is not None and args.degree % 2:
+        raise ValueError(f"--degree must be even, got {args.degree}")
     degree = args.degree if args.degree is not None else (rep.weight() if rep else 0)
     cls = gr_class(algebra, rep.integer_lift() if rep else algebra.ring.zero(), degree)
     result = steenrod_P(algebra, args.index, cls)
@@ -134,42 +131,6 @@ def cmd_steenrod(args) -> int:
     return 0
 
 
-def _run_axiom_subset(algebra, axioms, trials, seed):
-    degrees = interesting_degrees(algebra, 2)
-    verdicts = []
-    for axiom in axioms:
-        if axiom == "exactness":
-            for d in degrees:
-                verdicts.append(check_exactness(algebra, d, trials, seed))
-        elif axiom == "welldefined":
-            for d in degrees:
-                for cls in graded_basis(algebra, d)[:2]:
-                    verdicts.append(verify_welldefined(algebra, cls.lift(), d // 2,
-                                                       trials=trials, seed=seed))
-        elif axiom == "p0":
-            verdicts.append(check_p0_identity(algebra, degrees, trials, seed))
-        elif axiom == "adem":
-            for d in degrees:
-                verdicts.append(check_adem(algebra, d, trials, seed))
-        elif axiom == "additivity":
-            for d in degrees:
-                verdicts.append(check_additivity(algebra, d, trials, seed))
-        elif axiom == "pth-power":
-            for d in degrees:
-                verdicts.append(check_pth_power(algebra, d, trials, seed))
-        elif axiom == "instability":
-            for d in degrees:
-                verdicts.append(check_instability(algebra, d, trials, seed))
-        elif axiom == "cartan":
-            for d1 in degrees[:3]:
-                for d2 in degrees[:3]:
-                    if d1 <= d2:
-                        verdicts.append(check_cartan(algebra, d1, d2, trials, seed))
-        else:
-            raise ValueError(f"unknown axiom {axiom!r}; choose from {', '.join(AXIOMS)}")
-    return verdicts
-
-
 def cmd_verify(args) -> int:
     doc = _load(args)
     algebra = algebra_from_document(doc)
@@ -178,19 +139,17 @@ def cmd_verify(args) -> int:
         "axioms": args.axioms, "trials": args.trials})
     if args.axioms == "all":
         result = classify(algebra, trials=args.trials, seed=seed)
-        verdicts = [v.to_dict() for v in result.verdicts]
+        verdicts = result.verdicts
         report["classification"] = result.label
     else:
-        axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
-        verdicts = [v.to_dict() for v in _run_axiom_subset(algebra, axioms,
-                                                           args.trials, seed)]
-    report["verdicts"] = verdicts
-    statuses = {v["status"] for v in verdicts}
-    report["status"] = (FAIL if FAIL in statuses else
-                        "PASS-UP-TO-TRUNCATION" if "PASS-UP-TO-TRUNCATION" in statuses
-                        else "PASS")
+        names = [a.strip() for a in args.axioms.split(",") if a.strip()]
+        if not names:
+            raise ValueError(f"--axioms names no axiom: {args.axioms!r}")
+        verdicts = run_axioms(algebra, names, args.trials, seed)
+    report["verdicts"] = [v.to_dict() for v in verdicts]
+    report["status"] = Verdict.merge("verify", verdicts).status
     _emit(report, args.format)
-    return _fail_exit(verdicts)
+    return 1 if report["status"] == FAIL else 0
 
 
 def cmd_lift(args) -> int:
@@ -270,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run axiom verifier suites / classification")
     common(p)
     p.add_argument("--axioms", default="all",
-                   help=f"comma list from: {', '.join(AXIOMS)} (default: all)")
-    p.add_argument("--trials", type=positive_int, default=8)
+                   help=f"comma list from: {', '.join(a.cli for a in AXIOMS)} (default: all)")
+    p.add_argument("--trials", type=int_at_least(1), default=8)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("lift", help="build the canonical lift of a presentation")
@@ -283,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fingen", help="check psi-finite-generation of a module")
     common(p)
     p.add_argument("--generators", required=True, help="comma list of symbol names")
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
+    p.add_argument("--max-depth", dest="max_depth", type=int_at_least(0), default=None)
     p.set_defaults(fn=cmd_fingen)
     return parser
 

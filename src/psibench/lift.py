@@ -17,14 +17,15 @@ the layers of psi within the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import validate_prime
 from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
 from .rings import Element, GeneratorSymbol, WeightedRing
-from .steenrod import GradedClass, gr_class_of_rep, graded_basis, interesting_degrees
-from .unstable import UnstableAlgebra, check_adem_table, check_p0_identity_table
+from .steenrod import (GradedClass, gr_class_of_rep, graded_basis, interesting_degrees,
+                       run_axioms)
+from .unstable import UnstableAlgebra
 from .verdicts import Verdict
 
 
@@ -155,9 +156,6 @@ class UnstablePresentation:
                 middles[sym.key] = table
         return middles
 
-    def degrees(self) -> list:
-        return interesting_degrees(self.algebra, 2)
-
     def validate(self, trials: int = 4, seed: int = 0) -> list:
         verdicts = []
         nf = self.gb.reduce if self.gb else (lambda e: e)
@@ -214,23 +212,14 @@ class UnstablePresentation:
                 break
         verdicts.append(Verdict.decide("steenrod-closure", checked, skipped, witness))
 
-        degrees = self.degrees()
-        verdicts.append(check_p0_identity_table(self.algebra, degrees, trials, seed))
-        adem = [check_adem_table(self.algebra, d, trials, seed) for d in degrees]
-        verdicts.append(_merge_verdicts(adem, "adem(table)"))
+        table = run_axioms(self.algebra, ("p0", "adem"), trials, seed, UnstableAlgebra.P)
+        verdicts.extend(replace(v, name=f"{v.name}(table)") for v in table)
         return verdicts
 
     def __repr__(self):
         gens = ", ".join(f"{t}@{d}" for t, d in self.generators)
         return (f"UnstablePresentation(p={self.p}, [{gens}], "
                 f"{len(self.relations)} relations, D={self.truncation})")
-
-
-def _merge_verdicts(verdicts, name: str) -> Verdict:
-    checked = sum(v.checked for v in verdicts)
-    skipped = sum(v.skipped for v in verdicts)
-    witness = next((v.witness for v in verdicts if v.witness is not None), None)
-    return Verdict.decide(name, checked, skipped, witness)
 
 
 def lift_generator_layers(ring: WeightedRing, p: int, sym: GeneratorSymbol) -> tuple:

@@ -11,6 +11,7 @@ degree, exactly within the truncation window.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .arith import adem_coefficient, lucas_binom  # noqa: F401 (re-exported API)
@@ -256,11 +257,17 @@ def interesting_degrees(algebra: PrePsiAlgebra, minimum: int = 0) -> list:
 
 
 # -- axiom checkers -------------------------------------------------------------------
+#
+# A checker takes the operation as ``P(algebra, i, cls)``; table-defined
+# algebras pass ``UnstableAlgebra.P``.  None means ``steenrod_P``, looked up
+# on each call rather than bound as a default, so that a wrapper installed on
+# the module (a profiler's) sees every call.
 
 
-def check_additivity(algebra: PrePsiAlgebra, degree: int, trials: int = 20,
-                     seed: int = 0) -> Verdict:
+def check_additivity(algebra, degree: int, trials: int = 20, seed: int = 0,
+                     P=None) -> Verdict:
     """P^i(a + b) = P^i(a) + P^i(b) on sampled pairs in one degree."""
+    P = P or steenrod_P
     rng = random.Random(seed)
     q = degree // 2
     classes = sample_classes(algebra, degree, rng, trials)
@@ -273,8 +280,8 @@ def check_additivity(algebra: PrePsiAlgebra, degree: int, trials: int = 20,
             if decidable_degree(algebra, target) is None:
                 skipped += 1
                 continue
-            lhs = steenrod_P(algebra, i, a + b)
-            rhs = steenrod_P(algebra, i, a) + steenrod_P(algebra, i, b)
+            lhs = P(algebra, i, a + b)
+            rhs = P(algebra, i, a) + P(algebra, i, b)
             if lhs == rhs:
                 checked += 1
             else:
@@ -283,9 +290,10 @@ def check_additivity(algebra: PrePsiAlgebra, degree: int, trials: int = 20,
     return Verdict.decide("additivity", checked, skipped, witness)
 
 
-def check_pth_power(algebra: PrePsiAlgebra, degree: int, trials: int = 10,
-                    seed: int = 0) -> Verdict:
+def check_pth_power(algebra, degree: int, trials: int = 10, seed: int = 0,
+                    P=None) -> Verdict:
     """P^q is the p-th power map on degree 2q."""
+    P = P or steenrod_P
     rng = random.Random(seed)
     q = degree // 2
     checked = skipped = 0
@@ -295,7 +303,7 @@ def check_pth_power(algebra: PrePsiAlgebra, degree: int, trials: int = 10,
         if decidable_degree(algebra, target) is None:
             skipped += 1
             continue
-        if steenrod_P(algebra, q, cls) == cls.pth_power():
+        if P(algebra, q, cls) == cls.pth_power():
             checked += 1
         else:
             witness = {"degree": degree, "class": str(cls.rep)}
@@ -303,16 +311,17 @@ def check_pth_power(algebra: PrePsiAlgebra, degree: int, trials: int = 10,
     return Verdict.decide("pth-power", checked, skipped, witness)
 
 
-def check_instability(algebra: PrePsiAlgebra, degree: int, trials: int = 10,
-                      seed: int = 0) -> Verdict:
+def check_instability(algebra, degree: int, trials: int = 10, seed: int = 0,
+                      P=None) -> Verdict:
     """P^i vanishes above the level: P^i(c) = 0 for 2i > degree."""
+    P = P or steenrod_P
     rng = random.Random(seed)
     q = degree // 2
     checked = 0
     witness = None
     for cls in sample_classes(algebra, degree, rng, trials):
         for i in range(q + 1, q + 4):
-            if not steenrod_P(algebra, i, cls):
+            if not P(algebra, i, cls):
                 checked += 1
             else:
                 witness = {"degree": degree, "i": i, "class": str(cls.rep)}
@@ -320,9 +329,10 @@ def check_instability(algebra: PrePsiAlgebra, degree: int, trials: int = 10,
     return Verdict.decide("instability", checked, 0, witness)
 
 
-def check_cartan(algebra: PrePsiAlgebra, deg1: int, deg2: int, trials: int = 10,
-                 seed: int = 0) -> Verdict:
+def check_cartan(algebra, deg1: int, deg2: int, trials: int = 10, seed: int = 0,
+                 P=None) -> Verdict:
     """P^i(a*b) = sum over l+k=i of P^l(a) P^k(b) on sampled pairs."""
+    P = P or steenrod_P
     rng = random.Random(seed)
     checked = skipped = 0
     witness = None
@@ -340,13 +350,13 @@ def check_cartan(algebra: PrePsiAlgebra, deg1: int, deg2: int, trials: int = 10,
             if decidable_degree(algebra, target) is None:
                 skipped += 1
                 continue
-            lhs = steenrod_P(algebra, i, ab)
+            lhs = P(algebra, i, ab)
             rhs = zero_class(algebra, target)
             for l in range(i + 1):
                 k = i - l
                 if l > q1 or k > q2:
                     continue
-                rhs = rhs + steenrod_P(algebra, l, a) * steenrod_P(algebra, k, b)
+                rhs = rhs + P(algebra, l, a) * P(algebra, k, b)
             if lhs == rhs:
                 checked += 1
             else:
@@ -356,28 +366,31 @@ def check_cartan(algebra: PrePsiAlgebra, deg1: int, deg2: int, trials: int = 10,
     return Verdict.decide(f"cartan@{deg1}x{deg2}", checked, skipped, witness)
 
 
-def check_p0_identity(algebra: PrePsiAlgebra, degrees, trials: int = 10,
-                      seed: int = 0) -> Verdict:
+def check_p0_identity(algebra, degrees, trials: int = 10, seed: int = 0,
+                      P=None) -> Verdict:
     """P^0 = Id on every sampled class of the listed degrees."""
+    P = P or steenrod_P
     rng = random.Random(seed)
     checked = 0
     witness = None
     for degree in degrees:
         for cls in sample_classes(algebra, degree, rng, trials):
-            if steenrod_P(algebra, 0, cls) == cls:
+            image = P(algebra, 0, cls)
+            if image == cls:
                 checked += 1
             else:
-                witness = {"degree": degree, "class": str(cls.rep),
-                           "P0": str(steenrod_P(algebra, 0, cls).rep)}
+                witness = {"degree": degree, "class": str(cls.rep), "P0": str(image.rep)}
                 return Verdict.decide("p0-identity", checked, 0, witness)
     return Verdict.decide("p0-identity", checked, 0, witness)
 
 
-def check_adem(algebra: PrePsiAlgebra, degree: int, trials: int = 6,
-               seed: int = 0) -> Verdict:
-    """The relations rewriting P^i P^j for i < pj, checked two ways: on the
-    double layers r_(j,i) of sampled lifts, and by composing the derived
-    operations on classes.  Both routes must agree."""
+def check_adem(algebra, degree: int, trials: int = 6, seed: int = 0,
+               P=None) -> Verdict:
+    """The relations rewriting P^i P^j for i < pj, checked by composing the
+    operations on sampled classes.  On an algebra that carries splittings the
+    double layers r_(j,i) of the sampled lifts give a second route, and both
+    routes must agree."""
+    P = P or steenrod_P
     rng = random.Random(seed)
     p = algebra.p
     q = degree // 2
@@ -385,35 +398,31 @@ def check_adem(algebra: PrePsiAlgebra, degree: int, trials: int = 6,
     witness = None
     if q == 0:
         return Verdict.decide("adem", 0, 0, None, ("degree 0 is trivial",))
+    layered = isinstance(algebra, PrePsiAlgebra)
     for cls in sample_classes(algebra, degree, rng, trials):
         if not cls:
             continue
-        dd = DoubleDecomposition(algebra, cls.lift(), q)
-        jmax = q + 2
-        for j in range(1, jmax + 1):
+        dd = DoubleDecomposition(algebra, cls.lift(), q) if layered else None
+        for j in range(1, q + 3):
             for i in range(1, p * j):
                 target = degree + 2 * (i + j) * (p - 1)
                 if decidable_degree(algebra, target) is None:
                     skipped += 1
                     continue
-                lhs = dd.second_class(j, i)
+                coeffs = [(t, c) for t in range(i // p + 1)
+                          if (c := adem_coefficient(p, i, j, t))]
+                lhs = P(algebra, i, P(algebra, j, cls))
                 rhs = zero_class(algebra, target)
-                for t in range(i // p + 1):
-                    coeff = adem_coefficient(p, i, j, t)
-                    if coeff:
-                        rhs = rhs + dd.second_class(t, i + j - t) * coeff
-                # composition route on classes, as a cross-check
-                comp_lhs = steenrod_P(algebra, i, steenrod_P(algebra, j, cls))
-                comp_rhs = zero_class(algebra, target)
-                for t in range(i // p + 1):
-                    coeff = adem_coefficient(p, i, j, t)
-                    if coeff:
-                        comp_rhs = comp_rhs + steenrod_P(
-                            algebra, i + j - t, steenrod_P(algebra, t, cls)) * coeff
-                if lhs != comp_lhs or rhs != comp_rhs:
-                    witness = {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
-                               "note": "layer route and composition route disagree"}
-                    return Verdict.decide("adem", checked, skipped, witness)
+                for t, c in coeffs:
+                    rhs = rhs + P(algebra, i + j - t, P(algebra, t, cls)) * c
+                if dd is not None:
+                    layer_rhs = zero_class(algebra, target)
+                    for t, c in coeffs:
+                        layer_rhs = layer_rhs + dd.second_class(t, i + j - t) * c
+                    if dd.second_class(j, i) != lhs or layer_rhs != rhs:
+                        witness = {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
+                                   "note": "layer route and composition route disagree"}
+                        return Verdict.decide("adem", checked, skipped, witness)
                 if lhs == rhs:
                     checked += 1
                 else:
@@ -445,6 +454,64 @@ def check_exactness(algebra: PrePsiAlgebra, degree: int, trials: int = 10,
     return Verdict.decide("atiyah-exactness", checked, 0, witness)
 
 
+# -- the axiom registry ---------------------------------------------------------------
+
+
+def _welldefined(algebra, degrees, trials, seed, P):
+    rng = random.Random(seed)
+    return [verify_welldefined(algebra, cls.lift(), d // 2, trials=max(2, trials // 2),
+                               seed=rng.randrange(2**30))
+            for d in degrees for cls in graded_basis(algebra, d)[:2]]
+
+
+def _cartan(algebra, degrees, trials, seed, P):
+    head = degrees[:4]
+    return [check_cartan(algebra, d1, d2, max(2, trials // 2), seed, P)
+            for d1 in head for d2 in head if d1 <= d2]
+
+
+@dataclass(frozen=True)
+class Axiom:
+    """One registry entry: the name ``verify --axioms`` takes, the name of
+    the merged verdict, and a runner giving the partial verdicts of
+    (algebra, degrees, trials, seed, P).  Runners look their checkers up by
+    name on each call, so a checker replaced on the module is the one run."""
+
+    cli: str
+    verdict: str
+    runner: Callable
+
+
+AXIOMS = (
+    Axiom("exactness", "atiyah-exactness",
+          lambda A, ds, t, s, P: [check_exactness(A, d, t, s) for d in ds]),
+    Axiom("welldefined", "well-definedness", _welldefined),
+    Axiom("p0", "p0-identity", lambda A, ds, t, s, P: [check_p0_identity(A, ds, t, s, P)]),
+    Axiom("adem", "adem", lambda A, ds, t, s, P: [check_adem(A, d, t, s, P) for d in ds]),
+    Axiom("additivity", "additivity",
+          lambda A, ds, t, s, P: [check_additivity(A, d, t, s, P) for d in ds]),
+    Axiom("pth-power", "pth-power",
+          lambda A, ds, t, s, P: [check_pth_power(A, d, t, s, P) for d in ds]),
+    Axiom("instability", "instability",
+          lambda A, ds, t, s, P: [check_instability(A, d, t, s, P) for d in ds]),
+    Axiom("cartan", "cartan", _cartan),
+)
+
+
+def run_axioms(algebra, names=None, trials: int = 8, seed: int = 0, P=None) -> list:
+    """One merged verdict per named axiom (every registry axiom by default),
+    in the order named, over the degrees with a nonzero graded piece."""
+    by_cli = {a.cli: a for a in AXIOMS}
+    for name in names or ():
+        if name not in by_cli:
+            raise ValueError(f"unknown axiom {name!r}; choose from "
+                             f"{', '.join(by_cli)}")
+    chosen = AXIOMS if names is None else [by_cli[n] for n in dict.fromkeys(names)]
+    degrees = interesting_degrees(algebra, 2)
+    return [Verdict.merge(a.verdict, a.runner(algebra, degrees, trials, seed, P))
+            for a in chosen]
+
+
 @dataclass
 class Classification:
     """classify() output: the verdict aggregate plus the final label."""
@@ -473,66 +540,16 @@ PRE_PSI = "pre-psi-p"
 PSI_ALGEBRA = "psi-p-algebra"
 
 
-def classify(algebra: PrePsiAlgebra, trials: int = 8, seed: int = 0,
-             degrees=None) -> Classification:
-    """Run the structural checks, then the unstable-algebra axiom suite, and
-    aggregate into one of: not-pre-psi-p, pre-psi-p, psi-p-algebra."""
-    if degrees is None:
-        degrees = [d for d in interesting_degrees(algebra, 2)]
-    verdicts = []
-
-    structural = []
-    for degree in degrees:
-        structural.append(check_exactness(algebra, degree, trials, seed))
-    merged = _merge(structural, "atiyah-exactness")
-    verdicts.append(merged)
-
-    wd_checked = wd_skipped = 0
-    wd_witness = None
-    rng = random.Random(seed)
-    for degree in degrees:
-        basis = graded_basis(algebra, degree)
-        for cls in basis[:2]:
-            v = verify_welldefined(algebra, cls.lift(), degree // 2,
-                                   trials=max(2, trials // 2),
-                                   seed=rng.randrange(2**30))
-            wd_checked += v.checked
-            wd_skipped += v.skipped
-            if v.witness and wd_witness is None:
-                wd_witness = v.witness
-    verdicts.append(Verdict.decide("well-definedness", wd_checked, wd_skipped, wd_witness))
-
-    verdicts.append(check_p0_identity(algebra, degrees, trials, seed))
-    verdicts.append(_merge([check_adem(algebra, d, trials, seed) for d in degrees], "adem"))
-    verdicts.append(_merge([check_additivity(algebra, d, trials, seed) for d in degrees],
-                           "additivity"))
-    verdicts.append(_merge([check_pth_power(algebra, d, trials, seed) for d in degrees],
-                           "pth-power"))
-    verdicts.append(_merge([check_instability(algebra, d, trials, seed) for d in degrees],
-                           "instability"))
-    cartans = []
-    for d1 in degrees[:4]:
-        for d2 in degrees[:4]:
-            if d1 <= d2:
-                cartans.append(check_cartan(algebra, d1, d2, max(2, trials // 2), seed))
-    verdicts.append(_merge(cartans, "cartan"))
-
-    by_name = {v.name: v for v in verdicts}
-    structure_ok = all(by_name[k].passed for k in
-                       ("atiyah-exactness", "well-definedness", "additivity",
-                        "pth-power", "instability", "cartan"))
-    if not structure_ok:
+def classify(algebra: PrePsiAlgebra, trials: int = 8, seed: int = 0) -> Classification:
+    """Run the axiom registry and aggregate into one of: not-pre-psi-p
+    (a structural check fails), pre-psi-p (P^0 = Id or Adem fails) and
+    psi-p-algebra."""
+    verdicts = run_axioms(algebra, trials=trials, seed=seed)
+    failed = {v.name for v in verdicts if not v.passed}
+    if failed - {"p0-identity", "adem"}:
         label = NOT_PRE_PSI
-    elif not (by_name["p0-identity"].passed and by_name["adem"].passed):
+    elif failed:
         label = PRE_PSI
     else:
         label = PSI_ALGEBRA
     return Classification(label, verdicts)
-
-
-def _merge(verdicts, name: str) -> Verdict:
-    checked = sum(v.checked for v in verdicts)
-    skipped = sum(v.skipped for v in verdicts)
-    witness = next((v.witness for v in verdicts if v.witness is not None), None)
-    notes = tuple(n for v in verdicts for n in v.notes)
-    return Verdict.decide(name, checked, skipped, witness, notes)

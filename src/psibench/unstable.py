@@ -9,12 +9,12 @@ is multiplicative.  Quotients are realized by a Groebner basis over Z/p.
 
 from __future__ import annotations
 
-import random
+from dataclasses import replace
 
-from .arith import adem_coefficient, validate_prime
+from .arith import validate_prime
 from .rings import Element, WeightedRing, mono_weight
-from .steenrod import (GradedClass, decidable_degree, gr_class, gr_class_of_rep,
-                       sample_classes, zero_class)
+from .steenrod import (GradedClass, check_adem, check_p0_identity, decidable_degree,
+                       gr_class, gr_class_of_rep, zero_class)
 from .verdicts import Verdict
 
 
@@ -100,48 +100,13 @@ class UnstableAlgebra:
 
 def check_p0_identity_table(algebra: UnstableAlgebra, degrees, trials: int = 6,
                             seed: int = 0) -> Verdict:
-    rng = random.Random(seed)
-    checked = 0
-    witness = None
-    for degree in degrees:
-        for cls in sample_classes(algebra, degree, rng, trials):
-            if algebra.P(0, cls) == cls:
-                checked += 1
-            else:
-                witness = {"degree": degree, "class": str(cls.rep)}
-                return Verdict.decide("p0-identity(table)", checked, 0, witness)
-    return Verdict.decide("p0-identity(table)", checked, 0, witness)
+    """P^0 = Id for the table-extended operations."""
+    return replace(check_p0_identity(algebra, degrees, trials, seed, UnstableAlgebra.P),
+                   name="p0-identity(table)")
 
 
 def check_adem_table(algebra: UnstableAlgebra, degree: int, trials: int = 6,
                      seed: int = 0) -> Verdict:
     """Adem identities for the table-extended operations, by composition."""
-    rng = random.Random(seed)
-    p = algebra.p
-    q = degree // 2
-    checked = skipped = 0
-    witness = None
-    if q == 0:
-        return Verdict.decide("adem(table)", 0, 0, None, ("degree 0 is trivial",))
-    for cls in sample_classes(algebra, degree, rng, trials):
-        if not cls:
-            continue
-        for j in range(1, q + 3):
-            for i in range(1, p * j):
-                target = degree + 2 * (i + j) * (p - 1)
-                if decidable_degree(algebra, target) is None:
-                    skipped += 1
-                    continue
-                lhs = algebra.P(i, algebra.P(j, cls))
-                rhs = zero_class(algebra, target)
-                for t in range(i // p + 1):
-                    coeff = adem_coefficient(p, i, j, t)
-                    if coeff:
-                        rhs = rhs + algebra.P(i + j - t, algebra.P(t, cls)) * coeff
-                if lhs == rhs:
-                    checked += 1
-                else:
-                    witness = {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
-                               "lhs": str(lhs.rep), "rhs": str(rhs.rep)}
-                    return Verdict.decide("adem(table)", checked, skipped, witness)
-    return Verdict.decide("adem(table)", checked, skipped, witness)
+    return replace(check_adem(algebra, degree, trials, seed, UnstableAlgebra.P),
+                   name="adem(table)")

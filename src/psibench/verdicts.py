@@ -40,6 +40,16 @@ class Verdict:
             status = PASS
         return Verdict(name, status, checked, skipped, witness, notes)
 
+    @staticmethod
+    def merge(name: str, verdicts) -> "Verdict":
+        """One verdict over several checks: the counts add up and the first
+        witness is kept.  The parts' notes (a per-call seed, a trivial degree)
+        describe single calls and are dropped."""
+        verdicts = list(verdicts)
+        witness = next((v.witness for v in verdicts if v.witness is not None), None)
+        return Verdict.decide(name, sum(v.checked for v in verdicts),
+                              sum(v.skipped for v in verdicts), witness)
+
     def to_dict(self) -> dict:
         return {
             "axiom": self.name,

@@ -9,6 +9,7 @@ from psibench.documents import (algebra_to_document, dump_document,
                                 module_to_document, presentation_to_document)
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, power_tower_module)
+from psibench.steenrod import AXIOMS
 
 
 @pytest.fixture
@@ -145,6 +146,34 @@ def test_trials_below_one_exit_two(docs, trials, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--trials: must be at least 1, got {trials}" in captured.err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--doc", "dual-k1.json", "--axioms", ",,"], "--axioms names no axiom"),
+    (["steenrod", "--doc", "dual-k1.json", "-i", "0", "--element", "e", "--degree", "3"],
+     "--degree must be even, got 3"),
+    (["fingen", "--doc", "tower.json", "--generators", "x", "--max-depth", "-1"],
+     "--max-depth: must be at least 0, got -1"),
+])
+def test_flags_without_a_comparison_exit_two(docs, args, message, capsys):
+    args = [docs.get(a, a) for a in args]
+    try:
+        rc = main(args)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_unknown_axiom_lists_the_registry(docs, capsys):
+    rc = main(["verify", "--doc", docs["dual-k1.json"], "--axioms", "adem,bogus"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    names = ", ".join(a.cli for a in AXIOMS)
+    assert names == "exactness, welldefined, p0, adem, additivity, pth-power, instability, cartan"
+    assert f"unknown axiom 'bogus'; choose from {names}" in captured.err
 
 
 def test_byte_identical_reports(docs):

@@ -6,6 +6,7 @@ import pytest
 
 from psibench.cli import main
 from psibench.documents import load_document
+from psibench.steenrod import AXIOMS
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
 
@@ -16,6 +17,18 @@ GOLDEN_VERIFY = {
     "product-projective-p3.json": "803a9ff33dc3154326d5d9a2aef18105ab4aaf777f80ec988913c1466a2c4478",
     "broken-adem-p3.json": "18321cc1a8780508ac8cefb2a7f961b2c2dde7e3f5112806f0b7b7b43debb2ec",
 }
+
+# stdout sha256 of `lift --format json`, recorded before presentation
+# validation ran the axiom registry.
+GOLDEN_LIFT = {
+    "polynomial-presentation-p2-D6.json": "e9224c45e784e4da8eb606cdd9349d435d1474c590430057ac6868f5dbdc117b",
+}
+
+
+def _verify_json(capsys, name, axioms):
+    rc = main(["verify", "--doc", str(SAMPLES / name), "--axioms", axioms,
+               "--trials", "2", "--format", "json"])
+    return rc, json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")
@@ -62,3 +75,28 @@ def test_sample_lift_and_fingen(tmp_path, capsys):
                "--generators", "x", "--format", "json"])
     assert rc == 0
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")
+@pytest.mark.parametrize("name", sorted(GOLDEN_LIFT))
+def test_golden_lift_reports(name, capsys):
+    rc = main(["lift", "--doc", str(SAMPLES / name), "--format", "json"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LIFT[name]
+    assert rc == 0
+
+
+@pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")
+@pytest.mark.parametrize("name", ["dual-numbers-p3-k1.json", "broken-adem-p3.json"])
+def test_axiom_subset_reports_the_full_run_verdict(name, capsys):
+    _, full = _verify_json(capsys, name, "all")
+    assert [v["axiom"] for v in full["verdicts"]] == [a.verdict for a in AXIOMS]
+    for axiom, want in zip(AXIOMS, full["verdicts"]):
+        rc, report = _verify_json(capsys, name, axiom.cli)
+        assert report["verdicts"] == [want], axiom.cli
+        assert report["status"] == want["status"]
+        assert rc == (1 if want["status"] == "FAIL" else 0)
+    adem = next(v for v in full["verdicts"] if v["axiom"] == "adem")
+    assert (adem["status"] == "FAIL") == name.startswith("broken")
+    if adem["status"] == "FAIL":
+        assert adem["witness"]["i"] == 1 and adem["witness"]["j"] == 1

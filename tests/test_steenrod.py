@@ -121,6 +121,20 @@ def test_adem_failure_witness():
         assert v.witness["class"] == "x"
 
 
+def test_adem_layer_route_checks_the_operation():
+    # on an algebra with splittings, the composition route of an operation
+    # other than the derived one disagrees with the double layers
+    A = projective_space_ring(3, 8)
+
+    def doubled(algebra, i, cls):
+        return steenrod_P(algebra, i, cls) * (2 if i else 1)
+
+    assert check_adem(A, 4, trials=2, seed=0).status == PASS
+    v = check_adem(A, 4, trials=2, seed=0, P=doubled)
+    assert v.status == FAIL
+    assert v.witness["note"] == "layer route and composition route disagree"
+
+
 def test_adem_trivial_on_dual_numbers():
     for p in (2, 3, 5):
         A = dual_numbers_ring(p, 2)

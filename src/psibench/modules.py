@@ -297,10 +297,8 @@ def is_fg_by(module: PsiModule, gens, max_depth: int | None = None) -> Generatio
     witness = None
     checked = 0
     names = [s.name for s in module.symbols]
-    for w in range(0, 2 * module.truncation + 1, 2):
+    for w in sorted({s.weight for s in module.symbols}):
         syms = [s for s in module.symbols if s.weight == w]
-        if not syms:
-            continue
         got = 0
         for s in syms:
             unit = [1 if n == s.name else 0 for n in names]
@@ -319,10 +317,6 @@ def is_fg_by(module: PsiModule, gens, max_depth: int | None = None) -> Generatio
 def abelian_generator_profile(module: PsiModule) -> list:
     """Cumulative minimal abelian generator counts by weight cutoff.  The
     module is free abelian on its symbols, so the count at a cutoff is the
-    number of symbols up to that weight."""
-    out = []
-    for w in range(0, 2 * module.truncation + 1, 2):
-        count = sum(1 for s in module.symbols if s.weight <= w)
-        if not out or count != out[-1][1]:
-            out.append((w, count))
-    return out
+    number of symbols up to that weight, which changes only at symbol weights."""
+    return [(w, sum(1 for s in module.symbols if s.weight <= w))
+            for w in sorted({0} | {s.weight for s in module.symbols})]

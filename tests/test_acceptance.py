@@ -223,7 +223,7 @@ def test_criterion_5_projective_space_binomial_oracle():
 
 def test_criterion_6_lift_construction():
     """Lift of Z/p[x] at D = 6: axiom suite, rho round trips, vanishing of
-    psi-iterates of the relations, and the transported square."""
+    psi-iterates of the relations, and the transport isomorphism."""
     t0 = time.perf_counter()
     for p in (2, 3):
         pres = free_polynomial_presentation(p, 6)
@@ -243,7 +243,7 @@ def test_criterion_6_lift_construction():
             for f0, fk in zip(lift.ideal_generators[0], lift.ideal_generators[k]):
                 if fk:
                     assert not fk.homogeneous_component(f0.weight()).reduce_mod(p)
-        # transported relabeling commutes on every class
+        # the transported relabeling commutes with psi on every variable
         other = build_lift(free_polynomial_presentation(p, 6, theta="y"))
         iso = transport_iso(lift, other, {"x": "y"})
         for v in iso.verify():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +124,32 @@ def test_fingen_command(docs, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert out["verdicts"][0]["witness"]["weight"] == 2
+
+
+def test_fingen_huge_truncation_matches_the_document_window(docs, capsys):
+    keys = ("per_weight", "abelian_generator_profile", "status")
+    assert main(["fingen", "--doc", docs["tower.json"], "--generators", "x",
+                 "--format", "json"]) == 0
+    at_81 = json.loads(capsys.readouterr().out)
+    t0 = time.perf_counter()
+    assert main(["fingen", "--doc", docs["tower.json"], "--generators", "x",
+                 "--format", "json", "--truncation", "100000000"]) == 0
+    elapsed = time.perf_counter() - t0
+    huge = json.loads(capsys.readouterr().out)
+    assert {k: huge[k] for k in keys} == {k: at_81[k] for k in keys}
+    assert elapsed < 10.0
+
+
+def test_lift_beyond_the_variable_cap_exits_two(tmp_path, capsys):
+    path = tmp_path / "pres-p2.json"
+    dump_document(presentation_to_document(free_polynomial_presentation(2, 3)), str(path))
+    t0 = time.perf_counter()
+    rc = main(["lift", "--doc", str(path), "--truncation", "14"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "MAX_LIFT_VARIABLES=2048" in captured.err
+    assert elapsed < 2.0
 
 
 def test_input_errors_exit_two(docs, tmp_path, capsys):

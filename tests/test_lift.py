@@ -1,5 +1,7 @@
 import pytest
 
+import psibench.groebner
+import psibench.lift
 from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
                            enumerate_generators, index_weight, is_admissible,
@@ -53,6 +55,19 @@ def test_enumeration_closed_under_positive_extension():
             for i in range(1, sigma):
                 if s.weight + 2 * i * (p - 1) <= 12:
                     assert s.indices + (i,) in keys, (s.indices, i)
+
+
+def test_variable_cap_refuses_large_windows(monkeypatch):
+    assert len(enumerate_generators(2, [("x", 2)], 6)) == 69
+    monkeypatch.setattr(psibench.lift, "MAX_LIFT_VARIABLES", 68)
+    with pytest.raises(ValueError, match="MAX_LIFT_VARIABLES=68"):
+        free_polynomial_presentation(2, 6)
+    monkeypatch.setattr(psibench.lift, "MAX_LIFT_VARIABLES", 69)
+    assert len(free_polynomial_presentation(2, 6).symbols) == 69
+    # the refusal comes before the full set is built: D=40 has millions
+    monkeypatch.setattr(psibench.lift, "MAX_LIFT_VARIABLES", 10)
+    with pytest.raises(ValueError, match="MAX_LIFT_VARIABLES=10"):
+        enumerate_generators(2, [("x", 2)], 40)
 
 
 def test_psi_on_lift_generator_formula():
@@ -131,6 +146,27 @@ def test_restriction_to_smaller_window():
     lift_b, lift_s = build_lift(big), build_lift(small)
     for degree, count in lift_s.census.items():
         assert lift_b.census[degree] == count
+
+
+def test_lift_reuses_the_presentation(monkeypatch):
+    pres = free_polynomial_presentation(2, 5)
+    other = build_lift(free_polynomial_presentation(2, 5))
+
+    def refuse(relations, p):
+        raise AssertionError("build_lift built a second Groebner basis")
+
+    monkeypatch.setattr(psibench.groebner, "groebner_build", refuse)
+    monkeypatch.setattr(psibench.lift, "groebner_build", refuse)
+    lift = build_lift(pres)
+    assert lift.pi.ring is pres.ring
+    assert lift.pi.graded_gb is pres.gb
+    assert lift.graded is pres.algebra
+    # rho keeps its ring guard: a class of another lift is refused
+    foreign = other.basis(2)[0]
+    with pytest.raises(ValueError, match="graded quotient of this lift"):
+        lift.rho(foreign)
+    with pytest.raises(ValueError, match="presentation side"):
+        lift.rho_inverse(foreign)
 
 
 def test_rho_round_trip_and_P_commutation():

@@ -5,7 +5,9 @@ import pathlib
 import pytest
 
 from psibench.cli import main
-from psibench.documents import load_document
+from psibench.documents import dump_document, lift_to_document, load_document
+from psibench.lift import build_lift
+from psibench.models import free_polynomial_presentation
 from psibench.steenrod import AXIOMS
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
@@ -23,6 +25,14 @@ GOLDEN_VERIFY = {
 GOLDEN_LIFT = {
     "polynomial-presentation-p2-D6.json": "e9224c45e784e4da8eb606cdd9349d435d1474c590430057ac6868f5dbdc117b",
 }
+
+# sha256 of the serialized lift (`lift --out`), which carries the Groebner
+# basis that stdout does not; recorded before the lift shared the
+# presentation's ring and basis.
+GOLDEN_LIFT_DOCUMENT = {
+    "polynomial-presentation-p2-D6.json": "604ab1e903947378f686258e048d141b12ba49286c02469b15bacb42d9f1fded",
+}
+GOLDEN_FREE_P3_D6_DOCUMENT = "88028397fae33dffb9652e3eb8c60ce7f78e566836b59593571ee700b11072b5"
 
 
 def _verify_json(capsys, name, axioms):
@@ -84,6 +94,21 @@ def test_golden_lift_reports(name, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LIFT[name]
     assert rc == 0
+
+
+@pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")
+@pytest.mark.parametrize("name", sorted(GOLDEN_LIFT_DOCUMENT))
+def test_golden_lift_documents(name, tmp_path, capsys):
+    out = tmp_path / "lift.json"
+    assert main(["lift", "--doc", str(SAMPLES / name), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_LIFT_DOCUMENT[name]
+
+
+def test_golden_free_polynomial_lift_document(tmp_path):
+    out = tmp_path / "lift.json"
+    dump_document(lift_to_document(build_lift(free_polynomial_presentation(3, 6))), str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FREE_P3_D6_DOCUMENT
 
 
 @pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")

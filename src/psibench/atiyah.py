@@ -40,6 +40,7 @@ class PrePsiAlgebra:
     key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
     under their monomial's key at the natural level weight/2.  It holds at
     most ``SPLITTING_CACHE_SIZE`` entries and stops inserting once full.
+    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree.
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -76,6 +77,7 @@ class PrePsiAlgebra:
             for key, layers in data.items()
         }
         self.splittings: dict = {}
+        self.graded_bases: dict = {}
 
     def apply_psi(self, e: Element) -> Element:
         """The ring endomorphism determined by the generator data."""
@@ -400,8 +402,9 @@ def random_element(algebra: PrePsiAlgebra, rng: random.Random, min_weight: int,
     if coeff_bound is None:
         coeff_bound = p * p
     pool = []
+    top = ring.max_monomial_weight()
     w = min_weight if min_weight % 2 == 0 else min_weight + 1
-    while w <= ring.max_weight:
+    while w <= (ring.max_weight if top is None else top):
         pool.extend(ring.monomials_of_weight(w))
         w += 2
     if not pool:

@@ -18,7 +18,7 @@ from .documents import (algebra_from_document, canonical_json, document_digest,
                         dump_document, lift_to_document, load_document,
                         module_from_document, parse_element,
                         presentation_from_document, validate_document)
-from .lift import build_lift, default_k_max
+from .lift import MAX_KMAX, build_lift, default_k_max
 from .modules import is_fg_by
 from .steenrod import AXIOMS, classify, gr_class, run_axioms, steenrod_P
 from .verdicts import FAIL, Verdict
@@ -49,13 +49,12 @@ def _base_report(command: str, doc: dict, seed: int | None, parameters: dict) ->
 
 def _load(args) -> dict:
     """Load the document and apply the --prime/--truncation overrides; the
-    report digest covers the effective document."""
+    report digest covers the effective document.  ``load_document`` has
+    validated the file, so only an overridden document is validated again."""
     doc = load_document(args.doc)
-    if getattr(args, "prime", None) is not None:
-        doc = {**doc, "prime": args.prime}
-    if getattr(args, "truncation", None) is not None:
-        doc = {**doc, "truncation": args.truncation}
-    return validate_document(doc)
+    overrides = {key: value for key in ("prime", "truncation")
+                 if (value := getattr(args, key, None)) is not None}
+    return validate_document({**doc, **overrides}) if overrides else doc
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -153,6 +152,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    if args.kmax is not None and args.kmax > MAX_KMAX:
+        raise ValueError(f"--kmax must be at most MAX_KMAX={MAX_KMAX}, got {args.kmax}")
     doc = _load(args)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     pres = presentation_from_document(doc, validate=False)
@@ -235,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="build the canonical lift of a presentation")
     common(p)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--kmax", type=int_at_least(0), default=None,
+                   help=f"psi-iterates to record, at most {MAX_KMAX} (default: from p and D)")
     p.add_argument("--out", default=None, help="write the serialized lift here")
     p.set_defaults(fn=cmd_lift)
 

@@ -6,18 +6,48 @@ weight-homogeneous, which is what quotient graded algebras need.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .arith import validate_prime
-from .rings import Element, WeightedRing, mono_div, mono_divides, mono_key, mono_mul
+from .rings import Element, WeightedRing, mono_div, mono_divides, mono_key, mono_mul, mono_weight
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis of a weight-homogeneous ideal over Z/p."""
+    """A Groebner basis of a weight-homogeneous ideal over Z/p.
+
+    Each element's lead monomial and inverse lead coefficient are computed
+    once, when the element joins the basis.  Leads are filed under their
+    first generator: a lead divides a monomial only if that generator occurs
+    in the monomial, so a divisor search reads only the files of the
+    monomial's generators (the unit lead is filed under None)."""
 
     def __init__(self, ring: WeightedRing, p: int, basis: list):
         self.ring = ring
         self.p = p
-        self.basis = tuple(basis)
-        self._leads = tuple(e.leading()[0] for e in self.basis)
+        self.basis: list = []
+        self._leads: list = []
+        self._lead_inv: list = []
+        self._filed: dict = {}
+        for e in basis:
+            self._append(e)
+
+    def _append(self, e: Element) -> None:
+        lead, coeff = e.leading()
+        self._filed.setdefault(lead[0][0] if lead else None, []).append(len(self.basis))
+        self.basis.append(e)
+        self._leads.append(lead)
+        self._lead_inv.append(pow(coeff, -1, self.p))
+
+    def _divisors(self, mono):
+        """Indices of the basis elements whose lead divides ``mono``."""
+        exps = dict(mono)
+        for g in (None, *exps):
+            for k in self._filed.get(g, ()):
+                if all(exps.get(h, 0) >= e for h, e in self._leads[k]):
+                    yield k
+
+    def _divisor(self, mono):
+        return next(self._divisors(mono), None)
 
     def __len__(self):
         return len(self.basis)
@@ -33,7 +63,7 @@ class GroebnerBasis:
 
     def is_standard(self, mono) -> bool:
         """Whether a monomial is a normal-form (standard) monomial."""
-        return not any(mono_divides(lead, mono) for lead in self._leads)
+        return self._divisor(mono) is None
 
 
 def _validate_relations(relations, p) -> WeightedRing:
@@ -53,24 +83,19 @@ def _validate_relations(relations, p) -> WeightedRing:
     return ring
 
 
-def _spoly(f: Element, g: Element, p: int) -> Element:
-    mf, cf = f.leading()
-    mg, cg = g.leading()
-    lcm = mono_mul(mf, mono_sub_lcm(mg, mf))
-    uf = _term(f.ring, mono_div(lcm, mf), pow(cf, -1, p), p)
-    ug = _term(g.ring, mono_div(lcm, mg), pow(cg, -1, p), p)
-    return uf * f - ug * g
+def _lcm(a, b) -> dict:
+    out = dict(a)
+    for g, e in b:
+        if e > out.get(g, 0):
+            out[g] = e
+    return out
 
 
-def mono_sub_lcm(mg, mf):
-    """Part of lcm(mf, mg) missing from mf."""
-    have = dict(mf)
-    out = []
-    for g, e in mg:
-        extra = e - have.get(g, 0)
-        if extra > 0:
-            out.append((g, extra))
-    return tuple(out)
+def _spoly(gb: GroebnerBasis, i: int, j: int, lcm) -> Element:
+    ring, p = gb.ring, gb.p
+    uf = _term(ring, mono_div(lcm, gb._leads[i]), gb._lead_inv[i], p)
+    ug = _term(ring, mono_div(lcm, gb._leads[j]), gb._lead_inv[j], p)
+    return uf * gb.basis[i] - ug * gb.basis[j]
 
 
 def _term(ring: WeightedRing, mono, coeff: int, p: int) -> Element:
@@ -84,23 +109,68 @@ def normal_form(e: Element, gb: GroebnerBasis) -> Element:
         raise ValueError("element and basis live in different rings")
     if e.mod != gb.p:
         raise ValueError(f"normal form needs mod-{gb.p} coefficients")
-    p = gb.p
-    remainder = e.ring.zero(p)
-    work = e
+    p, ring = gb.p, e.ring
+    relations = ring.monomial_relations
+    work = dict(e.terms)
+    remainder = {}
     while work:
-        mono, coeff = work.leading()
-        for b, lead in zip(gb.basis, gb._leads):
-            if mono_divides(lead, mono):
-                factor = _term(e.ring, mono_div(mono, lead),
-                               coeff * pow(b.leading()[1], -1, p) % p, p)
-                work = work - factor * b
-                break
-        else:
-            move = _term(e.ring, mono, coeff, p)
-            remainder = remainder + move
-            work = work - move
+        mono = max(work, key=mono_key)
+        coeff = work.pop(mono)
+        k = gb._divisor(mono)
+        if k is None:
+            remainder[mono] = coeff
+            continue
+        # subtract c * (mono / lead) * b; b is homogeneous, so every new term
+        # has the weight of mono and none falls to truncation
+        lead = gb._leads[k]
+        factor = mono_div(mono, lead)
+        c = coeff * gb._lead_inv[k] % p
+        for m, bc in gb.basis[k].terms.items():
+            if m == lead:
+                continue
+            m = mono_mul(factor, m)
+            if relations and any(mono_divides(r, m) for r in relations):
+                continue
+            v = (work.get(m, 0) - c * bc) % p
+            if v:
+                work[m] = v
+            else:
+                work.pop(m, None)
     # reductions of a flagged input stay flagged; reduction itself drops nothing
-    return e.ring.element(remainder.terms, mod=p, truncated=e.truncated)
+    return ring.element(remainder, mod=p, truncated=e.truncated)
+
+
+def _update(gb: GroebnerBasis, h: Element, pairs: deque) -> None:
+    """Append h to the basis and update the pending pairs by the criteria of
+    Gebauer and Moeller (Installation of Buchberger's algorithm, 1988).
+
+    A new pair (h, g) is dropped when the lcm of another new pair divides its
+    lcm, or when the two leads are coprime; a pending pair (a, b) is dropped
+    when lead(h) divides its lcm and differs from lcm(a, h) and lcm(b, h)
+    (the chain criterion).  Pairs whose lcm lies above the truncation bound
+    are dropped too: their S-polynomial has no term left."""
+    t = len(gb)
+    gb._append(h)
+    lead = gb._leads[t]
+    lead_exps = dict(lead)
+    bound = gb.ring.max_weight
+    # coprime pairs are never dropped here, so only the others need an lcm
+    shared = [(_lcm(lead, gb._leads[g]), g) for g in range(t)
+              if any(x in lead_exps for x, _ in gb._leads[g])]
+    dropped = set()
+    kept = []
+    for lcm, g in shared:
+        if any(k != g and k < t and k not in dropped
+               for k in gb._divisors(tuple(lcm.items()))):
+            dropped.add(g)
+        else:
+            kept.append((lcm, g))
+    survivors = [(lcm, a, b) for lcm, a, b in pairs
+                 if not all(lcm.get(x, 0) >= e for x, e in lead)
+                 or _lcm(gb._leads[a], lead) == lcm or _lcm(gb._leads[b], lead) == lcm]
+    pairs.clear()
+    pairs.extend(survivors)
+    pairs.extend((lcm, t, g) for lcm, g in kept if mono_weight(tuple(lcm.items())) <= bound)
 
 
 def groebner_build(relations, p: int) -> GroebnerBasis:
@@ -110,42 +180,39 @@ def groebner_build(relations, p: int) -> GroebnerBasis:
         raise ValueError("no nonzero relations supplied")
     ring = _validate_relations(relations, p)
 
-    basis = []
+    start = []
     for r in relations:
         r = _monic(r, p)
-        if r not in basis:
-            basis.append(r)
-    basis.sort(key=lambda e: mono_key(e.leading()[0]))
+        if r not in start:
+            start.append(r)
+    start.sort(key=lambda e: mono_key(e.leading()[0]))
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    gb = GroebnerBasis(ring, p, [])
+    pairs: deque = deque()
+    for r in start:
+        _update(gb, r, pairs)
     while pairs:
-        i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
-        mf, mg = f.leading()[0], g.leading()[0]
-        if not set(dict(mf)) & set(dict(mg)):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        s = _spoly(f, g, p)
-        s = normal_form(s, GroebnerBasis(ring, p, basis))
+        lcm, i, j = pairs.popleft()
+        lcm = tuple(sorted(lcm.items(), key=lambda ge: ge[0].sort_key))
+        s = normal_form(_spoly(gb, i, j, lcm), gb)
         if s:
-            basis.append(_monic(s, p))
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+            _update(gb, _monic(s, p), pairs)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    basis.sort(key=lambda e: mono_key(e.leading()[0]))
-    minimal = []
-    for b in basis:
-        lead = b.leading()[0]
-        if not any(mono_divides(m.leading()[0], lead) for m in minimal):
-            minimal.append(b)
-    # reduce tails against the rest
-    reduced = []
-    for i, b in enumerate(minimal):
-        others = GroebnerBasis(ring, p, minimal[:i] + minimal[i + 1:]) \
-            if len(minimal) > 1 else None
-        reduced.append(_monic(normal_form(b, others), p) if others else b)
-    reduced = [r for r in reduced if r]
-    reduced.sort(key=lambda e: mono_key(e.leading()[0]))
-    return GroebnerBasis(ring, p, reduced)
+    order = sorted(range(len(gb)), key=lambda k: mono_key(gb._leads[k]))
+    reduced = GroebnerBasis(ring, p, [])
+    for k in order:
+        if reduced._divisor(gb._leads[k]) is None:
+            reduced._append(gb.basis[k])
+    # reduce tails in place: leads stay, so the lead index stays valid, and a
+    # lead cannot divide another monomial of its own weight
+    for k, b in enumerate(reduced.basis):
+        lead = reduced._leads[k]
+        tail = ring.element({m: c for m, c in b.terms.items() if m != lead}, mod=p)
+        if tail:
+            reduced.basis[k] = ring.element(
+                {lead: 1, **normal_form(tail, reduced).terms}, mod=p)
+    return reduced
 
 
 def groebner_normal_form(e: Element, gb: GroebnerBasis) -> Element:

@@ -32,6 +32,11 @@ from .verdicts import Verdict
 # grows far faster than this count (p=2: 1,286 variables at D=10, 2,703 at D=11).
 MAX_LIFT_VARIABLES = 2048
 
+# Largest number of psi-iterates a lift may record.  default_k_max is at most
+# 5 in every window the variable cap admits for p = 2 and 3; the iterates'
+# integer coefficients grow with k, and so does the report that prints them.
+MAX_KMAX = 32
+
 
 def index_weight(p: int, d: int, indices) -> int:
     return 2 * d + 2 * (p - 1) * sum(indices)
@@ -315,8 +320,8 @@ def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
     p, D = pres.p, pres.truncation
     if k_max is None:
         k_max = default_k_max(p, D)
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
+    if not 0 <= k_max <= MAX_KMAX:
+        raise ValueError(f"k_max must be between 0 and MAX_KMAX={MAX_KMAX}, got {k_max}")
 
     # Pi lives on the presentation's ring, so its graded quotient is the
     # presentation's algebra and reuses its Groebner basis

@@ -44,6 +44,11 @@ class GeneratorSymbol:
             raise ValueError(
                 f"generator weight must be a positive even integer, got {self.weight}"
             )
+        # symbols key every monomial dict, so hash the fields once
+        object.__setattr__(self, "_hash", hash((self.name, self.indices, self.weight)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def key(self):

@@ -215,17 +215,22 @@ class DoubleDecomposition:
 
 def graded_basis(algebra: PrePsiAlgebra, degree: int) -> list:
     """Monomial basis classes of one graded degree (standard monomials when a
-    Groebner basis is attached)."""
-    if degree > algebra.ring.max_weight:
-        if decidable_degree(algebra, degree):
-            return []
-        raise ValueError(f"degree {degree} is outside the truncation window")
-    gb = algebra.graded_gb
-    predicate = gb.is_standard if gb is not None else None
-    monos = algebra.ring.monomials_of_weight(degree, predicate=predicate)
-    p = algebra.p
-    return [GradedClass(algebra, degree, algebra.ring.element({m: 1}, mod=p))
-            for m in monos]
+    Groebner basis is attached).  Memoized per algebra in its
+    ``graded_bases`` dict; every call returns a fresh list."""
+    basis = algebra.graded_bases.get(degree)
+    if basis is None:
+        if degree > algebra.ring.max_weight:
+            if not decidable_degree(algebra, degree):
+                raise ValueError(f"degree {degree} is outside the truncation window")
+            monos = []
+        else:
+            gb = algebra.graded_gb
+            predicate = gb.is_standard if gb is not None else None
+            monos = algebra.ring.monomials_of_weight(degree, predicate=predicate)
+        p = algebra.p
+        basis = algebra.graded_bases[degree] = [
+            GradedClass(algebra, degree, algebra.ring.element({m: 1}, mod=p)) for m in monos]
+    return list(basis)
 
 
 def sample_classes(algebra: PrePsiAlgebra, degree: int, rng: random.Random,
@@ -248,9 +253,12 @@ def sample_classes(algebra: PrePsiAlgebra, degree: int, rng: random.Random,
 
 
 def interesting_degrees(algebra: PrePsiAlgebra, minimum: int = 0) -> list:
-    """Even degrees up to the window with a nonzero graded piece."""
+    """Even degrees up to the window with a nonzero graded piece; a nilpotent
+    ring stops at its top monomial weight."""
+    ring = algebra.ring
+    top = ring.max_monomial_weight()
     out = []
-    for degree in range(minimum, algebra.ring.max_weight + 1, 2):
+    for degree in range(minimum, (ring.max_weight if top is None else top) + 1, 2):
         if degree == 0 or graded_basis(algebra, degree):
             out.append(degree)
     return out

@@ -20,7 +20,8 @@ from .verdicts import Verdict
 
 class UnstableAlgebra:
     """A graded quotient of a weighted polynomial ring over Z/p, with a
-    table-driven action of the operations P^i."""
+    table-driven action of the operations P^i.  ``graded_bases`` memoizes
+    ``steenrod.graded_basis`` by degree."""
 
     def __init__(self, ring: WeightedRing, p: int, graded_gb=None,
                  middles: dict | None = None, name: str = ""):
@@ -47,6 +48,7 @@ class UnstableAlgebra:
                 table[i] = img
             self._action[g.key] = table
         self._totals: dict = {}
+        self.graded_bases: dict = {}
 
     def generator_action(self, key) -> dict:
         return dict(self._action[key])

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -226,3 +227,67 @@ def test_text_format_mentions_status(docs, capsys):
     assert rc == 0
     assert out.startswith("psibench verify")
     assert "status: PASS" in out
+
+
+def test_each_document_is_validated_once_without_overrides(docs, monkeypatch, capsys):
+    import psibench.cli
+    import psibench.documents
+    calls = []
+    original = psibench.documents.validate_document
+
+    def counting(doc):
+        calls.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(psibench.documents, "validate_document", counting)
+    monkeypatch.setattr(psibench.cli, "validate_document", counting)
+    for args in (["verify", "--doc", docs["dual-k1.json"], "--axioms", "p0", "--trials", "1"],
+                 ["atiyah", "--doc", docs["adem.json"], "--element", "x"],
+                 ["fingen", "--doc", docs["tower.json"], "--generators", "x"],
+                 ["lift", "--doc", docs["pres.json"]]):
+        calls.clear()
+        assert main(args) == 0
+        assert len(calls) == 1, args
+    calls.clear()
+    assert main(["verify", "--doc", docs["dual-k1.json"], "--axioms", "p0",
+                 "--trials", "1", "--truncation", "6"]) == 0
+    assert len(calls) == 2
+    calls.clear()
+    capsys.readouterr()
+    assert main(["verify", "--doc", docs["dual-k1.json"], "--truncation", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid document: 0 is less than the minimum of 1\n"
+
+
+@pytest.mark.parametrize("kmax, message", [
+    ("-1", "--kmax: must be at least 0, got -1"),
+    ("33", "error: --kmax must be at most MAX_KMAX=32, got 33"),
+])
+def test_kmax_outside_its_range_exits_two(docs, kmax, message, capsys):
+    import psibench.lift
+    assert psibench.lift.MAX_KMAX == 32
+    t0 = time.perf_counter()
+    try:
+        rc = main(["lift", "--doc", docs["pres.json"], "--kmax", kmax])
+    except SystemExit as exc:
+        rc = exc.code
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in captured.err
+    assert elapsed < 1.0
+
+
+def test_huge_truncation_on_a_nilpotent_ring_stops_at_the_top_weight(capsys):
+    sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
+    args = ["verify", "--doc", str(sample / "projective-space-p3-n4.json"),
+            "--trials", "2", "--format", "json"]
+    assert main(args) == 0
+    at_12 = json.loads(capsys.readouterr().out)
+    t0 = time.perf_counter()
+    assert main(args + ["--truncation", "20000"]) == 0
+    elapsed = time.perf_counter() - t0
+    huge = json.loads(capsys.readouterr().out)
+    assert huge["verdicts"] == at_12["verdicts"]
+    assert elapsed < 3.0

@@ -1,24 +1,29 @@
-"""Ideal membership of the truncated Groebner basis against sympy's.
+"""The truncated Groebner basis against oracles that share none of its code.
 
 The ideals are weight-homogeneous, so a basis built with everything above
 weight 2D discarded still decides membership for homogeneous elements of
 weight at most 2D.  Membership does not depend on the monomial order, so
-sympy's basis in its own order is an independent oracle.
+sympy's basis in its own order is an independent oracle (skipped when sympy
+is absent).  Neither does the number of standard monomials in one weight:
+it is the number of monomials minus the rank over Z/p of the Macaulay matrix
+of all monomial multiples of the relations in that weight.
 """
 
 import random
 
 import pytest
 
-from psibench.groebner import groebner_build
-from psibench.rings import GeneratorSymbol, WeightedRing
-
-sympy = pytest.importorskip("sympy")
+from psibench.groebner import GroebnerBasis, groebner_build
+from psibench.models import free_polynomial_presentation
+from psibench.rings import GeneratorSymbol, WeightedRing, mono_divides
+from psibench.steenrod import graded_basis
+from psibench.unstable import UnstableAlgebra
 
 CASES = [  # (p, generator weights, D)
     (2, (2, 2), 5), (3, (2, 4), 6), (5, (2, 2, 4), 4),
     (2, (2, 4, 6), 6), (3, (2, 2, 2), 4), (7, (4, 2), 6),
 ]
+SEEDS = range(len(CASES) * 2)
 
 
 def _random_homogeneous(ring, weight, p, rng):
@@ -27,18 +32,13 @@ def _random_homogeneous(ring, weight, p, rng):
     return ring.element({m: rng.randrange(1, p) for m in picked}, mod=p)
 
 
-def _to_sympy(e, names):
-    return sum((c * sympy.Mul(*(names[g.name] ** k for g, k in m))
-                for m, c in e.terms.items()), sympy.Integer(0))
-
-
-@pytest.mark.parametrize("seed", range(len(CASES) * 2))
-def test_membership_agrees_with_sympy(seed):
+def _case(seed):
+    """(ring, p, relations, relation weights, rng) of one seeded relation set;
+    the rng continues where the relations left it."""
     p, weights, D = CASES[seed % len(CASES)]
     rng = random.Random(seed)
     gens = [GeneratorSymbol(f"x{i}", (), w) for i, w in enumerate(weights)]
     ring = WeightedRing(gens, D)
-    names = {g.name: sympy.Symbol(g.name) for g in gens}
     top = ring.max_weight
     rel_weights = [w for w in range(2, top + 1, 2) if ring.monomials_of_weight(w)]
     relations = []
@@ -49,8 +49,21 @@ def test_membership_agrees_with_sympy(seed):
                                   p, rng)
         if rel:
             relations.append(rel)
+    return ring, p, relations, rel_weights, rng
+
+
+def _to_sympy(sympy, e, names):
+    return sum((c * sympy.Mul(*(names[g.name] ** k for g, k in m))
+                for m, c in e.terms.items()), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_membership_agrees_with_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    ring, p, relations, rel_weights, rng = _case(seed)
+    names = {g.name: sympy.Symbol(g.name) for g in ring.generators}
     gb = groebner_build(relations, p)
-    oracle = sympy.groebner([_to_sympy(r, names) for r in relations],
+    oracle = sympy.groebner([_to_sympy(sympy, r, names) for r in relations],
                             *names.values(), modulus=p, order="grevlex")
 
     members = nonmembers = 0
@@ -66,8 +79,70 @@ def test_membership_agrees_with_sympy(seed):
                 continue
         else:
             f = _random_homogeneous(ring, w, p, rng)
-        expected = oracle.contains(_to_sympy(f, names))
+        expected = oracle.contains(_to_sympy(sympy, f, names))
         assert gb.contains(f) == expected, (relations, str(f))
         members += expected
         nonmembers += not expected
     assert members and nonmembers
+
+
+def _rank_mod_p(rows, p):
+    """Rank over Z/p by plain Gaussian elimination on dict rows."""
+    rank = 0
+    pivots: dict = {}  # column -> reduced row with a 1 there
+    for row in rows:
+        row = {k: c % p for k, c in row.items() if c % p}
+        for col, pivot_row in pivots.items():
+            c = row.get(col)
+            if c:
+                for k, v in pivot_row.items():
+                    row[k] = (row.get(k, 0) - c * v) % p
+                row = {k: v for k, v in row.items() if v}
+        if row:
+            col = min(row)
+            inv = pow(row[col], -1, p)
+            pivots[col] = {k: v * inv % p for k, v in row.items()}
+            rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_standard_monomial_counts_match_the_macaulay_rank(seed):
+    ring, p, relations, _, _ = _case(seed)
+    algebra = UnstableAlgebra(ring, p, groebner_build(relations, p))
+    for w in range(0, ring.max_weight + 1, 2):
+        monos = ring.monomials_of_weight(w)
+        column = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for r in relations:
+            if r.weight() > w:
+                continue
+            for u in ring.monomials_of_weight(w - r.weight()):
+                product = ring.element({u: 1}, mod=p) * r
+                rows.append({column[m]: c for m, c in product.terms.items()})
+        expected = len(monos) - _rank_mod_p(rows, p)
+        assert len(graded_basis(algebra, w)) == expected, (seed, w)
+
+
+def _random_monomial(ring, rng):
+    picked = rng.sample(ring.generators, rng.randint(0, min(4, len(ring.generators))))
+    return tuple((g, rng.randint(1, 3)) for g in sorted(picked, key=lambda g: g.sort_key))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_indexed_divisor_lookup_matches_a_brute_force_scan(seed):
+    rng = random.Random(seed)
+    bases = []
+    for s in SEEDS:
+        ring, p, relations, _, _ = _case(s)
+        bases.append(groebner_build(relations, p))
+        bases.append(GroebnerBasis(ring, p, relations))  # not a Groebner basis
+    pres = free_polynomial_presentation(2, 5)
+    bases.append(pres.gb)
+    for gb in bases:
+        leads = [b.leading()[0] for b in gb.basis]
+        monos = [_random_monomial(gb.ring, rng) for _ in range(60)] + leads
+        for mono in monos:
+            want = {k for k, lead in enumerate(leads) if mono_divides(lead, mono)}
+            assert set(gb._divisors(mono)) == want, mono
+            assert gb.is_standard(mono) == (not want)

@@ -20,6 +20,11 @@ GOLDEN_VERIFY = {
     "broken-adem-p3.json": "18321cc1a8780508ac8cefb2a7f961b2c2dde7e3f5112806f0b7b7b43debb2ec",
 }
 
+# stdout sha256 of `verify --trials 2 --truncation 2000 --format json` on the
+# nilpotent projective space, recorded before the degree and sampling loops
+# stopped at the ring's top monomial weight.
+GOLDEN_VERIFY_TRUNCATION_2000 = "4ed2ae4a143bf72c67ad8c333c214b2497fcb8999cfd1fa37fe1dfe41bed5de4"
+
 # stdout sha256 of `lift --format json`, recorded before presentation
 # validation ran the axiom registry.
 GOLDEN_LIFT = {
@@ -73,6 +78,15 @@ def test_golden_verify_reports(name, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[name]
     assert rc == (1 if name.startswith("broken") else 0)
+
+
+@pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")
+def test_golden_verify_report_far_above_the_top_weight(capsys):
+    rc = main(["verify", "--doc", str(SAMPLES / "projective-space-p3-n4.json"),
+               "--trials", "2", "--truncation", "2000", "--format", "json"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_TRUNCATION_2000
+    assert rc == 0
 
 
 @pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")

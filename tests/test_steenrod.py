@@ -200,6 +200,23 @@ def test_graded_basis_and_sampling():
     assert graded_basis(A, 10) == []  # t^5 = 0
 
 
+def test_graded_basis_is_memoized_per_algebra_and_returns_fresh_lists(monkeypatch):
+    A = projective_space_ring(3, 4)
+    first = graded_basis(A, 6)
+    expected = list(first)
+    first.clear()
+    first.append("junk")
+    calls = []
+    original = A.ring.monomials_of_weight
+    monkeypatch.setattr(A.ring, "monomials_of_weight",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    again = graded_basis(A, 6)
+    assert again == expected and again is not first
+    assert calls == []  # read from the algebra's memo, not enumerated again
+    B = projective_space_ring(3, 4)
+    assert graded_basis(B, 6)[0].algebra is B  # one memo per algebra object
+
+
 def test_lift_independence_of_P_on_random_lift_pairs():
     rng = random.Random(13)
     A = projective_space_ring(3, 6)

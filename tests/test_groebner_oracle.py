@@ -106,9 +106,7 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_standard_monomial_counts_match_the_macaulay_rank(seed):
-    ring, p, relations, _, _ = _case(seed)
+def _assert_counts_match_the_macaulay_rank(ring, p, relations):
     algebra = UnstableAlgebra(ring, p, groebner_build(relations, p))
     for w in range(0, ring.max_weight + 1, 2):
         monos = ring.monomials_of_weight(w)
@@ -121,7 +119,30 @@ def test_standard_monomial_counts_match_the_macaulay_rank(seed):
                 product = ring.element({u: 1}, mod=p) * r
                 rows.append({column[m]: c for m, c in product.terms.items()})
         expected = len(monos) - _rank_mod_p(rows, p)
-        assert len(graded_basis(algebra, w)) == expected, (seed, w)
+        assert len(graded_basis(algebra, w)) == expected, (relations, w)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_standard_monomial_counts_match_the_macaulay_rank(seed):
+    ring, p, relations, _, _ = _case(seed)
+    _assert_counts_match_the_macaulay_rank(ring, p, relations)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_macaulay_rank_on_denser_relation_sets(chunk):
+    """Up to five relations in up to four generators: enough overlapping
+    leads that a pair criterion dropping a needed S-pair changes a count."""
+    for seed in range(50 * chunk, 50 * chunk + 50):
+        rng = random.Random(seed)
+        p = rng.choice([2, 3, 5])
+        gens = [GeneratorSymbol(f"x{i}", (), 2 * rng.randint(1, 2))
+                for i in range(rng.randint(2, 4))]
+        ring = WeightedRing(gens, rng.randint(3, 5))
+        weights = [w for w in range(4, ring.max_weight + 1, 2) if ring.monomials_of_weight(w)]
+        low = weights[:max(1, len(weights) // 2)]
+        relations = [_random_homogeneous(ring, rng.choice(low), p, rng)
+                     for _ in range(rng.randint(2, 5))]
+        _assert_counts_match_the_macaulay_rank(ring, p, relations)
 
 
 def _random_monomial(ring, rng):

@@ -402,11 +402,8 @@ def random_element(algebra: PrePsiAlgebra, rng: random.Random, min_weight: int,
     if coeff_bound is None:
         coeff_bound = p * p
     pool = []
-    top = ring.max_monomial_weight()
-    w = min_weight if min_weight % 2 == 0 else min_weight + 1
-    while w <= (ring.max_weight if top is None else top):
+    for w in range(min_weight + min_weight % 2, ring.top_weight() + 1, 2):
         pool.extend(ring.monomials_of_weight(w))
-        w += 2
     if not pool:
         return ring.zero()
     terms = {}

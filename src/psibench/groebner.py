@@ -38,16 +38,16 @@ class GroebnerBasis:
         self._leads.append(lead)
         self._lead_inv.append(pow(coeff, -1, self.p))
 
-    def _divisors(self, mono):
-        """Indices of the basis elements whose lead divides ``mono``."""
-        exps = dict(mono)
+    def _divisors(self, exps: dict):
+        """Indices of the basis elements whose lead divides the monomial with
+        exponent map ``exps``."""
         for g in (None, *exps):
             for k in self._filed.get(g, ()):
                 if all(exps.get(h, 0) >= e for h, e in self._leads[k]):
                     yield k
 
     def _divisor(self, mono):
-        return next(self._divisors(mono), None)
+        return next(self._divisors(dict(mono)), None)
 
     def __len__(self):
         return len(self.basis)
@@ -161,7 +161,7 @@ def _update(gb: GroebnerBasis, h: Element, pairs: deque) -> None:
     kept = []
     for lcm, g in shared:
         if any(k != g and k < t and k not in dropped
-               for k in gb._divisors(tuple(lcm.items()))):
+               for k in gb._divisors(lcm)):
             dropped.add(g)
         else:
             kept.append((lcm, g))

@@ -176,6 +176,12 @@ class WeightedRing:
         total = sum((power_bound[g.key] - 1) * g.weight for g in self.generators)
         return min(total, self.max_weight)
 
+    def top_weight(self) -> int:
+        """The largest weight with a monomial: the nilpotent bound when there
+        is one, else 2D.  Loops over weights stop here."""
+        top = self.max_monomial_weight()
+        return self.max_weight if top is None else top
+
     # -- element constructors ------------------------------------------------
     def element(self, terms: Mapping[Monomial, int], mod: int | None = None,
                 truncated: bool = False) -> "Element":

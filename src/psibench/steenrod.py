@@ -255,10 +255,8 @@ def sample_classes(algebra: PrePsiAlgebra, degree: int, rng: random.Random,
 def interesting_degrees(algebra: PrePsiAlgebra, minimum: int = 0) -> list:
     """Even degrees up to the window with a nonzero graded piece; a nilpotent
     ring stops at its top monomial weight."""
-    ring = algebra.ring
-    top = ring.max_monomial_weight()
     out = []
-    for degree in range(minimum, (ring.max_weight if top is None else top) + 1, 2):
+    for degree in range(minimum, algebra.ring.top_weight() + 1, 2):
         if degree == 0 or graded_basis(algebra, degree):
             out.append(degree)
     return out

@@ -93,13 +93,9 @@ def _lcm(a, b) -> dict:
 
 def _spoly(gb: GroebnerBasis, i: int, j: int, lcm) -> Element:
     ring, p = gb.ring, gb.p
-    uf = _term(ring, mono_div(lcm, gb._leads[i]), gb._lead_inv[i], p)
-    ug = _term(ring, mono_div(lcm, gb._leads[j]), gb._lead_inv[j], p)
+    uf = ring.element({mono_div(lcm, gb._leads[i]): gb._lead_inv[i]}, mod=p)
+    ug = ring.element({mono_div(lcm, gb._leads[j]): gb._lead_inv[j]}, mod=p)
     return uf * gb.basis[i] - ug * gb.basis[j]
-
-
-def _term(ring: WeightedRing, mono, coeff: int, p: int) -> Element:
-    return ring.element({tuple(mono): coeff}, mod=p)
 
 
 def normal_form(e: Element, gb: GroebnerBasis) -> Element:

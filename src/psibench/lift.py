@@ -32,8 +32,8 @@ from .verdicts import Verdict
 # grows far faster than this count (p=2: 1,286 variables at D=10, 2,703 at D=11).
 MAX_LIFT_VARIABLES = 2048
 
-# Largest number of psi-iterates a lift may record.  default_k_max is at most
-# 5 in every window the variable cap admits for p = 2 and 3; the iterates'
+# Largest number of psi-iterates a lift may record.  default_k_max, the least
+# k with p^k > p*D, stays far below it (5 at p = 2, D = 10); the iterates'
 # integer coefficients grow with k, and so does the report that prints them.
 MAX_KMAX = 32
 

@@ -215,18 +215,17 @@ class DoubleDecomposition:
 
 def graded_basis(algebra: PrePsiAlgebra, degree: int) -> list:
     """Monomial basis classes of one graded degree (standard monomials when a
-    Groebner basis is attached).  Memoized per algebra in its
-    ``graded_bases`` dict; every call returns a fresh list."""
+    Groebner basis is attached).  Degrees in the window are memoized per
+    algebra in its ``graded_bases`` dict; every call returns a fresh list."""
+    if degree > algebra.ring.max_weight:
+        if decidable_degree(algebra, degree):
+            return []
+        raise ValueError(f"degree {degree} is outside the truncation window")
     basis = algebra.graded_bases.get(degree)
     if basis is None:
-        if degree > algebra.ring.max_weight:
-            if not decidable_degree(algebra, degree):
-                raise ValueError(f"degree {degree} is outside the truncation window")
-            monos = []
-        else:
-            gb = algebra.graded_gb
-            predicate = gb.is_standard if gb is not None else None
-            monos = algebra.ring.monomials_of_weight(degree, predicate=predicate)
+        gb = algebra.graded_gb
+        predicate = gb.is_standard if gb is not None else None
+        monos = algebra.ring.monomials_of_weight(degree, predicate=predicate)
         p = algebra.p
         basis = algebra.graded_bases[degree] = [
             GradedClass(algebra, degree, algebra.ring.element({m: 1}, mod=p)) for m in monos]

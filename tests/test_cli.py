@@ -6,6 +6,9 @@ import time
 
 import pytest
 
+import psibench.cli
+import psibench.documents
+import psibench.lift
 from psibench.cli import main
 from psibench.documents import (algebra_to_document, dump_document,
                                 module_to_document, presentation_to_document)
@@ -230,8 +233,6 @@ def test_text_format_mentions_status(docs, capsys):
 
 
 def test_each_document_is_validated_once_without_overrides(docs, monkeypatch, capsys):
-    import psibench.cli
-    import psibench.documents
     calls = []
     original = psibench.documents.validate_document
 
@@ -265,7 +266,6 @@ def test_each_document_is_validated_once_without_overrides(docs, monkeypatch, ca
     ("33", "error: --kmax must be at most MAX_KMAX=32, got 33"),
 ])
 def test_kmax_outside_its_range_exits_two(docs, kmax, message, capsys):
-    import psibench.lift
     assert psibench.lift.MAX_KMAX == 32
     t0 = time.perf_counter()
     try:

@@ -12,12 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from importlib import resources
-
-try:
-    import jsonschema
-except ImportError:  # fall back to the structural validator below
-    jsonschema = None
 
 from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
@@ -27,6 +21,8 @@ from .rings import Element, GeneratorSymbol, WeightedRing
 
 
 def _schema() -> dict:
+    from importlib import resources  # only a rejected document needs the schema
+
     text = resources.files("psibench").joinpath("schema/workbench.schema.json").read_text()
     return json.loads(text)
 
@@ -39,25 +35,57 @@ class DocumentError(ValueError):
 
 
 def validate_document(doc: dict) -> dict:
-    """Validate against the shipped schema: through jsonschema when it is
-    installed, otherwise through the equivalent structural checks below.
+    """Check ``doc`` against the shipped schema and return it.
+
+    The structural checks below decide validity.  They follow the schema,
+    except that an integral float such as ``2.0`` is not an integer here.
+    jsonschema (``psibench[schema]``) only words a rejection: when it is
+    installed and finds an error, its best match is the message; otherwise
+    the structural check's is.  A valid document never imports jsonschema.
     The schema itself is checked against its meta-schema in the tests."""
-    global _VALIDATOR
-    if jsonschema is not None:
-        if _VALIDATOR is None:
-            schema = _schema()
-            _VALIDATOR = jsonschema.validators.validator_for(schema)(schema)
-        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-        if error is not None:
-            raise DocumentError(f"invalid document: {error.message}")
-        return doc
-    _structural_validate(doc)
+    try:
+        _structural_validate(doc)
+    except DocumentError:
+        message = _schema_message(doc)
+        if message is None:
+            raise
+        raise DocumentError(f"invalid document: {message}") from None
     return doc
+
+
+def _schema_message(doc) -> str | None:
+    """jsonschema's best-match message for ``doc``; None when jsonschema is
+    not installed or finds no error."""
+    global _VALIDATOR
+    try:
+        import jsonschema
+    except ImportError:
+        return None
+    if _VALIDATOR is None:
+        schema = _schema()
+        _VALIDATOR = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    return None if error is None else error.message
 
 
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise DocumentError(f"invalid document: {message}")
+
+
+def _is_int(value, minimum: int | None = None) -> bool:
+    # booleans and integral floats are not integers in a document
+    return type(value) is int and (minimum is None or value >= minimum)
+
+
+def _is_name(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _check_array(value, check_item, message: str) -> None:
+    _expect(isinstance(value, list), message)
+    for item in value:
+        check_item(item)
 
 
 def _check_generator_id(gid) -> None:
@@ -66,9 +94,8 @@ def _check_generator_id(gid) -> None:
         return
     _expect(isinstance(gid, dict) and set(gid) == {"theta", "indices"},
             "multi-index ids need exactly the keys theta and indices")
-    _expect(isinstance(gid["theta"], str) and gid["theta"], "theta must be a string")
-    _expect(isinstance(gid["indices"], list)
-            and all(isinstance(i, int) and i >= 0 for i in gid["indices"]),
+    _expect(_is_name(gid["theta"]), "theta must be a non-empty string")
+    _expect(isinstance(gid["indices"], list) and all(_is_int(i, 0) for i in gid["indices"]),
             "indices must be non-negative integers")
 
 
@@ -77,7 +104,7 @@ def _check_monomial(mono) -> None:
     for pair in mono:
         _expect(isinstance(pair, list) and len(pair) == 2, "bad monomial entry")
         _check_generator_id(pair[0])
-        _expect(isinstance(pair[1], int) and pair[1] >= 1, "exponents are positive integers")
+        _expect(_is_int(pair[1], 1), "exponents are positive integers")
 
 
 def _check_polynomial(poly) -> None:
@@ -85,69 +112,75 @@ def _check_polynomial(poly) -> None:
     for term in poly:
         _expect(isinstance(term, dict) and set(term) == {"coefficient", "monomial"},
                 "terms need exactly coefficient and monomial")
-        _expect(isinstance(term["coefficient"], int), "coefficients are integers")
+        _expect(_is_int(term["coefficient"]), "coefficients are integers")
         _check_monomial(term["monomial"])
 
 
+def _check_algebra_generator(g) -> None:
+    _expect(isinstance(g, dict) and set(g) == {"id", "weight", "layers"},
+            "generators need exactly id, weight and layers")
+    _check_generator_id(g["id"])
+    _expect(_is_int(g["weight"], 2), "generator weights are integers >= 2")
+    _check_array(g["layers"], _check_polynomial, "layers must be an array")
+
+
+def _check_presentation_generator(g) -> None:
+    _expect(isinstance(g, dict) and set(g) == {"theta", "degree"},
+            "presentation generators need exactly theta and degree")
+    _expect(_is_name(g["theta"]), "theta must be a non-empty string")
+    _expect(_is_int(g["degree"], 2), "degrees are integers >= 2")
+
+
+# the schema's layer-key pattern, matched as jsonschema matches it (re.search)
+_LAYER_KEY = re.compile(r"^[0-9]+$")
+
+
+def _check_module_term(entry) -> None:
+    _expect(isinstance(entry, dict) and set(entry) == {"coefficient", "symbol"},
+            "module terms need exactly coefficient and symbol")
+    _expect(_is_int(entry["coefficient"]), "coefficients are integers")
+    _expect(_is_name(entry["symbol"]), "symbols are non-empty strings")
+
+
+def _check_module_symbol(s) -> None:
+    _expect(isinstance(s, dict) and set(s) == {"id", "weight", "layers"},
+            "symbols need exactly id, weight and layers")
+    _expect(_is_name(s["id"]), "symbol ids are non-empty strings")
+    _expect(_is_int(s["weight"], 0), "symbol weights are integers >= 0")
+    _expect(isinstance(s["layers"], dict), "layers are an index-keyed object")
+    for key, modelem in s["layers"].items():
+        _expect(isinstance(key, str) and _LAYER_KEY.search(key) is not None,
+                "layer keys are stringified indices")
+        _check_array(modelem, _check_module_term, "module elements are term arrays")
+
+
 def _structural_validate(doc) -> None:
+    # an optional key is read with a valid default, so only a present key can fail
     _expect(isinstance(doc, dict), "document must be a JSON object")
     kind = doc.get("kind")
     _expect(kind in ("pre-psi-algebra", "presentation", "psi-module"),
             f"unknown kind {kind!r}")
-    _expect(isinstance(doc.get("prime"), int) and doc["prime"] >= 2,
-            "prime must be an integer >= 2")
-    _expect(isinstance(doc.get("truncation"), int) and doc["truncation"] >= 1,
-            "truncation must be a positive integer")
+    _expect(_is_int(doc.get("prime"), 2), "prime must be an integer >= 2")
+    _expect(_is_int(doc.get("truncation"), 1), "truncation must be a positive integer")
+    _expect(_is_int(doc.get("seed", 0)), "seed must be an integer")
+    _expect(isinstance(doc.get("name", ""), str), "name must be a string")
     if kind == "pre-psi-algebra":
-        gens = doc.get("generators")
-        _expect(isinstance(gens, list), "generators must be a list")
-        for g in gens:
-            _expect(isinstance(g, dict) and {"id", "weight", "layers"} <= set(g)
-                    and set(g) <= {"id", "weight", "layers"},
-                    "generators need exactly id, weight and layers")
-            _check_generator_id(g["id"])
-            _expect(isinstance(g["weight"], int) and g["weight"] >= 2,
-                    "generator weights are integers >= 2")
-            for layer in g["layers"]:
-                _check_polynomial(layer)
-        for m in doc.get("monomial_relations", []):
-            _check_monomial(m)
-        for r in doc.get("graded_relations", []):
-            _check_polynomial(r)
+        _check_array(doc.get("generators"), _check_algebra_generator,
+                     "generators must be an array")
+        _check_array(doc.get("monomial_relations", []), _check_monomial,
+                     "monomial_relations must be an array")
+        _check_array(doc.get("graded_relations", []), _check_polynomial,
+                     "graded_relations must be an array")
+        _expect(isinstance(doc.get("presentation", {}), dict), "presentation must be an object")
+        _expect(isinstance(doc.get("census", {}), dict), "census must be an object")
+        _expect(_is_int(doc.get("k_max", 0)), "k_max must be an integer")
     elif kind == "presentation":
-        gens = doc.get("generators")
-        _expect(isinstance(gens, list), "generators must be a list")
-        for g in gens:
-            _expect(isinstance(g, dict) and set(g) == {"theta", "degree"},
-                    "presentation generators need exactly theta and degree")
-            _expect(isinstance(g["theta"], str) and g["theta"], "theta must be a string")
-            _expect(isinstance(g["degree"], int) and g["degree"] >= 2,
-                    "degrees are integers >= 2")
-        for r in doc.get("relations", []):
-            _check_polynomial(r)
-        mz = doc.get("max_zero_indices", 1)
-        _expect(isinstance(mz, int) and mz >= 0, "max_zero_indices must be >= 0")
+        _check_array(doc.get("generators"), _check_presentation_generator,
+                     "generators must be an array")
+        _check_array(doc.get("relations", []), _check_polynomial, "relations must be an array")
+        _expect(_is_int(doc.get("max_zero_indices", 1), 0), "max_zero_indices must be an integer >= 0")
     else:
-        syms = doc.get("symbols")
-        _expect(isinstance(syms, list), "symbols must be a list")
-        for s in syms:
-            _expect(isinstance(s, dict) and set(s) == {"id", "weight", "layers"},
-                    "symbols need exactly id, weight and layers")
-            _expect(isinstance(s["id"], str) and s["id"], "symbol ids are strings")
-            _expect(isinstance(s["weight"], int) and s["weight"] >= 0,
-                    "symbol weights are integers >= 0")
-            _expect(isinstance(s["layers"], dict), "layers are an index-keyed object")
-            for key, modelem in s["layers"].items():
-                _expect(key.isdigit(), "layer keys are stringified indices")
-                _expect(isinstance(modelem, list), "module elements are term arrays")
-                for entry in modelem:
-                    _expect(isinstance(entry, dict)
-                            and set(entry) == {"coefficient", "symbol"},
-                            "module terms need exactly coefficient and symbol")
-                    _expect(isinstance(entry["coefficient"], int),
-                            "coefficients are integers")
-                    _expect(isinstance(entry["symbol"], str) and entry["symbol"],
-                            "symbols are strings")
+        _check_array(doc.get("symbols"), _check_module_symbol, "symbols must be an array")
 
 
 def load_document(path: str) -> dict:
@@ -325,6 +358,10 @@ def algebra_from_document(doc: dict) -> PrePsiAlgebra:
 
 
 def algebra_to_document(algebra: PrePsiAlgebra) -> dict:
+    return validate_document(_algebra_fields(algebra))
+
+
+def _algebra_fields(algebra: PrePsiAlgebra) -> dict:
     ring = algebra.ring
     doc = {
         "kind": "pre-psi-algebra",
@@ -343,7 +380,7 @@ def algebra_to_document(algebra: PrePsiAlgebra) -> dict:
         doc["graded_relations"] = [poly_to_json(b) for b in algebra.graded_gb]
     if algebra.name:
         doc["name"] = algebra.name
-    return validate_document(doc)
+    return doc
 
 
 # -- presentation documents --------------------------------------------------------------
@@ -373,6 +410,10 @@ def presentation_from_document(doc: dict, truncation: int | None = None,
 
 
 def presentation_to_document(pres: UnstablePresentation) -> dict:
+    return validate_document(_presentation_fields(pres))
+
+
+def _presentation_fields(pres: UnstablePresentation) -> dict:
     doc = {
         "kind": "presentation",
         "prime": pres.p,
@@ -383,14 +424,15 @@ def presentation_to_document(pres: UnstablePresentation) -> dict:
     }
     if pres.name:
         doc["name"] = pres.name
-    return validate_document(doc)
+    return doc
 
 
 def lift_to_document(lift: Lift) -> dict:
     """A lift serializes as a pre-psi-algebra document (reloadable by the
-    verify command) with the presentation and census attached."""
-    doc = algebra_to_document(lift.pi)
-    doc["presentation"] = presentation_to_document(lift.presentation)
+    verify command) with the presentation and census attached; it is
+    validated once, as a whole."""
+    doc = _algebra_fields(lift.pi)
+    doc["presentation"] = _presentation_fields(lift.presentation)
     doc["census"] = {str(k): v for k, v in sorted(lift.census.items())}
     doc["k_max"] = lift.k_max
     doc["name"] = lift.presentation.name or "lift"

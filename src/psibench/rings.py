@@ -416,7 +416,10 @@ class Element:
     def substitute(self, images: Mapping) -> "Element":
         """Apply the ring endomorphism sending each generator key to the given
         element (generators absent from ``images`` map to themselves)."""
-        out = self.ring.zero(self.mod)
+        # one running sum; a term that cancels is removed at once, so the
+        # terms keep the order that adding the factors one by one gives
+        terms: dict = {}
+        truncated = False
         cache: dict = {}
         for m, c in self.terms.items():
             factor = self.ring.scalar(c, self.mod)
@@ -428,8 +431,16 @@ class Element:
                 if key not in cache:
                     cache[key] = img**e
                 factor = factor * cache[key]
-            out = out + factor
-        return out
+            truncated = truncated or factor.truncated
+            for fm, fc in factor.terms.items():
+                total = terms.get(fm, 0) + fc
+                if self.mod is not None:
+                    total %= self.mod
+                if total:
+                    terms[fm] = total
+                else:
+                    terms.pop(fm, None)
+        return Element(self.ring, terms, self.mod, truncated)
 
     def __str__(self):
         if not self.terms:

@@ -232,7 +232,8 @@ def test_text_format_mentions_status(docs, capsys):
     assert "status: PASS" in out
 
 
-def test_each_document_is_validated_once_without_overrides(docs, monkeypatch, capsys):
+def test_each_document_is_validated_once_without_overrides(docs, tmp_path, monkeypatch,
+                                                            capsys):
     calls = []
     original = psibench.documents.validate_document
 
@@ -253,6 +254,10 @@ def test_each_document_is_validated_once_without_overrides(docs, monkeypatch, ca
     assert main(["verify", "--doc", docs["dual-k1.json"], "--axioms", "p0",
                  "--trials", "1", "--truncation", "6"]) == 0
     assert len(calls) == 2
+    calls.clear()
+    # lift --out validates the lift it writes once, as a whole
+    assert main(["lift", "--doc", docs["pres.json"], "--out", str(tmp_path / "lift.json")]) == 0
+    assert [doc["kind"] for doc in calls] == ["presentation", "pre-psi-algebra"]
     calls.clear()
     capsys.readouterr()
     assert main(["verify", "--doc", docs["dual-k1.json"], "--truncation", "0"]) == 2
@@ -291,3 +296,73 @@ def test_huge_truncation_on_a_nilpotent_ring_stops_at_the_top_weight(capsys):
     huge = json.loads(capsys.readouterr().out)
     assert huge["verdicts"] == at_12["verdicts"]
     assert elapsed < 3.0
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
+
+# (sample, command, path to a value, the value written there)
+HOSTILE = [
+    ("power-tower-p3-D81.json", ["fingen", "--generators", "x"], ("symbols", 0, "weight"), 2.0),
+    ("projective-space-p3-n4.json", ["verify", "--axioms", "p0", "--trials", "1"],
+     ("generators", 0, "weight"), 2.0),
+    ("polynomial-presentation-p2-D6.json", ["lift"], ("generators", 0, "degree"), 2.0),
+    ("broken-adem-p3.json", ["verify", "--axioms", "p0", "--trials", "1"],
+     ("generators", 0, "layers"), 7),
+    ("broken-adem-p3.json", ["verify", "--axioms", "p0", "--trials", "1"],
+     ("generators", 0, "layers"), {}),
+    ("dual-numbers-p3-k1.json", ["verify", "--axioms", "p0", "--trials", "1"],
+     ("monomial_relations",), 3),
+    ("dual-numbers-p3-k1.json", ["verify", "--axioms", "p0", "--trials", "1"],
+     ("graded_relations",), 3),
+    ("polynomial-presentation-p2-D6.json", ["lift"], ("relations",), 1),
+]
+
+
+@pytest.mark.parametrize("jsonschema_present", [True, False], ids=["jsonschema", "blocked"])
+@pytest.mark.parametrize("sample, command, path, value", HOSTILE,
+                         ids=[f"{s}:{'/'.join(map(str, p))}={v!r}" for s, _, p, v in HOSTILE])
+def test_hostile_values_exit_two_with_a_message(sample, command, path, value,
+                                                jsonschema_present, tmp_path,
+                                                monkeypatch, capsys):
+    if jsonschema_present:
+        pytest.importorskip("jsonschema")
+    else:
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+    doc = json.loads((SAMPLES / sample).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / sample
+    bad.write_text(json.dumps(doc))
+    assert main([command[0], "--doc", str(bad), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid document: ")
+
+
+# runs one command, then says on the last stderr line whether jsonschema was imported
+IMPORT_PROBE = ("import sys\n"
+                "from psibench.cli import main\n"
+                "rc = main(sys.argv[1:])\n"
+                "print('jsonschema imported:', 'jsonschema' in sys.modules, file=sys.stderr)\n"
+                "sys.exit(rc)\n")
+
+
+def test_a_valid_document_never_imports_jsonschema(tmp_path):
+    sample = SAMPLES / "dual-numbers-p3-k1.json"
+    args = ["verify", "--axioms", "p0", "--trials", "1", "--doc"]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args, str(sample)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == ["jsonschema imported: False"]
+    # the control: a rejected document loads jsonschema to word the message
+    pytest.importorskip("jsonschema")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(sample.read_text()), "truncation": 0}))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args, str(bad)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: invalid document: 0 is less than the minimum of 1",
+        "jsonschema imported: True"]

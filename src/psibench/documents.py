@@ -178,7 +178,8 @@ def _structural_validate(doc) -> None:
         _check_array(doc.get("generators"), _check_presentation_generator,
                      "generators must be an array")
         _check_array(doc.get("relations", []), _check_polynomial, "relations must be an array")
-        _expect(_is_int(doc.get("max_zero_indices", 1), 0), "max_zero_indices must be an integer >= 0")
+        _expect(_is_int(doc.get("max_zero_indices", 1), 0),
+                "max_zero_indices must be an integer >= 0")
     else:
         _check_array(doc.get("symbols"), _check_module_symbol, "symbols must be an array")
 

@@ -40,7 +40,9 @@ class PrePsiAlgebra:
     key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
     under their monomial's key at the natural level weight/2.  It holds at
     most ``SPLITTING_CACHE_SIZE`` entries and stops inserting once full.
-    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree.
+    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree, and
+    ``operations`` memoizes ``steenrod.steenrod_P`` by (i, class) under the
+    same bound (see ``steenrod.operation``).
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -78,6 +80,7 @@ class PrePsiAlgebra:
         }
         self.splittings: dict = {}
         self.graded_bases: dict = {}
+        self.operations: dict = {}
 
     def apply_psi(self, e: Element) -> Element:
         """The ring endomorphism determined by the generator data."""

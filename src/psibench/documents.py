@@ -451,8 +451,13 @@ def module_from_document(doc: dict) -> PsiModule:
     for s in doc["symbols"]:
         q = s["weight"] // 2
         layers = [{} for _ in range(q + 1)]
+        named: dict = {}
         for key, modelem in s["layers"].items():
             i = int(key)
+            # the schema admits "1", "01" and "1\n" alike; one layer, one key
+            _expect(i not in named, f"symbol {s['id']!r} names layer {i} twice, "
+                                    f"as {named.get(i)!r} and {key!r}")
+            named[i] = key
             if i > q:
                 raise ValueError(
                     f"symbol {s['id']!r} at level {q} has a layer index {i}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 
 from .arith import validate_prime
-from .rings import Element, WeightedRing, mono_div, mono_divides, mono_key, mono_mul, mono_weight
+from .rings import Element, WeightedRing, mono_div, mono_key, mono_mul, mono_weight
 
 
 class GroebnerBasis:
@@ -125,7 +125,7 @@ def normal_form(e: Element, gb: GroebnerBasis) -> Element:
             if m == lead:
                 continue
             m = mono_mul(factor, m)
-            if relations and any(mono_divides(r, m) for r in relations):
+            if relations and ring.kills(m):
                 continue
             v = (work.get(m, 0) - c * bc) % p
             if v:

@@ -122,7 +122,9 @@ class WeightedRing:
 
     ``monomial_relations`` lists monomials identified with zero (e.g. a square
     of a dual number); they are applied after every product, which keeps
-    nilpotent base rings free of any integral Groebner machinery.
+    nilpotent base rings free of any integral Groebner machinery.  A relation
+    on one generator, g^e, acts as an exponent cap (the smallest such e per
+    generator); only relations on several generators take a divisibility test.
     """
 
     def __init__(self, generators: Iterable[GeneratorSymbol], truncation: int,
@@ -142,12 +144,22 @@ class WeightedRing:
             if not m:
                 raise ValueError("the unit monomial cannot be a relation")
             for g, e in m:
-                if g.key not in self._by_key:
+                if self._by_key.get(g.key) != g:
                     raise ValueError(f"relation monomial uses unknown generator {g}")
                 if e <= 0:
                     raise ValueError("relation exponents must be positive")
             rels.append(tuple(sorted(m, key=lambda ge: ge[0].sort_key)))
         self.monomial_relations = tuple(sorted(rels, key=mono_key))
+        self._caps: dict = {}
+        for m in self.monomial_relations:
+            if len(m) == 1:
+                g, e = m[0]
+                self._caps[g] = min(self._caps.get(g, e), e)
+        self._general_relations = tuple(m for m in self.monomial_relations if len(m) > 1)
+        self._max_monomial_weight = None
+        if len(self._caps) == len(self.generators):
+            total = sum((e - 1) * g.weight for g, e in self._caps.items())
+            self._max_monomial_weight = min(total, self.max_weight)
 
     @property
     def max_weight(self) -> int:
@@ -159,22 +171,22 @@ class WeightedRing:
         except KeyError:
             raise KeyError(f"unknown generator {name!r} with indices {tuple(indices)}")
 
+    def kills(self, m: Monomial) -> bool:
+        """Whether a monomial relation divides m: an exponent reaches its
+        generator's cap, or a relation on several generators divides m."""
+        caps = self._caps
+        return (any(e >= caps.get(g, e + 1) for g, e in m)
+                or any(mono_divides(rel, m) for rel in self._general_relations))
+
     def max_monomial_weight(self):
         """A proven upper bound on monomial weights, or None if unbounded.
 
         Finite exactly when every generator is nilpotent through a pure-power
         monomial relation; then weight-2q graded pieces beyond the bound are
-        structurally zero, not merely truncated away.
+        structurally zero, not merely truncated away.  Computed once, from the
+        exponent caps.
         """
-        power_bound: dict = {}
-        for m in self.monomial_relations:
-            if len(m) == 1:
-                g, e = m[0]
-                power_bound[g.key] = min(power_bound.get(g.key, e), e)
-        if set(power_bound) != set(self._by_key):
-            return None
-        total = sum((power_bound[g.key] - 1) * g.weight for g in self.generators)
-        return min(total, self.max_weight)
+        return self._max_monomial_weight
 
     def top_weight(self) -> int:
         """The largest weight with a monomial: the nilpotent bound when there
@@ -223,7 +235,7 @@ class WeightedRing:
                 while e * g.weight <= remaining:
                     cand = acc + [(g, e)]
                     mono = tuple(cand)
-                    if any(mono_divides(rel, mono) for rel in self.monomial_relations):
+                    if self.monomial_relations and self.kills(mono):
                         break
                     if predicate is not None and not predicate(mono):
                         e += 1
@@ -256,15 +268,16 @@ class Element:
         self.mod = mod
         clean: dict = {}
         dropped = False
+        bound, relations = ring.max_weight, ring.monomial_relations
         for m, c in terms.items():
             if mod is not None:
                 c %= mod
             if c == 0:
                 continue
-            if mono_weight(m) > ring.max_weight:
+            if mono_weight(m) > bound:
                 dropped = True
                 continue
-            if any(mono_divides(rel, m) for rel in ring.monomial_relations):
+            if relations and ring.kills(m):
                 continue
             clean[m] = c
         self.terms = clean

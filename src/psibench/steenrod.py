@@ -14,6 +14,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from . import atiyah
 from .arith import adem_coefficient, lucas_binom  # noqa: F401 (re-exported API)
 from .atiyah import AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose, verify_welldefined
 from .rings import Element, even_filtration
@@ -141,34 +142,50 @@ def gr_class(algebra: PrePsiAlgebra, e: Element, degree: int) -> GradedClass:
 # -- the operations ----------------------------------------------------------------
 
 
-def _layer_class(algebra: PrePsiAlgebra, dr: AtiyahDecomposition, i: int,
-                 degree: int) -> GradedClass:
-    """Class of layer i of a level-(degree/2) splitting, with the standard
-    conventions: p-th power at the top of level 0, zero above the level."""
-    p, q = algebra.p, dr.level
-    target = degree + 2 * i * (p - 1)
-    if i > q:
+def operation(algebra, i: int, cls: GradedClass, compute) -> GradedClass:
+    """P^i on a graded class of either kind of algebra, with the conventions
+    both share: zero above the level, on the zero class and beyond a
+    structurally zero window.  Otherwise ``compute(algebra, i, cls)``,
+    memoized in the algebra's ``operations`` dict under ``(i, degree, rep
+    terms)``, the same data ``GradedClass`` equality compares.  Like the
+    splitting cache it holds at most ``SPLITTING_CACHE_SIZE`` entries and
+    stops inserting once full."""
+    if i < 0:
+        raise ValueError("operation index must be non-negative")
+    target = cls.degree + 2 * i * (algebra.p - 1)
+    if i > cls.degree // 2 or not cls:
         return zero_class(algebra, target)
-    layer = dr.layers[1] if q == 0 else dr.layers[i]
     if target > algebra.ring.max_weight:
         if decidable_degree(algebra, target):
             return zero_class(algebra, target)
         raise ValueError(f"operation target degree {target} is outside the truncation window")
-    return gr_class(algebra, layer, target)
+    key = (i, cls.degree, frozenset(cls.rep.terms.items()))
+    out = algebra.operations.get(key)
+    if out is None:
+        out = compute(algebra, i, cls)
+        if len(algebra.operations) < atiyah.SPLITTING_CACHE_SIZE:
+            algebra.operations[key] = out
+    return out
+
+
+def _layer_class(algebra: PrePsiAlgebra, dr: AtiyahDecomposition, i: int,
+                 degree: int) -> GradedClass:
+    """Class of layer i <= level of a level-(degree/2) splitting, in a target
+    degree inside the window; at level 0 P^0 is the p-th power on top."""
+    layer = dr.layers[1] if dr.level == 0 else dr.layers[i]
+    return gr_class(algebra, layer, degree + 2 * i * (algebra.p - 1))
+
+
+def _derived_P(algebra: PrePsiAlgebra, i: int, cls: GradedClass) -> GradedClass:
+    dr = atiyah_decompose(algebra, cls.lift(), cls.degree // 2)
+    return _layer_class(algebra, dr, i, cls.degree)
 
 
 def steenrod_P(algebra: PrePsiAlgebra, i: int, cls: GradedClass) -> GradedClass:
     """P^i on a graded class, derived from an Atiyah splitting of any lift of
-    exact weight equal to the class degree."""
-    if i < 0:
-        raise ValueError("operation index must be non-negative")
-    p = algebra.p
-    q = cls.degree // 2
-    target = cls.degree + 2 * i * (p - 1)
-    if i > q or not cls:
-        return zero_class(algebra, target)
-    dr = atiyah_decompose(algebra, cls.lift(), q)
-    return _layer_class(algebra, dr, i, cls.degree)
+    exact weight equal to the class degree; computed once per algebra and
+    (i, class), see ``operation``."""
+    return operation(algebra, i, cls, _derived_P)
 
 
 class DoubleDecomposition:

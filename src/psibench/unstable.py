@@ -13,15 +13,16 @@ from dataclasses import replace
 
 from .arith import validate_prime
 from .rings import Element, WeightedRing, mono_weight
-from .steenrod import (GradedClass, check_adem, check_p0_identity, decidable_degree,
-                       gr_class, gr_class_of_rep, zero_class)
+from .steenrod import (GradedClass, check_adem, check_p0_identity, gr_class,
+                       gr_class_of_rep, operation)
 from .verdicts import Verdict
 
 
 class UnstableAlgebra:
     """A graded quotient of a weighted polynomial ring over Z/p, with a
     table-driven action of the operations P^i.  ``graded_bases`` memoizes
-    ``steenrod.graded_basis`` by degree."""
+    ``steenrod.graded_basis`` by degree, and ``operations`` memoizes ``P`` by
+    (i, class) as ``steenrod.operation`` describes."""
 
     def __init__(self, ring: WeightedRing, p: int, graded_gb=None,
                  middles: dict | None = None, name: str = ""):
@@ -49,6 +50,7 @@ class UnstableAlgebra:
             self._action[g.key] = table
         self._totals: dict = {}
         self.graded_bases: dict = {}
+        self.operations: dict = {}
 
     def generator_action(self, key) -> dict:
         return dict(self._action[key])
@@ -81,16 +83,7 @@ class UnstableAlgebra:
         return out
 
     def P(self, i: int, cls: GradedClass) -> GradedClass:
-        if i < 0:
-            raise ValueError("operation index must be non-negative")
-        target = cls.degree + 2 * i * (self.p - 1)
-        if i > cls.degree // 2 or not cls:
-            return zero_class(self, target)
-        if target > self.ring.max_weight:
-            if decidable_degree(self, target):
-                return zero_class(self, target)
-            raise ValueError(f"operation target degree {target} is outside the truncation window")
-        return gr_class_of_rep(self, self.apply_P(i, cls.rep), target)
+        return operation(self, i, cls, _table_P)
 
     def class_of(self, e: Element, degree: int) -> GradedClass:
         return gr_class(self, e, degree)
@@ -98,6 +91,11 @@ class UnstableAlgebra:
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"UnstableAlgebra(p={self.p}{tag}, {self.ring!r})"
+
+
+def _table_P(algebra: UnstableAlgebra, i: int, cls: GradedClass) -> GradedClass:
+    target = cls.degree + 2 * i * (algebra.p - 1)
+    return gr_class_of_rep(algebra, algebra.apply_P(i, cls.rep), target)
 
 
 def check_p0_identity_table(algebra: UnstableAlgebra, degrees, trials: int = 6,

@@ -12,9 +12,13 @@ from psibench.atiyah import (AtiyahDecomposition, _binomial_correction,
                              scalar_decomposition, verify_welldefined,
                              zero_decomposition)
 from psibench.documents import algebra_from_document, algebra_to_document
+from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
+                             free_polynomial_presentation, product_projective_spaces,
                              projective_space_ring)
-from psibench.steenrod import check_exactness
+from psibench.steenrod import (GradedClass, check_exactness, classify, decidable_degree,
+                               interesting_degrees, sample_classes, steenrod_P)
+from psibench.unstable import UnstableAlgebra
 from psibench.verdicts import FAIL
 
 
@@ -347,6 +351,81 @@ def test_splitting_cache_bound(monkeypatch):
     assert len(A.splittings) == 3
     atiyah_decompose(A, t**3 * 7, 1)
     assert len(A.splittings) == 3
+
+
+def _operation_cases(A, rng):
+    """(i, class) pairs with a decidable target: basis classes and random
+    combinations in every degree, i from 0 to one above the level."""
+    cases = []
+    for d in interesting_degrees(A, 2):
+        for cls in sample_classes(A, d, rng, 3):
+            cases.extend((i, cls) for i in range(d // 2 + 2)
+                         if decidable_degree(A, d + 2 * i * (A.p - 1)))
+    return cases
+
+
+def _operation_algebras():
+    return ((projective_space_ring(3, 5), steenrod_P), (adem_failure_ring(3), steenrod_P),
+            (dual_numbers_ring(2, 3), steenrod_P),
+            (product_projective_spaces(3, 3, 3), steenrod_P),
+            (build_lift(free_polynomial_presentation(3, 4)).graded, UnstableAlgebra.P))
+
+
+def test_operation_memo_warm_equals_cold():
+    rng = random.Random(29)
+    for A, P in _operation_algebras():
+        cases = _operation_cases(A, rng)
+        warm = [P(A, i, c) for i, c in cases]
+        assert A.operations, A
+        for (i, c), w in zip(cases, warm):
+            # an equal class built afresh finds the stored value
+            twin = GradedClass(A, c.degree, A.ring.element(c.rep.terms, mod=A.p))
+            again = P(A, i, twin)
+            assert again == w
+            if c and i <= c.degree // 2 and c.degree + 2 * i * (A.p - 1) <= A.ring.max_weight:
+                assert again is w
+        for (i, c), w in zip(cases, warm):
+            A.operations.clear()
+            assert P(A, i, c) == w, (A, i, str(c))
+
+
+def test_operation_memo_is_per_algebra():
+    doc = algebra_to_document(projective_space_ring(3, 4))
+    A, B = algebra_from_document(doc), algebra_from_document(doc)
+    c = GradedClass(A, 4, A.ring.gen("t", mod=3) ** 2)
+    a = steenrod_P(A, 1, c)
+    assert A.operations and not B.operations
+    b = steenrod_P(B, 1, GradedClass(B, 4, B.ring.gen("t", mod=3) ** 2))
+    assert b is not a and b.algebra is B and b.rep.ring is B.ring
+    assert str(a) == str(b) == "[2*t^4]@8"
+    assert not set(A.operations.values()) & set(B.operations.values())
+
+
+def test_operation_memo_bound(monkeypatch):
+    for A, P in _operation_algebras():
+        cases = _operation_cases(A, random.Random(37))
+        unbounded = [P(A, i, c) for i, c in cases]
+        A.operations.clear()
+        monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", 3)
+        bounded = []
+        for i, c in cases:
+            bounded.append(P(A, i, c))
+            assert len(A.operations) <= 3
+        assert len(A.operations) == 3
+        assert bounded == unbounded
+        monkeypatch.undo()
+
+
+def test_memoized_operations_keep_the_adem_witness(monkeypatch):
+    memoized = classify(adem_failure_ring(3))
+    monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", 0)  # no memo at all
+    A = adem_failure_ring(3)
+    plain = classify(A)
+    assert not A.operations and not A.splittings
+    assert memoized.label == plain.label == "pre-psi-p"
+    adem = memoized.verdict("adem")
+    assert adem.status == FAIL and adem.to_dict() == plain.verdict("adem").to_dict()
+    assert (adem.witness["i"], adem.witness["j"]) == (1, 1)
 
 
 def test_poisoned_splitting_cache_is_caught():

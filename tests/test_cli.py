@@ -341,6 +341,20 @@ def test_hostile_values_exit_two_with_a_message(sample, command, path, value,
     assert captured.err.startswith("error: invalid document: ")
 
 
+@pytest.mark.parametrize("key", ["01", "1\n"])
+def test_two_keys_for_one_module_layer_exit_two(key, tmp_path, capsys):
+    # the schema admits both keys; together with "1" they name layer 1 twice
+    doc = json.loads((SAMPLES / "power-tower-p3-D81.json").read_text())
+    doc["symbols"][0]["layers"][key] = [{"coefficient": 5, "symbol": "x^9"}]
+    bad = tmp_path / "duplicate-layer.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["fingen", "--doc", str(bad), "--generators", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: invalid document: symbol 'x' names layer 1 twice, "
+                            f"as '1' and {key!r}\n")
+
+
 # runs one command, then says on the last stderr line whether jsonschema was imported
 IMPORT_PROBE = ("import sys\n"
                 "from psibench.cli import main\n"

@@ -1,11 +1,13 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psibench.rings import (GeneratorSymbol, WeightedRing, even_filtration,
-                            mono_key, weight_of)
+from psibench.rings import (Element, GeneratorSymbol, WeightedRing, even_filtration,
+                            mono_divides, mono_key, mono_weight, weight_of)
 
 
 def test_generator_symbol_validation():
@@ -23,6 +25,9 @@ def test_ring_validation():
         WeightedRing([x, GeneratorSymbol("x", (), 4)], 4)
     with pytest.raises(ValueError):
         WeightedRing([x], 0)
+    # a relation symbol must be the ring's generator, weight included
+    with pytest.raises(ValueError):
+        WeightedRing([x], 4, [((GeneratorSymbol("x", (), 4), 2),)])
 
 
 def test_even_filtration_collapse():
@@ -190,3 +195,67 @@ def test_reduce_mod_p_is_a_homomorphism(data, p):
     a, b = data.draw(s), data.draw(s)
     assert (a + b).reduce_mod(p) == a.reduce_mod(p) + b.reduce_mod(p)
     assert (a * b).reduce_mod(p) == a.reduce_mod(p) * b.reduce_mod(p)
+
+
+# -- monomial relations: exponent caps against a plain divisibility filter -------------
+
+_X, _Y, _T = (GeneratorSymbol("x", (), 2), GeneratorSymbol("y", (), 4),
+              GeneratorSymbol("t", (), 2))
+RELATION_RINGS = {
+    "x*y": ([_X, _Y], [((_X, 1), (_Y, 1))]),
+    "x*y and x^4": ([_X, _Y], [((_X, 1), (_Y, 1)), ((_X, 4),)]),
+    "t^3 and t^5": ([_T, _Y], [((_T, 5),), ((_T, 3),)]),
+    "none": ([_X, _Y], []),
+}
+
+
+def _brute_force(ring, terms, mod):
+    """Element.__init__'s filter with every relation a divisibility test."""
+    kept, dropped = {}, False
+    for m, c in terms.items():
+        c = c if mod is None else c % mod
+        if c == 0:
+            continue
+        if mono_weight(m) > ring.max_weight:
+            dropped = True
+        elif not any(mono_divides(rel, m) for rel in ring.monomial_relations):
+            kept[m] = c
+    return kept, dropped
+
+
+def _monomials(gens, exps):
+    return tuple((g, e) for g, e in zip(gens, exps) if e)
+
+
+@pytest.mark.parametrize("name", list(RELATION_RINGS))
+def test_exponent_caps_match_the_divisibility_filter(name):
+    gens, relations = RELATION_RINGS[name]
+    ring = WeightedRing(gens, 10, relations)
+    gens = ring.generators
+    rng = random.Random(name)
+    for mod in (None, 3):
+        for _ in range(200):
+            terms = {}
+            for _ in range(rng.randrange(1, 8)):
+                m = _monomials(gens, [rng.randrange(0, 7) for _ in gens])
+                terms[m] = rng.randrange(-4, 5)
+            e = Element(ring, terms, mod)
+            kept, dropped = _brute_force(ring, terms, mod)
+            assert e.terms == kept, (name, terms)
+            assert e.truncated == dropped
+            for m in terms:
+                assert ring.kills(m) == any(mono_divides(r, m) for r in ring.monomial_relations)
+    # the enumeration agrees with every exponent vector filtered the same way
+    for w in range(0, ring.max_weight + 1, 2):
+        expected = [m for exps in itertools.product(range(ring.max_weight // 2 + 1),
+                                                    repeat=len(gens))
+                    if mono_weight(m := _monomials(gens, exps)) == w
+                    and not any(mono_divides(r, m) for r in ring.monomial_relations)]
+        assert ring.monomials_of_weight(w) == sorted(expected, key=mono_key)
+    assert ring.max_monomial_weight() is None  # y has no pure-power relation
+
+
+def test_max_monomial_weight_uses_the_smallest_cap():
+    ring = WeightedRing([_T, _Y], 10, [((_T, 5),), ((_T, 3),), ((_Y, 2),)])
+    assert ring.max_monomial_weight() == 2 * 2 + 1 * 4
+    assert WeightedRing([_T, _Y], 3, [((_T, 3),), ((_Y, 2),)]).max_monomial_weight() == 6

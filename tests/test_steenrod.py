@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import psibench.steenrod as steenrod
 from psibench.atiyah import atiyah_decompose
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              projective_space_ring)
@@ -241,3 +242,28 @@ def test_lift_independence_of_P_on_random_lift_pairs():
                 a = gr_class(A, base.layers[i] if q else base.layers[1], target)
                 b = gr_class(A, alt_d.layers[i] if q else alt_d.layers[1], target)
                 assert a == b
+
+
+def test_each_operation_is_computed_once(monkeypatch):
+    """classify computes P^i once per (i, degree, rep): the layer of a
+    splitting is taken only for inputs the operation memo has not seen."""
+    layer_class, derived = steenrod._layer_class, steenrod.steenrod_P
+    computed, calls, reached = [], [], set()
+
+    def counting_layer(algebra, dr, i, degree):
+        computed.append((i, degree, frozenset(dr.source.terms.items())))
+        return layer_class(algebra, dr, i, degree)
+
+    def recording_P(algebra, i, cls):
+        calls.append(i)
+        target = cls.degree + 2 * i * (algebra.p - 1)
+        if cls and i <= cls.degree // 2 and target <= algebra.ring.max_weight:
+            reached.add((i, cls.degree, frozenset(cls.lift().terms.items())))
+        return derived(algebra, i, cls)
+
+    monkeypatch.setattr(steenrod, "_layer_class", counting_layer)
+    monkeypatch.setattr(steenrod, "steenrod_P", recording_P)
+    assert classify(projective_space_ring(3, 4), trials=2).label == "psi-p-algebra"
+    assert len(computed) == len(set(computed)) == len(reached)
+    assert set(computed) == reached
+    assert len(calls) > 4 * len(computed)

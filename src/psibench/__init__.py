@@ -15,10 +15,9 @@ from .lift import (Lift, TransportIso, UnstablePresentation, build_lift,
 from .modules import (FgWitness, GenerationReport, ModuleSymbol, PsiModule,
                       abelian_generator_profile, closure_enumerate, is_fg_by)
 from .rings import Element, GeneratorSymbol, WeightedRing, weight_of
-from .steenrod import (Classification, DoubleDecomposition, GradedClass,
-                       check_additivity, check_adem, check_cartan,
-                       check_instability, check_p0_identity, check_pth_power,
-                       classify, gr_class, graded_basis, steenrod_P)
+from .steenrod import (Classification, GradedClass, check_additivity, check_adem,
+                       check_cartan, check_instability, check_p0_identity,
+                       check_pth_power, classify, gr_class, graded_basis, steenrod_P)
 from .unstable import UnstableAlgebra
 from .verdicts import FAIL, PASS, PASS_UP_TO_TRUNCATION, Verdict
 

@@ -93,6 +93,12 @@ class PrePsiAlgebra:
     def psi_of_generator(self, key) -> Element:
         return self._psi_images[key]
 
+    def P(self, i: int, cls):
+        """P^i on a graded class: ``steenrod.steenrod_P``, looked up on each
+        call so that a wrapper installed on that module sees every call."""
+        from . import steenrod
+        return steenrod.steenrod_P(self, i, cls)
+
     def generator_decomposition(self, g) -> "AtiyahDecomposition":
         layers = self.psi_data[g.key]
         return AtiyahDecomposition(self, self.ring.var(g), g.weight // 2, layers)
@@ -128,11 +134,16 @@ class AtiyahDecomposition:
     def truncated(self) -> bool:
         return self.source.truncated or any(l.truncated for l in self.layers)
 
+    def layer(self, i: int) -> Element:
+        """The layer P^i reads: layers[i] below the level, the top source^p
+        at the level (level 0 included), zero above it."""
+        if i > self.level:
+            return self.algebra.ring.zero()
+        return self.layers[-1] if i == self.level else self.layers[i]
+
     def weighted_sum(self) -> Element:
-        p = self.algebra.p
-        if self.level == 0:
-            return self.layers[0] * p + self.layers[1]
-        return sum((self.layers[i] * p ** (self.level - i) for i in range(self.level + 1)),
+        p, top = self.algebra.p, len(self.layers) - 1
+        return sum((layer * p ** (top - i) for i, layer in enumerate(self.layers)),
                    self.algebra.ring.zero())
 
     def problems(self) -> list:
@@ -160,8 +171,7 @@ class AtiyahDecomposition:
 
 def zero_decomposition(algebra: PrePsiAlgebra, q: int) -> AtiyahDecomposition:
     z = algebra.ring.zero()
-    layers = (z, z) if q == 0 else tuple(z for _ in range(q + 1))
-    return AtiyahDecomposition(algebra, z, q, layers)
+    return AtiyahDecomposition(algebra, z, q, (z,) * (max(q, 1) + 1))
 
 
 def scalar_decomposition(algebra: PrePsiAlgebra, c: int) -> AtiyahDecomposition:
@@ -441,11 +451,9 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
         if not s:
             continue
         ds = atiyah_decompose(algebra, s, q)
-        pairs = [(base.layers[1], ds.layers[1], 0)] if q == 0 else [
-            (base.layers[i], ds.layers[i], i) for i in range(q + 1)]
-        for la, lb, i in pairs:
+        for i in range(q + 1):
             w = 2 * q + 2 * i * (p - 1)
-            agree = graded_classes_agree(algebra, la, lb, w)
+            agree = graded_classes_agree(algebra, base.layer(i), ds.layer(i), w)
             if agree is None:
                 skipped += 1
             elif agree:

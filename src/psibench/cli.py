@@ -20,7 +20,7 @@ from .documents import (algebra_from_document, canonical_json, document_digest,
                         presentation_from_document, validate_document)
 from .lift import MAX_KMAX, build_lift, default_k_max
 from .modules import is_fg_by
-from .steenrod import AXIOMS, classify, gr_class, run_axioms, steenrod_P
+from .steenrod import AXIOMS, classify, gr_class, run_axioms
 from .verdicts import FAIL, Verdict
 
 
@@ -116,7 +116,7 @@ def cmd_steenrod(args) -> int:
         raise ValueError(f"--degree must be even, got {args.degree}")
     degree = args.degree if args.degree is not None else (rep.weight() if rep else 0)
     cls = gr_class(algebra, rep.integer_lift() if rep else algebra.ring.zero(), degree)
-    result = steenrod_P(algebra, args.index, cls)
+    result = algebra.P(args.index, cls)
     report = _base_report("steenrod", doc, None, {
         "element": args.element, "i": args.index, "degree": degree})
     report.update({

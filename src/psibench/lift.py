@@ -226,7 +226,7 @@ class UnstablePresentation:
                 break
         verdicts.append(Verdict.decide("steenrod-closure", checked, skipped, witness))
 
-        table = run_axioms(self.algebra, ("p0", "adem"), trials, seed, UnstableAlgebra.P)
+        table = run_axioms(self.algebra, ("p0", "adem"), trials, seed)
         verdicts.extend(replace(v, name=f"{v.name}(table)") for v in table)
         return verdicts
 
@@ -300,10 +300,6 @@ class Lift:
 
     def basis(self, degree: int) -> list:
         return graded_basis(self.graded, degree)
-
-    def describe_variable(self, sym: GeneratorSymbol) -> str:
-        ops = "".join(f"P^{i} " for i in reversed(sym.indices))
-        return f"{sym} = {ops}{sym.name}".strip()
 
 
 def default_k_max(p: int, D: int) -> int:

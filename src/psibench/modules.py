@@ -186,10 +186,6 @@ class PsiModule:
                 total = total + layer * (c * p ** (q - i))
         return total
 
-    def symbol_decomposition(self, name: str) -> ModuleDecomposition:
-        return ModuleDecomposition(self, self.basis_element(name),
-                                   self._weights[name] // 2, self.layers[name])
-
     def decompose(self, e: ModuleElement, q: int) -> ModuleDecomposition:
         """Splitting of an arbitrary element at level q <= weight(e)/2, by
         shifting each symbol's stored splitting down and adding layerwise."""
@@ -224,9 +220,6 @@ class FgWitness:
     module: PsiModule
     generators: tuple
     nodes: list
-
-    def elements(self) -> list:
-        return [n.element for n in self.nodes]
 
 
 def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> FgWitness:

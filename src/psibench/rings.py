@@ -137,6 +137,9 @@ class WeightedRing:
             raise ValueError(f"truncation bound D must be a positive integer, got {truncation}")
         self.generators = tuple(sorted(gens, key=lambda g: g.sort_key))
         self.truncation = truncation
+        for g in gens:
+            if g.weight > self.max_weight:
+                raise ValueError(f"generator {g} has weight {g.weight} beyond 2D")
         self._by_key = {g.key: g for g in self.generators}
         rels = []
         for m in monomial_relations:
@@ -158,8 +161,7 @@ class WeightedRing:
         self._general_relations = tuple(m for m in self.monomial_relations if len(m) > 1)
         self._max_monomial_weight = None
         if len(self._caps) == len(self.generators):
-            total = sum((e - 1) * g.weight for g, e in self._caps.items())
-            self._max_monomial_weight = min(total, self.max_weight)
+            self._max_monomial_weight = sum((e - 1) * g.weight for g, e in self._caps.items())
 
     @property
     def max_weight(self) -> int:
@@ -184,15 +186,16 @@ class WeightedRing:
         Finite exactly when every generator is nilpotent through a pure-power
         monomial relation; then weight-2q graded pieces beyond the bound are
         structurally zero, not merely truncated away.  Computed once, from the
-        exponent caps.
+        exponent caps, and not clipped to the window: degrees between 2D and
+        the bound are undecidable under truncation.
         """
         return self._max_monomial_weight
 
     def top_weight(self) -> int:
-        """The largest weight with a monomial: the nilpotent bound when there
-        is one, else 2D.  Loops over weights stop here."""
+        """The largest weight with a monomial in the window: the nilpotent
+        bound clipped to 2D, else 2D.  Loops over weights stop here."""
         top = self.max_monomial_weight()
-        return self.max_weight if top is None else top
+        return self.max_weight if top is None else min(top, self.max_weight)
 
     # -- element constructors ------------------------------------------------
     def element(self, terms: Mapping[Monomial, int], mod: int | None = None,
@@ -421,10 +424,6 @@ class Element:
                 raise ArithmeticError(f"coefficient {c} not divisible by {k}")
             terms[m] = q
         return Element(self.ring, terms, None, self.truncated)
-
-    def map_coefficients(self, fn) -> "Element":
-        return Element(self.ring, {m: fn(c) for m, c in self.terms.items()},
-                       self.mod, self.truncated)
 
     def substitute(self, images: Mapping) -> "Element":
         """Apply the ring endomorphism sending each generator key to the given

@@ -13,8 +13,7 @@ from dataclasses import replace
 
 from .arith import validate_prime
 from .rings import Element, WeightedRing, mono_weight
-from .steenrod import (GradedClass, check_adem, check_p0_identity, gr_class,
-                       gr_class_of_rep, operation)
+from .steenrod import GradedClass, check_adem, check_p0_identity, gr_class_of_rep, operation
 from .verdicts import Verdict
 
 
@@ -52,9 +51,6 @@ class UnstableAlgebra:
         self.graded_bases: dict = {}
         self.operations: dict = {}
 
-    def generator_action(self, key) -> dict:
-        return dict(self._action[key])
-
     def _total(self, key) -> Element:
         if key not in self._totals:
             table = self._action[key]
@@ -85,9 +81,6 @@ class UnstableAlgebra:
     def P(self, i: int, cls: GradedClass) -> GradedClass:
         return operation(self, i, cls, _table_P)
 
-    def class_of(self, e: Element, degree: int) -> GradedClass:
-        return gr_class(self, e, degree)
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"UnstableAlgebra(p={self.p}{tag}, {self.ring!r})"
@@ -101,12 +94,12 @@ def _table_P(algebra: UnstableAlgebra, i: int, cls: GradedClass) -> GradedClass:
 def check_p0_identity_table(algebra: UnstableAlgebra, degrees, trials: int = 6,
                             seed: int = 0) -> Verdict:
     """P^0 = Id for the table-extended operations."""
-    return replace(check_p0_identity(algebra, degrees, trials, seed, UnstableAlgebra.P),
+    return replace(check_p0_identity(algebra, degrees, trials, seed),
                    name="p0-identity(table)")
 
 
 def check_adem_table(algebra: UnstableAlgebra, degree: int, trials: int = 6,
                      seed: int = 0) -> Verdict:
     """Adem identities for the table-extended operations, by composition."""
-    return replace(check_adem(algebra, degree, trials, seed, UnstableAlgebra.P),
+    return replace(check_adem(algebra, degree, trials, seed),
                    name="adem(table)")

@@ -51,8 +51,7 @@ def _all_layer_classes(algebra, cls):
         target = cls.degree + 2 * i * (algebra.p - 1)
         if decidable_degree(algebra, target) is None:
             continue
-        layer = dr.layers[1] if q == 0 else dr.layers[i]
-        out[i] = gr_class(algebra, layer, target)
+        out[i] = gr_class(algebra, dr.layer(i), target)
     return out, dr
 
 

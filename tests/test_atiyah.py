@@ -18,7 +18,6 @@ from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              projective_space_ring)
 from psibench.steenrod import (GradedClass, check_exactness, classify, decidable_degree,
                                interesting_degrees, sample_classes, steenrod_P)
-from psibench.unstable import UnstableAlgebra
 from psibench.verdicts import FAIL
 
 
@@ -59,6 +58,17 @@ def test_scalar_decomposition_fermat():
     assert d.layers[1] == A.ring.scalar(8)
     assert d.weighted_sum() == A.ring.scalar(2)
     assert d.problems() == []
+
+
+def test_layer_reads_the_top_at_the_level():
+    A = projective_space_ring(3, 4)
+    t = A.ring.gen("t")
+    d0 = atiyah_decompose(A, t, 0)  # (r', t^3): P^0 reads the top
+    assert d0.layer(0) == t**3 and not d0.layer(1)
+    d1 = atiyah_decompose(A, t, 1)
+    assert [d1.layer(i) for i in range(3)] == [d1.layers[0], t**3, A.ring.zero()]
+    z = zero_decomposition(A, 0)
+    assert len(z.layers) == 2 and not z.layer(0) and not z.weighted_sum()
 
 
 def test_square_of_generator_layers():
@@ -365,28 +375,27 @@ def _operation_cases(A, rng):
 
 
 def _operation_algebras():
-    return ((projective_space_ring(3, 5), steenrod_P), (adem_failure_ring(3), steenrod_P),
-            (dual_numbers_ring(2, 3), steenrod_P),
-            (product_projective_spaces(3, 3, 3), steenrod_P),
-            (build_lift(free_polynomial_presentation(3, 4)).graded, UnstableAlgebra.P))
+    return (projective_space_ring(3, 5), adem_failure_ring(3), dual_numbers_ring(2, 3),
+            product_projective_spaces(3, 3, 3),
+            build_lift(free_polynomial_presentation(3, 4)).graded)
 
 
 def test_operation_memo_warm_equals_cold():
     rng = random.Random(29)
-    for A, P in _operation_algebras():
+    for A in _operation_algebras():
         cases = _operation_cases(A, rng)
-        warm = [P(A, i, c) for i, c in cases]
+        warm = [A.P(i, c) for i, c in cases]
         assert A.operations, A
         for (i, c), w in zip(cases, warm):
             # an equal class built afresh finds the stored value
             twin = GradedClass(A, c.degree, A.ring.element(c.rep.terms, mod=A.p))
-            again = P(A, i, twin)
+            again = A.P(i, twin)
             assert again == w
             if c and i <= c.degree // 2 and c.degree + 2 * i * (A.p - 1) <= A.ring.max_weight:
                 assert again is w
         for (i, c), w in zip(cases, warm):
             A.operations.clear()
-            assert P(A, i, c) == w, (A, i, str(c))
+            assert A.P(i, c) == w, (A, i, str(c))
 
 
 def test_operation_memo_is_per_algebra():
@@ -402,14 +411,14 @@ def test_operation_memo_is_per_algebra():
 
 
 def test_operation_memo_bound(monkeypatch):
-    for A, P in _operation_algebras():
+    for A in _operation_algebras():
         cases = _operation_cases(A, random.Random(37))
-        unbounded = [P(A, i, c) for i, c in cases]
+        unbounded = [A.P(i, c) for i, c in cases]
         A.operations.clear()
         monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", 3)
         bounded = []
         for i, c in cases:
-            bounded.append(P(A, i, c))
+            bounded.append(A.P(i, c))
             assert len(A.operations) <= 3
         assert len(A.operations) == 3
         assert bounded == unbounded

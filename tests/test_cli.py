@@ -298,6 +298,28 @@ def test_huge_truncation_on_a_nilpotent_ring_stops_at_the_top_weight(capsys):
     assert elapsed < 3.0
 
 
+def test_a_window_below_the_nilpotent_top_is_not_exact(capsys):
+    # t^5 = 0 puts the top monomial at weight 8; --truncation 2 sees up to 4
+    sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
+    args = ["verify", "--doc", str(sample / "projective-space-p3-n4.json"),
+            "--trials", "2", "--truncation", "2", "--format", "json"]
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "PASS-UP-TO-TRUNCATION"
+    assert report["classification"] == "psi-p-algebra"
+    skipped = {v["axiom"]: v["skipped_beyond_truncation"] for v in report["verdicts"]}
+    assert all(skipped[name] for name in ("adem", "additivity", "cartan", "well-definedness"))
+
+
+def test_a_generator_beyond_the_window_exits_two(capsys):
+    sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
+    rc = main(["verify", "--doc", str(sample / "dual-numbers-p3-k2.json"),
+               "--truncation", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "generator e has weight 4 beyond 2D" in captured.err
+
+
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
 
 # (sample, command, path to a value, the value written there)

@@ -28,6 +28,10 @@ def test_ring_validation():
     # a relation symbol must be the ring's generator, weight included
     with pytest.raises(ValueError):
         WeightedRing([x], 4, [((GeneratorSymbol("x", (), 4), 2),)])
+    # a generator must fit in the window 2D
+    WeightedRing([GeneratorSymbol("e", (), 4)], 2)
+    with pytest.raises(ValueError, match="beyond 2D"):
+        WeightedRing([GeneratorSymbol("e", (), 4)], 1)
 
 
 def test_even_filtration_collapse():
@@ -258,4 +262,6 @@ def test_exponent_caps_match_the_divisibility_filter(name):
 def test_max_monomial_weight_uses_the_smallest_cap():
     ring = WeightedRing([_T, _Y], 10, [((_T, 5),), ((_T, 3),), ((_Y, 2),)])
     assert ring.max_monomial_weight() == 2 * 2 + 1 * 4
-    assert WeightedRing([_T, _Y], 3, [((_T, 3),), ((_Y, 2),)]).max_monomial_weight() == 6
+    small = WeightedRing([_T, _Y], 3, [((_T, 3),), ((_Y, 2),)])
+    assert small.max_monomial_weight() == 8  # not clipped to the window 2D = 6
+    assert small.top_weight() == 6

@@ -6,7 +6,7 @@ import psibench.steenrod as steenrod
 from psibench.atiyah import atiyah_decompose
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              projective_space_ring)
-from psibench.steenrod import (DoubleDecomposition, check_additivity, check_adem,
+from psibench.steenrod import (check_additivity, check_adem,
                                check_cartan, check_exactness, check_instability,
                                check_p0_identity, check_pth_power, classify,
                                decidable_degree, gr_class, graded_basis,
@@ -122,7 +122,7 @@ def test_adem_failure_witness():
         assert v.witness["class"] == "x"
 
 
-def test_adem_layer_route_checks_the_operation():
+def test_adem_layer_route_checks_the_operation(monkeypatch):
     # on an algebra with splittings, the composition route of an operation
     # other than the derived one disagrees with the double layers
     A = projective_space_ring(3, 8)
@@ -131,7 +131,8 @@ def test_adem_layer_route_checks_the_operation():
         return steenrod_P(algebra, i, cls) * (2 if i else 1)
 
     assert check_adem(A, 4, trials=2, seed=0).status == PASS
-    v = check_adem(A, 4, trials=2, seed=0, P=doubled)
+    monkeypatch.setattr(steenrod, "steenrod_P", doubled)
+    v = check_adem(A, 4, trials=2, seed=0)
     assert v.status == FAIL
     assert v.witness["note"] == "layer route and composition route disagree"
 
@@ -152,17 +153,17 @@ def test_p0_failure_witness():
 def test_double_decomposition_contract():
     # second splittings satisfy psi(r_i) = sum_j p^(Q_i - j) r_(i,j) exactly
     A = adem_failure_ring(3, D=12)
-    x = A.ring.gen("x")
-    dd = DoubleDecomposition(A, x, 2)
+    base = atiyah_decompose(A, A.ring.gen("x"), 2)
     p = 3
     for i in range(3):
-        layer = dd.layer(i)
+        layer = base.layer(i)
         if not layer:
             continue
         level = 2 + 2 * i
+        second = atiyah_decompose(A, layer, level)
         total = A.ring.zero()
         for j in range(level + 1):
-            total = total + dd.second(i, j) * p ** (level - j)
+            total = total + second.layer(j) * p ** (level - j)
         assert total == A.apply_psi(layer)
 
 
@@ -239,20 +240,20 @@ def test_lift_independence_of_P_on_random_lift_pairs():
                 target = 2 * q + 2 * i * (A.p - 1)
                 if target > A.ring.max_weight:
                     continue
-                a = gr_class(A, base.layers[i] if q else base.layers[1], target)
-                b = gr_class(A, alt_d.layers[i] if q else alt_d.layers[1], target)
+                a = gr_class(A, base.layer(i), target)
+                b = gr_class(A, alt_d.layer(i), target)
                 assert a == b
 
 
 def test_each_operation_is_computed_once(monkeypatch):
     """classify computes P^i once per (i, degree, rep): the layer of a
     splitting is taken only for inputs the operation memo has not seen."""
-    layer_class, derived = steenrod._layer_class, steenrod.steenrod_P
+    compute, derived = steenrod._derived_P, steenrod.steenrod_P
     computed, calls, reached = [], [], set()
 
-    def counting_layer(algebra, dr, i, degree):
-        computed.append((i, degree, frozenset(dr.source.terms.items())))
-        return layer_class(algebra, dr, i, degree)
+    def counting_compute(algebra, i, cls):
+        computed.append((i, cls.degree, frozenset(cls.lift().terms.items())))
+        return compute(algebra, i, cls)
 
     def recording_P(algebra, i, cls):
         calls.append(i)
@@ -261,7 +262,7 @@ def test_each_operation_is_computed_once(monkeypatch):
             reached.add((i, cls.degree, frozenset(cls.lift().terms.items())))
         return derived(algebra, i, cls)
 
-    monkeypatch.setattr(steenrod, "_layer_class", counting_layer)
+    monkeypatch.setattr(steenrod, "_derived_P", counting_compute)
     monkeypatch.setattr(steenrod, "steenrod_P", recording_P)
     assert classify(projective_space_ring(3, 4), trials=2).label == "psi-p-algebra"
     assert len(computed) == len(set(computed)) == len(reached)

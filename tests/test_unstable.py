@@ -2,7 +2,7 @@ import pytest
 
 from psibench.models import base_polynomial_algebra
 from psibench.rings import GeneratorSymbol, WeightedRing
-from psibench.steenrod import gr_class
+from psibench.steenrod import gr_class, run_axioms
 from psibench.unstable import (UnstableAlgebra, check_adem_table,
                                check_p0_identity_table)
 from psibench.verdicts import FAIL, PASS
@@ -59,6 +59,20 @@ def test_middle_table_validation():
         UnstableAlgebra(ring, 3, middles={("x", ()): {2: ring.zero(3)}})  # i = d
     with pytest.raises(ValueError):
         UnstableAlgebra(ring, 3, middles={("x", ()): {1: ring.var(x, 3)}})  # bad weight
+
+
+def test_table_route_catches_a_broken_adem_relation():
+    # x of weight 4 at p = 3: P^1 P^1 x = 2 P^2 x = 2 x^3 forces P^1 x != 0
+    x = GeneratorSymbol("x", (), 4)
+    ring = WeightedRing([x], 6)
+    broken = UnstableAlgebra(ring, 3, middles={x.key: {1: ring.zero(3)}})
+    p0, adem = run_axioms(broken, ("p0", "adem"))
+    assert p0.status == PASS
+    assert adem.status == FAIL
+    w = adem.witness
+    assert (w["i"], w["j"], w["class"], w["lhs"], w["rhs"]) == (1, 1, "x", "0", "2*x^3")
+    square = UnstableAlgebra(ring, 3, middles={x.key: {1: ring.var(x, 3) ** 2}})
+    assert all(v.status != FAIL for v in run_axioms(square, ("p0", "adem")))
 
 
 def test_cartan_for_table_operations():

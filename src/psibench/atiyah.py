@@ -40,9 +40,10 @@ class PrePsiAlgebra:
     key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
     under their monomial's key at the natural level weight/2.  It holds at
     most ``SPLITTING_CACHE_SIZE`` entries and stops inserting once full.
-    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree, and
+    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree,
     ``operations`` memoizes ``steenrod.steenrod_P`` by (i, class) under the
-    same bound (see ``steenrod.operation``).
+    same bound (see ``steenrod.operation``), and ``psi_images`` memoizes psi
+    of a monomial under that monomial, also under the same bound.
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -73,7 +74,7 @@ class PrePsiAlgebra:
                 raise ValueError(f"top layer of {g} must equal {g}^{p}")
             data[g.key] = layers
         self.psi_data = data
-        self._psi_images = {
+        self._generator_images = {
             key: sum((layers[i] * p ** (len(layers) - 1 - i) for i in range(len(layers))),
                      ring.zero())
             for key, layers in data.items()
@@ -81,17 +82,49 @@ class PrePsiAlgebra:
         self.splittings: dict = {}
         self.graded_bases: dict = {}
         self.operations: dict = {}
+        self.psi_images: dict = {}
 
     def apply_psi(self, e: Element) -> Element:
-        """The ring endomorphism determined by the generator data."""
+        """The ring endomorphism determined by the generator data: the sum
+        of c * psi(m) over the terms c*m of e, flagged truncated when some
+        psi(m) is.  A term that cancels leaves the sum at once, so the terms
+        keep the order that adding the images one by one gives."""
         if e.ring is not self.ring:
             raise ValueError("element lives in a different ambient ring")
         if e.mod is not None:
             raise ValueError("psi acts on the integral layer")
-        return e.substitute(self._psi_images)
+        terms: dict = {}
+        truncated = False
+        for m, c in e.terms.items():
+            image = self._psi_monomial(m)
+            truncated = truncated or image.truncated
+            for fm, fc in image.terms.items():
+                total = terms.get(fm, 0) + c * fc
+                if total:
+                    terms[fm] = total
+                else:
+                    terms.pop(fm, None)
+        return Element(self.ring, terms, None, truncated)
+
+    def _psi_monomial(self, m) -> Element:
+        """psi(m), memoized in ``psi_images``: psi(g)^e for a generator
+        power g^e, else the product of the psi-images of m's generator
+        powers, each memoized as a monomial of its own."""
+        out = self.psi_images.get(m)
+        if out is None:
+            if len(m) == 1:
+                g, e = m[0]
+                out = self._generator_images[g.key] ** e
+            else:
+                out = self.ring.one()
+                for power in m:
+                    out = out * self._psi_monomial((power,))
+            if len(self.psi_images) < SPLITTING_CACHE_SIZE:
+                self.psi_images[m] = out
+        return out
 
     def psi_of_generator(self, key) -> Element:
-        return self._psi_images[key]
+        return self._generator_images[key]
 
     def P(self, i: int, cls):
         """P^i on a graded class: ``steenrod.steenrod_P``, looked up on each
@@ -398,10 +431,7 @@ def graded_classes_agree(algebra: PrePsiAlgebra, a: Element, b: Element,
     graded piece is not structurally zero (undecidable under truncation).
     """
     if weight > algebra.ring.max_weight:
-        bound = algebra.ring.max_monomial_weight()
-        if bound is not None and weight > bound:
-            return True
-        return None
+        return True if algebra.ring.decidable(weight) else None
     diff = (a - b).homogeneous_component(weight).reduce_mod(algebra.p)
     if algebra.graded_gb is not None:
         diff = algebra.graded_gb.reduce(diff)

@@ -160,14 +160,16 @@ def cmd_lift(args) -> int:
     validation = pres.validate(seed=seed)
     report = _base_report("lift", doc, seed, {
         "truncation": pres.truncation, "kmax": args.kmax})
-    report["verdicts"] = [v.to_dict() for v in validation]
-    if any(not v.passed for v in validation):
+    verdicts = list(validation)
+    if all(v.passed for v in verdicts):
+        k_max = args.kmax if args.kmax is not None else default_k_max(pres.p, pres.truncation)
+        lift = build_lift(pres, k_max=k_max)
+        verdicts.extend(lift.verdicts)
+    report["verdicts"] = [v.to_dict() for v in verdicts]
+    if not all(v.passed for v in verdicts):
         report["status"] = FAIL
         _emit(report, args.format)
         return 1
-    k_max = args.kmax if args.kmax is not None else default_k_max(pres.p, pres.truncation)
-    lift = build_lift(pres, k_max=k_max)
-    report["verdicts"].extend(v.to_dict() for v in lift.verdicts)
     report["census"] = {str(k): v for k, v in sorted(lift.census.items())}
     report["k_max"] = lift.k_max
     report["ideal_generators"] = {

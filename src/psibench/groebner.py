@@ -6,6 +6,7 @@ weight-homogeneous, which is what quotient graded algebras need.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from .arith import validate_prime
@@ -16,10 +17,12 @@ class GroebnerBasis:
     """A Groebner basis of a weight-homogeneous ideal over Z/p.
 
     Each element's lead monomial and inverse lead coefficient are computed
-    once, when the element joins the basis.  Leads are filed under their
-    first generator: a lead divides a monomial only if that generator occurs
-    in the monomial, so a divisor search reads only the files of the
-    monomial's generators (the unit lead is filed under None)."""
+    once, when the element joins the basis.  Leads are filed under every
+    generator they contain (the unit lead under None).  The pair update
+    reads the files of a new lead's generators to find the leads it shares
+    a generator with; a divisor search reads the files of a monomial's
+    generators and takes each lead from the file of its first generator, as
+    a divisor's generators all occur in the monomial."""
 
     def __init__(self, ring: WeightedRing, p: int, basis: list):
         self.ring = ring
@@ -33,7 +36,9 @@ class GroebnerBasis:
 
     def _append(self, e: Element) -> None:
         lead, coeff = e.leading()
-        self._filed.setdefault(lead[0][0] if lead else None, []).append(len(self.basis))
+        k = len(self.basis)
+        for g in [g for g, _ in lead] or [None]:
+            self._filed.setdefault(g, []).append(k)
         self.basis.append(e)
         self._leads.append(lead)
         self._lead_inv.append(pow(coeff, -1, self.p))
@@ -41,10 +46,21 @@ class GroebnerBasis:
     def _divisors(self, exps: dict):
         """Indices of the basis elements whose lead divides the monomial with
         exponent map ``exps``."""
-        for g in (None, *exps):
+        yield from self._filed.get(None, ())
+        for g in exps:
             for k in self._filed.get(g, ()):
-                if all(exps.get(h, 0) >= e for h, e in self._leads[k]):
+                lead = self._leads[k]
+                if lead[0][0] == g and all(exps.get(h, 0) >= e for h, e in lead):
                     yield k
+
+    def _sharing(self, t: int) -> list:
+        """Indices below t whose lead shares a generator with lead t,
+        ascending; read from the files of lead t's generators."""
+        found = set()
+        for g, _ in self._leads[t]:
+            file = self._filed[g]
+            found.update(file[:bisect_left(file, t)])
+        return sorted(found)
 
     def _divisor(self, mono):
         return next(self._divisors(dict(mono)), None)
@@ -148,11 +164,9 @@ def _update(gb: GroebnerBasis, h: Element, pairs: deque) -> None:
     t = len(gb)
     gb._append(h)
     lead = gb._leads[t]
-    lead_exps = dict(lead)
     bound = gb.ring.max_weight
     # coprime pairs are never dropped here, so only the others need an lcm
-    shared = [(_lcm(lead, gb._leads[g]), g) for g in range(t)
-              if any(x in lead_exps for x, _ in gb._leads[g])]
+    shared = [(_lcm(lead, gb._leads[g]), g) for g in gb._sharing(t)]
     dropped = set()
     kept = []
     for lcm, g in shared:
@@ -176,12 +190,12 @@ def groebner_build(relations, p: int) -> GroebnerBasis:
         raise ValueError("no nonzero relations supplied")
     ring = _validate_relations(relations, p)
 
-    start = []
+    # dedupe by term set, keeping first occurrences (one ring, one modulus)
+    start: dict = {}
     for r in relations:
         r = _monic(r, p)
-        if r not in start:
-            start.append(r)
-    start.sort(key=lambda e: mono_key(e.leading()[0]))
+        start.setdefault(frozenset(r.terms.items()), r)
+    start = sorted(start.values(), key=lambda e: mono_key(e.leading()[0]))
 
     gb = GroebnerBasis(ring, p, [])
     pairs: deque = deque()

@@ -28,9 +28,11 @@ from .steenrod import GradedClass, gr_class_of_rep, graded_basis, run_axioms
 from .unstable import UnstableAlgebra
 from .verdicts import Verdict
 
-# Largest admissible-variable set a window may need; a lift's Groebner work
-# grows far faster than this count (p=2: 1,286 variables at D=10, 2,703 at D=11).
-MAX_LIFT_VARIABLES = 2048
+# Largest admissible-variable set a window may need, sized from measured
+# presentations plus lifts on a 2-CPU host: p=2, D=12 (5,702 variables) takes
+# about 3 s and 85 MB; the largest windows under the cap, p=5, D=48 (8,021)
+# and p=7, D=72 (8,161), take about 13 s and 18 s and up to 260 MB.
+MAX_LIFT_VARIABLES = 8192
 
 # Largest number of psi-iterates a lift may record.  default_k_max, the least
 # k with p^k > p*D, stays far below it (5 at p = 2, D = 10); the iterates'
@@ -311,8 +313,25 @@ def default_k_max(p: int, D: int) -> int:
     return k
 
 
+def _graded_vanishing(ideal: dict, k_max: int, p: int) -> Verdict:
+    """Graded vanishing of the higher psi-iterates: each one is p*(something)
+    plus terms of strictly larger weight, so its bottom class dies mod p.  A
+    FAIL names the first iterate whose bottom class survives."""
+    checked = 0
+    for k in range(1, k_max + 1):
+        for f0, fk in zip(ideal[0], ideal[k]):
+            if fk:
+                bottom = fk.homogeneous_component(f0.weight()).reduce_mod(p)
+                if bottom:
+                    witness = {"k": k, "relation": str(f0), "class": str(bottom)}
+                    return Verdict.decide("ideal-iterate-graded-vanishing", checked, 0, witness)
+            checked += 1
+    return Verdict.decide("ideal-iterate-graded-vanishing", checked, 0)
+
+
 def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
-    """Construct the canonical lift of a validated presentation."""
+    """Construct the canonical lift of a validated presentation.  The lift's
+    verdicts say whether it is one: a FAIL carries its witness."""
     p, D = pres.p, pres.truncation
     if k_max is None:
         k_max = default_k_max(p, D)
@@ -333,27 +352,7 @@ def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
         current = [pi.apply_psi(f) for f in current]
         ideal[k] = tuple(current)
 
-    # graded vanishing of the higher psi-iterates: each one is p*(something)
-    # plus terms of strictly larger weight, so its bottom class dies mod p
-    checked = 0
-    witness = None
-    for k in range(1, k_max + 1):
-        for f0, fk in zip(ideal[0], ideal[k]):
-            if not fk:
-                checked += 1
-                continue
-            bottom = fk.homogeneous_component(f0.weight()).reduce_mod(p)
-            if bottom:
-                witness = {"k": k, "relation": str(f0), "class": str(bottom)}
-                break
-            checked += 1
-        if witness:
-            break
-    vanishing = Verdict.decide("ideal-iterate-graded-vanishing", checked, 0, witness)
-    if witness is not None:
-        raise AssertionError(
-            f"psi-iterate of a relation has a nonzero graded class: {witness}")
-
+    vanishing = _graded_vanishing(ideal, k_max, p)
     census = {degree: len(graded_basis(pres.algebra, degree))
               for degree in range(0, 2 * D + 1, 2)}
     return Lift(pres, pi, pres.algebra, ideal, k_max, census, [vanishing])

@@ -191,6 +191,13 @@ class WeightedRing:
         """
         return self._max_monomial_weight
 
+    def decidable(self, weight: int) -> bool:
+        """Whether graded statements in this weight are exact: the weight
+        lies inside the window 2D, or above the nilpotent bound, where the
+        graded piece is structurally zero."""
+        bound = self._max_monomial_weight
+        return weight <= self.max_weight or (bound is not None and weight > bound)
+
     def top_weight(self) -> int:
         """The largest weight with a monomial in the window: the nilpotent
         bound clipped to 2D, else 2D.  Loops over weights stop here."""
@@ -424,35 +431,6 @@ class Element:
                 raise ArithmeticError(f"coefficient {c} not divisible by {k}")
             terms[m] = q
         return Element(self.ring, terms, None, self.truncated)
-
-    def substitute(self, images: Mapping) -> "Element":
-        """Apply the ring endomorphism sending each generator key to the given
-        element (generators absent from ``images`` map to themselves)."""
-        # one running sum; a term that cancels is removed at once, so the
-        # terms keep the order that adding the factors one by one gives
-        terms: dict = {}
-        truncated = False
-        cache: dict = {}
-        for m, c in self.terms.items():
-            factor = self.ring.scalar(c, self.mod)
-            for g, e in m:
-                img = images.get(g.key)
-                if img is None:
-                    img = self.ring.var(g, self.mod)
-                key = (g.key, e)
-                if key not in cache:
-                    cache[key] = img**e
-                factor = factor * cache[key]
-            truncated = truncated or factor.truncated
-            for fm, fc in factor.terms.items():
-                total = terms.get(fm, 0) + fc
-                if self.mod is not None:
-                    total %= self.mod
-                if total:
-                    terms[fm] = total
-                else:
-                    terms.pop(fm, None)
-        return Element(self.ring, terms, self.mod, truncated)
 
     def __str__(self):
         if not self.terms:

@@ -24,13 +24,9 @@ from .verdicts import PASS_UP_TO_TRUNCATION, Verdict
 def decidable_degree(algebra: PrePsiAlgebra, degree: int):
     """True when graded statements in this degree are exactly decidable:
     either the degree is inside the truncation window, or the graded piece is
-    structurally zero.  None means undecidable under truncation."""
-    if degree <= algebra.ring.max_weight:
-        return True
-    bound = algebra.ring.max_monomial_weight()
-    if bound is not None and degree > bound:
-        return True
-    return None
+    structurally zero (``WeightedRing.decidable``).  None means undecidable
+    under truncation."""
+    return True if algebra.ring.decidable(degree) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,6 +373,11 @@ def check_adem(algebra, degree: int, trials: int = 6, seed: int = 0) -> Verdict:
         return Verdict.decide("adem", 0, 0, None, ("degree 0 is trivial",))
     layered = isinstance(algebra, PrePsiAlgebra)
     step = 2 * (p - 1)
+    # the (t, c) of each relation with a decidable target, once per call
+    coefficients = {(i, j): [(t, c) for t in range(i // p + 1)
+                             if (c := adem_coefficient(p, i, j, t))]
+                    for j in range(1, q + 3) for i in range(1, p * j)
+                    if algebra.ring.decidable(degree + (i + j) * step)}
     for cls in sample_classes(algebra, degree, rng, trials):
         if not cls:
             continue
@@ -384,11 +385,10 @@ def check_adem(algebra, degree: int, trials: int = 6, seed: int = 0) -> Verdict:
         for j in range(1, q + 3):
             for i in range(1, p * j):
                 target = degree + (i + j) * step
-                if decidable_degree(algebra, target) is None:
+                coeffs = coefficients.get((i, j))
+                if coeffs is None:  # the target degree is undecidable
                     skipped += 1
                     continue
-                coeffs = [(t, c) for t in range(i // p + 1)
-                          if (c := adem_coefficient(p, i, j, t))]
                 if _undecidable(algebra, degree + j * step,
                                 *(degree + t * step for t, _ in coeffs)):
                     skipped += 1

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psibench.atiyah as atiyah
-from psibench.atiyah import (AtiyahDecomposition, _binomial_correction,
+from psibench.atiyah import (AtiyahDecomposition, PrePsiAlgebra, _binomial_correction,
                              atiyah_decompose, atiyah_product, atiyah_shift,
                              atiyah_sum, explicit_lift_decomposition,
                              graded_classes_agree, random_element,
@@ -239,6 +239,61 @@ def test_apply_psi_is_a_ring_map_and_frobenius_congruence():
             diff = A.apply_psi(a) - a**p
             assert all(c % p == 0 for c in diff.terms.values())
         assert A.apply_psi(A.ring.one()) == A.ring.one()
+
+
+def test_apply_psi_is_a_ring_map(free_ring):
+    # psi(x) = 3(x + x^2) + x^3 and psi(y) = 18y + 3x^4 + y^3 on Z[x, y] with
+    # D = 8, where products lose their terms above weight 16
+    x, y = free_ring.gen("x"), free_ring.gen("y")
+    A = PrePsiAlgebra(free_ring, 3, {("x", ()): (x + x**2, x**3),
+                                     ("y", ()): (y * 2, x**4, y**3)})
+    a, b = x * 3 + y, x**2 - y
+    assert A.apply_psi(a + b) == A.apply_psi(a) + A.apply_psi(b)
+    assert A.apply_psi(a * b) == A.apply_psi(a) * A.apply_psi(b)
+    assert A.apply_psi(free_ring.scalar(5)) == free_ring.scalar(5)
+
+
+def _psi_samples(A, count=40):
+    rng = random.Random(11)
+    return [random_element(A, rng, min_weight=0, max_terms=6) for _ in range(count)]
+
+
+def _psi_values(A, elements):
+    return [(list(v.terms.items()), v.truncated) for v in map(A.apply_psi, elements)]
+
+
+def test_psi_memo_values_are_recomputed_alike():
+    A = projective_space_ring(3, 6)
+    elements = _psi_samples(A)
+    first = _psi_values(A, elements)
+    assert A.psi_images
+    assert _psi_values(A, elements) == first      # read from the memo
+    A.psi_images.clear()
+    assert _psi_values(A, elements) == first      # recomputed
+    lift = build_lift(free_polynomial_presentation(2, 6))
+    iterates = lift.ideal_generators
+    lift.pi.psi_images.clear()
+    for k in range(1, lift.k_max + 1):
+        assert [lift.pi.apply_psi(f) for f in iterates[k - 1]] == list(iterates[k])
+
+
+def test_psi_memo_is_per_algebra():
+    A, B = projective_space_ring(3, 6), projective_space_ring(3, 6)
+    _psi_values(A, _psi_samples(A))
+    assert A.psi_images and not B.psi_images
+    assert A.psi_images is not B.psi_images
+
+
+@pytest.mark.parametrize("size", [3, 0])
+def test_psi_memo_stays_bounded_with_unchanged_values(monkeypatch, size):
+    reference = projective_space_ring(3, 6)
+    want = _psi_values(reference, _psi_samples(reference))
+    monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", size)
+    A = projective_space_ring(3, 6)
+    elements = _psi_samples(A)
+    assert _psi_values(A, elements) == want
+    assert len(A.psi_images) == size
+    assert _psi_values(A, elements) == want
 
 
 def test_layer_weight_contracts():

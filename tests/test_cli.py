@@ -9,6 +9,7 @@ import pytest
 import psibench.cli
 import psibench.documents
 import psibench.lift
+from psibench.atiyah import PrePsiAlgebra
 from psibench.cli import main
 from psibench.documents import (algebra_to_document, dump_document,
                                 module_to_document, presentation_to_document)
@@ -118,6 +119,23 @@ def test_lift_rejects_invalid_presentation(tmp_path, capsys):
     assert rc == 1 and out["status"] == "FAIL"
 
 
+def test_lift_with_a_surviving_iterate_class_fails_without_a_traceback(
+        tmp_path, monkeypatch, capsys):
+    path = tmp_path / "pres-p2.json"
+    dump_document(presentation_to_document(free_polynomial_presentation(2, 3)), str(path))
+    monkeypatch.setattr(PrePsiAlgebra, "apply_psi", lambda self, e: e)
+    out_path = tmp_path / "lift.json"
+    rc = main(["lift", "--doc", str(path), "--format", "json", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert rc == 1 and captured.err == "" and report["status"] == "FAIL"
+    vanishing = report["verdicts"][-1]
+    assert vanishing["axiom"] == "ideal-iterate-graded-vanishing"
+    assert vanishing["status"] == "FAIL" and vanishing["witness"]["k"] == 1
+    assert all(v["status"] != "FAIL" for v in report["verdicts"][:-1])
+    assert "census" not in report and not out_path.exists()
+
+
 def test_fingen_command(docs, capsys):
     rc = main(["fingen", "--doc", docs["tower.json"], "--generators", "x",
                "--format", "json"])
@@ -152,7 +170,7 @@ def test_lift_beyond_the_variable_cap_exits_two(tmp_path, capsys):
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert "MAX_LIFT_VARIABLES=2048" in captured.err
+    assert "MAX_LIFT_VARIABLES=8192" in captured.err
     assert elapsed < 2.0
 
 

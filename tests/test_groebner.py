@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import psibench.groebner as groebner
 from psibench.groebner import groebner_build, groebner_normal_form
+from psibench.models import free_polynomial_presentation
 from psibench.rings import GeneratorSymbol, WeightedRing, mono_divides, mono_div
 
 
@@ -123,3 +125,81 @@ def test_reduced_basis_is_monic_and_interreduced(ring):
                 continue
             lead = other.leading()[0]
             assert not any(mono_divides(lead, m) for m in b.terms)
+
+
+def _pair_update_reads(monkeypatch, relations, p):
+    """Build a basis with every pair update logged.  Each update must read
+    the lead it adds, the earlier leads sharing a generator with it, and the
+    leads of the pending pairs its chain criterion tests: never a scan of
+    every earlier lead.  The divisor search reads the lead index on its own
+    and is not logged.  Returns the basis, the number of sharing leads and
+    the number of earlier leads, summed over the updates."""
+    log = {"on": False, "reads": set()}
+
+    class Leads(list):
+        def __getitem__(self, k):
+            if log["on"]:
+                log["reads"].add(k)
+            return super().__getitem__(k)
+
+        def __iter__(self):
+            if log["on"]:
+                log["reads"].update(range(len(self)))
+            return super().__iter__()
+
+    class Logged(groebner.GroebnerBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._leads = Leads(self._leads)
+
+        def _divisors(self, exps):
+            on, log["on"] = log["on"], False
+            try:
+                return iter(list(super()._divisors(exps)))
+            finally:
+                log["on"] = on
+
+    real_update = groebner._update
+    generators = []   # the generator set of each lead so far
+    totals = {"shared": 0, "earlier": 0}
+
+    def update(gb, h, pairs):
+        t, lead = len(gb), h.leading()[0]
+        mine = {g for g, _ in lead}
+        shared = {k for k, gens in enumerate(generators) if gens & mine}
+        chain = {k for lcm, a, b in pairs if all(lcm.get(g, 0) >= e for g, e in lead)
+                 for k in (a, b)}
+        log["reads"].clear()
+        log["on"] = True
+        try:
+            real_update(gb, h, pairs)
+        finally:
+            log["on"] = False
+        generators.append(mine)
+        reads = log["reads"] - {t}
+        assert shared <= reads
+        assert reads - chain == shared - chain
+        totals["shared"] += len(shared)
+        totals["earlier"] += t
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "GroebnerBasis", Logged)
+        m.setattr(groebner, "_update", update)
+        gb = groebner.groebner_build(relations, p)
+    return gb, totals["shared"], totals["earlier"]
+
+
+def test_pair_update_reads_only_the_leads_sharing_a_generator(monkeypatch, ring):
+    pres = free_polynomial_presentation(2, 10)
+    relations = [r for r in pres.relations if r]
+    gb, shared, earlier = _pair_update_reads(monkeypatch, relations, 2)
+    assert [b.terms for b in gb] == [b.terms for b in pres.gb]
+    # every lead is a new variable: no lead is read, where the scan of every
+    # earlier lead read 824,970 over the 1,285 updates
+    assert (len(relations), shared, earlier) == (1285, 0, 824970)
+
+    x, y, z = (ring.gen(n, mod=3) for n in "xyz")
+    relations = [x * y - z, x**2 - y**2 * 2, x * z + y * z, z**2 - x**2 * z]
+    gb, shared, earlier = _pair_update_reads(monkeypatch, relations, 3)
+    assert [b.terms for b in gb] == [b.terms for b in groebner_build(relations, 3)]
+    assert 0 < shared < earlier

@@ -2,6 +2,7 @@ import pytest
 
 import psibench.groebner
 import psibench.lift
+from psibench.atiyah import PrePsiAlgebra
 from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
                            enumerate_generators, index_weight, is_admissible,
@@ -127,6 +128,27 @@ def test_ideal_iterates_have_zero_graded_class():
                 continue
             bottom = fk.homogeneous_component(f0.weight()).reduce_mod(3)
             assert not bottom
+
+
+def test_a_surviving_iterate_class_is_a_fail_with_its_witness(monkeypatch):
+    pres = free_polynomial_presentation(2, 3)
+    # psi = Id leaves every relation's bottom class alive in each iterate
+    monkeypatch.setattr(PrePsiAlgebra, "apply_psi", lambda self, e: e)
+    lift = build_lift(pres)
+    (vanishing,) = lift.verdicts
+    assert vanishing.name == "ideal-iterate-graded-vanishing"
+    assert vanishing.status == FAIL and vanishing.checked == 0
+    f0 = lift.ideal_generators[0][0]
+    assert vanishing.witness == {"k": 1, "relation": str(f0),
+                                 "class": str(f0.reduce_mod(2))}
+
+
+def test_p2_d11_lifts_beyond_the_old_variable_cap():
+    pres = free_polynomial_presentation(2, 11)
+    assert len(pres.symbols) == 2703
+    lift = build_lift(pres)
+    assert lift.verdicts[0].status == PASS
+    assert lift.census == {degree: 1 for degree in range(0, 23, 2)}
 
 
 def test_connectedness_and_determinism():

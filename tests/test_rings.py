@@ -134,17 +134,6 @@ def test_monomial_order_is_graded(free_ring):
     assert mono_key(((x, 2),)) < mono_key(((y, 1),))       # same weight, y is larger
 
 
-def test_substitute_is_a_ring_map(free_ring):
-    x = free_ring.gen("x")
-    y = free_ring.gen("y")
-    images = {("x", ()): x + free_ring.one(), ("y", ()): y * 2}
-    a, b = x * 3 + y, x**2 - y
-    sub = lambda e: e.substitute(images)
-    assert sub(a + b) == sub(a) + sub(b)
-    assert sub(a * b) == sub(a) * sub(b)
-    assert sub(free_ring.scalar(5)) == free_ring.scalar(5)
-
-
 # -- property tests -----------------------------------------------------------------
 
 _RING = WeightedRing([GeneratorSymbol("x", (), 2), GeneratorSymbol("y", (), 4)], 8)
@@ -265,3 +254,10 @@ def test_max_monomial_weight_uses_the_smallest_cap():
     small = WeightedRing([_T, _Y], 3, [((_T, 3),), ((_Y, 2),)])
     assert small.max_monomial_weight() == 8  # not clipped to the window 2D = 6
     assert small.top_weight() == 6
+
+
+def test_decidable_weights_lie_in_the_window_or_above_the_nilpotent_bound():
+    small = WeightedRing([_T, _Y], 3, [((_T, 3),), ((_Y, 2),)])
+    assert [w for w in range(0, 14, 2) if small.decidable(w)] == [0, 2, 4, 6, 10, 12]
+    free = WeightedRing([_T, _Y], 3)
+    assert [w for w in range(0, 14, 2) if free.decidable(w)] == [0, 2, 4, 6]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import psibench.steenrod as steenrod
+from psibench.arith import adem_coefficient
 from psibench.atiyah import atiyah_decompose
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              projective_space_ring)
@@ -13,6 +14,21 @@ from psibench.steenrod import (check_additivity, check_adem,
                                interesting_degrees, sample_classes, steenrod_P,
                                zero_class)
 from psibench.verdicts import FAIL, PASS
+
+
+def test_adem_coefficients_once_per_check(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return adem_coefficient(*args)
+
+    monkeypatch.setattr(steenrod, "adem_coefficient", counted)
+    A = projective_space_ring(3, 4)
+    for d in (4, 6):
+        calls.clear()
+        assert check_adem(A, d, 2, 0).status != FAIL
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_gr_class_examples():

@@ -8,13 +8,12 @@ from .atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose,
                      atiyah_product, atiyah_shift, atiyah_sum,
                      explicit_lift_decomposition, scalar_decomposition,
                      verify_welldefined)
-from .groebner import GroebnerBasis, groebner_build, groebner_normal_form
+from .groebner import GroebnerBasis, groebner_build
 from .lift import (Lift, TransportIso, UnstablePresentation, build_lift,
-                   enumerate_generators, integral_relation_lift,
-                   psi_on_lift_generator, transport_iso)
+                   enumerate_generators, transport_iso)
 from .modules import (FgWitness, GenerationReport, ModuleSymbol, PsiModule,
                       abelian_generator_profile, closure_enumerate, is_fg_by)
-from .rings import Element, GeneratorSymbol, WeightedRing, weight_of
+from .rings import Element, GeneratorSymbol, WeightedRing
 from .steenrod import (Classification, GradedClass, check_additivity, check_adem,
                        check_cartan, check_instability, check_p0_identity,
                        check_pth_power, classify, gr_class, graded_basis, steenrod_P)

@@ -464,8 +464,14 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
     s = e + p*h + f, and (on a subsample) against the explicit construction.
 
     PASS means every compared class agreed in every graded weight that the
-    truncation window can decide.
+    truncation window can decide.  Level 0 is refused: there P^0 reads only
+    the top layer, (e + p*h + f)^p = e^p mod p in weight 0, and the explicit
+    oracle needs q >= 1, so no comparison could fail.
     """
+    if q == 0:
+        raise ValueError("well-definedness needs level q >= 1: at level 0 the only layer "
+                         "is the top one, (e + p*h + f)^p = e^p mod p, so no comparison "
+                         "could fail")
     if e.weight() != 2 * q:
         raise ValueError(f"element must have weight exactly {2 * q}, got {e.weight()}")
     rng = random.Random(seed)
@@ -491,7 +497,7 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
             elif witness is None:
                 witness = {"trial": t, "layer": i, "weight": w,
                            "h": str(h), "f": str(f)}
-        if witness is None and q >= 1 and explicit_every and t % explicit_every == 0:
+        if witness is None and explicit_every and t % explicit_every == 0:
             dx = explicit_lift_decomposition(algebra, e, base, h, f)
             if dx.weighted_sum() != algebra.apply_psi(s):
                 witness = {"trial": t, "oracle": "explicit construction is inexact",

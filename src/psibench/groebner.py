@@ -225,10 +225,6 @@ def groebner_build(relations, p: int) -> GroebnerBasis:
     return reduced
 
 
-def groebner_normal_form(e: Element, gb: GroebnerBasis) -> Element:
-    return normal_form(e, gb)
-
-
 def _monic(e: Element, p: int) -> Element:
     c = e.leading()[1]
     if c == 1:

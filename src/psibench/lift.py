@@ -173,64 +173,57 @@ class UnstablePresentation:
         return middles
 
     def validate(self, trials: int = 4, seed: int = 0) -> list:
-        verdicts = []
         nf = self.gb.reduce if self.gb else (lambda e: e)
-        p = self.p
+        verdicts = [
+            Verdict.tally("p0-index-identification", self._zero_index_outcomes(nf)),
+            Verdict.tally("top-index-identification", self._top_index_outcomes(nf)),
+            Verdict.tally("steenrod-closure", self._closure_outcomes(nf))]
+        table = run_axioms(self.algebra, ("p0", "adem"), trials, seed)
+        verdicts.extend(replace(v, name=f"{v.name}(table)") for v in table)
+        return verdicts
 
-        checked = 0
-        witness = None
+    def _zero_index_outcomes(self, nf):
+        """X_(theta,I,0) = X_(theta,I) in the quotient, variable by variable."""
+        p = self.p
         for sym in self.symbols:
             if sym.indices and sym.indices[-1] == 0:
                 parent = self.ring.gen(sym.name, sym.indices[:-1], mod=p)
                 if nf(self.ring.var(sym, mod=p) - parent):
-                    witness = {"variable": str(sym),
-                               "missing": f"{sym} = {sym.name}{list(sym.indices[:-1])}"}
-                    break
-                checked += 1
-        verdicts.append(Verdict.decide("p0-index-identification", checked, 0, witness))
+                    yield {"variable": str(sym),
+                           "missing": f"{sym} = {sym.name}{list(sym.indices[:-1])}"}
+                else:
+                    yield True
 
-        checked = 0
-        witness = None
+    def _top_index_outcomes(self, nf):
+        """X_(theta,I,sigma) = X_(theta,I)^p in the quotient, where sigma is
+        the parent's level."""
+        p = self.p
         for sym in self.symbols:
-            if sym.indices:
-                parent_idx = sym.indices[:-1]
-                parent_key = (sym.name, parent_idx)
-                if parent_key not in self.ring._by_key:
-                    continue
-                parent = self.ring._by_key[parent_key]
-                if sym.indices[-1] == parent.weight // 2:
-                    top = self.ring.var(parent, mod=p) ** p
-                    if nf(self.ring.var(sym, mod=p) - top):
-                        witness = {"variable": str(sym),
-                                   "missing": f"{sym} = {parent}^{p}"}
-                        break
-                    checked += 1
-        verdicts.append(Verdict.decide("top-index-identification", checked, 0, witness))
+            if not sym.indices:
+                continue
+            parent = self.ring._by_key.get((sym.name, sym.indices[:-1]))
+            if parent is not None and sym.indices[-1] == parent.weight // 2:
+                if nf(self.ring.var(sym, mod=p) - self.ring.var(parent, mod=p) ** p):
+                    yield {"variable": str(sym), "missing": f"{sym} = {parent}^{p}"}
+                else:
+                    yield True
 
-        checked = skipped = 0
-        witness = None
+    def _closure_outcomes(self, nf):
+        """The table operations P^i send every relation into the ideal; a
+        target above the window is skipped."""
         for rel in self.relations:
             if not rel:
                 continue
             w = rel.weight()
             for i in range(1, w // 2 + 1):
-                target = w + 2 * i * (p - 1)
-                if target > self.ring.max_weight:
-                    skipped += 1
+                if w + 2 * i * (self.p - 1) > self.ring.max_weight:
+                    yield None
                     continue
                 image = self.algebra.apply_P(i, rel)
                 if nf(image):
-                    witness = {"relation": str(rel), "i": i,
-                               "image": str(image)}
-                    break
-                checked += 1
-            if witness:
-                break
-        verdicts.append(Verdict.decide("steenrod-closure", checked, skipped, witness))
-
-        table = run_axioms(self.algebra, ("p0", "adem"), trials, seed)
-        verdicts.extend(replace(v, name=f"{v.name}(table)") for v in table)
-        return verdicts
+                    yield {"relation": str(rel), "i": i, "image": str(image)}
+                else:
+                    yield True
 
     def __repr__(self):
         gens = ", ".join(f"{t}@{d}" for t, d in self.generators)
@@ -252,21 +245,6 @@ def lift_generator_layers(ring: WeightedRing, p: int, sym: GeneratorSymbol) -> t
             layers.append(Element(ring, {}, truncated=True))
     layers.append(ring.var(sym) ** p)
     return tuple(layers)
-
-
-def psi_on_lift_generator(algebra: PrePsiAlgebra, sym: GeneratorSymbol):
-    """The psi-image of a lift variable together with its stored splitting."""
-    return algebra.psi_of_generator(sym.key), algebra.generator_decomposition(sym)
-
-
-def integral_relation_lift(ring: WeightedRing, rel: Element) -> Element:
-    """Replace mod-p coefficients by their representatives in [1, p-1] and
-    re-root the monomials in the integral lift ring."""
-    terms = {}
-    for mono, coeff in rel.terms.items():
-        new = tuple((ring.symbol(g.name, g.indices), e) for g, e in mono)
-        terms[new] = coeff
-    return ring.element(terms)
 
 
 @dataclass
@@ -317,16 +295,14 @@ def _graded_vanishing(ideal: dict, k_max: int, p: int) -> Verdict:
     """Graded vanishing of the higher psi-iterates: each one is p*(something)
     plus terms of strictly larger weight, so its bottom class dies mod p.  A
     FAIL names the first iterate whose bottom class survives."""
-    checked = 0
-    for k in range(1, k_max + 1):
-        for f0, fk in zip(ideal[0], ideal[k]):
-            if fk:
-                bottom = fk.homogeneous_component(f0.weight()).reduce_mod(p)
-                if bottom:
-                    witness = {"k": k, "relation": str(f0), "class": str(bottom)}
-                    return Verdict.decide("ideal-iterate-graded-vanishing", checked, 0, witness)
-            checked += 1
-    return Verdict.decide("ideal-iterate-graded-vanishing", checked, 0)
+    def outcomes():
+        for k in range(1, k_max + 1):
+            for f0, fk in zip(ideal[0], ideal[k]):
+                if fk and (bottom := fk.homogeneous_component(f0.weight()).reduce_mod(p)):
+                    yield {"k": k, "relation": str(f0), "class": str(bottom)}
+                else:
+                    yield True
+    return Verdict.tally("ideal-iterate-graded-vanishing", outcomes())
 
 
 def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
@@ -346,7 +322,7 @@ def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
                        name=(pres.name or "lift") + ":Pi")
 
     ideal: dict = {}
-    current = [integral_relation_lift(ring, rel) for rel in pres.relations if rel]
+    current = [rel.integer_lift() for rel in pres.relations if rel]
     ideal[0] = tuple(current)
     for k in range(1, k_max + 1):
         current = [pi.apply_psi(f) for f in current]
@@ -408,18 +384,16 @@ class TransportIso:
         """psi-compatibility on every variable.  The square rho_target .
         phi-tilde = phi . rho_source needs no check: each lift shares its
         presentation's ring, so both sides rename the same representative."""
-        checked = 0
-        witness = None
-        for sym in self.source.presentation.symbols:
-            lhs = self.apply_element(self.source.pi.psi_of_generator(sym.key))
-            rhs = self.target.pi.apply_psi(
-                self.apply_element(self.source.pi.ring.var(sym)))
-            if lhs == rhs:
-                checked += 1
-            else:
-                witness = {"variable": str(sym)}
-                break
-        return [Verdict.decide("transport-psi-compatibility", checked, 0, witness)]
+        def outcomes():
+            for sym in self.source.presentation.symbols:
+                lhs = self.apply_element(self.source.pi.psi_of_generator(sym.key))
+                rhs = self.target.pi.apply_psi(
+                    self.apply_element(self.source.pi.ring.var(sym)))
+                if lhs == rhs:
+                    yield True
+                else:
+                    yield {"variable": str(sym)}
+        return [Verdict.tally("transport-psi-compatibility", outcomes())]
 
 
 def transport_iso(source: Lift, target: Lift, theta_map: dict) -> TransportIso:

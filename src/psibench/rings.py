@@ -452,8 +452,3 @@ class Element:
         tag = f" mod {self.mod}" if self.mod is not None else ""
         flag = ", truncated" if self.truncated else ""
         return f"<{self}{tag}{flag}>"
-
-
-def weight_of(e: Element):
-    """Filtration weight of an element; +inf (the zero sentinel) for 0."""
-    return e.weight()

@@ -18,15 +18,18 @@ from . import atiyah
 from .arith import adem_coefficient, lucas_binom  # noqa: F401 (re-exported API)
 from .atiyah import AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose, verify_welldefined
 from .rings import Element, even_filtration
-from .verdicts import PASS_UP_TO_TRUNCATION, Verdict
+from .verdicts import Verdict
 
 
-def decidable_degree(algebra: PrePsiAlgebra, degree: int):
-    """True when graded statements in this degree are exactly decidable:
-    either the degree is inside the truncation window, or the graded piece is
-    structurally zero (``WeightedRing.decidable``).  None means undecidable
-    under truncation."""
-    return True if algebra.ring.decidable(degree) else None
+def _above_window(algebra, degree: int, what: str = "degree") -> bool:
+    """Whether ``degree`` lies above the window 2D, where its graded piece is
+    structurally zero (``WeightedRing.decidable``); a degree above the window
+    that the ring cannot decide raises, naming it as ``what``."""
+    if degree <= algebra.ring.max_weight:
+        return False
+    if not algebra.ring.decidable(degree):
+        raise ValueError(f"{what} {degree} is outside the truncation window")
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +87,7 @@ class GradedClass:
         if self.algebra is not other.algebra:
             raise ValueError("classes live in different algebras")
         degree = self.degree + other.degree
-        if decidable_degree(self.algebra, degree) is None:
-            raise ValueError(f"product degree {degree} is outside the truncation window")
-        if degree > self.algebra.ring.max_weight:
+        if _above_window(self.algebra, degree, "product degree"):
             return zero_class(self.algebra, degree)
         return gr_class_of_rep(self.algebra, self.rep * other.rep, degree)
 
@@ -94,9 +95,7 @@ class GradedClass:
 
     def pth_power(self) -> "GradedClass":
         degree = self.degree * self.algebra.p
-        if decidable_degree(self.algebra, degree) is None:
-            raise ValueError(f"p-th power degree {degree} is outside the truncation window")
-        if degree > self.algebra.ring.max_weight:
+        if _above_window(self.algebra, degree, "p-th power degree"):
             return zero_class(self.algebra, degree)
         return gr_class_of_rep(self.algebra, self.rep ** self.algebra.p, degree)
 
@@ -125,10 +124,8 @@ def gr_class(algebra: PrePsiAlgebra, e: Element, degree: int) -> GradedClass:
     if e.weight() < degree:
         raise ValueError(
             f"element has weight {e.weight()}, so it has no class in degree {degree}")
-    if degree > algebra.ring.max_weight:
-        if decidable_degree(algebra, degree):
-            return zero_class(algebra, degree)
-        raise ValueError(f"degree {degree} is outside the truncation window")
+    if _above_window(algebra, degree):
+        return zero_class(algebra, degree)
     comp = e.homogeneous_component(degree)
     if comp.mod is None:
         comp = comp.reduce_mod(algebra.p)
@@ -151,10 +148,8 @@ def operation(algebra, i: int, cls: GradedClass, compute) -> GradedClass:
     target = cls.degree + 2 * i * (algebra.p - 1)
     if i > cls.degree // 2 or not cls:
         return zero_class(algebra, target)
-    if target > algebra.ring.max_weight:
-        if decidable_degree(algebra, target):
-            return zero_class(algebra, target)
-        raise ValueError(f"operation target degree {target} is outside the truncation window")
+    if _above_window(algebra, target, "operation target degree"):
+        return zero_class(algebra, target)
     key = (i, cls.degree, frozenset(cls.rep.terms.items()))
     out = algebra.operations.get(key)
     if out is None:
@@ -185,10 +180,8 @@ def graded_basis(algebra: PrePsiAlgebra, degree: int) -> list:
     """Monomial basis classes of one graded degree (standard monomials when a
     Groebner basis is attached).  Degrees in the window are memoized per
     algebra in its ``graded_bases`` dict; every call returns a fresh list."""
-    if degree > algebra.ring.max_weight:
-        if decidable_degree(algebra, degree):
-            return []
-        raise ValueError(f"degree {degree} is outside the truncation window")
+    if _above_window(algebra, degree):
+        return []
     basis = algebra.graded_bases.get(degree)
     if basis is None:
         gb = algebra.graded_gb
@@ -232,9 +225,9 @@ def interesting_degrees(algebra: PrePsiAlgebra, minimum: int = 0) -> list:
 # -- axiom checkers -------------------------------------------------------------------
 
 
-def _undecidable(algebra, *degrees) -> bool:
-    """Whether some degree an identity reaches is undecidable under truncation."""
-    return any(decidable_degree(algebra, d) is None for d in degrees)
+def _decidable(algebra, *degrees) -> bool:
+    """Whether every degree an identity reaches is decidable under truncation."""
+    return all(algebra.ring.decidable(d) for d in degrees)
 
 
 def _double_layer_class(base: AtiyahDecomposition, i: int, j: int) -> GradedClass:
@@ -255,108 +248,98 @@ def check_additivity(algebra, degree: int, trials: int = 20, seed: int = 0) -> V
     q = degree // 2
     classes = sample_classes(algebra, degree, rng, trials)
     pairs = [(a, b) for a in classes for b in classes][: max(trials, len(classes)) * 4]
-    checked = skipped = 0
-    witness = None
-    for a, b in pairs:
-        for i in range(q + 1):
-            target = degree + 2 * i * (algebra.p - 1)
-            if decidable_degree(algebra, target) is None:
-                skipped += 1
-                continue
-            lhs = algebra.P(i, a + b)
-            rhs = algebra.P(i, a) + algebra.P(i, b)
-            if lhs == rhs:
-                checked += 1
-            else:
-                witness = {"degree": degree, "i": i, "a": str(a.rep), "b": str(b.rep)}
-                return Verdict.decide("additivity", checked, skipped, witness)
-    return Verdict.decide("additivity", checked, skipped, witness)
+
+    def outcomes():
+        for a, b in pairs:
+            for i in range(q + 1):
+                if not algebra.ring.decidable(degree + 2 * i * (algebra.p - 1)):
+                    yield None
+                elif algebra.P(i, a + b) == algebra.P(i, a) + algebra.P(i, b):
+                    yield True
+                else:
+                    yield {"degree": degree, "i": i, "a": str(a.rep), "b": str(b.rep)}
+    return Verdict.tally("additivity", outcomes())
 
 
 def check_pth_power(algebra, degree: int, trials: int = 10, seed: int = 0) -> Verdict:
     """P^q is the p-th power map on degree 2q."""
     rng = random.Random(seed)
     q = degree // 2
-    checked = skipped = 0
-    witness = None
-    for cls in sample_classes(algebra, degree, rng, trials):
-        target = degree * algebra.p
-        if decidable_degree(algebra, target) is None:
-            skipped += 1
-            continue
-        if algebra.P(q, cls) == cls.pth_power():
-            checked += 1
-        else:
-            witness = {"degree": degree, "class": str(cls.rep)}
-            break
-    return Verdict.decide("pth-power", checked, skipped, witness)
+
+    def outcomes():
+        for cls in sample_classes(algebra, degree, rng, trials):
+            if not algebra.ring.decidable(degree * algebra.p):
+                yield None
+            elif algebra.P(q, cls) == cls.pth_power():
+                yield True
+            else:
+                yield {"degree": degree, "class": str(cls.rep)}
+    return Verdict.tally("pth-power", outcomes())
 
 
 def check_instability(algebra, degree: int, trials: int = 10, seed: int = 0) -> Verdict:
     """P^i vanishes above the level: P^i(c) = 0 for 2i > degree."""
     rng = random.Random(seed)
     q = degree // 2
-    checked = 0
-    witness = None
-    for cls in sample_classes(algebra, degree, rng, trials):
-        for i in range(q + 1, q + 4):
-            if not algebra.P(i, cls):
-                checked += 1
-            else:
-                witness = {"degree": degree, "i": i, "class": str(cls.rep)}
-                return Verdict.decide("instability", checked, 0, witness)
-    return Verdict.decide("instability", checked, 0, witness)
+
+    def outcomes():
+        for cls in sample_classes(algebra, degree, rng, trials):
+            for i in range(q + 1, q + 4):
+                if algebra.P(i, cls):
+                    yield {"degree": degree, "i": i, "class": str(cls.rep)}
+                else:
+                    yield True
+    return Verdict.tally("instability", outcomes())
 
 
 def check_cartan(algebra, deg1: int, deg2: int, trials: int = 10, seed: int = 0) -> Verdict:
     """P^i(a*b) = sum over l+k=i of P^l(a) P^k(b) on sampled pairs."""
-    rng = random.Random(seed)
-    checked = skipped = 0
-    witness = None
+    name = f"cartan@{deg1}x{deg2}"
     product_degree = deg1 + deg2
-    if decidable_degree(algebra, product_degree) is None:
-        return Verdict(f"cartan@{deg1}x{deg2}", PASS_UP_TO_TRUNCATION, 0, 1)
+    if not algebra.ring.decidable(product_degree):
+        return Verdict.tally(name, [None])
+    rng = random.Random(seed)
     q1, q2 = deg1 // 2, deg2 // 2
     left = sample_classes(algebra, deg1, rng, trials)
     right = sample_classes(algebra, deg2, rng, trials)
     pairs = [(a, b) for a in left for b in right][: max(trials, 1) * 6]
     step = 2 * (algebra.p - 1)
-    for a, b in pairs:
-        ab = a * b
-        for i in range(q1 + q2 + 1):
-            target = product_degree + i * step
-            splits = [(l, i - l) for l in range(i + 1) if l <= q1 and i - l <= q2]
-            if _undecidable(algebra, target, *(deg1 + l * step for l, _ in splits),
-                            *(deg2 + k * step for _, k in splits)):
-                skipped += 1
-                continue
-            lhs = algebra.P(i, ab)
-            rhs = zero_class(algebra, target)
-            for l, k in splits:
-                rhs = rhs + algebra.P(l, a) * algebra.P(k, b)
-            if lhs == rhs:
-                checked += 1
-            else:
-                witness = {"deg1": deg1, "deg2": deg2, "i": i,
+
+    def outcomes():
+        for a, b in pairs:
+            ab = a * b
+            for i in range(q1 + q2 + 1):
+                target = product_degree + i * step
+                splits = [(l, i - l) for l in range(i + 1) if l <= q1 and i - l <= q2]
+                if not _decidable(algebra, target, *(deg1 + l * step for l, _ in splits),
+                                  *(deg2 + k * step for _, k in splits)):
+                    yield None
+                    continue
+                lhs = algebra.P(i, ab)
+                rhs = zero_class(algebra, target)
+                for l, k in splits:
+                    rhs = rhs + algebra.P(l, a) * algebra.P(k, b)
+                if lhs == rhs:
+                    yield True
+                else:
+                    yield {"deg1": deg1, "deg2": deg2, "i": i,
                            "a": str(a.rep), "b": str(b.rep)}
-                return Verdict.decide(f"cartan@{deg1}x{deg2}", checked, skipped, witness)
-    return Verdict.decide(f"cartan@{deg1}x{deg2}", checked, skipped, witness)
+    return Verdict.tally(name, outcomes())
 
 
 def check_p0_identity(algebra, degrees, trials: int = 10, seed: int = 0) -> Verdict:
     """P^0 = Id on every sampled class of the listed degrees."""
     rng = random.Random(seed)
-    checked = 0
-    witness = None
-    for degree in degrees:
-        for cls in sample_classes(algebra, degree, rng, trials):
-            image = algebra.P(0, cls)
-            if image == cls:
-                checked += 1
-            else:
-                witness = {"degree": degree, "class": str(cls.rep), "P0": str(image.rep)}
-                return Verdict.decide("p0-identity", checked, 0, witness)
-    return Verdict.decide("p0-identity", checked, 0, witness)
+
+    def outcomes():
+        for degree in degrees:
+            for cls in sample_classes(algebra, degree, rng, trials):
+                image = algebra.P(0, cls)
+                if image == cls:
+                    yield True
+                else:
+                    yield {"degree": degree, "class": str(cls.rep), "P0": str(image.rep)}
+    return Verdict.tally("p0-identity", outcomes())
 
 
 def check_adem(algebra, degree: int, trials: int = 6, seed: int = 0) -> Verdict:
@@ -367,8 +350,6 @@ def check_adem(algebra, degree: int, trials: int = 6, seed: int = 0) -> Verdict:
     rng = random.Random(seed)
     p = algebra.p
     q = degree // 2
-    checked = skipped = 0
-    witness = None
     if q == 0:
         return Verdict.decide("adem", 0, 0, None, ("degree 0 is trivial",))
     layered = isinstance(algebra, PrePsiAlgebra)
@@ -378,40 +359,38 @@ def check_adem(algebra, degree: int, trials: int = 6, seed: int = 0) -> Verdict:
                              if (c := adem_coefficient(p, i, j, t))]
                     for j in range(1, q + 3) for i in range(1, p * j)
                     if algebra.ring.decidable(degree + (i + j) * step)}
-    for cls in sample_classes(algebra, degree, rng, trials):
-        if not cls:
-            continue
-        base = atiyah_decompose(algebra, cls.lift(), q) if layered else None
-        for j in range(1, q + 3):
-            for i in range(1, p * j):
-                target = degree + (i + j) * step
-                coeffs = coefficients.get((i, j))
-                if coeffs is None:  # the target degree is undecidable
-                    skipped += 1
-                    continue
-                if _undecidable(algebra, degree + j * step,
-                                *(degree + t * step for t, _ in coeffs)):
-                    skipped += 1
-                    continue
-                lhs = algebra.P(i, algebra.P(j, cls))
-                rhs = zero_class(algebra, target)
-                for t, c in coeffs:
-                    rhs = rhs + algebra.P(i + j - t, algebra.P(t, cls)) * c
-                if base is not None:
-                    layer_rhs = zero_class(algebra, target)
+
+    def outcomes():
+        for cls in sample_classes(algebra, degree, rng, trials):
+            if not cls:
+                continue
+            base = atiyah_decompose(algebra, cls.lift(), q) if layered else None
+            for j in range(1, q + 3):
+                for i in range(1, p * j):
+                    target = degree + (i + j) * step
+                    coeffs = coefficients.get((i, j))  # None: the target is undecidable
+                    if coeffs is None or not _decidable(
+                            algebra, degree + j * step, *(degree + t * step for t, _ in coeffs)):
+                        yield None
+                        continue
+                    lhs = algebra.P(i, algebra.P(j, cls))
+                    rhs = zero_class(algebra, target)
                     for t, c in coeffs:
-                        layer_rhs = layer_rhs + _double_layer_class(base, t, i + j - t) * c
-                    if _double_layer_class(base, j, i) != lhs or layer_rhs != rhs:
-                        witness = {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
+                        rhs = rhs + algebra.P(i + j - t, algebra.P(t, cls)) * c
+                    if base is not None:
+                        layer_rhs = zero_class(algebra, target)
+                        for t, c in coeffs:
+                            layer_rhs = layer_rhs + _double_layer_class(base, t, i + j - t) * c
+                        if _double_layer_class(base, j, i) != lhs or layer_rhs != rhs:
+                            yield {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
                                    "note": "layer route and composition route disagree"}
-                        return Verdict.decide("adem", checked, skipped, witness)
-                if lhs == rhs:
-                    checked += 1
-                else:
-                    witness = {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
+                            continue
+                    if lhs == rhs:
+                        yield True
+                    else:
+                        yield {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
                                "lhs": str(lhs.rep), "rhs": str(rhs.rep)}
-                    return Verdict.decide("adem", checked, skipped, witness)
-    return Verdict.decide("adem", checked, skipped, witness)
+    return Verdict.tally("adem", outcomes())
 
 
 def check_exactness(algebra: PrePsiAlgebra, degree: int, trials: int = 10,
@@ -420,20 +399,19 @@ def check_exactness(algebra: PrePsiAlgebra, degree: int, trials: int = 10,
     weight bounds, top layers equal to p-th powers."""
     rng = random.Random(seed)
     q = degree // 2
-    checked = 0
-    witness = None
-    for cls in sample_classes(algebra, degree, rng, trials):
-        if not cls:
-            continue
-        for level in sorted({q, max(q - 1, 0)}):
-            d = atiyah_decompose(algebra, cls.lift(), level)
-            issues = d.problems()
-            if issues:
-                witness = {"degree": degree, "level": level, "class": str(cls.rep),
+
+    def outcomes():
+        for cls in sample_classes(algebra, degree, rng, trials):
+            if not cls:
+                continue
+            for level in sorted({q, max(q - 1, 0)}):
+                issues = atiyah_decompose(algebra, cls.lift(), level).problems()
+                if issues:
+                    yield {"degree": degree, "level": level, "class": str(cls.rep),
                            "problems": issues}
-                return Verdict.decide("atiyah-exactness", checked, 0, witness)
-            checked += 1
-    return Verdict.decide("atiyah-exactness", checked, 0, witness)
+                else:
+                    yield True
+    return Verdict.tally("atiyah-exactness", outcomes())
 
 
 # -- the axiom registry ---------------------------------------------------------------

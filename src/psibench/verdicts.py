@@ -41,6 +41,24 @@ class Verdict:
         return Verdict(name, status, checked, skipped, witness, notes)
 
     @staticmethod
+    def tally(name: str, outcomes, notes: tuple = ()) -> "Verdict":
+        """The verdict of a check's identities, read in order: True is one
+        checked exactly, None one beyond the truncation window (skipped), and
+        anything else is a witness, a FAIL that ends the check at once: no
+        further outcome is drawn, so the counts are those before it."""
+        checked = skipped = 0
+        witness = None
+        for outcome in outcomes:
+            if outcome is True:
+                checked += 1
+            elif outcome is None:
+                skipped += 1
+            else:
+                witness = outcome
+                break
+        return Verdict.decide(name, checked, skipped, witness, notes)
+
+    @staticmethod
     def merge(name: str, verdicts) -> "Verdict":
         """One verdict over several checks: the counts add up and the first
         witness is kept.  The parts' notes (a per-call seed, a trivial degree)

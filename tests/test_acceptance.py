@@ -22,8 +22,7 @@ from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, power_tower_module,
                              projective_space_ring)
 from psibench.modules import abelian_generator_profile, is_fg_by
-from psibench.steenrod import (check_adem, check_p0_identity, classify,
-                               decidable_degree, gr_class,
+from psibench.steenrod import (check_adem, check_p0_identity, classify, gr_class,
                                interesting_degrees, sample_classes, steenrod_P,
                                zero_class)
 from psibench.verdicts import FAIL, PASS
@@ -43,13 +42,13 @@ def _all_layer_classes(algebra, cls):
     if not cls:
         for i in range(q + 1):
             target = cls.degree + 2 * i * (algebra.p - 1)
-            if decidable_degree(algebra, target):
+            if algebra.ring.decidable(target):
                 out[i] = zero_class(algebra, target)
         return out, None
     dr = atiyah_decompose(algebra, cls.lift(), q)
     for i in range(q + 1):
         target = cls.degree + 2 * i * (algebra.p - 1)
-        if decidable_degree(algebra, target) is None:
+        if not algebra.ring.decidable(target):
             continue
         out[i] = gr_class(algebra, dr.layer(i), target)
     return out, dr
@@ -143,13 +142,13 @@ def test_criterion_3_operation_property_suite():
                 for i, got in lab.items():
                     assert got == la[i] + lb[i], (A.name, degree, i)
                 # top power
-                if q in la and decidable_degree(A, degree * p):
+                if q in la and A.ring.decidable(degree * p):
                     assert la[q] == a.pth_power()
                 # vanishing above the level
                 assert not steenrod_P(A, q + 1, a)
                 assert not steenrod_P(A, q + 3, b)
                 # Cartan, within the window
-                if decidable_degree(A, 2 * degree) is None:
+                if not A.ring.decidable(2 * degree):
                     continue
                 ab = a * b
                 labl = layers_of(ab) if ab.degree == 2 * degree else {}

@@ -16,7 +16,7 @@ from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, product_projective_spaces,
                              projective_space_ring)
-from psibench.steenrod import (GradedClass, check_exactness, classify, decidable_degree,
+from psibench.steenrod import (GradedClass, check_exactness, classify,
                                interesting_degrees, sample_classes, steenrod_P)
 from psibench.verdicts import FAIL
 
@@ -425,7 +425,7 @@ def _operation_cases(A, rng):
     for d in interesting_degrees(A, 2):
         for cls in sample_classes(A, d, rng, 3):
             cases.extend((i, cls) for i in range(d // 2 + 2)
-                         if decidable_degree(A, d + 2 * i * (A.p - 1)))
+                         if A.ring.decidable(d + 2 * i * (A.p - 1)))
     return cases
 
 

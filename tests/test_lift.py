@@ -6,7 +6,6 @@ from psibench.atiyah import PrePsiAlgebra
 from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
                            enumerate_generators, index_weight, is_admissible,
-                           integral_relation_lift, psi_on_lift_generator,
                            transport_iso)
 from psibench.models import free_polynomial_presentation
 from psibench.steenrod import (check_adem, check_additivity, check_cartan,
@@ -77,12 +76,12 @@ def test_psi_on_lift_generator_formula():
     ring = lift.pi.ring
     # sigma = 1: psi X = pX + X^p
     base = ring.symbol("x")
-    image, dec = psi_on_lift_generator(lift.pi, base)
+    image, dec = lift.pi.psi_of_generator(base.key), lift.pi.generator_decomposition(base)
     assert image == ring.var(base) * 3 + ring.var(base) ** 3
     assert dec.problems() == []
     # sigma = 3 at index (1): psi X = 27X + 9X[1,1] + 3X[1,2] + X^3
     v = ring.symbol("x", (1,))
-    image, dec = psi_on_lift_generator(lift.pi, v)
+    image, dec = lift.pi.psi_of_generator(v.key), lift.pi.generator_decomposition(v)
     expected = (ring.var(v) * 27 + ring.gen("x", (1, 1)) * 9
                 + ring.gen("x", (1, 2)) * 3 + ring.var(v) ** 3)
     assert image == expected
@@ -101,10 +100,12 @@ def test_layer_zero_forces_p0_identity_on_generators():
 def test_integral_relation_lift_representatives():
     pres = free_polynomial_presentation(3, 4)
     lift = build_lift(pres)
-    for rel in pres.relations:
-        lifted = integral_relation_lift(lift.pi.ring, rel)
+    live = [rel for rel in pres.relations if rel]
+    assert len(lift.ideal_generators[0]) == len(live)
+    for rel, lifted in zip(live, lift.ideal_generators[0]):
+        assert lifted.mod is None and lifted.ring is rel.ring
         assert all(1 <= c <= 2 for c in lifted.terms.values())
-        assert lifted.reduce_mod(3).terms.keys() == rel.terms.keys()
+        assert lifted.reduce_mod(3) == rel
 
 
 def test_build_small_free_polynomial_p2():

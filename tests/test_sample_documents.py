@@ -5,7 +5,8 @@ import pathlib
 import pytest
 
 from psibench.cli import main
-from psibench.documents import dump_document, lift_to_document, load_document
+from psibench.documents import (dump_document, lift_to_document, load_document,
+                                presentation_to_document)
 from psibench.lift import build_lift
 from psibench.models import free_polynomial_presentation
 from psibench.steenrod import AXIOMS
@@ -38,6 +39,14 @@ GOLDEN_LIFT_DOCUMENT = {
     "polynomial-presentation-p2-D6.json": "604ab1e903947378f686258e048d141b12ba49286c02469b15bacb42d9f1fded",
 }
 GOLDEN_FREE_P3_D6_DOCUMENT = "88028397fae33dffb9652e3eb8c60ce7f78e566836b59593571ee700b11072b5"
+
+# FAIL reports, whose checked/skipped counts stop at the first witness; both
+# recorded before the checkers shared one tally.  `verify --trials 2 --format
+# json` on the dual numbers with k = 2 (p0-identity FAIL), and `lift --format
+# json` on the p = 2, D = 4 free presentation without its first relation
+# (both index identifications FAIL).
+GOLDEN_VERIFY_P0_FAIL = "1ce815b69936746da751df6a0d77c88da6d0958f4da22029602d1b33c3fe86f1"
+GOLDEN_LIFT_IDENTIFICATION_FAIL = "f908a7250ed4d4a21589cf1cb921dfc6c2793b398b564264e82f8f748f45bae3"
 
 
 def _verify_json(capsys, name, axioms):
@@ -87,6 +96,29 @@ def test_golden_verify_report_far_above_the_top_weight(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_TRUNCATION_2000
     assert rc == 0
+
+
+@pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")
+def test_golden_verify_fail_report(capsys):
+    rc = main(["verify", "--doc", str(SAMPLES / "dual-numbers-p3-k2.json"),
+               "--trials", "2", "--format", "json"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_P0_FAIL
+    assert rc == 1
+
+
+def test_golden_lift_fail_report(tmp_path, capsys):
+    doc = presentation_to_document(free_polynomial_presentation(2, 4))
+    doc["relations"] = doc["relations"][1:]
+    path = tmp_path / "missing-relation.json"
+    dump_document(doc, str(path))
+    rc = main(["lift", "--doc", str(path), "--format", "json"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert [(v["axiom"], v["status"], v["checked"]) for v in report["verdicts"][:2]] == [
+        ("p0-index-identification", "FAIL", 0), ("top-index-identification", "FAIL", 1)]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LIFT_IDENTIFICATION_FAIL
+    assert rc == 1
 
 
 @pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")

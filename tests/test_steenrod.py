@@ -10,7 +10,7 @@ from psibench.models import (adem_failure_ring, dual_numbers_ring,
 from psibench.steenrod import (check_additivity, check_adem,
                                check_cartan, check_exactness, check_instability,
                                check_p0_identity, check_pth_power, classify,
-                               decidable_degree, gr_class, graded_basis,
+                               gr_class, graded_basis,
                                interesting_degrees, sample_classes, steenrod_P,
                                zero_class)
 from psibench.verdicts import FAIL, PASS
@@ -202,10 +202,10 @@ def test_classification_certificate_contents():
 
 def test_structurally_zero_degrees_are_decidable():
     A = dual_numbers_ring(5, 1)  # max monomial weight 4
-    assert decidable_degree(A, 40) is True
+    assert A.ring.decidable(40) is True
     B = adem_failure_ring(3)     # free ring: beyond the window is unknowable
-    assert decidable_degree(B, 2 * B.ring.max_weight) is None
-    assert decidable_degree(B, 4) is True
+    assert B.ring.decidable(2 * B.ring.max_weight) is False
+    assert B.ring.decidable(4) is True
 
 
 def test_graded_basis_and_sampling():

@@ -1,0 +1,35 @@
+from psibench.verdicts import FAIL, PASS, PASS_UP_TO_TRUNCATION, Verdict
+
+
+def test_tally_counts_checked_and_skipped_in_order():
+    v = Verdict.tally("t", [True, None, True, None, None])
+    assert (v.status, v.checked, v.skipped, v.witness) == (PASS_UP_TO_TRUNCATION, 2, 3, None)
+    assert v.name == "t" and v.notes == ()
+
+
+def test_tally_pass_needs_no_skipped_outcome():
+    assert Verdict.tally("t", [True, True]).status == PASS
+    empty = Verdict.tally("t", (), ("degree 0 is trivial",))
+    assert (empty.status, empty.checked, empty.skipped) == (PASS, 0, 0)
+    assert empty.notes == ("degree 0 is trivial",)
+
+
+def test_tally_fails_with_the_counts_before_the_first_witness():
+    v = Verdict.tally("t", [True, None, True, {"i": 1}, True, {"i": 2}])
+    assert (v.status, v.checked, v.skipped, v.witness) == (FAIL, 2, 1, {"i": 1})
+    assert v == Verdict.decide("t", 2, 1, {"i": 1})
+
+
+def test_tally_draws_no_outcome_after_a_witness():
+    drawn = []
+
+    def outcomes():
+        for outcome in (True, None, {"i": 0}):
+            drawn.append(outcome)
+            yield outcome
+        raise AssertionError("an outcome was drawn after the witness")
+
+    v = Verdict.tally("t", outcomes())
+    assert v.witness == {"i": 0} and (v.checked, v.skipped) == (1, 1)
+    assert drawn == [True, None, {"i": 0}]
+

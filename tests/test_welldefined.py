@@ -90,6 +90,14 @@ def test_welldefined_requires_exact_weight():
         verify_welldefined(A, A.ring.gen("x"), 1, trials=1)
 
 
+def test_welldefined_refuses_level_zero():
+    """At level 0 the only layer is the top one, and every alternative lift
+    gives it the class e^p mod p, so no comparison there could fail."""
+    A = dual_numbers_ring(3, 1)
+    with pytest.raises(ValueError, match="level q >= 1"):
+        verify_welldefined(A, A.ring.one(), 0, trials=1)
+
+
 def test_welldefined_reports_seed():
     A = dual_numbers_ring(2, 1)
     v = verify_welldefined(A, A.ring.gen("e"), 2, trials=3, seed=42)

@@ -129,7 +129,6 @@ class PrePsiAlgebra:
     def P(self, i: int, cls):
         """P^i on a graded class: ``steenrod.steenrod_P``, looked up on each
         call so that a wrapper installed on that module sees every call."""
-        from . import steenrod
         return steenrod.steenrod_P(self, i, cls)
 
     def generator_decomposition(self, g) -> "AtiyahDecomposition":
@@ -439,11 +438,10 @@ def graded_classes_agree(algebra: PrePsiAlgebra, a: Element, b: Element,
 
 
 def random_element(algebra: PrePsiAlgebra, rng: random.Random, min_weight: int,
-                   max_terms: int = 4, coeff_bound: int | None = None) -> Element:
-    """A random integral element supported in weights >= min_weight."""
+                   max_terms: int = 4) -> Element:
+    """A random integral element supported in weights >= min_weight, with
+    coefficients in [-p^2, p^2]."""
     ring, p = algebra.ring, algebra.p
-    if coeff_bound is None:
-        coeff_bound = p * p
     pool = []
     for w in range(min_weight + min_weight % 2, ring.top_weight() + 1, 2):
         pool.extend(ring.monomials_of_weight(w))
@@ -452,7 +450,7 @@ def random_element(algebra: PrePsiAlgebra, rng: random.Random, min_weight: int,
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):
         m = pool[rng.randrange(len(pool))]
-        c = rng.randint(-coeff_bound, coeff_bound)
+        c = rng.randint(-p * p, p * p)
         terms[m] = terms.get(m, 0) + c
     return ring.element(terms)
 
@@ -515,3 +513,8 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
                                "weight": w, "h": str(h), "f": str(f)}
     notes.append(f"seed={seed}")
     return Verdict.decide("well-definedness", checked, skipped, witness, tuple(notes))
+
+
+# bound last: steenrod imports this module, so it can only load once the names
+# above exist
+from . import steenrod  # noqa: E402

@@ -2,7 +2,9 @@
 
 Polynomial payloads are arrays of {coefficient, monomial} with monomials as
 [[generator-id, exponent], ...]; generator ids are plain strings or
-{"theta": ..., "indices": [...]} for iterated-operation variables.  A small
+{"theta": ..., "indices": [...]} for iterated-operation variables.  The codec
+lives in ``rings`` (``poly_to_json``, ``poly_from_json``), so a presentation
+reads its relations in the encoding its document holds.  A small
 expression grammar (name[indices]^exp products joined by + and -) covers
 command-line element input.
 """
@@ -17,7 +19,8 @@ from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
 from .lift import Lift, UnstablePresentation
 from .modules import ModuleSymbol, PsiModule
-from .rings import Element, GeneratorSymbol, WeightedRing
+from .rings import (Element, GeneratorSymbol, WeightedRing, id_from_json, id_to_json,
+                    mono_from_json, poly_from_json, poly_to_json)
 
 
 def _schema() -> dict:
@@ -205,50 +208,6 @@ def document_digest(doc: dict) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-# -- generator ids and polynomials ----------------------------------------------------
-
-
-def id_to_json(sym: GeneratorSymbol):
-    if not sym.indices:
-        return sym.name
-    return {"theta": sym.name, "indices": list(sym.indices)}
-
-
-def id_from_json(obj):
-    if isinstance(obj, str):
-        return obj, ()
-    return obj["theta"], tuple(obj["indices"])
-
-
-def poly_to_json(e: Element) -> list:
-    out = []
-    for mono, coeff in e.sorted_terms():
-        out.append({"coefficient": coeff,
-                    "monomial": [[id_to_json(g), exp] for g, exp in mono]})
-    return out
-
-
-def poly_from_json(ring: WeightedRing, data, mod: int | None = None) -> Element:
-    terms: dict = {}
-    for entry in data:
-        mono = []
-        for gid, exp in entry["monomial"]:
-            name, indices = id_from_json(gid)
-            mono.append((ring.symbol(name, indices), exp))
-        mono.sort(key=lambda ge: ge[0].sort_key)
-        mono = tuple(mono)
-        terms[mono] = terms.get(mono, 0) + entry["coefficient"]
-    return ring.element(terms, mod=mod)
-
-
-def mono_from_json(ring: WeightedRing, data) -> tuple:
-    mono = []
-    for gid, exp in data:
-        name, indices = id_from_json(gid)
-        mono.append((ring.symbol(name, indices), exp))
-    return tuple(sorted(mono, key=lambda ge: ge[0].sort_key))
-
-
 # -- element expressions ----------------------------------------------------------------
 
 _TOKEN = re.compile(
@@ -387,25 +346,12 @@ def _algebra_fields(algebra: PrePsiAlgebra) -> dict:
 # -- presentation documents --------------------------------------------------------------
 
 
-def presentation_from_document(doc: dict, truncation: int | None = None,
-                               validate: bool = True) -> UnstablePresentation:
+def presentation_from_document(doc: dict, validate: bool = True) -> UnstablePresentation:
     if doc["kind"] != "presentation":
         raise ValueError(f"expected a presentation document, got kind={doc['kind']!r}")
-    D = truncation if truncation is not None else doc["truncation"]
     generators = [(g["theta"], g["degree"]) for g in doc["generators"]]
-    relations = []
-    for poly in doc.get("relations", []):
-        spec: dict = {}
-        for entry in poly:
-            mono = []
-            for gid, exp in entry["monomial"]:
-                name, indices = id_from_json(gid)
-                mono.append(((name, indices), exp))
-            mono = tuple(sorted(mono))
-            spec[mono] = spec.get(mono, 0) + entry["coefficient"]
-        relations.append(spec)
     return UnstablePresentation(
-        doc["prime"], generators, relations, D,
+        doc["prime"], generators, doc.get("relations", []), doc["truncation"],
         max_zeros=doc.get("max_zero_indices", 1),
         name=doc.get("name", ""), validate=validate)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .arith import validate_prime
 from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
-from .rings import Element, GeneratorSymbol, WeightedRing
+from .rings import Element, GeneratorSymbol, WeightedRing, id_from_json, poly_from_json
 from .steenrod import GradedClass, gr_class_of_rep, graded_basis, run_axioms
 from .unstable import UnstableAlgebra
 from .verdicts import Verdict
@@ -38,20 +38,6 @@ MAX_LIFT_VARIABLES = 8192
 # k with p^k > p*D, stays far below it (5 at p = 2, D = 10); the iterates'
 # integer coefficients grow with k, and so does the report that prints them.
 MAX_KMAX = 32
-
-
-def index_weight(p: int, d: int, indices) -> int:
-    return 2 * d + 2 * (p - 1) * sum(indices)
-
-
-def is_admissible(p: int, d: int, indices) -> bool:
-    """Each successive index is bounded by d + (p-1) * (sum so far)."""
-    running = d
-    for i in indices:
-        if i < 0 or i > running:
-            return False
-        running += (p - 1) * i
-    return True
 
 
 def enumerate_generators(p: int, generators, D: int, max_zeros: int = 1) -> list:
@@ -89,31 +75,30 @@ def enumerate_generators(p: int, generators, D: int, max_zeros: int = 1) -> list
     return out
 
 
-def _parse_relation(ring: WeightedRing, p: int, rel) -> Element:
-    if isinstance(rel, Element):
-        if rel.ring is not ring:
-            raise ValueError("relation element belongs to a different ring")
-        return rel if rel.mod == p else rel.reduce_mod(p)
-    terms = {}
-    for mono_spec, coeff in rel.items():
-        mono = []
-        for (theta, indices), exp in mono_spec:
-            try:
-                sym = ring.symbol(theta, tuple(indices))
-            except KeyError:
-                raise ValueError(
-                    f"relation references {theta}{list(indices)}, which is not an "
-                    f"enumerated variable within the window")
-            mono.append((sym, exp))
-        mono.sort(key=lambda ge: ge[0].sort_key)
-        mono = tuple(mono)
-        terms[mono] = terms.get(mono, 0) + coeff
-    return ring.element(terms, mod=p)
+def lift_generator_layers(ring: WeightedRing, p: int, sym: GeneratorSymbol) -> tuple:
+    """Layers of psi on a lift variable: (X, X_(...,1), ..., X_(...,sigma-1), X^p).
+
+    Children pushed beyond the weight window become flagged zeros."""
+    sigma = sym.weight // 2
+    layers = [ring.var(sym)]
+    for i in range(1, sigma):
+        key = (sym.name, sym.indices + (i,))
+        if key in ring._by_key:
+            layers.append(ring.gen(sym.name, sym.indices + (i,)))
+        else:
+            layers.append(Element(ring, {}, truncated=True))
+    layers.append(ring.var(sym) ** p)
+    return tuple(layers)
 
 
 class UnstablePresentation:
     """Generators with degrees, plus weight-homogeneous relations over the
     admissible variables; the presented quotient carries the table action.
+
+    Relations are polynomials in the document encoding (``rings.poly_from_json``).
+    ``layers`` holds the psi layers of every variable (``lift_generator_layers``):
+    the table reads P^i X as layer i mod p for 0 < i < sigma, and the lift
+    takes them as its psi data.
 
     Load-validation checks that the relation ideal contains the identifying
     relations for zero indices (P^0) and top indices (p-th powers), is closed
@@ -123,8 +108,7 @@ class UnstablePresentation:
     """
 
     def __init__(self, p: int, generators, relations=(), truncation: int = 6,
-                 max_zeros: int = 1, name: str = "", validate: bool = True,
-                 trials: int = 4, seed: int = 0):
+                 max_zeros: int = 1, name: str = "", validate: bool = True):
         self.p = validate_prime(p)
         self.generators = tuple((str(t), int(deg)) for t, deg in generators)
         if len({t for t, _ in self.generators}) != len(self.generators):
@@ -134,43 +118,33 @@ class UnstablePresentation:
         self.name = name
         self.symbols = enumerate_generators(p, self.generators, truncation, max_zeros)
         self.ring = WeightedRing(self.symbols, truncation)
-        self.relations = tuple(_parse_relation(self.ring, p, r) for r in relations)
+        for term in (term for r in relations for term in r):
+            for gid, _ in term["monomial"]:
+                theta, indices = id_from_json(gid)
+                if (theta, indices) not in self.ring._by_key:
+                    raise ValueError(
+                        f"relation references {theta}{list(indices)}, which is not an "
+                        f"enumerated variable within the window")
+        self.relations = tuple(poly_from_json(self.ring, r, mod=p) for r in relations)
         for r in self.relations:
             if r and not r.is_homogeneous():
                 raise ValueError(f"inhomogeneous relation supplied: {r}")
         live = [r for r in self.relations if r]
         self.gb = groebner_build(live, p) if live else None
-        self.algebra = UnstableAlgebra(
-            self.ring, p, self.gb, middles=self._table_middles(),
-            name=name or "presentation")
+        self.layers = {sym.key: lift_generator_layers(self.ring, p, sym)
+                       for sym in self.symbols}
+        middles = {key: {i: layers[i].reduce_mod(p) for i in range(1, len(layers) - 1)}
+                   for key, layers in self.layers.items()}
+        self.algebra = UnstableAlgebra(self.ring, p, self.gb, middles=middles,
+                                       name=name or "presentation")
         self.validation: list = []
         if validate:
-            self.validation = self.validate(trials=trials, seed=seed)
+            self.validation = self.validate()
             bad = [v for v in self.validation if not v.passed]
             if bad:
                 raise ValueError(
                     "presentation failed load-validation: "
                     + "; ".join(v.describe() for v in bad))
-
-    def _table_middles(self) -> dict:
-        """The action on variables: P^i X_(theta,I) = X_(theta,I,i) for
-        0 < i < sigma (zero when the target leaves the window)."""
-        middles: dict = {}
-        p, ring = self.p, self.ring
-        for sym in self.symbols:
-            sigma = sym.weight // 2
-            table = {}
-            for i in range(1, sigma):
-                key = (sym.name, sym.indices + (i,))
-                if key in ring._by_key:
-                    table[i] = ring.gen(sym.name, sym.indices + (i,), mod=p)
-                else:
-                    # positive extensions are enumerated whenever they fit the
-                    # window, so a miss means the target weight exceeds 2D
-                    table[i] = ring.zero(p)
-            if table:
-                middles[sym.key] = table
-        return middles
 
     def validate(self, trials: int = 4, seed: int = 0) -> list:
         nf = self.gb.reduce if self.gb else (lambda e: e)
@@ -229,22 +203,6 @@ class UnstablePresentation:
         gens = ", ".join(f"{t}@{d}" for t, d in self.generators)
         return (f"UnstablePresentation(p={self.p}, [{gens}], "
                 f"{len(self.relations)} relations, D={self.truncation})")
-
-
-def lift_generator_layers(ring: WeightedRing, p: int, sym: GeneratorSymbol) -> tuple:
-    """Layers of psi on a lift variable: (X, X_(...,1), ..., X_(...,sigma-1), X^p).
-
-    Children pushed beyond the weight window become flagged zeros."""
-    sigma = sym.weight // 2
-    layers = [ring.var(sym)]
-    for i in range(1, sigma):
-        key = (sym.name, sym.indices + (i,))
-        if key in ring._by_key:
-            layers.append(ring.gen(sym.name, sym.indices + (i,)))
-        else:
-            layers.append(Element(ring, {}, truncated=True))
-    layers.append(ring.var(sym) ** p)
-    return tuple(layers)
 
 
 @dataclass
@@ -314,11 +272,9 @@ def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
     if not 0 <= k_max <= MAX_KMAX:
         raise ValueError(f"k_max must be between 0 and MAX_KMAX={MAX_KMAX}, got {k_max}")
 
-    # Pi lives on the presentation's ring, so its graded quotient is the
-    # presentation's algebra and reuses its Groebner basis
-    ring = pres.ring
-    psi_data = {sym.key: lift_generator_layers(ring, p, sym) for sym in pres.symbols}
-    pi = PrePsiAlgebra(ring, p, psi_data, graded_gb=pres.gb,
+    # Pi lives on the presentation's ring with its psi layers, so its graded
+    # quotient is the presentation's algebra and reuses its Groebner basis
+    pi = PrePsiAlgebra(pres.ring, p, pres.layers, graded_gb=pres.gb,
                        name=(pres.name or "lift") + ":Pi")
 
     ideal: dict = {}

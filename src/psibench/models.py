@@ -8,7 +8,7 @@ import math
 from .atiyah import PrePsiAlgebra
 from .lift import UnstablePresentation, enumerate_generators
 from .modules import ModuleSymbol, PsiModule
-from .rings import GeneratorSymbol, WeightedRing
+from .rings import GeneratorSymbol, WeightedRing, id_to_json
 from .unstable import UnstableAlgebra
 
 
@@ -105,7 +105,8 @@ def free_polynomial_presentation(p: int, D: int, theta: str = "x", d: int = 1,
                                  max_zeros: int = 1) -> UnstablePresentation:
     """Steenrod-closed presentation of the polynomial algebra Z/p[x], |x|=2d:
     every iterated-operation variable is identified with its value, computed
-    in the base algebra by the table action."""
+    in the base algebra by the table action, each relation a document
+    polynomial X_I - value."""
     base = base_polynomial_algebra(p, d, theta, D)
     base_sym = base.ring.generators[0]
     symbols = enumerate_generators(p, [(theta, 2 * d)], D, max_zeros)
@@ -117,11 +118,10 @@ def free_polynomial_presentation(p: int, D: int, theta: str = "x", d: int = 1,
         parent = values[sym.indices[:-1]]
         val = base.apply_P(sym.indices[-1], parent)
         values[sym.indices] = val
-        spec = {(((theta, sym.indices), 1),): 1}
-        for mono, coeff in val.terms.items():
-            key = tuple(((theta, ()), e) for _, e in mono)
-            spec[key] = spec.get(key, 0) - coeff
-        relations.append(spec)
+        relations.append(
+            [{"coefficient": 1, "monomial": [[id_to_json(sym), 1]]}]
+            + [{"coefficient": -c, "monomial": [[theta, e] for _, e in mono]}
+               for mono, c in val.terms.items()])
     return UnstablePresentation(p, [(theta, 2 * d)], relations, D,
                                 max_zeros=max_zeros,
                                 name=f"Z/{p}[{theta}] (d={d})")

@@ -394,9 +394,6 @@ class Element:
     def is_homogeneous(self) -> bool:
         return len(self.weights()) <= 1
 
-    def coefficient(self, m: Monomial) -> int:
-        return self.terms.get(tuple(m), 0)
-
     def leading(self):
         """(monomial, coefficient) maximal in the graded order; None if zero."""
         if not self.terms:
@@ -452,3 +449,47 @@ class Element:
         tag = f" mod {self.mod}" if self.mod is not None else ""
         flag = ", truncated" if self.truncated else ""
         return f"<{self}{tag}{flag}>"
+
+
+# -- the document encoding --------------------------------------------------------------
+# A polynomial is an array of {coefficient, monomial}, a monomial an array of
+# [generator-id, exponent] pairs, and a generator id a plain string or
+# {"theta": ..., "indices": [...]} for an iterated-operation variable.
+
+
+def id_to_json(sym: GeneratorSymbol):
+    if not sym.indices:
+        return sym.name
+    return {"theta": sym.name, "indices": list(sym.indices)}
+
+
+def id_from_json(obj):
+    if isinstance(obj, str):
+        return obj, ()
+    return obj["theta"], tuple(obj["indices"])
+
+
+def poly_to_json(e: Element) -> list:
+    out = []
+    for mono, coeff in e.sorted_terms():
+        out.append({"coefficient": coeff,
+                    "monomial": [[id_to_json(g), exp] for g, exp in mono]})
+    return out
+
+
+def poly_from_json(ring: WeightedRing, data, mod: int | None = None) -> Element:
+    """The element of ``ring`` a document polynomial encodes; a generator id
+    the ring does not have raises KeyError."""
+    terms: dict = {}
+    for entry in data:
+        mono = mono_from_json(ring, entry["monomial"])
+        terms[mono] = terms.get(mono, 0) + entry["coefficient"]
+    return ring.element(terms, mod=mod)
+
+
+def mono_from_json(ring: WeightedRing, data) -> tuple:
+    mono = []
+    for gid, exp in data:
+        name, indices = id_from_json(gid)
+        mono.append((ring.symbol(name, indices), exp))
+    return tuple(sorted(mono, key=lambda ge: ge[0].sort_key))

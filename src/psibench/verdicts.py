@@ -41,7 +41,7 @@ class Verdict:
         return Verdict(name, status, checked, skipped, witness, notes)
 
     @staticmethod
-    def tally(name: str, outcomes, notes: tuple = ()) -> "Verdict":
+    def tally(name: str, outcomes) -> "Verdict":
         """The verdict of a check's identities, read in order: True is one
         checked exactly, None one beyond the truncation window (skipped), and
         anything else is a witness, a FAIL that ends the check at once: no
@@ -56,7 +56,7 @@ class Verdict:
             else:
                 witness = outcome
                 break
-        return Verdict.decide(name, checked, skipped, witness, notes)
+        return Verdict.decide(name, checked, skipped, witness)
 
     @staticmethod
     def merge(name: str, verdicts) -> "Verdict":

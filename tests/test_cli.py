@@ -119,6 +119,19 @@ def test_lift_rejects_invalid_presentation(tmp_path, capsys):
     assert rc == 1 and out["status"] == "FAIL"
 
 
+def test_lift_of_a_relation_outside_the_window_exits_two(tmp_path, capsys):
+    doc = presentation_to_document(free_polynomial_presentation(2, 3))
+    doc["relations"].append(
+        [{"coefficient": 1, "monomial": [[{"theta": "x", "indices": [9, 9]}, 1]]}])
+    path = tmp_path / "unknown-variable.json"
+    dump_document(doc, str(path))
+    rc = main(["lift", "--doc", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: relation references x[9, 9], which is not an "
+                            "enumerated variable within the window\n")
+
+
 def test_lift_with_a_surviving_iterate_class_fails_without_a_traceback(
         tmp_path, monkeypatch, capsys):
     path = tmp_path / "pres-p2.json"

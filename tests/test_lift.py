@@ -5,14 +5,28 @@ import psibench.lift
 from psibench.atiyah import PrePsiAlgebra
 from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
-                           enumerate_generators, index_weight, is_admissible,
-                           transport_iso)
+                           enumerate_generators, transport_iso)
 from psibench.models import free_polynomial_presentation
+from psibench.rings import poly_to_json
 from psibench.steenrod import (check_adem, check_additivity, check_cartan,
                                check_instability, check_p0_identity,
                                check_pth_power, classify, gr_class,
                                interesting_degrees, steenrod_P)
 from psibench.verdicts import FAIL, PASS
+
+
+def index_weight(p: int, d: int, indices) -> int:
+    return 2 * d + 2 * (p - 1) * sum(indices)
+
+
+def is_admissible(p: int, d: int, indices) -> bool:
+    """Each successive index is bounded by d + (p-1) * (sum so far)."""
+    running = d
+    for i in indices:
+        if i < 0 or i > running:
+            return False
+        running += (p - 1) * i
+    return True
 
 
 def test_admissibility_and_weights():
@@ -22,6 +36,38 @@ def test_admissibility_and_weights():
     assert is_admissible(2, 1, (1, 2)) and not is_admissible(2, 1, (1, 3))
     assert index_weight(2, 1, (1, 2)) == 2 + 2 * (1 + 2)
     assert index_weight(3, 1, ()) == 2
+
+
+def _all_index_tuples(p: int, d: int, D: int, max_zeros: int):
+    """Every index tuple of weight <= 2D and at most ``max_zeros`` zeros,
+    admissible or not: each index is at most D, and a tuple of weight <= 2D
+    has at most D - d positive indices."""
+    def grow(indices):
+        yield indices
+        if len(indices) > D - d + max_zeros:
+            return
+        for i in range(D + 1):
+            longer = indices + (i,)
+            if index_weight(p, d, longer) <= 2 * D and longer.count(0) <= max_zeros:
+                yield from grow(longer)
+    return grow(())
+
+
+@pytest.mark.parametrize("p,degrees,D,max_zeros", [
+    (2, (2,), 5, 1), (2, (2, 4), 4, 0), (3, (2,), 7, 2), (3, (4,), 8, 1), (5, (2,), 9, 1)])
+def test_enumeration_agrees_with_the_admissibility_oracle(p, degrees, D, max_zeros):
+    syms = enumerate_generators(p, [(f"x{deg}", deg) for deg in degrees], D, max_zeros)
+    got = {s.key for s in syms}
+    assert len(got) == len(syms)
+    for s in syms:
+        d = int(s.name[1:]) // 2
+        assert is_admissible(p, d, s.indices)
+        assert s.weight == index_weight(p, d, s.indices) <= 2 * D
+        assert s.indices.count(0) <= max_zeros
+    want = {(f"x{deg}", t) for deg in degrees
+            for t in _all_index_tuples(p, deg // 2, D, max_zeros)
+            if is_admissible(p, deg // 2, t)}
+    assert got == want
 
 
 def test_enumeration_window_p2():
@@ -288,24 +334,21 @@ def test_validation_rejects_incomplete_relation_set():
             if r.terms.keys() != {((full.ring.symbol("x", (1,)), 1),),
                                   ((full.ring.symbol("x"), 2),)}]
     assert len(kept) == len(full.relations) - 1
-    specs = []
-    for r in kept:
-        specs.append({tuple(((g.name, g.indices), e) for g, e in m): c
-                      for m, c in r.terms.items()})
     with pytest.raises(ValueError, match="load-validation"):
-        UnstablePresentation(2, [("x", 2)], specs, 3)
+        UnstablePresentation(2, [("x", 2)], [poly_to_json(r) for r in kept], 3)
 
 
 def test_relation_referencing_unknown_variable():
+    relation = [{"coefficient": 1, "monomial": [[{"theta": "x", "indices": [9, 9]}, 1]]}]
     with pytest.raises(ValueError, match="not an .*enumerated"):
-        UnstablePresentation(2, [("x", 2)], [{((("x", (9, 9)), 1),): 1}], 3,
-                             validate=False)
+        UnstablePresentation(2, [("x", 2)], [relation], 3, validate=False)
 
 
 def test_inhomogeneous_relation_rejected():
-    spec = {((("x", ()), 1),): 1, ((("x", ()), 2),): 1}
+    relation = [{"coefficient": 1, "monomial": [["x", 1]]},
+                {"coefficient": 1, "monomial": [["x", 2]]}]
     with pytest.raises(ValueError, match="inhomogeneous"):
-        UnstablePresentation(2, [("x", 2)], [spec], 3, validate=False)
+        UnstablePresentation(2, [("x", 2)], [relation], 3, validate=False)
 
 
 def test_degree_four_generator_at_p2_builds():

@@ -9,9 +9,8 @@ def test_tally_counts_checked_and_skipped_in_order():
 
 def test_tally_pass_needs_no_skipped_outcome():
     assert Verdict.tally("t", [True, True]).status == PASS
-    empty = Verdict.tally("t", (), ("degree 0 is trivial",))
+    empty = Verdict.tally("t", ())
     assert (empty.status, empty.checked, empty.skipped) == (PASS, 0, 0)
-    assert empty.notes == ("degree 0 is trivial",)
 
 
 def test_tally_fails_with_the_counts_before_the_first_witness():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import fermat_quotient, validate_prime
 from .rings import UNIT, Element, WeightedRing, mono_key, mono_weight
@@ -456,15 +456,17 @@ def random_element(algebra: PrePsiAlgebra, rng: random.Random, min_weight: int,
 
 
 def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
-                       trials: int = 20, seed: int = 0,
-                       explicit_every: int = 5) -> Verdict:
+                       trials: int = 20, seed: int = 0) -> Verdict:
     """Compare layer classes of e against randomized alternative lifts
-    s = e + p*h + f, and (on a subsample) against the explicit construction.
+    s = e + p*h + f, and on every trial against the explicit construction,
+    the one route that does not read s's splitting from the monomial
+    splittings that also build e's.
 
     PASS means every compared class agreed in every graded weight that the
-    truncation window can decide.  Level 0 is refused: there P^0 reads only
-    the top layer, (e + p*h + f)^p = e^p mod p in weight 0, and the explicit
-    oracle needs q >= 1, so no comparison could fail.
+    truncation window can decide; the first disagreement is a FAIL that
+    ends the check.  Level 0 is refused: there P^0 reads only the top layer,
+    (e + p*h + f)^p = e^p mod p in weight 0, and the explicit oracle needs
+    q >= 1, so no comparison could fail.
     """
     if q == 0:
         raise ValueError("well-definedness needs level q >= 1: at level 0 the only layer "
@@ -475,44 +477,28 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
     rng = random.Random(seed)
     p = algebra.p
     base = atiyah_decompose(algebra, e, q)
-    checked = skipped = 0
-    witness = None
-    notes = []
-    for t in range(trials):
-        h = random_element(algebra, rng, min_weight=2 * q)
-        f = random_element(algebra, rng, min_weight=2 * q + 2)
-        s = e + h * p + f
-        if not s:
-            continue
-        ds = atiyah_decompose(algebra, s, q)
+
+    def agreement(da, db, witness):
         for i in range(q + 1):
             w = 2 * q + 2 * i * (p - 1)
-            agree = graded_classes_agree(algebra, base.layer(i), ds.layer(i), w)
-            if agree is None:
-                skipped += 1
-            elif agree:
-                checked += 1
-            elif witness is None:
-                witness = {"trial": t, "layer": i, "weight": w,
-                           "h": str(h), "f": str(f)}
-        if witness is None and explicit_every and t % explicit_every == 0:
+            agree = graded_classes_agree(algebra, da.layer(i), db.layer(i), w)
+            yield {**witness, "layer": i, "weight": w} if agree is False else agree
+
+    def outcomes():
+        for t in range(trials):
+            h = random_element(algebra, rng, min_weight=2 * q)
+            f = random_element(algebra, rng, min_weight=2 * q + 2)
+            s = e + h * p + f
+            if not s:
+                continue
+            ds = atiyah_decompose(algebra, s, q)
+            trial = {"trial": t, "h": str(h), "f": str(f)}
+            yield from agreement(base, ds, trial)
             dx = explicit_lift_decomposition(algebra, e, base, h, f)
             if dx.weighted_sum() != algebra.apply_psi(s):
-                witness = {"trial": t, "oracle": "explicit construction is inexact",
-                           "h": str(h), "f": str(f)}
-                continue
-            for i in range(q + 1):
-                w = 2 * q + 2 * i * (p - 1)
-                agree = graded_classes_agree(algebra, dx.layers[i], ds.layers[i], w)
-                if agree is None:
-                    skipped += 1
-                elif agree:
-                    checked += 1
-                elif witness is None:
-                    witness = {"trial": t, "oracle": "explicit-vs-engine", "layer": i,
-                               "weight": w, "h": str(h), "f": str(f)}
-    notes.append(f"seed={seed}")
-    return Verdict.decide("well-definedness", checked, skipped, witness, tuple(notes))
+                yield {**trial, "oracle": "explicit construction is inexact"}
+            yield from agreement(dx, ds, {**trial, "oracle": "explicit-vs-engine"})
+    return replace(Verdict.tally("well-definedness", outcomes()), notes=(f"seed={seed}",))
 
 
 # bound last: steenrod imports this module, so it can only load once the names

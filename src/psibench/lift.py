@@ -102,9 +102,9 @@ class UnstablePresentation:
 
     Load-validation checks that the relation ideal contains the identifying
     relations for zero indices (P^0) and top indices (p-th powers), is closed
-    under the table operations, and that the presented quotient satisfies
-    P^0 = Id and the Adem identities.  Lifting an invalid presentation is
-    refused.
+    under the table operations, and that the presented quotient satisfies the
+    Adem identities (P^0 = Id holds by construction of the table).  Lifting
+    an invalid presentation is refused.
     """
 
     def __init__(self, p: int, generators, relations=(), truncation: int = 6,
@@ -152,8 +152,10 @@ class UnstablePresentation:
             Verdict.tally("p0-index-identification", self._zero_index_outcomes(nf)),
             Verdict.tally("top-index-identification", self._top_index_outcomes(nf)),
             Verdict.tally("steenrod-closure", self._closure_outcomes(nf))]
-        table = run_axioms(self.algebra, ("p0", "adem"), trials, seed)
-        verdicts.extend(replace(v, name=f"{v.name}(table)") for v in table)
+        # the table's P^0 is the identity on every monomial by construction,
+        # so of the presented quotient's axioms only Adem can fail
+        (adem,) = run_axioms(self.algebra, ("adem",), trials, seed)
+        verdicts.append(replace(adem, name="adem(table)"))
         return verdicts
 
     def _zero_index_outcomes(self, nf):

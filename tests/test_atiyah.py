@@ -492,6 +492,21 @@ def test_memoized_operations_keep_the_adem_witness(monkeypatch):
     assert (adem.witness["i"], adem.witness["j"]) == (1, 1)
 
 
+def test_welldefined_runs_the_explicit_oracle_on_every_trial(monkeypatch):
+    A = projective_space_ring(3, 4)
+    real, calls = atiyah.explicit_lift_decomposition, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(atiyah, "explicit_lift_decomposition", counted)
+    v = verify_welldefined(A, A.ring.gen("t"), 1, trials=7, seed=0)
+    assert v.passed and len(calls) == 7
+    # each trial compares the two layers engine-vs-engine and oracle-vs-engine
+    assert v.checked + v.skipped == 7 * 2 * 2
+
+
 def test_poisoned_splitting_cache_is_caught():
     """A wrong cached splitting is caught: the exactness check and the
     explicit well-definedness oracle compare against data the cache does not
@@ -510,7 +525,8 @@ def test_poisoned_splitting_cache_is_caught():
     v = verify_welldefined(A, t, 1, trials=3, seed=0)
     assert v.status == FAIL
     assert v.witness["oracle"] == "explicit construction is inexact"
-    assert verify_welldefined(A, t, 1, trials=3, seed=0, explicit_every=0).passed
+    # the count stops at the witness: the two layers of trial 0 agreed first
+    assert (v.witness["trial"], v.checked, v.skipped) == (0, 2, 0)
 
     # a fresh algebra, since the poison above spread into cached products of t
     A = projective_space_ring(3, 4)

@@ -338,6 +338,14 @@ def test_validation_rejects_incomplete_relation_set():
         UnstablePresentation(2, [("x", 2)], [poly_to_json(r) for r in kept], 3)
 
 
+def test_validation_verdicts():
+    pres = free_polynomial_presentation(2, 4)
+    assert [v.name for v in pres.validation] == [
+        "p0-index-identification", "top-index-identification", "steenrod-closure",
+        "adem(table)"]
+    assert all(v.passed for v in pres.validation)
+
+
 def test_relation_referencing_unknown_variable():
     relation = [{"coefficient": 1, "monomial": [[{"theta": "x", "indices": [9, 9]}, 1]]}]
     with pytest.raises(ValueError, match="not an .*enumerated"):

@@ -13,23 +13,27 @@ from psibench.steenrod import AXIOMS
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
 
-# stdout sha256 of `verify --axioms all --trials 2 --format json`, recorded
-# before splittings were cached: caching or refactoring must not move a byte.
+# stdout sha256 of `verify --axioms all --trials 2 --format json`: caching or
+# refactoring must not move a byte.  Re-recorded when the explicit
+# well-definedness oracle began to run on every trial: only the
+# well-definedness counts moved (by 4/3, as its two trials now both compare
+# against the oracle); every status, witness and label is the same.
 GOLDEN_VERIFY = {
-    "projective-space-p3-n4.json": "dfbfe3f055c7138dbd6ba1d71bdd1a93fd8f5457fc5aca4c6a7fe1c45c48b48e",
-    "product-projective-p3.json": "803a9ff33dc3154326d5d9a2aef18105ab4aaf777f80ec988913c1466a2c4478",
-    "broken-adem-p3.json": "18321cc1a8780508ac8cefb2a7f961b2c2dde7e3f5112806f0b7b7b43debb2ec",
+    "projective-space-p3-n4.json": "b93528819973e2c4a5df9be412c1575eb25655cb5d27d826c8a65959bb1e5232",
+    "product-projective-p3.json": "8fe9b82fb0e43b0e62259d79e26571174b10883bcb2c19c3d33d6828581120d1",
+    "broken-adem-p3.json": "96448ba3f5b83db9439c304f62fbf03564b17125a793035b81796335e7cec2c3",
 }
 
 # stdout sha256 of `verify --trials 2 --truncation 2000 --format json` on the
-# nilpotent projective space, recorded before the degree and sampling loops
-# stopped at the ring's top monomial weight.
-GOLDEN_VERIFY_TRUNCATION_2000 = "4ed2ae4a143bf72c67ad8c333c214b2497fcb8999cfd1fa37fe1dfe41bed5de4"
+# nilpotent projective space; re-recorded, like GOLDEN_VERIFY, for the
+# well-definedness counts alone.
+GOLDEN_VERIFY_TRUNCATION_2000 = "fb6536e86774c57a61c7c3988b789ee2eaf7770ca163b0a6f4dd5cfe000a5610"
 
-# stdout sha256 of `lift --format json`, recorded before presentation
-# validation ran the axiom registry.
+# stdout sha256 of `lift --format json`.  Re-recorded when presentation
+# validation dropped the p0-identity(table) verdict, which held by
+# construction; every other verdict is the same.
 GOLDEN_LIFT = {
-    "polynomial-presentation-p2-D6.json": "e9224c45e784e4da8eb606cdd9349d435d1474c590430057ac6868f5dbdc117b",
+    "polynomial-presentation-p2-D6.json": "10e40a1fef4ff9157456f5a60027b844d7e0d8403b496975e69175a5234d53b4",
 }
 
 # sha256 of the serialized lift (`lift --out`), which carries the Groebner
@@ -40,13 +44,14 @@ GOLDEN_LIFT_DOCUMENT = {
 }
 GOLDEN_FREE_P3_D6_DOCUMENT = "88028397fae33dffb9652e3eb8c60ce7f78e566836b59593571ee700b11072b5"
 
-# FAIL reports, whose checked/skipped counts stop at the first witness; both
-# recorded before the checkers shared one tally.  `verify --trials 2 --format
-# json` on the dual numbers with k = 2 (p0-identity FAIL), and `lift --format
-# json` on the p = 2, D = 4 free presentation without its first relation
-# (both index identifications FAIL).
-GOLDEN_VERIFY_P0_FAIL = "1ce815b69936746da751df6a0d77c88da6d0958f4da22029602d1b33c3fe86f1"
-GOLDEN_LIFT_IDENTIFICATION_FAIL = "f908a7250ed4d4a21589cf1cb921dfc6c2793b398b564264e82f8f748f45bae3"
+# FAIL reports, whose checked/skipped counts stop at the first witness.
+# `verify --trials 2 --format json` on the dual numbers with k = 2
+# (p0-identity FAIL), re-recorded for the well-definedness counts alone, and
+# `lift --format json` on the p = 2, D = 4 free presentation without its
+# first relation (both index identifications FAIL), re-recorded for the
+# dropped p0-identity(table) verdict alone.
+GOLDEN_VERIFY_P0_FAIL = "f892b66239f91415c947ab12aab0809db84b74a5fcf7194081c390ffe64d3c3b"
+GOLDEN_LIFT_IDENTIFICATION_FAIL = "ae4a71ae88a8bcfceb914c1b90ef0bb618a88dd471766cdda98ee04a8bd7807e"
 
 
 def _verify_json(capsys, name, axioms):

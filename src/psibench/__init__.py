@@ -9,14 +9,13 @@ from .atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose,
                      explicit_lift_decomposition, scalar_decomposition,
                      verify_welldefined)
 from .groebner import GroebnerBasis, groebner_build
-from .lift import (Lift, TransportIso, UnstablePresentation, build_lift,
-                   enumerate_generators, transport_iso)
+from .lift import Lift, UnstablePresentation, build_lift, enumerate_generators
 from .modules import (FgWitness, GenerationReport, ModuleSymbol, PsiModule,
                       abelian_generator_profile, closure_enumerate, is_fg_by)
 from .rings import Element, GeneratorSymbol, WeightedRing
 from .steenrod import (Classification, GradedClass, check_additivity, check_adem,
-                       check_cartan, check_instability, check_p0_identity,
-                       check_pth_power, classify, gr_class, graded_basis, steenrod_P)
+                       check_cartan, check_p0_identity, classify, gr_class,
+                       graded_basis, steenrod_P)
 from .unstable import UnstableAlgebra
 from .verdicts import FAIL, PASS, PASS_UP_TO_TRUNCATION, Verdict
 

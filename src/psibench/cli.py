@@ -256,10 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -8,12 +8,11 @@ with the distinguished endomorphism
     psi X = p^sigma X + sum_{i=1..sigma-1} p^(sigma-i) X_(...,i) + X^p,
 
 and builds the ideal generated by all psi-iterates of the integral relation
-lifts.  The graded quotient over Z/p is the presented algebra itself, so the
-renaming isomorphism onto the presentation is the identity on
-representatives.  Generator enumeration is windowed: positive indices are
-bounded by the weight cap and the number of zero indices (which encode P^0)
-is capped explicitly, which keeps the variable set finite and closed under
-the layers of psi within the window.
+lifts.  The graded quotient over Z/p is the presented algebra itself, on
+the same ring and representatives.  Generator enumeration is windowed:
+positive indices are bounded by the weight cap and the number of zero
+indices (which encode P^0) is capped explicitly, which keeps the variable
+set finite and closed under the layers of psi within the window.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .arith import validate_prime
 from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
 from .rings import Element, GeneratorSymbol, WeightedRing, id_from_json, poly_from_json
-from .steenrod import GradedClass, gr_class_of_rep, graded_basis, run_axioms
+from .steenrod import graded_basis, run_axioms
 from .unstable import UnstableAlgebra
 from .verdicts import Verdict
 
@@ -129,6 +128,9 @@ class UnstablePresentation:
         for r in self.relations:
             if r and not r.is_homogeneous():
                 raise ValueError(f"inhomogeneous relation supplied: {r}")
+            if r and r.weight() == 0:
+                raise ValueError(f"constant relation supplied: {r}; a connected "
+                                 f"presentation has no relation of weight 0")
         live = [r for r in self.relations if r]
         self.gb = groebner_build(live, p) if live else None
         self.layers = {sym.key: lift_generator_layers(self.ring, p, sym)
@@ -209,8 +211,10 @@ class UnstablePresentation:
 
 @dataclass
 class Lift:
-    """The constructed lift: integral pre-psi-p algebra, graded quotient,
-    renaming isomorphism data and the ideal bookkeeping."""
+    """The constructed lift: integral pre-psi-p algebra, graded quotient
+    and the ideal bookkeeping.  The presentation is written in the variables
+    X_(theta,I), so the lift shares its ring and ``graded`` is the presented
+    algebra itself."""
 
     presentation: UnstablePresentation
     pi: PrePsiAlgebra
@@ -223,20 +227,6 @@ class Lift:
     @property
     def p(self) -> int:
         return self.presentation.p
-
-    def rho(self, cls: GradedClass) -> GradedClass:
-        """Gr*B -> presentation side: the variable renaming isomorphism
-        X_(theta, i_1..i_n) |-> P^(i_n) ... P^(i_1) x_theta.  The presentation
-        is written in the variables X_(theta,I), so the lift shares its ring
-        and rho is the identity on representatives."""
-        if cls.rep.ring is not self.pi.ring:
-            raise ValueError("class does not live in the graded quotient of this lift")
-        return gr_class_of_rep(self.graded, cls.rep, cls.degree)
-
-    def rho_inverse(self, cls: GradedClass) -> GradedClass:
-        if cls.rep.ring is not self.presentation.ring:
-            raise ValueError("class does not live on the presentation side")
-        return gr_class_of_rep(self.graded, cls.rep, cls.degree)
 
     def basis(self, degree: int) -> list:
         return graded_basis(self.graded, degree)
@@ -290,69 +280,3 @@ def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
     census = {degree: len(graded_basis(pres.algebra, degree))
               for degree in range(0, 2 * D + 1, 2)}
     return Lift(pres, pi, pres.algebra, ideal, k_max, census, [vanishing])
-
-
-class TransportIso:
-    """The canonical isomorphism of lifts induced by a generator relabeling
-    phi between presentations with corresponding relations."""
-
-    def __init__(self, source: Lift, target: Lift, theta_map: dict):
-        self.source = source
-        self.target = target
-        self.theta_map = dict(theta_map)
-        src_gens = dict(source.presentation.generators)
-        tgt_gens = dict(target.presentation.generators)
-        if sorted(self.theta_map) != sorted(src_gens) or \
-                sorted(self.theta_map.values()) != sorted(tgt_gens):
-            raise ValueError("theta_map must be a bijection between the generator sets")
-        for t, image in self.theta_map.items():
-            if src_gens[t] != tgt_gens[image]:
-                raise ValueError(
-                    f"relabeling must preserve degrees: {t}@{src_gens[t]} -> "
-                    f"{image}@{tgt_gens[image]}")
-        if source.presentation.truncation != target.presentation.truncation or \
-                source.p != target.p:
-            raise ValueError("lifts must share the prime and the truncation bound")
-        src_rels = {self._freeze(self._rename_on(r, target.presentation.ring))
-                    for r in source.presentation.relations if r}
-        tgt_rels = {self._freeze(r) for r in target.presentation.relations if r}
-        if src_rels != tgt_rels:
-            raise ValueError("target presentation relations do not correspond via phi")
-
-    @staticmethod
-    def _freeze(e: Element):
-        return tuple(sorted((tuple((g.key, ee) for g, ee in m), c)
-                            for m, c in e.terms.items()))
-
-    def apply_element(self, e: Element) -> Element:
-        """phi-tilde on the integral lift ring."""
-        if e.ring is not self.source.pi.ring:
-            raise ValueError("element does not live in the source lift ring")
-        return self._rename_on(e, self.target.pi.ring)
-
-    def _rename_on(self, e: Element, ring: WeightedRing) -> Element:
-        out = {}
-        for mono, coeff in e.terms.items():
-            new = tuple((ring.symbol(self.theta_map[g.name], g.indices), ee)
-                        for g, ee in mono)
-            out[tuple(sorted(new, key=lambda ge: ge[0].sort_key))] = coeff
-        return ring.element(out, mod=e.mod)
-
-    def verify(self) -> list:
-        """psi-compatibility on every variable.  The square rho_target .
-        phi-tilde = phi . rho_source needs no check: each lift shares its
-        presentation's ring, so both sides rename the same representative."""
-        def outcomes():
-            for sym in self.source.presentation.symbols:
-                lhs = self.apply_element(self.source.pi.psi_of_generator(sym.key))
-                rhs = self.target.pi.apply_psi(
-                    self.apply_element(self.source.pi.ring.var(sym)))
-                if lhs == rhs:
-                    yield True
-                else:
-                    yield {"variable": str(sym)}
-        return [Verdict.tally("transport-psi-compatibility", outcomes())]
-
-
-def transport_iso(source: Lift, target: Lift, theta_map: dict) -> TransportIso:
-    return TransportIso(source, target, theta_map)

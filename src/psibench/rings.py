@@ -488,8 +488,10 @@ def poly_from_json(ring: WeightedRing, data, mod: int | None = None) -> Element:
 
 
 def mono_from_json(ring: WeightedRing, data) -> tuple:
-    mono = []
+    """The monomial a document monomial encodes; a generator id named more
+    than once contributes the sum of its exponents."""
+    exps: dict = {}
     for gid, exp in data:
-        name, indices = id_from_json(gid)
-        mono.append((ring.symbol(name, indices), exp))
-    return tuple(sorted(mono, key=lambda ge: ge[0].sort_key))
+        sym = ring.symbol(*id_from_json(gid))
+        exps[sym] = exps.get(sym, 0) + exp
+    return tuple(sorted(exps.items(), key=lambda ge: ge[0].sort_key))

@@ -26,3 +26,21 @@ def free_ring():
     x = GeneratorSymbol("x", (), 2)
     y = GeneratorSymbol("y", (), 4)
     return WeightedRing([x, y], 8)
+
+
+@pytest.fixture
+def rename_generator():
+    """A function renaming one generator in a document: every generator id
+    and theta equal to ``old``, and ``[old]`` in names such as
+    ``Z/2[x] (d=1)``."""
+    def rename(doc: dict, old: str, new: str) -> dict:
+        def walk(obj):
+            if isinstance(obj, dict):
+                return {key: walk(value) for key, value in obj.items()}
+            if isinstance(obj, list):
+                return [walk(item) for item in obj]
+            if isinstance(obj, str):
+                return new if obj == old else obj.replace(f"[{old}]", f"[{new}]")
+            return obj
+        return walk(doc)
+    return rename

@@ -15,9 +15,9 @@ import time
 from psibench.atiyah import (atiyah_decompose, explicit_lift_decomposition,
                              graded_classes_agree, random_element,
                              verify_welldefined)
-from psibench.documents import (dump_document, module_to_document,
-                                presentation_to_document)
-from psibench.lift import build_lift, transport_iso
+from psibench.documents import (dump_document, lift_to_document,
+                                module_to_document, presentation_to_document)
+from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, power_tower_module,
                              projective_space_ring)
@@ -219,9 +219,10 @@ def test_criterion_5_projective_space_binomial_oracle():
     _line("5 (projective-space binomial oracle)", elapsed)
 
 
-def test_criterion_6_lift_construction():
-    """Lift of Z/p[x] at D = 6: axiom suite, rho round trips, vanishing of
-    psi-iterates of the relations, and the transport isomorphism."""
+def test_criterion_6_lift_construction(rename_generator):
+    """Lift of Z/p[x] at D = 6: axiom suite, the table operations against
+    the derived ones, vanishing of psi-iterates of the relations, and the
+    relabelled lift against the renamed one."""
     t0 = time.perf_counter()
     for p in (2, 3):
         pres = free_polynomial_presentation(p, 6)
@@ -230,10 +231,12 @@ def test_criterion_6_lift_construction():
         result = classify(lift.pi, trials=3, seed=0)
         assert result.label == "psi-p-algebra", result.to_dict()
         assert all(v.status != FAIL for v in result.verdicts)
-        # rho and its inverse compose to the identity on every basis class
+        # the presentation's table P^i is the P^i derived from the lift's psi
         for degree in interesting_degrees(lift.graded, 0):
             for cls in lift.basis(degree):
-                assert lift.rho_inverse(lift.rho(cls)) == cls
+                for i in range(degree // 2 + 1):
+                    if degree + 2 * i * (p - 1) <= 2 * pres.truncation:
+                        assert lift.graded.P(i, cls) == steenrod_P(lift.pi, i, cls)
         # psi-iterates of the relations die in the graded quotient
         assert any(v.name == "ideal-iterate-graded-vanishing" and v.status == PASS
                    for v in lift.verdicts)
@@ -241,11 +244,9 @@ def test_criterion_6_lift_construction():
             for f0, fk in zip(lift.ideal_generators[0], lift.ideal_generators[k]):
                 if fk:
                     assert not fk.homogeneous_component(f0.weight()).reduce_mod(p)
-        # the transported relabeling commutes with psi on every variable
+        # relabelling x as y transports the whole serialized lift
         other = build_lift(free_polynomial_presentation(p, 6, theta="y"))
-        iso = transport_iso(lift, other, {"x": "y"})
-        for v in iso.verify():
-            assert v.status == PASS, v.describe()
+        assert lift_to_document(other) == rename_generator(lift_to_document(lift), "x", "y")
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _line("6 (canonical lift of Z/p[x], D=6)", elapsed, 120.0)

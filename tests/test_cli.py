@@ -132,6 +132,18 @@ def test_lift_of_a_relation_outside_the_window_exits_two(tmp_path, capsys):
                             "enumerated variable within the window\n")
 
 
+def test_lift_of_a_constant_relation_exits_two(tmp_path, capsys):
+    doc = presentation_to_document(free_polynomial_presentation(3, 4))
+    doc["relations"].append([{"coefficient": 1, "monomial": []}])
+    path = tmp_path / "constant-relation.json"
+    dump_document(doc, str(path))
+    rc = main(["lift", "--doc", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: constant relation supplied: 1")
+    assert captured.err.count("\n") == 1
+
+
 def test_lift_with_a_surviving_iterate_class_fails_without_a_traceback(
         tmp_path, monkeypatch, capsys):
     path = tmp_path / "pres-p2.json"
@@ -229,13 +241,15 @@ def test_flags_without_a_comparison_exit_two(docs, args, message, capsys):
     assert message in captured.err
 
 
-def test_unknown_axiom_lists_the_registry(docs, capsys):
-    rc = main(["verify", "--doc", docs["dual-k1.json"], "--axioms", "adem,bogus"])
+# pth-power and instability hold by construction, so the registry dropped them
+@pytest.mark.parametrize("name", ["bogus", "pth-power", "instability"])
+def test_unknown_axiom_lists_the_registry(docs, name, capsys):
+    rc = main(["verify", "--doc", docs["dual-k1.json"], "--axioms", f"adem,{name}"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     names = ", ".join(a.cli for a in AXIOMS)
-    assert names == "exactness, welldefined, p0, adem, additivity, pth-power, instability, cartan"
-    assert f"unknown axiom 'bogus'; choose from {names}" in captured.err
+    assert names == "exactness, welldefined, p0, adem, additivity, cartan"
+    assert captured.err == f"error: unknown axiom {name!r}; choose from {names}\n"
 
 
 def test_byte_identical_reports(docs):

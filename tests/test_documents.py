@@ -14,6 +14,7 @@ from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, power_tower_module,
                              projective_space_ring)
+from psibench.steenrod import graded_basis
 
 
 def test_algebra_document_round_trip():
@@ -36,6 +37,26 @@ def test_poly_json_round_trip():
     e = x**2 * 5 - x * 7
     data = poly_to_json(e)
     assert poly_from_json(A.ring, data) == e
+
+
+def test_a_repeated_id_in_a_relation_sums_its_exponents():
+    # x*x - x^2 is the zero relation, so the lift keeps Z/2[x] whole
+    doc = presentation_to_document(free_polynomial_presentation(2, 3))
+    doc["relations"].append([{"coefficient": 1, "monomial": [["x", 1], ["x", 1]]},
+                             {"coefficient": -1, "monomial": [["x", 2]]}])
+    lift = build_lift(presentation_from_document(doc))
+    assert lift.census == {0: 1, 2: 1, 4: 1, 6: 1}
+
+
+def test_a_repeated_id_in_a_monomial_relation_sums_its_exponents():
+    # t*t = 0 is t^2 = 0: it keeps t and kills t^2, as [["t", 2]] does
+    sizes = {}
+    for relation in ([["t", 1], ["t", 1]], [["t", 2]]):
+        doc = algebra_to_document(projective_space_ring(3, 4))
+        doc["monomial_relations"] = [relation]
+        A = algebra_from_document(doc)
+        sizes[len(relation)] = [len(graded_basis(A, d)) for d in range(0, 11, 2)]
+    assert sizes[2] == sizes[1] == [1, 1, 0, 0, 0, 0]
 
 
 def test_presentation_document_round_trip():

@@ -5,7 +5,7 @@ import psibench.lift
 from psibench.atiyah import PrePsiAlgebra
 from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
-                           enumerate_generators, transport_iso)
+                           enumerate_generators)
 from psibench.models import free_polynomial_presentation
 from psibench.rings import poly_to_json
 from psibench.steenrod import (check_adem, check_additivity, check_cartan,
@@ -219,7 +219,6 @@ def test_restriction_to_smaller_window():
 
 def test_lift_reuses_the_presentation(monkeypatch):
     pres = free_polynomial_presentation(2, 5)
-    other = build_lift(free_polynomial_presentation(2, 5))
 
     def refuse(relations, p):
         raise AssertionError("build_lift built a second Groebner basis")
@@ -230,28 +229,20 @@ def test_lift_reuses_the_presentation(monkeypatch):
     assert lift.pi.ring is pres.ring
     assert lift.pi.graded_gb is pres.gb
     assert lift.graded is pres.algebra
-    # rho keeps its ring guard: a class of another lift is refused
-    foreign = other.basis(2)[0]
-    with pytest.raises(ValueError, match="graded quotient of this lift"):
-        lift.rho(foreign)
-    with pytest.raises(ValueError, match="presentation side"):
-        lift.rho_inverse(foreign)
 
 
-def test_rho_round_trip_and_P_commutation():
+def test_table_P_agrees_with_the_derived_P():
+    """The presentation's table action and the operations derived from the
+    lift's psi agree on every basis class of the graded quotient."""
     for p in (2, 3):
         pres = free_polynomial_presentation(p, 6)
         lift = build_lift(pres)
         for degree in interesting_degrees(lift.graded, 0):
             for cls in lift.basis(degree):
-                h = lift.rho(cls)
-                assert lift.rho_inverse(h) == cls
                 for i in range(degree // 2 + 1):
                     if degree + 2 * i * (p - 1) > 2 * pres.truncation:
                         continue
-                    derived = steenrod_P(lift.pi, i, cls)
-                    assert lift.graded.P(i, cls) == derived
-                    assert lift.rho(derived) == pres.algebra.P(i, h)
+                    assert lift.graded.P(i, cls) == steenrod_P(lift.pi, i, cls)
 
 
 def test_lift_axiom_suite():
@@ -267,14 +258,6 @@ def test_lift_axiom_suite():
             assert check_instability(lift.pi, d, 3, 0).status != FAIL
         assert check_cartan(lift.pi, 2, 2, 3, 0).status != FAIL
         assert classify(lift.pi, trials=3, seed=0).label == "psi-p-algebra"
-
-
-def test_rho_is_multiplicative():
-    pres = free_polynomial_presentation(3, 6)
-    lift = build_lift(pres)
-    a = lift.basis(2)[0]
-    b = lift.basis(4)[0]
-    assert lift.rho(a * b) == lift.rho(a) * lift.rho(b)
 
 
 def test_projection_to_quotient_commutes_with_P():
@@ -300,31 +283,14 @@ def test_projection_to_quotient_commutes_with_P():
             assert projected == steenrod_P(lift.pi, i, down)
 
 
-def test_transport_identity_and_relabel():
-    pres_x = free_polynomial_presentation(2, 5)
-    lift_x = build_lift(pres_x)
-    ident = transport_iso(lift_x, lift_x, {"x": "x"})
-    for v in ident.verify():
-        assert v.status == PASS, v.describe()
-    pres_y = free_polynomial_presentation(2, 5, theta="y")
-    lift_y = build_lift(pres_y)
-    phi = transport_iso(lift_x, lift_y, {"x": "y"})
-    for v in phi.verify():
-        assert v.status == PASS, v.describe()
-    # phi-tilde preserves the splitting shape of generators
-    for sym in pres_x.symbols:
-        img = phi.apply_element(lift_x.pi.ring.var(sym))
-        assert img.weight() == sym.weight
-
-
-def test_transport_rejects_mismatches():
-    lift_x = build_lift(free_polynomial_presentation(2, 4))
-    lift_y = build_lift(free_polynomial_presentation(2, 4, theta="y"))
-    with pytest.raises(ValueError):
-        transport_iso(lift_x, lift_y, {"x": "z"})
-    lift_big = build_lift(free_polynomial_presentation(2, 5, theta="y"))
-    with pytest.raises(ValueError):
-        transport_iso(lift_x, lift_big, {"x": "y"})  # different windows
+@pytest.mark.parametrize("p", [2, 3])
+def test_relabelled_presentation_lifts_to_the_renamed_lift(p, rename_generator):
+    """Relabelling x as y commutes with building and serializing the lift:
+    psi layers, Groebner basis, relations and census all carry over."""
+    lift_x = lift_to_document(build_lift(free_polynomial_presentation(p, 6)))
+    lift_y = lift_to_document(build_lift(free_polynomial_presentation(p, 6, theta="y")))
+    assert lift_y == rename_generator(lift_x, "x", "y")
+    assert lift_y != lift_x
 
 
 def test_validation_rejects_incomplete_relation_set():

@@ -14,20 +14,20 @@ from psibench.steenrod import AXIOMS
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
 
 # stdout sha256 of `verify --axioms all --trials 2 --format json`: caching or
-# refactoring must not move a byte.  Re-recorded when the explicit
-# well-definedness oracle began to run on every trial: only the
-# well-definedness counts moved (by 4/3, as its two trials now both compare
-# against the oracle); every status, witness and label is the same.
+# refactoring must not move a byte.  Re-recorded when the pth-power and
+# instability verdicts, which hold by construction, left the axiom registry:
+# the report is the previous one with those two verdicts removed, and every
+# other byte, status, witness and label is the same.
 GOLDEN_VERIFY = {
-    "projective-space-p3-n4.json": "b93528819973e2c4a5df9be412c1575eb25655cb5d27d826c8a65959bb1e5232",
-    "product-projective-p3.json": "8fe9b82fb0e43b0e62259d79e26571174b10883bcb2c19c3d33d6828581120d1",
-    "broken-adem-p3.json": "96448ba3f5b83db9439c304f62fbf03564b17125a793035b81796335e7cec2c3",
+    "projective-space-p3-n4.json": "2a34f571eb8bbeead9877ae29a77d3f4fa716849f0b3c262ef137bcfd21aee6a",
+    "product-projective-p3.json": "44e8de04629dd96dea03fdb566eb927342df7e67b4bdacf82402cf138b46ec47",
+    "broken-adem-p3.json": "513151d81b4a77d2a14a00adeb2cef7ce8f72d4eb305815d9b7d53181e643bd9",
 }
 
 # stdout sha256 of `verify --trials 2 --truncation 2000 --format json` on the
-# nilpotent projective space; re-recorded, like GOLDEN_VERIFY, for the
-# well-definedness counts alone.
-GOLDEN_VERIFY_TRUNCATION_2000 = "fb6536e86774c57a61c7c3988b789ee2eaf7770ca163b0a6f4dd5cfe000a5610"
+# nilpotent projective space; re-recorded, like GOLDEN_VERIFY, for the two
+# removed verdicts alone.
+GOLDEN_VERIFY_TRUNCATION_2000 = "3c0a7bc0e12e3ab6b292b1e696a3fc8ce0855513e0b41f1e45a6dd9719d89ac0"
 
 # stdout sha256 of `lift --format json`.  Re-recorded when presentation
 # validation dropped the p0-identity(table) verdict, which held by
@@ -46,11 +46,11 @@ GOLDEN_FREE_P3_D6_DOCUMENT = "88028397fae33dffb9652e3eb8c60ce7f78e566836b5959357
 
 # FAIL reports, whose checked/skipped counts stop at the first witness.
 # `verify --trials 2 --format json` on the dual numbers with k = 2
-# (p0-identity FAIL), re-recorded for the well-definedness counts alone, and
-# `lift --format json` on the p = 2, D = 4 free presentation without its
-# first relation (both index identifications FAIL), re-recorded for the
-# dropped p0-identity(table) verdict alone.
-GOLDEN_VERIFY_P0_FAIL = "f892b66239f91415c947ab12aab0809db84b74a5fcf7194081c390ffe64d3c3b"
+# (p0-identity FAIL), re-recorded for the removed pth-power and instability
+# verdicts alone, and `lift --format json` on the p = 2, D = 4 free
+# presentation without its first relation (both index identifications
+# FAIL), re-recorded for the dropped p0-identity(table) verdict alone.
+GOLDEN_VERIFY_P0_FAIL = "169c84e48ae9ce213c4c39aea946bc5d6ccb29dd84e22390119e41a8c8ef7f2b"
 GOLDEN_LIFT_IDENTIFICATION_FAIL = "ae4a71ae88a8bcfceb914c1b90ef0bb618a88dd471766cdda98ee04a8bd7807e"
 
 

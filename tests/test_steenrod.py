@@ -1,19 +1,21 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+import psibench.atiyah as atiyah
 import psibench.steenrod as steenrod
 from psibench.arith import adem_coefficient
 from psibench.atiyah import atiyah_decompose
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              projective_space_ring)
-from psibench.steenrod import (check_additivity, check_adem,
+from psibench.steenrod import (AXIOMS, check_additivity, check_adem,
                                check_cartan, check_exactness, check_instability,
                                check_p0_identity, check_pth_power, classify,
                                gr_class, graded_basis,
-                               interesting_degrees, sample_classes, steenrod_P,
-                               zero_class)
-from psibench.verdicts import FAIL, PASS
+                               interesting_degrees, run_axioms, sample_classes,
+                               steenrod_P, zero_class)
+from psibench.verdicts import FAIL, PASS, PASS_UP_TO_TRUNCATION
 
 
 def test_adem_coefficients_once_per_check(monkeypatch):
@@ -195,7 +197,8 @@ def test_classification_certificate_contents():
     result = classify(adem_failure_ring(3), 3, 0)
     assert result.verdict("adem").status == FAIL
     assert result.verdict("p0-identity").status == PASS
-    assert result.passed_structure
+    assert result.verdict("atiyah-exactness").status == PASS
+    assert result.verdict("well-definedness").status == PASS_UP_TO_TRUNCATION
     as_dict = result.to_dict()
     assert as_dict["classification"] == "pre-psi-p"
 
@@ -284,3 +287,74 @@ def test_each_operation_is_computed_once(monkeypatch):
     assert len(computed) == len(set(computed)) == len(reached)
     assert set(computed) == reached
     assert len(calls) > 4 * len(computed)
+
+
+# -- every registry axiom can fail ----------------------------------------------------
+
+
+def _splitting_off_by_its_source(name):
+    """A control in which the splittings ``atiyah.<name>`` builds gain their
+    source in layer 0, so their weighted layer sum is no longer psi of it."""
+    def control(monkeypatch):
+        build = getattr(atiyah, name)
+
+        def perturbed(da, db):
+            d = build(da, db)
+            return replace(d, layers=(d.layers[0] + d.source,) + d.layers[1:])
+
+        monkeypatch.setattr(atiyah, name, perturbed)
+        return projective_space_ring(3, 4)
+    return control
+
+
+def _operation_off_by_a_basis_class(monkeypatch):
+    """P^i for i > 0 gains the first basis class of its target degree, an
+    offset that is neither additive nor multiplicative."""
+    derived = steenrod._derived_P
+
+    def perturbed(algebra, i, cls):
+        out = derived(algebra, i, cls)
+        basis = graded_basis(algebra, out.degree)
+        return out + basis[0] if i and basis else out
+
+    monkeypatch.setattr(steenrod, "_derived_P", perturbed)
+    return projective_space_ring(3, 4)
+
+
+def _operation_plus_a_product(monkeypatch):
+    """P^i for i > 0 gains the product of its class with the first basis
+    class of degree 2i(p-1): still additive, but no longer a derivation of
+    the product as Cartan asks."""
+    derived = steenrod._derived_P
+
+    def perturbed(algebra, i, cls):
+        shift = graded_basis(algebra, 2 * i * (algebra.p - 1))
+        out = derived(algebra, i, cls)
+        return out + cls * shift[0] if i and shift else out
+
+    monkeypatch.setattr(steenrod, "_derived_P", perturbed)
+    return projective_space_ring(3, 4)
+
+
+NEGATIVE_CONTROLS = {
+    # products split every basis class; sums only the alternative lifts
+    # that well-definedness compares against
+    "exactness": _splitting_off_by_its_source("atiyah_product"),
+    "welldefined": _splitting_off_by_its_source("atiyah_sum"),
+    "p0": lambda monkeypatch: dual_numbers_ring(3, 2),
+    "adem": lambda monkeypatch: adem_failure_ring(3),
+    "additivity": _operation_off_by_a_basis_class,
+    "cartan": _operation_plus_a_product,
+}
+
+
+def test_every_registry_axiom_has_a_negative_control():
+    assert set(NEGATIVE_CONTROLS) == {a.cli for a in AXIOMS}
+
+
+@pytest.mark.parametrize("axiom", AXIOMS, ids=lambda a: a.cli)
+def test_every_registry_axiom_can_fail(axiom, monkeypatch):
+    algebra = NEGATIVE_CONTROLS[axiom.cli](monkeypatch)
+    (verdict,) = run_axioms(algebra, (axiom.cli,), trials=2, seed=0)
+    assert verdict.name == axiom.verdict
+    assert verdict.status == FAIL and verdict.witness, verdict.describe()

@@ -23,6 +23,11 @@ from .modules import is_fg_by
 from .steenrod import AXIOMS, classify, gr_class, run_axioms
 from .verdicts import FAIL, Verdict
 
+# Largest --trials and top weight (the nilpotent bound, else 2D) verify
+# admits; on a 2-CPU host projective_space_ring(3, 32) at --trials 32 takes 13 s.
+MAX_TRIALS = 32
+MAX_VERIFY_WEIGHT = 64
+
 
 def int_at_least(low: int):
     """An argparse type: an int no smaller than ``low``."""
@@ -131,8 +136,13 @@ def cmd_steenrod(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most MAX_TRIALS={MAX_TRIALS}, got {args.trials}")
     doc = _load(args)
     algebra = algebra_from_document(doc)
+    if (top := algebra.ring.top_weight()) > MAX_VERIFY_WEIGHT:
+        raise ValueError(f"top weight {top} must be at most MAX_VERIFY_WEIGHT="
+                         f"{MAX_VERIFY_WEIGHT}; lower the truncation")
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     report = _base_report("verify", doc, seed, {
         "axioms": args.axioms, "trials": args.trials})
@@ -155,10 +165,9 @@ def cmd_lift(args) -> int:
     if args.kmax is not None and args.kmax > MAX_KMAX:
         raise ValueError(f"--kmax must be at most MAX_KMAX={MAX_KMAX}, got {args.kmax}")
     doc = _load(args)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
     pres = presentation_from_document(doc, validate=False)
-    validation = pres.validate(seed=seed)
-    report = _base_report("lift", doc, seed, {
+    validation = pres.validate()
+    report = _base_report("lift", doc, None, {
         "truncation": pres.truncation, "kmax": args.kmax})
     verdicts = list(validation)
     if all(v.passed for v in verdicts):
@@ -233,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--axioms", default="all",
                    help=f"comma list from: {', '.join(a.cli for a in AXIOMS)} (default: all)")
-    p.add_argument("--trials", type=int_at_least(1), default=8)
+    p.add_argument("--trials", type=int_at_least(1), default=8,
+                   help=f"samples for exactness, welldefined, additivity; at most {MAX_TRIALS}")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("lift", help="build the canonical lift of a presentation")

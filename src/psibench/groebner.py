@@ -94,6 +94,9 @@ def _validate_relations(relations, p) -> WeightedRing:
             raise ValueError(f"relations must have mod-{p} coefficients")
         if not r.is_homogeneous():
             raise ValueError(f"inhomogeneous relation supplied: {r}")
+        if r.weight() == 0:
+            raise ValueError(f"constant relation supplied: {r}; a connected "
+                             f"graded algebra has no relation of weight 0")
     if ring is None:
         raise ValueError("cannot infer the ambient ring from an empty relation list")
     return ring

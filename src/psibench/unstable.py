@@ -91,15 +91,11 @@ def _table_P(algebra: UnstableAlgebra, i: int, cls: GradedClass) -> GradedClass:
     return gr_class_of_rep(algebra, algebra.apply_P(i, cls.rep), target)
 
 
-def check_p0_identity_table(algebra: UnstableAlgebra, degrees, trials: int = 6,
-                            seed: int = 0) -> Verdict:
+def check_p0_identity_table(algebra: UnstableAlgebra, degrees) -> Verdict:
     """P^0 = Id for the table-extended operations."""
-    return replace(check_p0_identity(algebra, degrees, trials, seed),
-                   name="p0-identity(table)")
+    return replace(check_p0_identity(algebra, degrees), name="p0-identity(table)")
 
 
-def check_adem_table(algebra: UnstableAlgebra, degree: int, trials: int = 6,
-                     seed: int = 0) -> Verdict:
+def check_adem_table(algebra: UnstableAlgebra, degree: int) -> Verdict:
     """Adem identities for the table-extended operations, by composition."""
-    return replace(check_adem(algebra, degree, trials, seed),
-                   name="adem(table)")
+    return replace(check_adem(algebra, degree), name="adem(table)")

@@ -60,13 +60,16 @@ class Verdict:
 
     @staticmethod
     def merge(name: str, verdicts) -> "Verdict":
-        """One verdict over several checks: the counts add up and the first
-        witness is kept.  The parts' notes (a per-call seed, a trivial degree)
-        describe single calls and are dropped."""
-        verdicts = list(verdicts)
-        witness = next((v.witness for v in verdicts if v.witness is not None), None)
-        return Verdict.decide(name, sum(v.checked for v in verdicts),
-                              sum(v.skipped for v in verdicts), witness)
+        """One verdict over several checks, read in order: the counts add up
+        and the first part with a witness ends the merge, so a FAIL counts
+        the identities before its witness, as in ``tally``.  The parts' notes
+        (a per-call seed, a trivial degree) are dropped."""
+        checked = skipped = 0
+        for v in verdicts:
+            checked, skipped = checked + v.checked, skipped + v.skipped
+            if v.witness is not None:
+                return Verdict.decide(name, checked, skipped, v.witness)
+        return Verdict.decide(name, checked, skipped)
 
     def to_dict(self) -> dict:
         return {

@@ -95,11 +95,11 @@ def test_criterion_2_broken_adem_golden():
         two_p2 = steenrod_P(A, 2, c) * 2
         assert not p1p1
         assert two_p2.rep == (x**3 * 2).reduce_mod(p)
-        v = check_adem(A, 2 * (p - 1), trials=3, seed=0)
+        v = check_adem(A, 2 * (p - 1))
         assert v.status == FAIL
         assert (v.witness["class"], v.witness["i"], v.witness["j"]) == ("x", 1, 1)
         degrees = interesting_degrees(A, 2)
-        assert check_p0_identity(A, degrees, trials=4, seed=0).status == PASS
+        assert check_p0_identity(A, degrees).status == PASS
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _line("2 (Adem failure witness (x,1,1))", elapsed, 5.0)

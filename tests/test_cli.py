@@ -14,7 +14,8 @@ from psibench.cli import main
 from psibench.documents import (algebra_to_document, dump_document,
                                 module_to_document, presentation_to_document)
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
-                             free_polynomial_presentation, power_tower_module)
+                             free_polynomial_presentation, power_tower_module,
+                             projective_space_ring)
 from psibench.steenrod import AXIOMS
 
 
@@ -327,6 +328,39 @@ def test_kmax_outside_its_range_exits_two(docs, kmax, message, capsys):
     assert rc == 2 and captured.out == ""
     assert message in captured.err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("name, extra, message", [
+    ("projective-space-p3-n4.json", ["--trials", "1000000"],
+     "error: --trials must be at most MAX_TRIALS=32, got 1000000"),
+    ("broken-adem-p3.json", ["--truncation", "33"],
+     "error: top weight 66 must be at most MAX_VERIFY_WEIGHT=64; lower the truncation"),
+    ("broken-adem-p3.json", ["--truncation", "2000"],
+     "error: top weight 4000 must be at most MAX_VERIFY_WEIGHT=64; lower the truncation"),
+    ("projective-space-p3-n4.json", ["--prime", "1000000000000000003"],
+     "error: p must be a prime integer at most MAX_PRIME=2147483648, got 1000000000000000003"),
+])
+def test_hostile_verify_input_exits_two(name, extra, message, capsys):
+    sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
+    t0 = time.perf_counter()
+    rc = main(["verify", "--doc", str(sample / name), *extra])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == message + "\n"
+    assert elapsed < 2.0
+
+
+def test_a_constant_graded_relation_exits_two(tmp_path, capsys):
+    doc = algebra_to_document(projective_space_ring(3, 4))
+    doc["graded_relations"] = [[{"coefficient": 1, "monomial": []}]]
+    path = tmp_path / "constant-graded-relation.json"
+    dump_document(doc, str(path))
+    rc = main(["verify", "--doc", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: constant relation supplied: 1")
+    assert captured.err.count("\n") == 1
 
 
 def test_huge_truncation_on_a_nilpotent_ring_stops_at_the_top_weight(capsys):

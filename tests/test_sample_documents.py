@@ -14,26 +14,27 @@ from psibench.steenrod import AXIOMS
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
 
 # stdout sha256 of `verify --axioms all --trials 2 --format json`: caching or
-# refactoring must not move a byte.  Re-recorded when the pth-power and
-# instability verdicts, which hold by construction, left the axiom registry:
-# the report is the previous one with those two verdicts removed, and every
-# other byte, status, witness and label is the same.
+# refactoring must not move a byte.  Re-recorded when p0-identity, adem and
+# cartan came to read the graded basis instead of sampled combinations, and
+# a merged FAIL came to stop at its first witness: only those three
+# verdicts' counts moved, and every status, witness and label is the same.
 GOLDEN_VERIFY = {
-    "projective-space-p3-n4.json": "2a34f571eb8bbeead9877ae29a77d3f4fa716849f0b3c262ef137bcfd21aee6a",
-    "product-projective-p3.json": "44e8de04629dd96dea03fdb566eb927342df7e67b4bdacf82402cf138b46ec47",
-    "broken-adem-p3.json": "513151d81b4a77d2a14a00adeb2cef7ce8f72d4eb305815d9b7d53181e643bd9",
+    "projective-space-p3-n4.json": "999ca21619e4e3f13c0f1da680cedfa9342ebd13ff65969da01703c700446b99",
+    "product-projective-p3.json": "36ed6a2a0d0447573a36a62998fd47a1ab1ce928e8df0d794299a228234a1d79",
+    "broken-adem-p3.json": "1d59539510662f83e62731b09f6db1a17914cc03499fb23d8d9e648b8d0a6f4f",
 }
 
 # stdout sha256 of `verify --trials 2 --truncation 2000 --format json` on the
-# nilpotent projective space; re-recorded, like GOLDEN_VERIFY, for the two
-# removed verdicts alone.
-GOLDEN_VERIFY_TRUNCATION_2000 = "3c0a7bc0e12e3ab6b292b1e696a3fc8ce0855513e0b41f1e45a6dd9719d89ac0"
+# nilpotent projective space; re-recorded, like GOLDEN_VERIFY, for the
+# basis-read counts alone.
+GOLDEN_VERIFY_TRUNCATION_2000 = "42814503a931110dc8a6f1d023bd4cb0c9338e0352724b10046ada7039ddbf49"
 
 # stdout sha256 of `lift --format json`.  Re-recorded when presentation
-# validation dropped the p0-identity(table) verdict, which held by
-# construction; every other verdict is the same.
+# validation came to read the graded basis for adem(table) and the lift
+# report's seed became null, as validation consumes none; every other
+# verdict is the same.
 GOLDEN_LIFT = {
-    "polynomial-presentation-p2-D6.json": "10e40a1fef4ff9157456f5a60027b844d7e0d8403b496975e69175a5234d53b4",
+    "polynomial-presentation-p2-D6.json": "55dbee1d98c9309da596d7489601976aadd08902d50e2b8f5fc5ab9dc833a51e",
 }
 
 # sha256 of the serialized lift (`lift --out`), which carries the Groebner
@@ -46,12 +47,12 @@ GOLDEN_FREE_P3_D6_DOCUMENT = "88028397fae33dffb9652e3eb8c60ce7f78e566836b5959357
 
 # FAIL reports, whose checked/skipped counts stop at the first witness.
 # `verify --trials 2 --format json` on the dual numbers with k = 2
-# (p0-identity FAIL), re-recorded for the removed pth-power and instability
-# verdicts alone, and `lift --format json` on the p = 2, D = 4 free
+# (p0-identity FAIL), and `lift --format json` on the p = 2, D = 4 free
 # presentation without its first relation (both index identifications
-# FAIL), re-recorded for the dropped p0-identity(table) verdict alone.
-GOLDEN_VERIFY_P0_FAIL = "169c84e48ae9ce213c4c39aea946bc5d6ccb29dd84e22390119e41a8c8ef7f2b"
-GOLDEN_LIFT_IDENTIFICATION_FAIL = "ae4a71ae88a8bcfceb914c1b90ef0bb618a88dd471766cdda98ee04a8bd7807e"
+# FAIL); both re-recorded, like GOLDEN_VERIFY and GOLDEN_LIFT, for the
+# basis-read counts and the lift's null seed alone.
+GOLDEN_VERIFY_P0_FAIL = "1a5b9c6a480c9e19da1147a4e7614749d395d06b1ca161645f3e878f50b1f49a"
+GOLDEN_LIFT_IDENTIFICATION_FAIL = "3515738df07aeb8e8a563f9373f72cb14047f49fb32fe56bb422770b7e839073"
 
 
 def _verify_json(capsys, name, axioms):

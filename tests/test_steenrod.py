@@ -8,7 +8,7 @@ import psibench.steenrod as steenrod
 from psibench.arith import adem_coefficient
 from psibench.atiyah import atiyah_decompose
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
-                             projective_space_ring)
+                             product_projective_spaces, projective_space_ring)
 from psibench.steenrod import (AXIOMS, check_additivity, check_adem,
                                check_cartan, check_exactness, check_instability,
                                check_p0_identity, check_pth_power, classify,
@@ -29,7 +29,7 @@ def test_adem_coefficients_once_per_check(monkeypatch):
     A = projective_space_ring(3, 4)
     for d in (4, 6):
         calls.clear()
-        assert check_adem(A, d, 2, 0).status != FAIL
+        assert check_adem(A, d).status != FAIL
         assert calls and len(calls) == len(set(calls))
 
 
@@ -105,15 +105,15 @@ def test_checkers_pass_on_projective_space():
     for p in (2, 3):
         A = projective_space_ring(p, 5)
         degrees = interesting_degrees(A, 2)
-        assert check_p0_identity(A, degrees, 4, 0).status == PASS
+        assert check_p0_identity(A, degrees).status == PASS
         for d in degrees:
             assert check_additivity(A, d, 5, 0).status == PASS
             assert check_pth_power(A, d, 4, 0).status == PASS
             assert check_instability(A, d, 4, 0).status == PASS
             assert check_exactness(A, d, 4, 0).status == PASS
-            v = check_adem(A, d, 3, 0)
+            v = check_adem(A, d)
             assert v.status != FAIL, v.describe()
-        assert check_cartan(A, 2, 4, 4, 0).status == PASS
+        assert check_cartan(A, 2, 4).status == PASS
 
 
 def test_cartan_with_unit_factor():
@@ -128,13 +128,13 @@ def test_cartan_with_unit_factor():
         for l in range(i + 1):
             rhs = rhs + steenrod_P(A, l, one) * steenrod_P(A, i - l, b)
         assert lhs == rhs == steenrod_P(A, i, b)
-    assert check_cartan(A, 0, 4, 3, 0).status == PASS
+    assert check_cartan(A, 0, 4).status == PASS
 
 
 def test_adem_failure_witness():
     for p in (3, 5):
         A = adem_failure_ring(p)
-        v = check_adem(A, 2 * (p - 1), trials=3, seed=0)
+        v = check_adem(A, 2 * (p - 1))
         assert v.status == FAIL
         assert v.witness["i"] == 1 and v.witness["j"] == 1
         assert v.witness["class"] == "x"
@@ -148,9 +148,9 @@ def test_adem_layer_route_checks_the_operation(monkeypatch):
     def doubled(algebra, i, cls):
         return steenrod_P(algebra, i, cls) * (2 if i else 1)
 
-    assert check_adem(A, 4, trials=2, seed=0).status == PASS
+    assert check_adem(A, 4).status == PASS
     monkeypatch.setattr(steenrod, "steenrod_P", doubled)
-    v = check_adem(A, 4, trials=2, seed=0)
+    v = check_adem(A, 4)
     assert v.status == FAIL
     assert v.witness["note"] == "layer route and composition route disagree"
 
@@ -158,13 +158,47 @@ def test_adem_layer_route_checks_the_operation(monkeypatch):
 def test_adem_trivial_on_dual_numbers():
     for p in (2, 3, 5):
         A = dual_numbers_ring(p, 2)
-        v = check_adem(A, 4, trials=3, seed=0)
+        v = check_adem(A, 4)
         assert v.status == PASS, v.describe()
+
+
+@pytest.mark.parametrize("make", [lambda: projective_space_ring(3, 4),
+                                  lambda: product_projective_spaces(3, 3, 3)])
+def test_basis_read_axioms_take_no_samples(make):
+    # p0, adem and cartan read the graded basis: trials and seed change nothing
+    names = ("p0", "adem", "cartan")
+    assert run_axioms(make(), names, 1, 0) == run_axioms(make(), names, 8, 5)
+
+
+def test_merged_adem_fail_counts_the_identities_before_its_witness():
+    A = adem_failure_ring(3)
+    (merged,) = run_axioms(A, ("adem",))
+    first = check_adem(A, interesting_degrees(A, 2)[0])
+    assert (merged.status, merged.checked, merged.skipped) == (FAIL, 0, 0)
+    assert merged.witness == first.witness
+    assert (merged.witness["i"], merged.witness["j"], merged.witness["class"]) == (1, 1, "x")
+
+
+def test_additivity_licenses_the_basis(monkeypatch):
+    # an operation wrong only on classes with two or more terms passes every
+    # check that reads the basis; only additivity, which samples
+    # combinations, sees it
+    derived = steenrod._derived_P
+
+    def wrong_on_sums(algebra, i, cls):
+        out = derived(algebra, i, cls)
+        return out * 2 if len(cls.rep.terms) > 1 else out
+
+    monkeypatch.setattr(steenrod, "_derived_P", wrong_on_sums)
+    A = product_projective_spaces(3, 2, 2)
+    verdicts = {v.name: v for v in run_axioms(A, ("p0", "adem", "cartan", "additivity"))}
+    assert [verdicts[n].status for n in ("p0-identity", "adem", "cartan")] == [PASS] * 3
+    assert verdicts["additivity"].status == FAIL, verdicts["additivity"].describe()
 
 
 def test_p0_failure_witness():
     A = dual_numbers_ring(3, 2)
-    v = check_p0_identity(A, [4], trials=3, seed=0)
+    v = check_p0_identity(A, [4])
     assert v.status == FAIL and v.witness["degree"] == 4
 
 

@@ -45,9 +45,9 @@ def test_class_level_operations_respect_window():
 def test_table_checkers():
     A = base_polynomial_algebra(3, d=1, D=6)
     degrees = [2, 4, 6]
-    assert check_p0_identity_table(A, degrees, 3, 0).status == PASS
+    assert check_p0_identity_table(A, degrees).status == PASS
     for d in degrees:
-        assert check_adem_table(A, d, 3, 0).status != FAIL
+        assert check_adem_table(A, d).status != FAIL
 
 
 def test_middle_table_validation():

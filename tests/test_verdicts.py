@@ -32,3 +32,24 @@ def test_tally_draws_no_outcome_after_a_witness():
     assert v.witness == {"i": 0} and (v.checked, v.skipped) == (1, 1)
     assert drawn == [True, None, {"i": 0}]
 
+
+
+def test_merge_stops_at_the_first_witness():
+    drawn = []
+
+    def parts():
+        for part in (Verdict.decide("a", 3, 1), Verdict.decide("b", 2, 0, {"i": 1}),
+                     Verdict.decide("c", 5, 0, {"i": 2})):
+            drawn.append(part.name)
+            yield part
+        raise AssertionError("a part was drawn after the witness")
+
+    v = Verdict.merge("m", parts())
+    assert (v.name, v.status, v.checked, v.skipped, v.witness) == ("m", FAIL, 5, 1, {"i": 1})
+    assert drawn == ["a", "b"]
+
+
+def test_merge_without_a_witness_adds_every_part():
+    v = Verdict.merge("m", [Verdict.decide("a", 3, 1), Verdict.decide("b", 2, 0)])
+    assert (v.status, v.checked, v.skipped) == (PASS_UP_TO_TRUNCATION, 5, 1)
+    assert Verdict.merge("m", []).status == PASS

@@ -424,13 +424,7 @@ def explicit_lift_decomposition(algebra: PrePsiAlgebra, r: Element,
 
 def graded_classes_agree(algebra: PrePsiAlgebra, a: Element, b: Element,
                          weight: int):
-    """Whether a and b have the same mod-p class in the given graded weight.
-
-    Returns True/False, or None when the weight is outside the window and the
-    graded piece is not structurally zero (undecidable under truncation).
-    """
-    if weight > algebra.ring.max_weight:
-        return True if algebra.ring.decidable(weight) else None
+    """Whether a and b have the same mod-p class in a weight inside the window."""
     diff = (a - b).homogeneous_component(weight).reduce_mod(algebra.p)
     if algebra.graded_gb is not None:
         diff = algebra.graded_gb.reduce(diff)
@@ -462,11 +456,11 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
     the one route that does not read s's splitting from the monomial
     splittings that also build e's.
 
-    PASS means every compared class agreed in every graded weight that the
-    truncation window can decide; the first disagreement is a FAIL that
-    ends the check.  Level 0 is refused: there P^0 reads only the top layer,
-    (e + p*h + f)^p = e^p mod p in weight 0, and the explicit oracle needs
-    q >= 1, so no comparison could fail.
+    PASS means every compared class agreed in every graded weight below the
+    top monomial that the truncation window can decide; the first
+    disagreement is a FAIL that ends the check.  Level 0 is refused: there
+    P^0 reads only the top layer, (e + p*h + f)^p = e^p mod p in weight 0,
+    and the explicit oracle needs q >= 1, so no comparison could fail.
     """
     if q == 0:
         raise ValueError("well-definedness needs level q >= 1: at level 0 the only layer "
@@ -475,14 +469,20 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
     if e.weight() != 2 * q:
         raise ValueError(f"element must have weight exactly {2 * q}, got {e.weight()}")
     rng = random.Random(seed)
-    p = algebra.p
+    ring, p = algebra.ring, algebra.p
     base = atiyah_decompose(algebra, e, q)
 
     def agreement(da, db, witness):
         for i in range(q + 1):
             w = 2 * q + 2 * i * (p - 1)
-            agree = graded_classes_agree(algebra, da.layer(i), db.layer(i), w)
-            yield {**witness, "layer": i, "weight": w} if agree is False else agree
+            if ring.above_top(w):
+                break
+            if not ring.decidable(w):
+                yield None
+            elif graded_classes_agree(algebra, da.layer(i), db.layer(i), w):
+                yield True
+            else:
+                yield {**witness, "layer": i, "weight": w}
 
     def outcomes():
         for t in range(trials):

@@ -182,17 +182,18 @@ class UnstablePresentation:
 
     def _closure_outcomes(self, nf):
         """The table operations P^i send every relation into the ideal; a
-        target above the window is skipped."""
+        target is judged as ``WeightedRing.above_top`` says."""
         for rel in self.relations:
             if not rel:
                 continue
             w = rel.weight()
             for i in range(1, w // 2 + 1):
-                if w + 2 * i * (self.p - 1) > self.ring.max_weight:
+                target = w + 2 * i * (self.p - 1)
+                if self.ring.above_top(target):
+                    break
+                if not self.ring.decidable(target):
                     yield None
-                    continue
-                image = self.algebra.apply_P(i, rel)
-                if nf(image):
+                elif nf(image := self.algebra.apply_P(i, rel)):
                     yield {"relation": str(rel), "i": i, "image": str(image)}
                 else:
                     yield True

@@ -191,12 +191,17 @@ class WeightedRing:
         """
         return self._max_monomial_weight
 
+    def above_top(self, weight: int) -> bool:
+        """Whether the weight lies above the nilpotent bound.  An identity
+        whose target lands there compares 0 with 0: it is neither computed
+        nor counted; any other is compared if ``decidable``, else skipped."""
+        bound = self._max_monomial_weight
+        return bound is not None and weight > bound
+
     def decidable(self, weight: int) -> bool:
         """Whether graded statements in this weight are exact: the weight
-        lies inside the window 2D, or above the nilpotent bound, where the
-        graded piece is structurally zero."""
-        bound = self._max_monomial_weight
-        return weight <= self.max_weight or (bound is not None and weight > bound)
+        lies inside the window 2D, or above the nilpotent bound."""
+        return weight <= self.max_weight or self.above_top(weight)
 
     def top_weight(self) -> int:
         """The largest weight with a monomial in the window: the nilpotent

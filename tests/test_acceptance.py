@@ -191,8 +191,8 @@ def test_criterion_4_well_definedness_suite():
             ds = atiyah_decompose(A, s, q)
             for i in range(q + 1):
                 w = 2 * q + 2 * i * (A.p - 1)
-                assert graded_classes_agree(A, dx.layers[i], ds.layers[i], w) \
-                    in (True, None)
+                if w <= A.ring.max_weight:
+                    assert graded_classes_agree(A, dx.layers[i], ds.layers[i], w) is True
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _line("4 (well-definedness, 50 lifts/ring + explicit oracle)", elapsed, 30.0)

@@ -187,7 +187,8 @@ def test_shift_coherence_in_graded():
         layers = range(1, q) if q - 1 > 0 else [1]
         for i in layers:
             w = 2 * (q - 1) + 2 * i * (A.p - 1)
-            assert graded_classes_agree(A, direct.layers[i], shifted.layers[i], w) in (True, None)
+            if w <= A.ring.max_weight:
+                assert graded_classes_agree(A, direct.layers[i], shifted.layers[i], w) is True
 
 
 def test_decompose_errors():
@@ -446,7 +447,7 @@ def test_operation_memo_warm_equals_cold():
             twin = GradedClass(A, c.degree, A.ring.element(c.rep.terms, mod=A.p))
             again = A.P(i, twin)
             assert again == w
-            if c and i <= c.degree // 2 and c.degree + 2 * i * (A.p - 1) <= A.ring.max_weight:
+            if c and i <= c.degree // 2 and c.degree + 2 * i * (A.p - 1) <= A.ring.top_weight():
                 assert again is w
         for (i, c), w in zip(cases, warm):
             A.operations.clear()
@@ -475,7 +476,10 @@ def test_operation_memo_bound(monkeypatch):
         for i, c in cases:
             bounded.append(A.P(i, c))
             assert len(A.operations) <= 3
-        assert len(A.operations) == 3
+        # only a target below the top monomial is computed, and so memoized
+        memoizable = {(i, c.degree, c.rep) for i, c in cases if c and i <= c.degree // 2
+                      and c.degree + 2 * i * (A.p - 1) <= A.ring.top_weight()}
+        assert len(A.operations) == min(3, len(memoizable))
         assert bounded == unbounded
         monkeypatch.undo()
 

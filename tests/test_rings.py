@@ -259,5 +259,7 @@ def test_max_monomial_weight_uses_the_smallest_cap():
 def test_decidable_weights_lie_in_the_window_or_above_the_nilpotent_bound():
     small = WeightedRing([_T, _Y], 3, [((_T, 3),), ((_Y, 2),)])
     assert [w for w in range(0, 14, 2) if small.decidable(w)] == [0, 2, 4, 6, 10, 12]
+    assert [w for w in range(0, 14, 2) if small.above_top(w)] == [10, 12]
     free = WeightedRing([_T, _Y], 3)
     assert [w for w in range(0, 14, 2) if free.decidable(w)] == [0, 2, 4, 6]
+    assert not any(free.above_top(w) for w in range(0, 14, 2))

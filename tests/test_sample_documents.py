@@ -14,20 +14,21 @@ from psibench.steenrod import AXIOMS
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
 
 # stdout sha256 of `verify --axioms all --trials 2 --format json`: caching or
-# refactoring must not move a byte.  Re-recorded when p0-identity, adem and
-# cartan came to read the graded basis instead of sampled combinations, and
-# a merged FAIL came to stop at its first witness: only those three
-# verdicts' counts moved, and every status, witness and label is the same.
+# refactoring must not move a byte.  Re-recorded when an identity whose
+# target lies above the top monomial stopped being computed or counted: on
+# the two nilpotent samples only the well-definedness, adem, additivity and
+# cartan counts moved, and every status, witness and label is the same.  The
+# free broken-Adem ring has no top monomial, and its report did not move.
 GOLDEN_VERIFY = {
-    "projective-space-p3-n4.json": "999ca21619e4e3f13c0f1da680cedfa9342ebd13ff65969da01703c700446b99",
-    "product-projective-p3.json": "36ed6a2a0d0447573a36a62998fd47a1ab1ce928e8df0d794299a228234a1d79",
+    "projective-space-p3-n4.json": "1c3f5520f68ef18ab020b902c000450a0d813a79ada74da06b739139d0f59409",
+    "product-projective-p3.json": "454ec001b3fc522a4cb75279375a1973c0f0f770df21f34a6e848790eded1abb",
     "broken-adem-p3.json": "1d59539510662f83e62731b09f6db1a17914cc03499fb23d8d9e648b8d0a6f4f",
 }
 
 # stdout sha256 of `verify --trials 2 --truncation 2000 --format json` on the
 # nilpotent projective space; re-recorded, like GOLDEN_VERIFY, for the
-# basis-read counts alone.
-GOLDEN_VERIFY_TRUNCATION_2000 = "42814503a931110dc8a6f1d023bd4cb0c9338e0352724b10046ada7039ddbf49"
+# counts of identities above the top monomial alone.
+GOLDEN_VERIFY_TRUNCATION_2000 = "25b408f982f28ca9806c5f7af08e19cf2c2923598391ffe0e3af1164a9f1d208"
 
 # stdout sha256 of `lift --format json`.  Re-recorded when presentation
 # validation came to read the graded basis for adem(table) and the lift
@@ -49,9 +50,11 @@ GOLDEN_FREE_P3_D6_DOCUMENT = "88028397fae33dffb9652e3eb8c60ce7f78e566836b5959357
 # `verify --trials 2 --format json` on the dual numbers with k = 2
 # (p0-identity FAIL), and `lift --format json` on the p = 2, D = 4 free
 # presentation without its first relation (both index identifications
-# FAIL); both re-recorded, like GOLDEN_VERIFY and GOLDEN_LIFT, for the
-# basis-read counts and the lift's null seed alone.
-GOLDEN_VERIFY_P0_FAIL = "1a5b9c6a480c9e19da1147a4e7614749d395d06b1ca161645f3e878f50b1f49a"
+# FAIL).  The first is re-recorded, like GOLDEN_VERIFY, for the counts of
+# identities above the top monomial alone (the p0-identity FAIL and its
+# witness are the same).  The second was last re-recorded, like GOLDEN_LIFT,
+# for the basis-read counts and the lift's null seed; a lift's ring is free.
+GOLDEN_VERIFY_P0_FAIL = "f03bb1db5459ee8d831baae2e0ee334aeb9ab247d39ca725f0f5f427a3974f2a"
 GOLDEN_LIFT_IDENTIFICATION_FAIL = "3515738df07aeb8e8a563f9373f72cb14047f49fb32fe56bb422770b7e839073"
 
 

@@ -6,9 +6,10 @@ import pytest
 import psibench.atiyah as atiyah
 import psibench.steenrod as steenrod
 from psibench.arith import adem_coefficient
-from psibench.atiyah import atiyah_decompose
+from psibench.atiyah import PrePsiAlgebra, atiyah_decompose
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              product_projective_spaces, projective_space_ring)
+from psibench.rings import GeneratorSymbol, WeightedRing
 from psibench.steenrod import (AXIOMS, check_additivity, check_adem,
                                check_cartan, check_exactness, check_instability,
                                check_p0_identity, check_pth_power, classify,
@@ -26,7 +27,7 @@ def test_adem_coefficients_once_per_check(monkeypatch):
         return adem_coefficient(*args)
 
     monkeypatch.setattr(steenrod, "adem_coefficient", counted)
-    A = projective_space_ring(3, 4)
+    A = projective_space_ring(3, 20)  # top weight 40: every degree has Adem targets
     for d in (4, 6):
         calls.clear()
         assert check_adem(A, d).status != FAIL
@@ -131,13 +132,23 @@ def test_cartan_with_unit_factor():
     assert check_cartan(A, 0, 4).status == PASS
 
 
+def _nilpotent_adem_failure_ring():
+    """x of weight 4 at p = 3 with x^4 = 0 and layers (x, 0, x^3): P^1 P^1 x
+    = 0 but 2 P^2 x = 2 x^3, an Adem failure on the top monomial."""
+    x = GeneratorSymbol("x", (), 4)
+    ring = WeightedRing([x], 6, monomial_relations=[((x, 4),)])
+    xe = ring.var(x)
+    return PrePsiAlgebra(ring, 3, {x.key: (xe, ring.zero(), xe**3)})
+
+
 def test_adem_failure_witness():
-    for p in (3, 5):
-        A = adem_failure_ring(p)
-        v = check_adem(A, 2 * (p - 1))
+    for A in (adem_failure_ring(3), adem_failure_ring(5), _nilpotent_adem_failure_ring()):
+        v = check_adem(A, 2 * (A.p - 1))
         assert v.status == FAIL
         assert v.witness["i"] == 1 and v.witness["j"] == 1
         assert v.witness["class"] == "x"
+    assert v.witness == {"degree": 4, "i": 1, "j": 1, "class": "x",
+                         "lhs": "0", "rhs": "2*x^3"}
 
 
 def test_adem_layer_route_checks_the_operation(monkeypatch):
@@ -311,15 +322,18 @@ def test_each_operation_is_computed_once(monkeypatch):
     def recording_P(algebra, i, cls):
         calls.append(i)
         target = cls.degree + 2 * i * (algebra.p - 1)
-        if cls and i <= cls.degree // 2 and target <= algebra.ring.max_weight:
+        if cls and i <= cls.degree // 2 and target <= algebra.ring.top_weight():
             reached.add((i, cls.degree, frozenset(cls.lift().terms.items())))
         return derived(algebra, i, cls)
 
     monkeypatch.setattr(steenrod, "_derived_P", counting_compute)
     monkeypatch.setattr(steenrod, "steenrod_P", recording_P)
-    assert classify(projective_space_ring(3, 4), trials=2).label == "psi-p-algebra"
+    A = projective_space_ring(3, 4)
+    assert classify(A, trials=2).label == "psi-p-algebra"
     assert len(computed) == len(set(computed)) == len(reached)
     assert set(computed) == reached
+    # no operation is computed into a degree above the top monomial
+    assert max(d + 2 * i * (A.p - 1) for i, d, _ in computed) <= A.ring.top_weight()
     assert len(calls) > 4 * len(computed)
 
 

@@ -8,6 +8,15 @@ import math
 # where 10^12 takes 68 ms and 10^18 more than 20 s.
 MAX_PRIME = 2**31
 
+# Largest p * bit_length(c) admitted for the power c^p of an integer
+# coefficient.  Such powers are exact layers (the top of c*m is (c*m)^p), so
+# they can be refused but not avoided; see ``fermat_quotient``.  On a 2-CPU
+# host `verify --trials 2` on a one-generator document, whose lifts reach
+# coefficients near p^3, runs 0.7 s at p = 10,007 (0.4M bits) and 4.9 s and
+# 177 MB at p = 40,009 (1.8M bits), and exits 2 at p = 46,021; without the
+# budget it took 18.5 s and 333 MB at p = 100,003.
+MAX_POWER_BITS = 2**21
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -64,7 +73,16 @@ def adem_coefficient(p: int, i: int, j: int, t: int) -> int:
 
 
 def fermat_quotient(c: int, p: int) -> int:
-    """(c - c^p)/p, an exact integer by Fermat's little theorem."""
+    """(c - c^p)/p, an exact integer by Fermat's little theorem.
+
+    Every integer coefficient of a split element passes through here, so this
+    is where a coefficient whose p-th power would exceed ``MAX_POWER_BITS``
+    bits is refused with ValueError, before the power is built.  The units
+    0 and +-1 have trivial powers and always pass."""
+    if abs(c) > 1 and p * abs(c).bit_length() > MAX_POWER_BITS:
+        raise ValueError(
+            f"a coefficient of {abs(c).bit_length()} bits raised to the power p={p} needs "
+            f"about {p * abs(c).bit_length()} bits, above MAX_POWER_BITS={MAX_POWER_BITS}")
     num = c - c**p
     q, r = divmod(num, p)
     if r:

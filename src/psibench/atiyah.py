@@ -7,16 +7,17 @@ generator g of weight 2*sigma, a chosen splitting of psi(g) into layers
 
 with g_i of weight >= 2*sigma + 2*i*(p-1) and g_sigma = g^p.  The calculus
 below extends such splittings to arbitrary elements: products convolve
-layers, sums absorb the higher-level summand into layer 0 (with the binomial
-correction making the top layer an honest p-th power), and a splitting at
-level q can be pushed down to any lower level.  Everything is exact integer
-arithmetic; the only approximation in the system is the weight truncation of
-the ambient ring, which the sticky ``truncated`` flags record.
+layers, sums absorb the higher-level summand into layer 0 and correct the
+layer below the top by (t^p - r^p - s^p)/p, read off the three tops, and a
+splitting at level q can be pushed down to any lower level.  A level-0 pair
+(r', r^p) weighs like a level-1 splitting, so one rule serves every level.
+Everything is exact integer arithmetic; the only approximation in the system
+is the weight truncation of the ambient ring, which the sticky ``truncated``
+flags record.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 
@@ -142,11 +143,13 @@ class PrePsiAlgebra:
 
 @dataclass(frozen=True)
 class AtiyahDecomposition:
-    """A splitting psi(source) = sum_i p^(level-i) * layers[i].
+    """A splitting psi(source) = sum_i p^(k-i) * layers[i], where k is the
+    last index and layers[k] = source^p.
 
-    For level 0 the layers are the pair (r', r^p) with
-    psi(source) = p*r' + r^p.  For level q >= 1 there are q+1 layers with
-    layers[q] = source^p.
+    At level q >= 1 there are q+1 layers, so k = q.  At level 0 the layers
+    are the pair (r', r^p) with psi(source) = p*r' + r^p, so k = 1: a
+    level-0 pair weighs like a level-1 splitting, and sums and products
+    treat it as one.
     """
 
     algebra: PrePsiAlgebra
@@ -156,7 +159,7 @@ class AtiyahDecomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        expected = 2 if self.level == 0 else self.level + 1
+        expected = max(self.level, 1) + 1
         if len(self.layers) != expected:
             raise ValueError(
                 f"level-{self.level} decomposition needs {expected} layers, "
@@ -184,16 +187,13 @@ class AtiyahDecomposition:
         p, q = self.algebra.p, self.level
         if self.weighted_sum() != self.algebra.apply_psi(self.source):
             out.append("weighted layer sum differs from psi(source)")
-        if q == 0:
-            if self.layers[1] != self.source**p:
-                out.append("level-0 top is not source^p")
-        else:
-            if self.layers[q] != self.source**p:
-                out.append("top layer is not source^p")
-            for i, layer in enumerate(self.layers):
-                if layer.weight() < 2 * q + 2 * i * (p - 1):
-                    out.append(
-                        f"layer {i} has weight {layer.weight()} < {2 * q + 2 * i * (p - 1)}")
+        if self.layers[-1] != self.source**p:
+            out.append("top layer is not source^p")
+        # a level-0 pair has no weight bound: its top r^p may sit in weight 0
+        for i, layer in enumerate(self.layers if q else ()):
+            if layer.weight() < 2 * q + 2 * i * (p - 1):
+                out.append(
+                    f"layer {i} has weight {layer.weight()} < {2 * q + 2 * i * (p - 1)}")
         return out
 
     def __str__(self):
@@ -209,106 +209,74 @@ def zero_decomposition(algebra: PrePsiAlgebra, q: int) -> AtiyahDecomposition:
 def scalar_decomposition(algebra: PrePsiAlgebra, c: int) -> AtiyahDecomposition:
     """Level-0 splitting of an integer: psi(c) = c = p*((c - c^p)/p) + c^p."""
     ring, p = algebra.ring, algebra.p
+    quotient = fermat_quotient(c, p)
     return AtiyahDecomposition(
-        algebra, ring.scalar(c), 0,
-        (ring.scalar(fermat_quotient(c, p)), ring.scalar(c**p)))
-
-
-def _binomial_correction(algebra: PrePsiAlgebra, r: Element, s: Element) -> Element:
-    """c with (r+s)^p = r^p + s^p + p*c, namely sum_i binom(p,i)/p r^(p-i) s^i."""
-    p = algebra.p
-    total = algebra.ring.zero()
-    for i in range(1, p):
-        total = total + (math.comb(p, i) // p) * (r ** (p - i)) * (s**i)
-    return total
+        algebra, ring.scalar(c), 0, (ring.scalar(quotient), ring.scalar(c - p * quotient)))
 
 
 def atiyah_sum(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDecomposition:
     """Combine splittings of r at level q and s at level v >= q into one for
-    r+s at level q.
+    t = r+s at level q.
 
-    The summand of higher level is absorbed: its layers s_j for j <= v-q fold
-    into layer 0 with the appropriate p-powers, the remaining ones slide down
-    by v-q, and the binomial correction keeps the top an exact p-th power.
-    At v = q this is literally the textbook two-summand construction.
+    The layers of s weighted by at least r's bottom power of p fold into
+    layer 0, times their surplus powers of p; the others add to the layer
+    of r with the same power of p, and the new top is t^p.  The correction
+    c = (t^p - r^p - s^p)/p, read off the three tops, is subtracted from
+    the layer below the top.  A level-0 pair counts as a level-1 splitting,
+    so one rule serves every level; at v = q it is the textbook
+    two-summand construction.
     """
     if da.algebra is not db.algebra:
         raise ValueError("decompositions live in different algebras")
-    q, v = da.level, db.level
-    if q > v:
-        raise ValueError(f"first summand must have the lower level: {q} > {v}")
+    if da.level > db.level:
+        raise ValueError(f"first summand must have the lower level: {da.level} > {db.level}")
     A = da.algebra
     p = A.p
-    r, s = da.source, db.source
-    t = r + s
-    c = _binomial_correction(A, r, s)
-    if q == 0:
-        if v == 0:
-            absorbed = db.layers[0]
+    t = da.source + db.source
+    top = t**p
+    a, b = len(da.layers) - 1, len(db.layers) - 1
+    layers = [*da.layers[:a], top]
+    layers[a - 1] = layers[a - 1] - (top - da.layers[-1] - db.layers[-1]).exact_div(p)
+    shift = b - a
+    for j in range(b):
+        if j <= shift:
+            layers[0] = layers[0] + db.layers[j] * p ** (shift - j)
         else:
-            absorbed = sum((db.layers[j] * p ** (v - 1 - j) for j in range(v)),
-                           A.ring.zero())
-        return AtiyahDecomposition(A, t, 0, (da.layers[0] + absorbed - c, t**p))
-    layers = [A.ring.zero() for _ in range(q + 1)]
-    layers[q] = t**p
-    layers[q - 1] = layers[q - 1] - c
-    for i in range(q):
-        layers[i] = layers[i] + da.layers[i]
-    for j in range(v):
-        idx = j - (v - q)
-        if idx <= 0:
-            layers[0] = layers[0] + db.layers[j] * p ** (v - q - j)
-        else:
-            layers[idx] = layers[idx] + db.layers[j]
-    return AtiyahDecomposition(A, t, q, tuple(layers))
+            layers[j - shift] = layers[j - shift] + db.layers[j]
+    return AtiyahDecomposition(A, t, da.level, tuple(layers))
 
 
 def atiyah_product(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDecomposition:
-    """Splitting of the product: layers convolve, levels add."""
+    """Splitting of the product at the sum of the levels: layers convolve, so
+    the top is r^p s^p.  A level-0 pair weighs like a level-1 splitting, so
+    a factor of level 0 leaves one layer more than the level needs, and the
+    bottom two fold into one: layers[:2] = [p*c_0 + c_1]."""
     if da.algebra is not db.algebra:
         raise ValueError("decompositions live in different algebras")
     A = da.algebra
-    p = A.p
-    m, n = da.level, db.level
-    r, s = da.source, db.source
-    rs = r * s
-    if m == 0 and n == 0:
-        rp, rpow = da.layers
-        sp, spow = db.layers
-        tprime = rp * sp * p + rp * spow + rpow * sp
-        return AtiyahDecomposition(A, rs, 0, (tprime, rs**p))
-    if m == 0:
-        rprime, rpow = da.layers
-        layers = []
-        for j in range(n):
-            c = rpow * db.layers[j] + rprime * db.layers[j + 1]
-            if j == 0:
-                c = c + rprime * db.layers[0] * p
-            layers.append(c)
-        layers.append(rs**p)
-        return AtiyahDecomposition(A, rs, n, tuple(layers))
-    if n == 0:
-        return atiyah_product(db, da)
-    layers = [A.ring.zero() for _ in range(m + n + 1)]
-    for l in range(m + 1):
-        for k in range(n + 1):
-            layers[l + k] = layers[l + k] + da.layers[l] * db.layers[k]
-    return AtiyahDecomposition(A, rs, m + n, tuple(layers))
+    layers = [A.ring.zero()] * (len(da.layers) + len(db.layers) - 1)
+    for l, a in enumerate(da.layers):
+        for k, b in enumerate(db.layers):
+            layers[l + k] = layers[l + k] + a * b
+    if 0 in (da.level, db.level):
+        layers[:2] = [layers[0] * A.p + layers[1]]
+    return AtiyahDecomposition(A, da.source * db.source, da.level + db.level, tuple(layers))
 
 
 def atiyah_shift(d: AtiyahDecomposition) -> AtiyahDecomposition:
     """Rewrite a level-q splitting (q >= 1) as a level-(q-1) one: all layers
-    pick up a factor p and the two below the top merge."""
+    pick up a factor p and the two below the top merge.  A level-1 splitting
+    already has the shape of a level-0 pair, so it only changes its level."""
     q = d.level
     if q == 0:
         raise ValueError("cannot shift a level-0 decomposition")
-    A, p = d.algebra, d.algebra.p
     if q == 1:
-        return AtiyahDecomposition(A, d.source, 0, (d.layers[0], d.layers[1]))
+        return replace(d, level=0)
+    p = d.algebra.p
     new = [d.layers[i] * p for i in range(q - 2)]
     new.append(d.layers[q - 2] * p + d.layers[q - 1])
     new.append(d.layers[q])
-    return AtiyahDecomposition(A, d.source, q - 1, tuple(new))
+    return AtiyahDecomposition(d.algebra, d.source, q - 1, tuple(new))
 
 
 def _remember(algebra: PrePsiAlgebra, key, d: AtiyahDecomposition) -> AtiyahDecomposition:

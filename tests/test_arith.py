@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from psibench.arith import (adem_coefficient, fermat_quotient, is_prime,
+from psibench.arith import (MAX_POWER_BITS, adem_coefficient, fermat_quotient, is_prime,
                             lucas_binom, validate_prime)
 
 
@@ -76,3 +76,17 @@ def test_fermat_quotient_values():
     assert fermat_quotient(2, 3) == -2
     assert fermat_quotient(-3, 5) == 48
     assert fermat_quotient(1, 7) == 0
+
+
+def test_fermat_quotient_refuses_a_power_beyond_the_bit_budget():
+    p = 2**31 - 1
+    # the units have trivial powers and always pass
+    assert fermat_quotient(1, p) == fermat_quotient(-1, p) == 0
+    with pytest.raises(ValueError, match="MAX_POWER_BITS"):
+        fermat_quotient(2, p)
+    # the budget bounds p * bit_length(c), whatever the sign of c
+    bits = MAX_POWER_BITS // 10007
+    c = 2 ** (bits - 1)
+    assert 10007 * fermat_quotient(c, 10007) + c**10007 == c
+    with pytest.raises(ValueError, match="MAX_POWER_BITS"):
+        fermat_quotient(-(2**bits), 10007)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psibench.atiyah as atiyah
-from psibench.atiyah import (AtiyahDecomposition, PrePsiAlgebra, _binomial_correction,
+from psibench.atiyah import (AtiyahDecomposition, PrePsiAlgebra,
                              atiyah_decompose, atiyah_product, atiyah_shift,
                              atiyah_sum, explicit_lift_decomposition,
                              graded_classes_agree, random_element,
@@ -111,6 +112,13 @@ def test_product_zero_level_branches():
     assert mixed.problems() == []
     swapped = atiyah_product(dx, d2)
     assert swapped.weighted_sum() == mixed.weighted_sum()
+    # a level-0 summand takes the level-1 rule: dx's layers below its top
+    # fold into layer 0 with their p-powers
+    total = atiyah_sum(d2, dx)
+    assert total.level == 0
+    assert total.weighted_sum() == A.apply_psi(x + 2)
+    assert total.layers[1] == (x + 2) ** 3
+    assert total.problems() == []
 
 
 def test_sum_with_zero_is_identity():
@@ -145,16 +153,24 @@ def test_sum_rejects_wrong_order():
         atiyah_sum(dxx, dx)
 
 
-def test_binomial_correction_p2():
+def test_sum_correction_is_the_binomial_middle():
+    # atiyah_sum subtracts the c with (r+s)^p = r^p + s^p + p*c from the
+    # layer below the top
     A = projective_space_ring(2, 4)
     t = A.ring.gen("t")
-    # (1/2) binom(2,1) = 1, so the correction for r = s is r*s = r^2
-    assert _binomial_correction(A, t, t) == t**2
+    dt = atiyah_decompose(A, t, 1)
+    # (1/2) binom(2,1) = 1, so the correction for r = s is r*s = t^2
+    assert atiyah_sum(dt, dt).layers == (dt.layers[0] * 2 - t**2, (t * 2) ** 2)
     for p in (3, 5):
-        B = adem_failure_ring(p)
+        B = adem_failure_ring(p, D=2 * p * (p - 1))
         x = B.ring.gen("x")
-        c = _binomial_correction(B, x, x**2)
+        dx, dxx = atiyah_decompose(B, x, p - 1), atiyah_decompose(B, x**2, 2 * (p - 1))
+        combined = atiyah_sum(dx, dxx)
+        c = dx.layers[p - 2] + dxx.layers[2 * p - 3] - combined.layers[p - 2]
         assert (x + x**2) ** p - c * p == x**p + x ** (2 * p)
+        assert c == sum((x ** (p + i) * (math.comb(p, i) // p) for i in range(1, p)),
+                        B.ring.zero())
+        assert combined.problems() == []
 
 
 def test_shift_golden():

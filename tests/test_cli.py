@@ -9,6 +9,7 @@ import pytest
 import psibench.cli
 import psibench.documents
 import psibench.lift
+from psibench.arith import MAX_POWER_BITS
 from psibench.atiyah import PrePsiAlgebra
 from psibench.cli import main
 from psibench.documents import (algebra_to_document, dump_document,
@@ -349,6 +350,48 @@ def test_hostile_verify_input_exits_two(name, extra, message, capsys):
     assert rc == 2 and captured.out == ""
     assert captured.err == message + "\n"
     assert elapsed < 2.0
+
+
+def _one_generator_document(tmp_path, p):
+    """Z[t], |t| = 2, D = 4, psi(t) = p*t: the top t^p lies beyond the window."""
+    t = [{"coefficient": 1, "monomial": [["t", 1]]}]
+    doc = {"kind": "pre-psi-algebra", "name": "one-generator", "prime": p, "truncation": 4,
+           "generators": [{"id": "t", "weight": 2, "layers": [t, []]}]}
+    path = tmp_path / f"one-generator-p{p}.json"
+    dump_document(doc, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["atiyah", "--element", "1000*t"],
+                                     ["steenrod", "-i", "0", "--element", "2*t"]])
+def test_a_coefficient_power_beyond_the_bit_budget_exits_two(command, tmp_path, capsys):
+    # 1000^p alone would be about 2.7 GB at this prime; a tree without the
+    # budget fails this module's import of MAX_POWER_BITS before building it
+    path = _one_generator_document(tmp_path, 2147483647)
+    t0 = time.perf_counter()
+    rc = main([command[0], "--doc", path, *command[1:]])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"above MAX_POWER_BITS={MAX_POWER_BITS}" in captured.err
+    assert captured.err.count("\n") == 1
+    assert elapsed < 2.0
+    # a unit coefficient has a trivial power and still splits
+    assert main(["atiyah", "--doc", path, "--element", "t", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["layers"] == ["t", "0"]
+
+
+def test_verify_at_a_large_prime_stays_fast(tmp_path, capsys):
+    # the splitting of a sum reads its correction off the three tops, so its
+    # cost does not grow with p; lifts reach coefficients near p^3
+    path = _one_generator_document(tmp_path, 10007)
+    t0 = time.perf_counter()
+    rc = main(["verify", "--doc", path, "--trials", "2", "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["classification"] == "psi-p-algebra"
+    assert elapsed < 5.0
 
 
 def test_a_constant_graded_relation_exits_two(tmp_path, capsys):

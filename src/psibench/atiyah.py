@@ -29,6 +29,15 @@ from .verdicts import Verdict
 SPLITTING_CACHE_SIZE = 4096
 
 
+def remember(memo: dict, key, value):
+    """Insert into one of an algebra's bounded memos and return the value:
+    a memo keeps inserting while it holds fewer than
+    ``SPLITTING_CACHE_SIZE`` entries, read at each call."""
+    if len(memo) < SPLITTING_CACHE_SIZE:
+        memo[key] = value
+    return value
+
+
 class PrePsiAlgebra:
     """A weighted ring with a prime p and per-generator layer data.
 
@@ -73,6 +82,10 @@ class PrePsiAlgebra:
             top = ring.var(g) ** p
             if layers[sigma] != top:
                 raise ValueError(f"top layer of {g} must equal {g}^{p}")
+            if layers[sigma].truncated != top.truncated:
+                # the computed top carries the flag; a value-equal given one
+                # may not (a lift's layers already hold this top, shared)
+                layers = layers[:sigma] + (top,)
             data[g.key] = layers
         self.psi_data = data
         self._generator_images = {
@@ -120,8 +133,7 @@ class PrePsiAlgebra:
                 out = self.ring.one()
                 for power in m:
                     out = out * self._psi_monomial((power,))
-            if len(self.psi_images) < SPLITTING_CACHE_SIZE:
-                self.psi_images[m] = out
+            remember(self.psi_images, m, out)
         return out
 
     def psi_of_generator(self, key) -> Element:
@@ -279,12 +291,6 @@ def atiyah_shift(d: AtiyahDecomposition) -> AtiyahDecomposition:
     return AtiyahDecomposition(d.algebra, d.source, q - 1, tuple(new))
 
 
-def _remember(algebra: PrePsiAlgebra, key, d: AtiyahDecomposition) -> AtiyahDecomposition:
-    if len(algebra.splittings) < SPLITTING_CACHE_SIZE:
-        algebra.splittings[key] = d
-    return d
-
-
 def _monomial_decomposition(algebra: PrePsiAlgebra, m) -> AtiyahDecomposition:
     """Splitting of a monomial at its natural level weight/2: the cached
     splitting of m with its last exponent lowered by one, times one generator
@@ -301,7 +307,7 @@ def _monomial_decomposition(algebra: PrePsiAlgebra, m) -> AtiyahDecomposition:
         m = m[:-1] if exp == 1 else m[:-1] + ((g, exp - 1),)
     for g, key in reversed(chain):
         gd = algebra.generator_decomposition(g)
-        d = _remember(algebra, key, gd if d is None else atiyah_product(d, gd))
+        d = remember(algebra.splittings, key, gd if d is None else atiyah_product(d, gd))
     return d
 
 
@@ -350,7 +356,7 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
         acc = atiyah_sum(acc, nxt)
     while acc.level > q:
         acc = atiyah_shift(acc)
-    return _remember(algebra, key, acc)
+    return remember(algebra.splittings, key, acc)
 
 
 def explicit_lift_decomposition(algebra: PrePsiAlgebra, r: Element,

@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--doc", required=True, help="workbench document (JSON)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--prime", type=int, default=None,
                        help="override the document prime")
         p.add_argument("--truncation", type=int, default=None,
@@ -240,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run axiom verifier suites / classification")
     common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="trial seed (default: the document's seed, else 0)")
     p.add_argument("--axioms", default="all",
                    help=f"comma list from: {', '.join(a.cli for a in AXIOMS)} (default: all)")
     p.add_argument("--trials", type=int_at_least(1), default=8,

@@ -23,52 +23,8 @@ from .rings import (Element, GeneratorSymbol, WeightedRing, id_from_json, id_to_
                     mono_from_json, poly_from_json, poly_to_json)
 
 
-def _schema() -> dict:
-    from importlib import resources  # only a rejected document needs the schema
-
-    text = resources.files("psibench").joinpath("schema/workbench.schema.json").read_text()
-    return json.loads(text)
-
-
-_VALIDATOR = None
-
-
 class DocumentError(ValueError):
     """A workbench document does not match the shipped schema."""
-
-
-def validate_document(doc: dict) -> dict:
-    """Check ``doc`` against the shipped schema and return it.
-
-    The structural checks below decide validity.  They follow the schema,
-    except that an integral float such as ``2.0`` is not an integer here.
-    jsonschema (``psibench[schema]``) only words a rejection: when it is
-    installed and finds an error, its best match is the message; otherwise
-    the structural check's is.  A valid document never imports jsonschema.
-    The schema itself is checked against its meta-schema in the tests."""
-    try:
-        _structural_validate(doc)
-    except DocumentError:
-        message = _schema_message(doc)
-        if message is None:
-            raise
-        raise DocumentError(f"invalid document: {message}") from None
-    return doc
-
-
-def _schema_message(doc) -> str | None:
-    """jsonschema's best-match message for ``doc``; None when jsonschema is
-    not installed or finds no error."""
-    global _VALIDATOR
-    try:
-        import jsonschema
-    except ImportError:
-        return None
-    if _VALIDATOR is None:
-        schema = _schema()
-        _VALIDATOR = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    return None if error is None else error.message
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -134,7 +90,7 @@ def _check_presentation_generator(g) -> None:
     _expect(_is_int(g["degree"], 2), "degrees are integers >= 2")
 
 
-# the schema's layer-key pattern, matched as jsonschema matches it (re.search)
+# the schema's layer-key pattern, matched as JSON Schema matches it (re.search)
 _LAYER_KEY = re.compile(r"^[0-9]+$")
 
 
@@ -157,7 +113,13 @@ def _check_module_symbol(s) -> None:
         _check_array(modelem, _check_module_term, "module elements are term arrays")
 
 
-def _structural_validate(doc) -> None:
+def validate_document(doc: dict) -> dict:
+    """Check ``doc`` against the shipped schema and return it.
+
+    These checks follow ``schema/workbench.schema.json``, except that an
+    integral float such as ``2.0`` is not an integer here; they decide
+    validity and word every rejection.  The tests hold them to a JSON
+    Schema validator as an oracle, and the schema to its meta-schema."""
     # an optional key is read with a valid default, so only a present key can fail
     _expect(isinstance(doc, dict), "document must be a JSON object")
     kind = doc.get("kind")
@@ -185,6 +147,7 @@ def _structural_validate(doc) -> None:
                 "max_zero_indices must be an integer >= 0")
     else:
         _check_array(doc.get("symbols"), _check_module_symbol, "symbols must be an array")
+    return doc
 
 
 def load_document(path: str) -> dict:

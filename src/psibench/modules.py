@@ -33,15 +33,14 @@ class ModuleSymbol:
 class ModuleElement:
     """An integer combination of module basis symbols."""
 
-    __slots__ = ("module", "coords", "truncated")
+    __slots__ = ("module", "coords")
 
-    def __init__(self, module: "PsiModule", coords: dict, truncated: bool = False):
+    def __init__(self, module: "PsiModule", coords: dict):
         self.module = module
         self.coords = {name: c for name, c in coords.items() if c}
         for name in self.coords:
             if name not in module._weights:
                 raise KeyError(f"unknown module symbol {name!r}")
-        self.truncated = truncated
 
     def __bool__(self):
         return bool(self.coords)
@@ -59,14 +58,13 @@ class ModuleElement:
         coords = dict(self.coords)
         for name, c in other.coords.items():
             coords[name] = coords.get(name, 0) + c
-        return ModuleElement(self.module, coords, self.truncated or other.truncated)
+        return ModuleElement(self.module, coords)
 
     def __sub__(self, other):
         return self + (other * -1)
 
     def __mul__(self, k: int):
-        return ModuleElement(self.module, {n: c * k for n, c in self.coords.items()},
-                             self.truncated)
+        return ModuleElement(self.module, {n: c * k for n, c in self.coords.items()})
 
     __rmul__ = __mul__
 
@@ -124,8 +122,8 @@ class PsiModule:
 
     ``layers`` maps each symbol name to its splitting at level weight/2
     (length weight/2 + 1); psi is the induced weighted sum, extended
-    additively.  Symbols whose true psi-image leaves the window carry
-    clipped (flagged) layers.
+    additively.  Every symbol lies inside the window 2D and layers are
+    combinations of symbols, so nothing is clipped: psi is exact.
     """
 
     def __init__(self, p: int, truncation: int, symbols, layers: dict,

@@ -272,7 +272,8 @@ class Element:
     Values are immutable by convention.  ``mod`` is None for integer
     coefficients or a prime p for coefficients in [0, p-1].  ``truncated``
     records that terms above the ambient weight bound were dropped somewhere
-    in this value's history; it does not participate in equality.
+    in this value's history; a term the monomial relations kill is zero, not
+    dropped.  The flag does not participate in equality.
     """
 
     __slots__ = ("ring", "terms", "mod", "truncated")
@@ -287,12 +288,10 @@ class Element:
         for m, c in terms.items():
             if mod is not None:
                 c %= mod
-            if c == 0:
+            if c == 0 or relations and ring.kills(m):
                 continue
             if mono_weight(m) > bound:
                 dropped = True
-                continue
-            if relations and ring.kills(m):
                 continue
             clean[m] = c
         self.terms = clean
@@ -346,7 +345,8 @@ class Element:
             return Element(self.ring, {m: c * other for m, c in self.terms.items()},
                            self.mod, self.truncated)
         self._check_compatible(other)
-        bound = self.ring.max_weight
+        ring = self.ring
+        bound, relations = ring.max_weight, ring.monomial_relations
         terms: dict = {}
         dropped = False
         bw = {m: mono_weight(m) for m in other.terms}
@@ -354,7 +354,8 @@ class Element:
             wa = mono_weight(ma)
             for mb, cb in other.terms.items():
                 if wa + bw[mb] > bound:
-                    dropped = True
+                    # a product the relations kill is zero, not lost
+                    dropped = dropped or not relations or not ring.kills(mono_mul(ma, mb))
                     continue
                 m = mono_mul(ma, mb)
                 terms[m] = terms.get(m, 0) + ca * cb

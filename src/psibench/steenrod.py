@@ -15,9 +15,9 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import atiyah
 from .arith import adem_coefficient, lucas_binom  # noqa: F401 (re-exported API)
-from .atiyah import AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose, verify_welldefined
+from .atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose, remember,
+                     verify_welldefined)
 from .rings import Element, even_filtration
 from .verdicts import Verdict
 
@@ -139,9 +139,8 @@ def operation(algebra, i: int, cls: GradedClass, compute) -> GradedClass:
     both share: zero above the level, on the zero class and above the top
     monomial.  Otherwise ``compute(algebra, i, cls)``,
     memoized in the algebra's ``operations`` dict under ``(i, degree, rep
-    terms)``, the same data ``GradedClass`` equality compares.  Like the
-    splitting cache it holds at most ``SPLITTING_CACHE_SIZE`` entries and
-    stops inserting once full."""
+    terms)``, the same data ``GradedClass`` equality compares, and bounded
+    like the splitting cache (``atiyah.remember``)."""
     if i < 0:
         raise ValueError("operation index must be non-negative")
     target = cls.degree + 2 * i * (algebra.p - 1)
@@ -152,9 +151,7 @@ def operation(algebra, i: int, cls: GradedClass, compute) -> GradedClass:
     key = (i, cls.degree, frozenset(cls.rep.terms.items()))
     out = algebra.operations.get(key)
     if out is None:
-        out = compute(algebra, i, cls)
-        if len(algebra.operations) < atiyah.SPLITTING_CACHE_SIZE:
-            algebra.operations[key] = out
+        out = remember(algebra.operations, key, compute(algebra, i, cls))
     return out
 
 

@@ -301,7 +301,7 @@ def test_criterion_8_deterministic_reports(tmp_path):
         ["verify", "--doc", paths["dual"], "--seed", "11", "--trials", "4",
          "--format", "text"],
         ["fingen", "--doc", paths["tower"], "--generators", "x", "--format", "json"],
-        ["lift", "--doc", paths["pres"], "--seed", "3", "--format", "json"],
+        ["lift", "--doc", paths["pres"], "--format", "json"],
         ["atiyah", "--doc", paths["dual"], "--element", "2*e", "--format", "json"],
         ["steenrod", "--doc", paths["dual"], "-i", "0", "--element", "e",
          "--format", "json"],

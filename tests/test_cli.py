@@ -310,7 +310,7 @@ def test_each_document_is_validated_once_without_overrides(docs, tmp_path, monke
     assert main(["verify", "--doc", docs["dual-k1.json"], "--truncation", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: invalid document: 0 is less than the minimum of 1\n"
+    assert captured.err == "error: invalid document: truncation must be a positive integer\n"
 
 
 @pytest.mark.parametrize("kmax, message", [
@@ -447,34 +447,92 @@ def test_a_generator_beyond_the_window_exits_two(capsys):
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
 
-# (sample, command, path to a value, the value written there)
-HOSTILE = [
-    ("power-tower-p3-D81.json", ["fingen", "--generators", "x"], ("symbols", 0, "weight"), 2.0),
-    ("projective-space-p3-n4.json", ["verify", "--axioms", "p0", "--trials", "1"],
-     ("generators", 0, "weight"), 2.0),
-    ("polynomial-presentation-p2-D6.json", ["lift"], ("generators", 0, "degree"), 2.0),
-    ("broken-adem-p3.json", ["verify", "--axioms", "p0", "--trials", "1"],
-     ("generators", 0, "layers"), 7),
-    ("broken-adem-p3.json", ["verify", "--axioms", "p0", "--trials", "1"],
-     ("generators", 0, "layers"), {}),
-    ("dual-numbers-p3-k1.json", ["verify", "--axioms", "p0", "--trials", "1"],
-     ("monomial_relations",), 3),
-    ("dual-numbers-p3-k1.json", ["verify", "--axioms", "p0", "--trials", "1"],
-     ("graded_relations",), 3),
-    ("polynomial-presentation-p2-D6.json", ["lift"], ("relations",), 1),
+
+def test_terms_the_relations_kill_leave_the_scope_exact(capsys):
+    # t^3 = u^3 = 0: every term the window 2D = 4 drops is zero anyway
+    assert main(["atiyah", "--doc", str(SAMPLES / "product-projective-p3.json"),
+                 "--element", "t + t^2", "--truncation", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["scope"] == "exact"
+
+
+def test_a_top_beyond_the_window_narrows_the_scope_however_written(tmp_path, capsys):
+    # t of weight 2, p = 5, D = 4: t^5 has weight 10, above the window 8, so
+    # the top layer is lost whether the document writes it as [] or as t^5
+    t = [{"coefficient": 1, "monomial": [["t", 1]]}]
+    t5 = [{"coefficient": 1, "monomial": [["t", 5]]}]
+    for top in ([], t5):
+        doc = {"kind": "pre-psi-algebra", "prime": 5, "truncation": 4,
+               "generators": [{"id": "t", "weight": 2, "layers": [t, top]}]}
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(doc))
+        assert main(["atiyah", "--doc", str(path), "--element", "t", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["scope"] == "valid below weight 8", top
+
+
+# one command line per subcommand, on a sample it accepts
+ONE_OF_EACH = [
+    ("projective-space-p3-n4.json", ["atiyah", "--element", "t"]),
+    ("projective-space-p3-n4.json", ["steenrod", "-i", "1", "--element", "t"]),
+    ("dual-numbers-p3-k1.json", ["verify", "--axioms", "p0", "--trials", "1"]),
+    ("polynomial-presentation-p2-D6.json", ["lift"]),
+    ("power-tower-p3-D81.json", ["fingen", "--generators", "x"]),
 ]
 
 
-@pytest.mark.parametrize("jsonschema_present", [True, False], ids=["jsonschema", "blocked"])
-@pytest.mark.parametrize("sample, command, path, value", HOSTILE,
-                         ids=[f"{s}:{'/'.join(map(str, p))}={v!r}" for s, _, p, v in HOSTILE])
-def test_hostile_values_exit_two_with_a_message(sample, command, path, value,
-                                                jsonschema_present, tmp_path,
-                                                monkeypatch, capsys):
-    if jsonschema_present:
-        pytest.importorskip("jsonschema")
-    else:
-        monkeypatch.setitem(sys.modules, "jsonschema", None)
+SEEDLESS = [(sample, command) for sample, command in ONE_OF_EACH if command[0] != "verify"]
+
+
+@pytest.mark.parametrize("sample, command", SEEDLESS, ids=[c[0] for _, c in SEEDLESS])
+def test_seed_is_refused_where_nothing_reads_it(sample, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--doc", str(SAMPLES / sample), *command[1:], "--seed", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --seed 3" in captured.err
+
+
+def test_verify_reports_its_seed_and_no_other_command_has_one(tmp_path, capsys):
+    sample = SAMPLES / "dual-numbers-p3-k1.json"
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**json.loads(sample.read_text()), "seed": 7}))
+
+    def seed(*args):
+        assert main([*args, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["seed"]
+
+    verify = ["verify", "--axioms", "p0", "--trials", "1", "--doc"]
+    assert seed(*verify, str(sample)) == 0
+    assert seed(*verify, str(seeded)) == 7
+    assert seed(*verify, str(seeded), "--seed", "3") == 3
+    assert seed("atiyah", "--doc", str(seeded), "--element", "e") is None
+
+
+# (sample, command, path to a value, the value written there, the message)
+VERIFY_P0 = ["verify", "--axioms", "p0", "--trials", "1"]
+HOSTILE = [
+    ("power-tower-p3-D81.json", ["fingen", "--generators", "x"], ("symbols", 0, "weight"), 2.0,
+     "symbol weights are integers >= 0"),
+    ("projective-space-p3-n4.json", VERIFY_P0, ("generators", 0, "weight"), 2.0,
+     "generator weights are integers >= 2"),
+    ("polynomial-presentation-p2-D6.json", ["lift"], ("generators", 0, "degree"), 2.0,
+     "degrees are integers >= 2"),
+    ("broken-adem-p3.json", VERIFY_P0, ("generators", 0, "layers"), 7,
+     "layers must be an array"),
+    ("broken-adem-p3.json", VERIFY_P0, ("generators", 0, "layers"), {},
+     "layers must be an array"),
+    ("dual-numbers-p3-k1.json", VERIFY_P0, ("monomial_relations",), 3,
+     "monomial_relations must be an array"),
+    ("dual-numbers-p3-k1.json", VERIFY_P0, ("graded_relations",), 3,
+     "graded_relations must be an array"),
+    ("polynomial-presentation-p2-D6.json", ["lift"], ("relations",), 1,
+     "relations must be an array"),
+]
+
+
+@pytest.mark.parametrize("sample, command, path, value, message", HOSTILE,
+                         ids=[f"{s}:{'/'.join(map(str, p))}={v!r}" for s, _, p, v, _ in HOSTILE])
+def test_hostile_values_exit_two_with_a_message(sample, command, path, value, message,
+                                                tmp_path, capsys):
     doc = json.loads((SAMPLES / sample).read_text())
     node = doc
     for key in path[:-1]:
@@ -485,7 +543,7 @@ def test_hostile_values_exit_two_with_a_message(sample, command, path, value,
     assert main([command[0], "--doc", str(bad), *command[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: invalid document: ")
+    assert captured.err == f"error: invalid document: {message}\n"
 
 
 @pytest.mark.parametrize("key", ["01", "1\n"])
@@ -502,28 +560,26 @@ def test_two_keys_for_one_module_layer_exit_two(key, tmp_path, capsys):
                             f"as '1' and {key!r}\n")
 
 
-# runs one command, then says on the last stderr line whether jsonschema was imported
-IMPORT_PROBE = ("import sys\n"
+# runs each command line of a JSON list in turn, then says on the last stderr
+# line what they returned and whether jsonschema was imported
+IMPORT_PROBE = ("import json, sys\n"
                 "from psibench.cli import main\n"
-                "rc = main(sys.argv[1:])\n"
-                "print('jsonschema imported:', 'jsonschema' in sys.modules, file=sys.stderr)\n"
-                "sys.exit(rc)\n")
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print('exit codes', codes, 'jsonschema imported', 'jsonschema' in sys.modules,\n"
+                "      file=sys.stderr)\n")
 
 
-def test_a_valid_document_never_imports_jsonschema(tmp_path):
-    sample = SAMPLES / "dual-numbers-p3-k1.json"
-    args = ["verify", "--axioms", "p0", "--trials", "1", "--doc"]
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args, str(sample)],
+def test_no_command_imports_jsonschema_valid_or_rejected(tmp_path):
+    runs = []
+    for sample, command in ONE_OF_EACH:
+        bad = tmp_path / sample
+        bad.write_text(json.dumps({**json.loads((SAMPLES / sample).read_text()),
+                                   "truncation": 0}))
+        runs.append([command[0], "--doc", str(SAMPLES / sample), *command[1:]])
+        runs.append([command[0], "--doc", str(bad), *command[1:]])
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
                           capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stderr.splitlines() == ["jsonschema imported: False"]
-    # the control: a rejected document loads jsonschema to word the message
-    pytest.importorskip("jsonschema")
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**json.loads(sample.read_text()), "truncation": 0}))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args, str(bad)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
+    assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
-        "error: invalid document: 0 is less than the minimum of 1",
-        "jsonschema imported: True"]
+        "error: invalid document: truncation must be a positive integer"] * 5 + [
+        "exit codes [0, 2, 0, 2, 0, 2, 0, 2, 0, 2] jsonschema imported False"]

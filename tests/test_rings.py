@@ -64,6 +64,18 @@ def test_square_zero_relation():
     assert ring.max_monomial_weight() == 4
 
 
+def test_a_term_the_relations_kill_is_zero_not_dropped():
+    # t^3 = 0 and u is free; the window 2D = 4 ends below both cubes
+    t, u = GeneratorSymbol("t", (), 2), GeneratorSymbol("u", (), 2)
+    ring = WeightedRing([t, u], 2, monomial_relations=[((t, 3),)])
+    te, ue = ring.var(t), ring.var(u)
+    assert not (te**2 * te).truncated
+    assert not ring.element({((t, 3),): 1}).truncated
+    assert (ue**2 * ue).truncated
+    assert ring.element({((u, 3),): 1}).truncated
+    assert ((te + ue) * te**2).truncated  # t^3 is killed, u*t^2 is lost
+
+
 def test_truncation_semantics():
     x = GeneratorSymbol("x", (), 4)
     ring = WeightedRing([x], 6)
@@ -203,15 +215,16 @@ RELATION_RINGS = {
 
 
 def _brute_force(ring, terms, mod):
-    """Element.__init__'s filter with every relation a divisibility test."""
+    """Element.__init__'s filter with every relation a divisibility test: a
+    killed term is zero, and only a surviving one above the window is dropped."""
     kept, dropped = {}, False
     for m, c in terms.items():
         c = c if mod is None else c % mod
-        if c == 0:
+        if c == 0 or any(mono_divides(rel, m) for rel in ring.monomial_relations):
             continue
         if mono_weight(m) > ring.max_weight:
             dropped = True
-        elif not any(mono_divides(rel, m) for rel in ring.monomial_relations):
+        else:
             kept[m] = c
     return kept, dropped
 

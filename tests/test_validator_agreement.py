@@ -19,15 +19,16 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from psibench.documents import (DocumentError, _schema, _structural_validate,  # noqa: E402
-                                algebra_to_document, lift_to_document,
-                                module_to_document, presentation_to_document)
+from psibench.documents import (DocumentError, algebra_to_document,  # noqa: E402
+                                lift_to_document, module_to_document,
+                                presentation_to_document, validate_document)
 from psibench.lift import build_lift  # noqa: E402
 from psibench.models import (adem_failure_ring, dual_numbers_ring,  # noqa: E402
                              free_polynomial_presentation, power_tower_module,
                              product_projective_spaces, projective_space_ring)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCHEMA = ROOT / "src" / "psibench" / "schema" / "workbench.schema.json"
 FILES = sorted((ROOT / "sample_documents").glob("*.json")) + sorted(
     (ROOT / "perfbench" / "data").glob("*.json"))
 
@@ -60,7 +61,7 @@ def base_documents():
 
 
 def _validators():
-    schema = _schema()
+    schema = json.loads(SCHEMA.read_text())
     cls = jsonschema.validators.validator_for(schema)
     checker = cls.TYPE_CHECKER.redefine(
         "integer", lambda _, value: type(value) is int)
@@ -84,7 +85,7 @@ def _has_integral_float(node) -> bool:
 def _structural_accepts(doc) -> bool:
     # any exception other than DocumentError propagates and fails the test
     try:
-        _structural_validate(doc)
+        validate_document(doc)
     except DocumentError:
         return False
     return True

@@ -18,7 +18,7 @@ from .documents import (algebra_from_document, canonical_json, document_digest,
                         dump_document, lift_to_document, load_document,
                         module_from_document, parse_element,
                         presentation_from_document, validate_document)
-from .lift import MAX_KMAX, build_lift, default_k_max
+from .lift import MAX_KMAX, build_lift
 from .modules import is_fg_by
 from .steenrod import AXIOMS, classify, gr_class, run_axioms
 from .verdicts import FAIL, Verdict
@@ -165,20 +165,15 @@ def cmd_lift(args) -> int:
     if args.kmax is not None and args.kmax > MAX_KMAX:
         raise ValueError(f"--kmax must be at most MAX_KMAX={MAX_KMAX}, got {args.kmax}")
     doc = _load(args)
-    pres = presentation_from_document(doc, validate=False)
-    validation = pres.validate()
+    pres = presentation_from_document(doc)
     report = _base_report("lift", doc, None, {
         "truncation": pres.truncation, "kmax": args.kmax})
-    verdicts = list(validation)
-    if all(v.passed for v in verdicts):
-        k_max = args.kmax if args.kmax is not None else default_k_max(pres.p, pres.truncation)
-        lift = build_lift(pres, k_max=k_max)
-        verdicts.extend(lift.verdicts)
-    report["verdicts"] = [v.to_dict() for v in verdicts]
-    if not all(v.passed for v in verdicts):
+    report["verdicts"] = [v.to_dict() for v in pres.validation]
+    if not all(v.passed for v in pres.validation):
         report["status"] = FAIL
         _emit(report, args.format)
         return 1
+    lift = build_lift(pres, k_max=args.kmax)
     report["census"] = {str(k): v for k, v in sorted(lift.census.items())}
     report["k_max"] = lift.k_max
     report["ideal_generators"] = {

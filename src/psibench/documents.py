@@ -152,7 +152,10 @@ def validate_document(doc: dict) -> dict:
 
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise DocumentError("invalid document: JSON nested too deeply") from None
     return validate_document(doc)
 
 
@@ -309,14 +312,14 @@ def _algebra_fields(algebra: PrePsiAlgebra) -> dict:
 # -- presentation documents --------------------------------------------------------------
 
 
-def presentation_from_document(doc: dict, validate: bool = True) -> UnstablePresentation:
+def presentation_from_document(doc: dict) -> UnstablePresentation:
     if doc["kind"] != "presentation":
         raise ValueError(f"expected a presentation document, got kind={doc['kind']!r}")
     generators = [(g["theta"], g["degree"]) for g in doc["generators"]]
     return UnstablePresentation(
         doc["prime"], generators, doc.get("relations", []), doc["truncation"],
         max_zeros=doc.get("max_zero_indices", 1),
-        name=doc.get("name", ""), validate=validate)
+        name=doc.get("name", ""))
 
 
 def presentation_to_document(pres: UnstablePresentation) -> dict:

@@ -51,25 +51,25 @@ def enumerate_generators(p: int, generators, D: int, max_zeros: int = 1) -> list
     """
     validate_prime(p)
     out = []
-
-    def grow(theta: str, d: int, indices: tuple, zeros: int):
-        sigma = d + (p - 1) * sum(indices)
-        if sigma > D:
-            return
-        out.append(GeneratorSymbol(theta, indices, 2 * sigma))
-        if len(out) > MAX_LIFT_VARIABLES:
-            raise ValueError(
-                f"truncation D={D} needs more than MAX_LIFT_VARIABLES="
-                f"{MAX_LIFT_VARIABLES} admissible variables; lower the truncation")
-        for i in range(sigma + 1):
-            if i == 0 and zeros >= max_zeros:
-                continue
-            grow(theta, d, indices + (i,), zeros + (1 if i == 0 else 0))
-
     for theta, degree in generators:
         if degree <= 0 or degree % 2:
             raise ValueError(f"generator degrees must be positive even integers, got {degree}")
-        grow(theta, degree // 2, (), 0)
+        # an explicit stack of (indices, level, zeros): a long run of zero
+        # indices would pass Python's recursion limit
+        stack = [((), degree // 2, 0)]
+        while stack:
+            indices, sigma, zeros = stack.pop()
+            if sigma > D:
+                continue
+            out.append(GeneratorSymbol(theta, indices, 2 * sigma))
+            if len(out) > MAX_LIFT_VARIABLES:
+                raise ValueError(
+                    f"truncation D={D} needs more than MAX_LIFT_VARIABLES="
+                    f"{MAX_LIFT_VARIABLES} admissible variables; lower the truncation")
+            if zeros < max_zeros:
+                stack.append((indices + (0,), sigma, zeros + 1))
+            stack.extend((indices + (i,), sigma + (p - 1) * i, zeros)
+                         for i in range(1, sigma + 1))
     out.sort(key=lambda g: (g.weight, g.name, len(g.indices), g.indices))
     return out
 
@@ -102,12 +102,13 @@ class UnstablePresentation:
     Load-validation checks that the relation ideal contains the identifying
     relations for zero indices (P^0) and top indices (p-th powers), is closed
     under the table operations, and that the presented quotient satisfies the
-    Adem identities (P^0 = Id holds by construction of the table).  Lifting
-    an invalid presentation is refused.
+    Adem identities (P^0 = Id holds by construction of the table).  It runs
+    once, at construction, and its verdicts stay in ``validation``: a FAIL
+    is recorded, not raised, and ``build_lift`` refuses the presentation.
     """
 
     def __init__(self, p: int, generators, relations=(), truncation: int = 6,
-                 max_zeros: int = 1, name: str = "", validate: bool = True):
+                 max_zeros: int = 1, name: str = ""):
         self.p = validate_prime(p)
         self.generators = tuple((str(t), int(deg)) for t, deg in generators)
         if len({t for t, _ in self.generators}) != len(self.generators):
@@ -133,14 +134,7 @@ class UnstablePresentation:
                    for key, layers in self.layers.items()}
         self.algebra = UnstableAlgebra(self.ring, p, self.gb, middles=middles,
                                        name=name or "presentation")
-        self.validation: list = []
-        if validate:
-            self.validation = self.validate()
-            bad = [v for v in self.validation if not v.passed]
-            if bad:
-                raise ValueError(
-                    "presentation failed load-validation: "
-                    + "; ".join(v.describe() for v in bad))
+        self.validation = self.validate()
 
     def validate(self) -> list:
         nf = self.gb.reduce if self.gb else (lambda e: e)
@@ -217,7 +211,6 @@ class Lift:
     ideal_generators: dict
     k_max: int
     census: dict
-    verdicts: list
 
     @property
     def p(self) -> int:
@@ -236,23 +229,12 @@ def default_k_max(p: int, D: int) -> int:
     return k
 
 
-def _graded_vanishing(ideal: dict, k_max: int, p: int) -> Verdict:
-    """Graded vanishing of the higher psi-iterates: each one is p*(something)
-    plus terms of strictly larger weight, so its bottom class dies mod p.  A
-    FAIL names the first iterate whose bottom class survives."""
-    def outcomes():
-        for k in range(1, k_max + 1):
-            for f0, fk in zip(ideal[0], ideal[k]):
-                if fk and (bottom := fk.homogeneous_component(f0.weight()).reduce_mod(p)):
-                    yield {"k": k, "relation": str(f0), "class": str(bottom)}
-                else:
-                    yield True
-    return Verdict.tally("ideal-iterate-graded-vanishing", outcomes())
-
-
 def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
-    """Construct the canonical lift of a validated presentation.  The lift's
-    verdicts say whether it is one: a FAIL carries its witness."""
+    """Construct the canonical lift of a presentation that passed its
+    load-validation; a failed one is refused with its FAIL verdicts."""
+    if bad := [v for v in pres.validation if not v.passed]:
+        raise ValueError("presentation failed load-validation: "
+                         + "; ".join(v.describe() for v in bad))
     p, D = pres.p, pres.truncation
     if k_max is None:
         k_max = default_k_max(p, D)
@@ -264,6 +246,9 @@ def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
     pi = PrePsiAlgebra(pres.ring, p, pres.layers, graded_gb=pres.gb,
                        name=(pres.name or "lift") + ":Pi")
 
+    # every psi layer sits at or above its variable's weight, so psi^k of a
+    # relation f of weight 2*sigma is p^(k*sigma)*f plus higher weight: the
+    # iterates die in the graded quotient by construction
     ideal: dict = {}
     current = [rel.integer_lift() for rel in pres.relations if rel]
     ideal[0] = tuple(current)
@@ -271,7 +256,6 @@ def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
         current = [pi.apply_psi(f) for f in current]
         ideal[k] = tuple(current)
 
-    vanishing = _graded_vanishing(ideal, k_max, p)
     census = {degree: len(graded_basis(pres.algebra, degree))
               for degree in range(0, 2 * D + 1, 2)}
-    return Lift(pres, pi, pres.algebra, ideal, k_max, census, [vanishing])
+    return Lift(pres, pi, pres.algebra, ideal, k_max, census)

@@ -238,8 +238,6 @@ def test_criterion_6_lift_construction(rename_generator):
                     if degree + 2 * i * (p - 1) <= 2 * pres.truncation:
                         assert lift.graded.P(i, cls) == steenrod_P(lift.pi, i, cls)
         # psi-iterates of the relations die in the graded quotient
-        assert any(v.name == "ideal-iterate-graded-vanishing" and v.status == PASS
-                   for v in lift.verdicts)
         for k in range(1, lift.k_max + 1):
             for f0, fk in zip(lift.ideal_generators[0], lift.ideal_generators[k]):
                 if fk:

@@ -9,8 +9,8 @@ import pytest
 import psibench.cli
 import psibench.documents
 import psibench.lift
+import psibench.modules
 from psibench.arith import MAX_POWER_BITS
-from psibench.atiyah import PrePsiAlgebra
 from psibench.cli import main
 from psibench.documents import (algebra_to_document, dump_document,
                                 module_to_document, presentation_to_document)
@@ -146,21 +146,39 @@ def test_lift_of_a_constant_relation_exits_two(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_lift_with_a_surviving_iterate_class_fails_without_a_traceback(
-        tmp_path, monkeypatch, capsys):
-    path = tmp_path / "pres-p2.json"
-    dump_document(presentation_to_document(free_polynomial_presentation(2, 3)), str(path))
-    monkeypatch.setattr(PrePsiAlgebra, "apply_psi", lambda self, e: e)
+def test_lift_of_an_invalid_presentation_fails_without_a_traceback(tmp_path, capsys):
+    doc = presentation_to_document(free_polynomial_presentation(2, 3))
+    doc["relations"] = doc["relations"][1:]  # drop x[0] = x
+    path = tmp_path / "missing-relation.json"
+    dump_document(doc, str(path))
     out_path = tmp_path / "lift.json"
     rc = main(["lift", "--doc", str(path), "--format", "json", "--out", str(out_path)])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert rc == 1 and captured.err == "" and report["status"] == "FAIL"
-    vanishing = report["verdicts"][-1]
-    assert vanishing["axiom"] == "ideal-iterate-graded-vanishing"
-    assert vanishing["status"] == "FAIL" and vanishing["witness"]["k"] == 1
-    assert all(v["status"] != "FAIL" for v in report["verdicts"][:-1])
+    # the report's verdicts are the presentation's validation, and no more
+    assert [v["axiom"] for v in report["verdicts"]] == [
+        "p0-index-identification", "top-index-identification", "steenrod-closure",
+        "adem(table)"]
+    p0 = report["verdicts"][0]
+    assert p0["status"] == "FAIL" and p0["witness"] == {"variable": "x[0]",
+                                                        "missing": "x[0] = x[]"}
     assert "census" not in report and not out_path.exists()
+
+
+def test_lift_with_thousands_of_zero_indices_fails_without_a_traceback(tmp_path, capsys):
+    # 5,001 variables x, x[0], x[0,0], ... stay under MAX_LIFT_VARIABLES, and
+    # no relation identifies them
+    doc = {"kind": "presentation", "prime": 2, "truncation": 1,
+           "generators": [{"theta": "x", "degree": 2}], "relations": [],
+           "max_zero_indices": 5000}
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["lift", "--doc", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert rc == 1 and captured.err == "" and report["status"] == "FAIL"
+    assert report["verdicts"][0]["witness"] == {"variable": "x[0]", "missing": "x[0] = x[]"}
 
 
 def test_fingen_command(docs, capsys):
@@ -173,6 +191,25 @@ def test_fingen_command(docs, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert out["verdicts"][0]["witness"]["weight"] == 2
+
+
+@pytest.mark.parametrize("truncation, extra", [("30000", []), ("4", ["--max-depth", "100000"])])
+def test_fingen_closure_beyond_the_node_cap_exits_two(truncation, extra, tmp_path, capsys):
+    # psi(m) = 9 * 2m at level 2: the closure is the chain m, 2m, 4m, ...
+    assert psibench.modules.MAX_CLOSURE_NODES == 4096
+    doc = {"kind": "psi-module", "prime": 3, "truncation": int(truncation),
+           "symbols": [{"id": "m", "weight": 4,
+                        "layers": {"0": [{"coefficient": 2, "symbol": "m"}]}}]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    rc = main(["fingen", "--doc", str(path), "--generators", "m", *extra])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: the closure of the generators passes "
+                            "MAX_CLOSURE_NODES=4096 nodes; lower the depth or the truncation\n")
+    assert elapsed < 2.0
 
 
 def test_fingen_huge_truncation_matches_the_document_window(docs, capsys):
@@ -311,6 +348,23 @@ def test_each_document_is_validated_once_without_overrides(docs, tmp_path, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid document: truncation must be a positive integer\n"
+
+
+def test_lift_validates_its_presentation_once(docs, tmp_path, monkeypatch, capsys):
+    calls = []
+    original = psibench.lift.UnstablePresentation.validate
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(psibench.lift.UnstablePresentation, "validate", counting)
+    for kmax in ("0", "3"):
+        calls.clear()
+        assert main(["lift", "--doc", docs["pres.json"], "--kmax", kmax,
+                     "--out", str(tmp_path / "lift.json")]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("kmax, message", [
@@ -477,6 +531,17 @@ ONE_OF_EACH = [
     ("polynomial-presentation-p2-D6.json", ["lift"]),
     ("power-tower-p3-D81.json", ["fingen", "--generators", "x"]),
 ]
+
+
+@pytest.mark.parametrize("command", [command for _, command in ONE_OF_EACH],
+                         ids=[command[0] for _, command in ONE_OF_EACH])
+def test_a_document_nested_too_deeply_exits_two(command, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command[0], "--doc", str(deep), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid document: JSON nested too deeply\n"
 
 
 SEEDLESS = [(sample, command) for sample, command in ONE_OF_EACH if command[0] != "verify"]

@@ -2,7 +2,6 @@ import pytest
 
 import psibench.groebner
 import psibench.lift
-from psibench.atiyah import PrePsiAlgebra
 from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
                            enumerate_generators)
@@ -166,7 +165,6 @@ def test_build_small_free_polynomial_p2():
 def test_ideal_iterates_have_zero_graded_class():
     pres = free_polynomial_presentation(3, 6)
     lift = build_lift(pres)
-    assert lift.verdicts[0].status == PASS
     for k, fs in lift.ideal_generators.items():
         if k == 0:
             continue
@@ -177,25 +175,13 @@ def test_ideal_iterates_have_zero_graded_class():
             assert not bottom
 
 
-def test_a_surviving_iterate_class_is_a_fail_with_its_witness(monkeypatch):
-    pres = free_polynomial_presentation(2, 3)
-    # psi = Id leaves every relation's bottom class alive in each iterate
-    monkeypatch.setattr(PrePsiAlgebra, "apply_psi", lambda self, e: e)
-    lift = build_lift(pres)
-    (vanishing,) = lift.verdicts
-    assert vanishing.name == "ideal-iterate-graded-vanishing"
-    assert vanishing.status == FAIL and vanishing.checked == 0
-    f0 = lift.ideal_generators[0][0]
-    assert vanishing.witness == {"k": 1, "relation": str(f0),
-                                 "class": str(f0.reduce_mod(2))}
-
-
 def test_p2_d11_lifts_beyond_the_old_variable_cap():
     pres = free_polynomial_presentation(2, 11)
     assert len(pres.symbols) == 2703
     lift = build_lift(pres)
-    assert lift.verdicts[0].status == PASS
     assert lift.census == {degree: 1 for degree in range(0, 23, 2)}
+    for f0, f1 in zip(lift.ideal_generators[0], lift.ideal_generators[1]):
+        assert not f1 or not f1.homogeneous_component(f0.weight()).reduce_mod(2)
 
 
 def test_connectedness_and_determinism():
@@ -300,8 +286,13 @@ def test_validation_rejects_incomplete_relation_set():
             if r.terms.keys() != {((full.ring.symbol("x", (1,)), 1),),
                                   ((full.ring.symbol("x"), 2),)}]
     assert len(kept) == len(full.relations) - 1
-    with pytest.raises(ValueError, match="load-validation"):
-        UnstablePresentation(2, [("x", 2)], [poly_to_json(r) for r in kept], 3)
+    pres = UnstablePresentation(2, [("x", 2)], [poly_to_json(r) for r in kept], 3)
+    failed = {v.name: v.witness for v in pres.validation if v.status == FAIL}
+    assert failed == {
+        "p0-index-identification": {"variable": "x[1,0]", "missing": "x[1,0] = x[1]"},
+        "top-index-identification": {"variable": "x[1]", "missing": "x[1] = x^2"}}
+    with pytest.raises(ValueError, match="load-validation: p0-index-identification: FAIL"):
+        build_lift(pres)
 
 
 def test_validation_verdicts():
@@ -315,14 +306,14 @@ def test_validation_verdicts():
 def test_relation_referencing_unknown_variable():
     relation = [{"coefficient": 1, "monomial": [[{"theta": "x", "indices": [9, 9]}, 1]]}]
     with pytest.raises(ValueError, match="not an .*enumerated"):
-        UnstablePresentation(2, [("x", 2)], [relation], 3, validate=False)
+        UnstablePresentation(2, [("x", 2)], [relation], 3)
 
 
 def test_inhomogeneous_relation_rejected():
     relation = [{"coefficient": 1, "monomial": [["x", 1]]},
                 {"coefficient": 1, "monomial": [["x", 2]]}]
     with pytest.raises(ValueError, match="inhomogeneous"):
-        UnstablePresentation(2, [("x", 2)], [relation], 3, validate=False)
+        UnstablePresentation(2, [("x", 2)], [relation], 3)
 
 
 def test_degree_four_generator_at_p2_builds():
@@ -335,9 +326,14 @@ def test_degree_four_generator_at_p2_builds():
 
 def test_degree_four_generator_at_p3_rejected():
     # ... but not at p = 3, where the relation forces 2 P^2 x = 2 x^3 != 0;
-    # load-validation refuses with the exact witness
-    with pytest.raises(ValueError, match="load-validation"):
-        free_polynomial_presentation(3, 8, d=2)
+    # load-validation records the exact witness, and the lift is refused
+    pres = free_polynomial_presentation(3, 8, d=2)
+    failed = [v for v in pres.validation if v.status == FAIL]
+    assert [v.name for v in failed] == ["adem(table)"]
+    assert failed[0].witness == {"degree": 4, "i": 1, "j": 1, "class": "x",
+                                 "lhs": "0", "rhs": "2*x^3"}
+    with pytest.raises(ValueError, match=r"load-validation: adem\(table\): FAIL"):
+        build_lift(pres)
 
 
 def test_default_k_max():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import psibench.modules
 from psibench.models import power_tower_module
 from psibench.modules import (ModuleSymbol, PsiModule, abelian_generator_profile,
                               closure_enumerate, is_fg_by)
@@ -152,3 +153,13 @@ def test_closure_terminates_on_scaling_chains():
     wit = closure_enumerate(M, ["m"], max_depth=5)
     assert len(wit.nodes) == 6
     assert is_fg_by(M, ["m"], max_depth=5).generated
+
+
+def test_closure_holds_at_most_max_closure_nodes(monkeypatch):
+    sym = ModuleSymbol("m", 4)
+    M = PsiModule(3, 4, [sym], {"m": [{"m": 2}, {}, {}]})
+    monkeypatch.setattr(psibench.modules, "MAX_CLOSURE_NODES", 10)
+    wit = closure_enumerate(M, ["m"], max_depth=9)
+    assert [n.depth for n in wit.nodes] == list(range(10))
+    with pytest.raises(ValueError, match="MAX_CLOSURE_NODES=10 nodes"):
+        closure_enumerate(M, ["m"], max_depth=10)

@@ -13,7 +13,7 @@ import pytest
 
 from psibench.normalforms import hermite_normal_form
 
-sympy = pytest.importorskip("sympy")
+sympy = pytest.importorskip("sympy", exc_type=ImportError)
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
 
 

@@ -36,9 +36,11 @@ GOLDEN_VERIFY_TRUNCATION_2000 = "25b408f982f28ca9806c5f7af08e19cf2c2923598391ffe
 # stdout sha256 of `lift --format json`.  Re-recorded when presentation
 # validation came to read the graded basis for adem(table) and the lift
 # report's seed became null, as validation consumes none; every other
-# verdict is the same.
+# verdict is the same.  Re-recorded again when the lift's
+# ideal-iterate-graded-vanishing verdict was dropped, as it cannot fail
+# while psi is correct: the report is the old one without that entry.
 GOLDEN_LIFT = {
-    "polynomial-presentation-p2-D6.json": "55dbee1d98c9309da596d7489601976aadd08902d50e2b8f5fc5ab9dc833a51e",
+    "polynomial-presentation-p2-D6.json": "360670db361026fb321fb53a470c3ee32cba5d48890f231556b31e152dc5495e",
 }
 
 # sha256 of the serialized lift (`lift --out`), which carries the Groebner

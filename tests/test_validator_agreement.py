@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
+jsonschema = pytest.importorskip("jsonschema", exc_type=ImportError)
 
 from psibench.documents import (DocumentError, algebra_to_document,  # noqa: E402
                                 lift_to_document, module_to_document,

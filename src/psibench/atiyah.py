@@ -19,7 +19,7 @@ flags record.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .arith import fermat_quotient, validate_prime
 from .rings import UNIT, Element, WeightedRing, mono_key, mono_weight
@@ -153,8 +153,7 @@ class PrePsiAlgebra:
         return f"PrePsiAlgebra(p={self.p}{tag}, {self.ring!r})"
 
 
-@dataclass(frozen=True)
-class AtiyahDecomposition:
+class AtiyahDecomposition(namedtuple("AtiyahDecomposition", "algebra source level layers")):
     """A splitting psi(source) = sum_i p^(k-i) * layers[i], where k is the
     last index and layers[k] = source^p.
 
@@ -164,18 +163,15 @@ class AtiyahDecomposition:
     treat it as one.
     """
 
-    algebra: PrePsiAlgebra
-    source: Element
-    level: int
-    layers: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        expected = max(self.level, 1) + 1
-        if len(self.layers) != expected:
+    def __new__(cls, algebra, source, level, layers):
+        layers = tuple(layers)
+        expected = max(level, 1) + 1
+        if len(layers) != expected:
             raise ValueError(
-                f"level-{self.level} decomposition needs {expected} layers, "
-                f"got {len(self.layers)}")
+                f"level-{level} decomposition needs {expected} layers, got {len(layers)}")
+        return super().__new__(cls, algebra, source, level, layers)
 
     @property
     def truncated(self) -> bool:
@@ -283,7 +279,7 @@ def atiyah_shift(d: AtiyahDecomposition) -> AtiyahDecomposition:
     if q == 0:
         raise ValueError("cannot shift a level-0 decomposition")
     if q == 1:
-        return replace(d, level=0)
+        return AtiyahDecomposition(d.algebra, d.source, 0, d.layers)
     p = d.algebra.p
     new = [d.layers[i] * p for i in range(q - 2)]
     new.append(d.layers[q - 2] * p + d.layers[q - 1])
@@ -472,7 +468,7 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
             if dx.weighted_sum() != algebra.apply_psi(s):
                 yield {**trial, "oracle": "explicit construction is inexact"}
             yield from agreement(dx, ds, {**trial, "oracle": "explicit-vs-engine"})
-    return replace(Verdict.tally("well-definedness", outcomes()), notes=(f"seed={seed}",))
+    return Verdict.tally("well-definedness", outcomes())._replace(notes=(f"seed={seed}",))
 
 
 # bound last: steenrod imports this module, so it can only load once the names

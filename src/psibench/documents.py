@@ -11,9 +11,17 @@ command-line element input.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
+
+# the builtin SHA-256 spares every command hashlib's OpenSSL load
+try:
+    from _sha256 import sha256  # Python 3.11 and earlier
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
@@ -171,7 +179,7 @@ def canonical_json(doc) -> str:
 
 def document_digest(doc: dict) -> str:
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
+    return "sha256:" + sha256(payload).hexdigest()
 
 
 # -- element expressions ----------------------------------------------------------------

@@ -17,7 +17,7 @@ set finite and closed under the layers of psi within the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .arith import validate_prime
 from .atiyah import PrePsiAlgebra
@@ -145,7 +145,7 @@ class UnstablePresentation:
         # the table's P^0 is the identity on every monomial by construction,
         # so of the presented quotient's axioms only Adem can fail
         (adem,) = run_axioms(self.algebra, ("adem",))
-        verdicts.append(replace(adem, name="adem(table)"))
+        verdicts.append(adem._replace(name="adem(table)"))
         return verdicts
 
     def _zero_index_outcomes(self, nf):
@@ -198,19 +198,13 @@ class UnstablePresentation:
                 f"{len(self.relations)} relations, D={self.truncation})")
 
 
-@dataclass
-class Lift:
+class Lift(namedtuple("Lift", "presentation pi graded ideal_generators k_max census")):
     """The constructed lift: integral pre-psi-p algebra, graded quotient
     and the ideal bookkeeping.  The presentation is written in the variables
     X_(theta,I), so the lift shares its ring and ``graded`` is the presented
     algebra itself."""
 
-    presentation: UnstablePresentation
-    pi: PrePsiAlgebra
-    graded: UnstableAlgebra
-    ideal_generators: dict
-    k_max: int
-    census: dict
+    __slots__ = ()
 
     @property
     def p(self) -> int:

@@ -11,8 +11,7 @@ forms of the closure's coordinate matrix.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .arith import validate_prime
 from .normalforms import hermite_normal_form, in_lattice
@@ -26,14 +25,13 @@ from .verdicts import Verdict
 MAX_CLOSURE_NODES = 4096
 
 
-@dataclass(frozen=True)
-class ModuleSymbol:
-    name: str
-    weight: int
+class ModuleSymbol(namedtuple("ModuleSymbol", "name weight")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.weight < 0 or self.weight % 2:
-            raise ValueError(f"symbol weights are non-negative even integers, got {self.weight}")
+    def __new__(cls, name, weight):
+        if weight < 0 or weight % 2:
+            raise ValueError(f"symbol weights are non-negative even integers, got {weight}")
+        return super().__new__(cls, name, weight)
 
 
 class ModuleElement:
@@ -96,15 +94,11 @@ class ModuleElement:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class ModuleDecomposition:
+class ModuleDecomposition(namedtuple("ModuleDecomposition", "module source level layers")):
     """psi(source) = sum_i p^(level-i) * layers[i] with layer i in weight
     >= 2*level + 2*i*(p-1)."""
 
-    module: "PsiModule"
-    source: ModuleElement
-    level: int
-    layers: tuple
+    __slots__ = ()
 
     def weighted_sum(self) -> ModuleElement:
         p = self.module.p
@@ -210,20 +204,13 @@ class PsiModule:
         return ModuleDecomposition(self, e, q, tuple(layers))
 
 
-@dataclass
-class WitnessNode:
-    depth: int
-    element: ModuleElement
-    level: int
+WitnessNode = namedtuple("WitnessNode", "depth element level")
 
 
-@dataclass
-class FgWitness:
+class FgWitness(namedtuple("FgWitness", "module generators nodes")):
     """The nested splitting tree rooted at the chosen generators."""
 
-    module: PsiModule
-    generators: tuple
-    nodes: list
+    __slots__ = ()
 
 
 def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> FgWitness:
@@ -268,14 +255,11 @@ def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> 
     return FgWitness(module, tuple(start), nodes)
 
 
-@dataclass
-class GenerationReport:
-    """Per-weight comparison of the closure span against the module."""
+class GenerationReport(namedtuple("GenerationReport", "module per_weight verdict profile")):
+    """Per-weight comparison of the closure span against the module;
+    ``per_weight`` maps a weight to (generated_count, dimension)."""
 
-    module: PsiModule
-    per_weight: dict  # weight -> (generated_count, dimension)
-    verdict: Verdict
-    profile: list
+    __slots__ = ()
 
     @property
     def generated(self) -> bool:

@@ -11,8 +11,8 @@ components of weight <= 2D are always exact even on flagged values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 Monomial = tuple  # tuple[tuple[GeneratorSymbol, int], ...], sorted by sort_key
 
@@ -26,29 +26,21 @@ def even_filtration(w: int) -> int:
     return w if w % 2 == 0 else w + 1
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class GeneratorSymbol(namedtuple("GeneratorSymbol", "name indices weight")):
     """A ring generator: an identifier plus a positive even weight.
 
     ``indices`` is empty for plain generators; lift generators use it for the
     multi-index part of their identifier.
     """
 
-    name: str
-    indices: tuple = ()
-    weight: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if self.weight <= 0 or self.weight % 2:
+    def __new__(cls, name, indices=(), weight=2):
+        if weight <= 0 or weight % 2:
             raise ValueError(
-                f"generator weight must be a positive even integer, got {self.weight}"
+                f"generator weight must be a positive even integer, got {weight}"
             )
-        # symbols key every monomial dict, so hash the fields once
-        object.__setattr__(self, "_hash", hash((self.name, self.indices, self.weight)))
-
-    def __hash__(self):
-        return self._hash
+        return super().__new__(cls, name, tuple(indices), weight)
 
     @property
     def key(self):

@@ -12,8 +12,7 @@ exactly within the truncation window.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import adem_coefficient, lucas_binom  # noqa: F401 (re-exported API)
 from .atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose, remember,
@@ -31,8 +30,7 @@ def _above_top(algebra, degree: int, what: str = "degree") -> bool:
     return algebra.ring.above_top(degree)
 
 
-@dataclass(frozen=True, eq=False)
-class GradedClass:
+class GradedClass(namedtuple("GradedClass", "algebra degree rep")):
     """An element of the mod-p associated graded in one even degree.
 
     The representative is weight-homogeneous, has coefficients in [0, p-1]
@@ -40,28 +38,31 @@ class GradedClass:
     basis.  Equality is by (ring, degree, representative): operation tables
     and splitting data belong to the algebra, not to its graded classes."""
 
-    algebra: PrePsiAlgebra
-    degree: int
-    rep: Element
+    __slots__ = ()
+
+    def __new__(cls, algebra, degree, rep):
+        if degree % 2 or degree < 0:
+            raise ValueError(f"graded degrees are non-negative even integers, got {degree}")
+        if rep.mod != algebra.p:
+            raise ValueError("representative must have mod-p coefficients")
+        if rep and rep.weight() != degree:
+            raise ValueError(f"representative has weight {rep.weight()}, expected {degree}")
+        if rep and not rep.is_homogeneous():
+            raise ValueError("representative must be weight-homogeneous")
+        return super().__new__(cls, algebra, degree, rep)
 
     def __eq__(self, other):
         if not isinstance(other, GradedClass):
             return NotImplemented
         return self.degree == other.degree and self.rep == other.rep
 
+    def __ne__(self, other):
+        # tuple's own != would compare the algebras as well
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
     def __hash__(self):
         return hash((self.degree, self.rep))
-
-    def __post_init__(self):
-        if self.degree % 2 or self.degree < 0:
-            raise ValueError(f"graded degrees are non-negative even integers, got {self.degree}")
-        if self.rep.mod != self.algebra.p:
-            raise ValueError("representative must have mod-p coefficients")
-        if self.rep and self.rep.weight() != self.degree:
-            raise ValueError(
-                f"representative has weight {self.rep.weight()}, expected {self.degree}")
-        if self.rep and not self.rep.is_homogeneous():
-            raise ValueError("representative must be weight-homogeneous")
 
     def __bool__(self):
         return bool(self.rep)
@@ -416,17 +417,14 @@ def _cartan(algebra, degrees, trials, seed):
     return (check_cartan(algebra, d1, d2) for d1 in head for d2 in head if d1 <= d2)
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(namedtuple("Axiom", "cli verdict runner")):
     """One registry entry: the name ``verify --axioms`` takes, the name of
     the merged verdict, and a runner yielding the partial verdicts of
     (algebra, degrees, trials, seed) lazily, so the merge stops at the first
     witness.  Runners look their checkers up by name on each call, so a
     checker replaced on the module is the one run."""
 
-    cli: str
-    verdict: str
-    runner: Callable
+    __slots__ = ()
 
 
 AXIOMS = (
@@ -455,12 +453,10 @@ def run_axioms(algebra, names=None, trials: int = 8, seed: int = 0) -> list:
             for a in chosen]
 
 
-@dataclass
-class Classification:
+class Classification(namedtuple("Classification", "label verdicts")):
     """classify() output: the verdict aggregate plus the final label."""
 
-    label: str
-    verdicts: list
+    __slots__ = ()
 
     def verdict(self, name: str) -> Verdict:
         for v in self.verdicts:

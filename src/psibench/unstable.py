@@ -9,8 +9,6 @@ is multiplicative.  Quotients are realized by a Groebner basis over Z/p.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .arith import validate_prime
 from .rings import Element, WeightedRing, mono_weight
 from .steenrod import GradedClass, check_adem, check_p0_identity, gr_class_of_rep, operation
@@ -93,9 +91,9 @@ def _table_P(algebra: UnstableAlgebra, i: int, cls: GradedClass) -> GradedClass:
 
 def check_p0_identity_table(algebra: UnstableAlgebra, degrees) -> Verdict:
     """P^0 = Id for the table-extended operations."""
-    return replace(check_p0_identity(algebra, degrees), name="p0-identity(table)")
+    return check_p0_identity(algebra, degrees)._replace(name="p0-identity(table)")
 
 
 def check_adem_table(algebra: UnstableAlgebra, degree: int) -> Verdict:
     """Adem identities for the table-extended operations, by composition."""
-    return replace(check_adem(algebra, degree), name="adem(table)")
+    return check_adem(algebra, degree)._replace(name="adem(table)")

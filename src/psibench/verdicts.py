@@ -2,28 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 PASS = "PASS"
 FAIL = "FAIL"
 PASS_UP_TO_TRUNCATION = "PASS-UP-TO-TRUNCATION"
 
 
-@dataclass
-class Verdict:
+class Verdict(namedtuple("Verdict", "name status checked skipped witness notes",
+                         defaults=(0, 0, None, ()))):
     """Outcome of one axiom/property check.
 
     ``checked`` counts identities verified exactly; ``skipped`` counts
     identities whose target weight fell outside the truncation window and
-    could not be decided.  A FAIL always carries a reproducible witness.
+    could not be decided.  A FAIL always carries a reproducible witness
+    dict; any other verdict carries None.
     """
 
-    name: str
-    status: str
-    checked: int = 0
-    skipped: int = 0
-    witness: dict | None = None
-    notes: tuple = ()
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -72,6 +72,16 @@ def test_layer_reads_the_top_at_the_level():
     assert len(z.layers) == 2 and not z.layer(0) and not z.weighted_sum()
 
 
+def test_decomposition_needs_one_layer_per_level_and_a_top():
+    A = projective_space_ring(3, 4)
+    t, z = A.ring.gen("t"), A.ring.zero()
+    assert AtiyahDecomposition(A, t, 0, [z, t**3]).layers == (z, t**3)
+    for level, layers in ((0, (z,)), (0, (z, z, z)), (2, (z, z)), (2, (z, z, z, z))):
+        with pytest.raises(ValueError, match=f"level-{level} decomposition needs "
+                                             f"{max(level, 1) + 1} layers, got {len(layers)}"):
+            AtiyahDecomposition(A, t, level, layers)
+
+
 def test_square_of_generator_layers():
     # psi(x)^2 = (9x + x^3)^2 = 81 x^2 + 18 x^4 + x^6 peels to (x^2,0,2x^4,0,x^6)
     A = adem_failure_ring(3, D=12)

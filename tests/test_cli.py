@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -625,12 +626,18 @@ def test_two_keys_for_one_module_layer_exit_two(key, tmp_path, capsys):
                             f"as '1' and {key!r}\n")
 
 
+# modules no command may load: jsonschema is a test oracle only; dataclasses
+# (which loads inspect), hashlib (which loads OpenSSL as _hashlib) and typing
+# only slow every start
+UNNEEDED_MODULES = ("jsonschema", "dataclasses", "inspect", "hashlib", "_hashlib", "typing")
+
 # runs each command line of a JSON list in turn, then says on the last stderr
-# line what they returned and whether jsonschema was imported
+# line what they returned and which of the named modules were imported
 IMPORT_PROBE = ("import json, sys\n"
                 "from psibench.cli import main\n"
                 "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-                "print('exit codes', codes, 'jsonschema imported', 'jsonschema' in sys.modules,\n"
+                "print('exit codes', codes, 'imported',\n"
+                "      [m for m in json.loads(sys.argv[2]) if m in sys.modules],\n"
                 "      file=sys.stderr)\n")
 
 
@@ -642,9 +649,13 @@ def test_no_command_imports_jsonschema_valid_or_rejected(tmp_path):
                                    "truncation": 0}))
         runs.append([command[0], "--doc", str(SAMPLES / sample), *command[1:]])
         runs.append([command[0], "--doc", str(bad), *command[1:]])
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
-                          capture_output=True, text=True)
+    # -S: no site hook, which may import typing on its own; the package is
+    # found through PYTHONPATH instead
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(psibench.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(runs),
+                           json.dumps(UNNEEDED_MODULES)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [
         "error: invalid document: truncation must be a positive integer"] * 5 + [
-        "exit codes [0, 2, 0, 2, 0, 2, 0, 2, 0, 2] jsonschema imported False"]
+        "exit codes [0, 2, 0, 2, 0, 2, 0, 2, 0, 2] imported []"]

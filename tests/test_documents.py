@@ -1,5 +1,8 @@
+import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -133,6 +136,40 @@ def test_document_digest_canonical():
     doc2 = {"symbols": [], "truncation": 2, "prime": 3, "kind": "psi-module"}
     assert document_digest(doc1) == document_digest(doc2)
     assert document_digest(doc1).startswith("sha256:")
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SHIPPED = sorted([*(ROOT / "sample_documents").glob("*.json"),
+                  *(ROOT / "perfbench" / "data").glob("*.json")])
+
+
+def _shipped_documents():
+    return [json.loads(path.read_text(encoding="utf-8")) for path in SHIPPED]
+
+
+def test_document_digest_is_the_sha256_of_the_compact_sorted_json():
+    assert SHIPPED
+    for doc in _shipped_documents():
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert document_digest(doc) == "sha256:" + hashlib.sha256(payload).hexdigest()
+
+
+# a child without the builtin SHA-256 modules digests through hashlib
+FALLBACK_PROBE = ("import json, sys\n"
+                  "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+                  "from psibench.documents import document_digest\n"
+                  "for path in sys.argv[1:]:\n"
+                  "    with open(path, encoding='utf-8') as fh:\n"
+                  "        print(document_digest(json.load(fh)))\n"
+                  "print('hashlib' in sys.modules)\n")
+
+
+def test_document_digest_falls_back_to_hashlib():
+    proc = subprocess.run([sys.executable, "-c", FALLBACK_PROBE, *map(str, SHIPPED)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        document_digest(doc) for doc in _shipped_documents()] + ["True"]
 
 
 def test_dump_and_load(tmp_path):

@@ -67,6 +67,13 @@ def test_module_psi_and_decompose():
     assert shifted.weighted_sum() == M.psi(m)
 
 
+def test_module_symbol_validation():
+    for weight in (3, -2):
+        with pytest.raises(ValueError, match="non-negative even"):
+            ModuleSymbol("m", weight)
+    assert ModuleSymbol("m", 0).weight == 0
+
+
 def test_module_layer_validation():
     sym = ModuleSymbol("m", 4)
     with pytest.raises(ValueError):

@@ -17,6 +17,11 @@ def test_generator_symbol_validation():
         GeneratorSymbol("x", (), 0)
     with pytest.raises(ValueError):
         GeneratorSymbol("x", (), -2)
+    x = GeneratorSymbol("x", [1, 0], 4)
+    assert x.indices == (1, 0) and type(x.indices) is tuple
+    assert x == GeneratorSymbol("x", (1, 0), 4)
+    assert hash(x) == hash(("x", (1, 0), 4))
+    assert GeneratorSymbol("x") == GeneratorSymbol("x", (), 2)
 
 
 def test_ring_validation():

@@ -1,16 +1,15 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 import psibench.atiyah as atiyah
 import psibench.steenrod as steenrod
 from psibench.arith import adem_coefficient
-from psibench.atiyah import PrePsiAlgebra, atiyah_decompose
+from psibench.atiyah import AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              product_projective_spaces, projective_space_ring)
 from psibench.rings import GeneratorSymbol, WeightedRing
-from psibench.steenrod import (AXIOMS, check_additivity, check_adem,
+from psibench.steenrod import (AXIOMS, GradedClass, check_additivity, check_adem,
                                check_cartan, check_exactness, check_instability,
                                check_p0_identity, check_pth_power, classify,
                                gr_class, graded_basis,
@@ -45,6 +44,31 @@ def test_gr_class_examples():
     assert got.rep == x.reduce_mod(3)
     with pytest.raises(ValueError):
         gr_class(B, x, 6)  # element has weight 4 < 6
+
+
+def test_graded_class_validation():
+    A = projective_space_ring(3, 4)
+    t = A.ring.gen("t")
+    for degree, rep, message in [
+            (3, A.ring.zero(3), "non-negative even integers, got 3"),
+            (-2, A.ring.zero(3), "non-negative even integers, got -2"),
+            (2, t, "mod-p coefficients"),
+            (2, t.reduce_mod(5), "mod-p coefficients"),
+            (4, t.reduce_mod(3), "weight 2, expected 4"),
+            (2, (t + t**2).reduce_mod(3), "weight-homogeneous")]:
+        with pytest.raises(ValueError, match=message):
+            GradedClass(A, degree, rep)
+    assert GradedClass(A, 2, t.reduce_mod(3)).rep == t.reduce_mod(3)
+
+
+def test_graded_classes_compare_by_degree_and_representative():
+    A = projective_space_ring(3, 4)
+    B = PrePsiAlgebra(A.ring, 3, A.psi_data)
+    t = A.ring.gen("t", mod=3)
+    a, b = GradedClass(A, 2, t), GradedClass(B, 2, t)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != GradedClass(A, 2, t * 2) and not a == GradedClass(A, 2, t * 2)
+    assert zero_class(A, 2) != zero_class(A, 4)
 
 
 def test_p0_on_dual_numbers():
@@ -348,7 +372,8 @@ def _splitting_off_by_its_source(name):
 
         def perturbed(da, db):
             d = build(da, db)
-            return replace(d, layers=(d.layers[0] + d.source,) + d.layers[1:])
+            return AtiyahDecomposition(d.algebra, d.source, d.level,
+                                       (d.layers[0] + d.source,) + d.layers[1:])
 
         monkeypatch.setattr(atiyah, name, perturbed)
         return projective_space_ring(3, 4)

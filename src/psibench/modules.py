@@ -11,18 +11,11 @@ forms of the closure's coordinate matrix.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .arith import validate_prime
 from .normalforms import hermite_normal_form, in_lattice
-from .normalforms import smith_normal_form  # noqa: F401 (re-exported API)
 from .verdicts import Verdict
-
-# Most nodes a closure may hold, sized from chains measured on a 2-CPU host:
-# is_fg_by on the one-symbol chain m, 2m, 4m, ... takes 0.3 s at 4,096 nodes,
-# and on a 32-symbol chain of as many nodes, whose coefficients double at each
-# step, 5.6 s.  The fingen-modules benchmark builds about 60 nodes a document.
-MAX_CLOSURE_NODES = 4096
 
 
 class ModuleSymbol(namedtuple("ModuleSymbol", "name weight")):
@@ -79,9 +72,6 @@ class ModuleElement:
 
     def vector(self) -> list:
         return [self.coords.get(s.name, 0) for s in self.module.symbols]
-
-    def frozen(self):
-        return tuple(sorted(self.coords.items()))
 
     def __str__(self):
         if not self.coords:
@@ -208,16 +198,22 @@ WitnessNode = namedtuple("WitnessNode", "depth element level")
 
 
 class FgWitness(namedtuple("FgWitness", "module generators nodes")):
-    """The nested splitting tree rooted at the chosen generators."""
+    """The closure of the generators: ``nodes`` lists, round by round, the
+    nodes that grew the lattice of their level."""
 
     __slots__ = ()
 
 
 def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> FgWitness:
-    """Breadth-first expansion of the stored splittings starting from the
-    generators; a node stops expanding once its layers leave the window (or
-    repeat an already-seen element at the same level).  A closure that would
-    pass ``MAX_CLOSURE_NODES`` nodes is refused with a ValueError."""
+    """Depth rounds over one Hermite normal form lattice per level.  Round 0
+    is the generators; round k splits the nodes that round k-1 kept, and
+    layer j of a node at level q is kept at level q + j(p-1) only when it
+    lies outside that level's lattice.  Splitting at a fixed level is
+    additive, so a layer inside the lattice is a combination of layers that
+    the kept nodes produce: the span matches that of every node within the
+    depth.  The rounds stop at ``max_depth`` (default D) or when one grows no
+    lattice; each round that goes on strictly grows a sublattice of Z^n at
+    one of finitely many levels, so they end without a node bound."""
     if max_depth is None:
         max_depth = max(module.truncation, 1)
     start = []
@@ -226,32 +222,28 @@ def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> 
         if not e:
             raise ValueError("zero generators are not allowed")
         start.append(e)
+    lattices: dict = {}
     nodes: list = []
-    queue = deque()
-    seen = set()
+
+    def grow(depth, element, level):
+        hnf = lattices.get(level, [])
+        v = element.vector()
+        if not in_lattice(hnf, v):
+            lattices[level] = hermite_normal_form(hnf + [v])
+            nodes.append(WitnessNode(depth, element, level))
+
     for e in start:
-        level = int(e.weight() // 2)
-        queue.append(WitnessNode(0, e, level))
-        seen.add((e.frozen(), level))
-    while queue:
-        node = queue.popleft()
-        nodes.append(node)
-        if node.depth >= max_depth:
-            continue
-        d = module.decompose(node.element, node.level)
-        for j, child in enumerate(d.layers):
-            if not child:
-                continue
-            child_level = node.level + j * (module.p - 1)
-            key = (child.frozen(), child_level)
-            if key in seen:
-                continue
-            if len(seen) >= MAX_CLOSURE_NODES:
-                raise ValueError(
-                    f"the closure of the generators passes MAX_CLOSURE_NODES="
-                    f"{MAX_CLOSURE_NODES} nodes; lower the depth or the truncation")
-            seen.add(key)
-            queue.append(WitnessNode(node.depth + 1, child, child_level))
+        grow(0, e, int(e.weight() // 2))
+    done = 0
+    for depth in range(1, max_depth + 1):
+        frontier, done = nodes[done:], len(nodes)
+        for node in frontier:
+            d = module.decompose(node.element, node.level)
+            for j, child in enumerate(d.layers):
+                if child:
+                    grow(depth, child, node.level + j * (module.p - 1))
+        if len(nodes) == done:
+            break
     return FgWitness(module, tuple(start), nodes)
 
 

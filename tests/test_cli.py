@@ -10,7 +10,6 @@ import pytest
 import psibench.cli
 import psibench.documents
 import psibench.lift
-import psibench.modules
 from psibench.arith import MAX_POWER_BITS
 from psibench.cli import main
 from psibench.documents import (algebra_to_document, dump_document,
@@ -195,22 +194,50 @@ def test_fingen_command(docs, capsys):
 
 
 @pytest.mark.parametrize("truncation, extra", [("30000", []), ("4", ["--max-depth", "100000"])])
-def test_fingen_closure_beyond_the_node_cap_exits_two(truncation, extra, tmp_path, capsys):
-    # psi(m) = 9 * 2m at level 2: the closure is the chain m, 2m, 4m, ...
-    assert psibench.modules.MAX_CLOSURE_NODES == 4096
+def test_fingen_scaling_chain_settles_at_once(truncation, extra, tmp_path, capsys):
+    # psi(m) = 9 * 2m at level 2: the chain m, 2m, 4m, ... never leaves the
+    # lattice that m spans, so the closure stops after one round
     doc = {"kind": "psi-module", "prime": 3, "truncation": int(truncation),
            "symbols": [{"id": "m", "weight": 4,
                         "layers": {"0": [{"coefficient": 2, "symbol": "m"}]}}]}
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
     t0 = time.perf_counter()
-    rc = main(["fingen", "--doc", str(path), "--generators", "m", *extra])
+    rc = main(["fingen", "--doc", str(path), "--generators", "m", "--format", "json", *extra])
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
-    assert captured.err == ("error: the closure of the generators passes "
-                            "MAX_CLOSURE_NODES=4096 nodes; lower the depth or the truncation\n")
+    report = json.loads(captured.out)
+    assert rc == 0 and captured.err == "" and report["status"] == "PASS"
+    assert report["per_weight"] == {"4": [1, 1]}
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("coefficient, rc_expected, witness", [
+    (1, 0, None),
+    (2, 1, {"weight": 2, "symbol": "s1", "rank": 1, "needed": 64})],
+    ids=["generated", "not-generated"])
+def test_fingen_doubling_cycle_is_decided_quickly(coefficient, rc_expected, witness,
+                                                  tmp_path, capsys):
+    # 64 weight-2 symbols with layer 0 = 2*s_a + c*s_(a+1), indices mod 64:
+    # every step from s0 doubles the coefficients, so the nodes never repeat,
+    # but each level's lattice fills (c = 1) or settles (c = 2) within 65 rounds
+    k = 64
+    doc = {"kind": "psi-module", "prime": 3, "truncation": 10000,
+           "symbols": [{"id": f"s{a}", "weight": 2,
+                        "layers": {"0": [{"coefficient": 2, "symbol": f"s{a}"},
+                                         {"coefficient": coefficient,
+                                          "symbol": f"s{(a + 1) % k}"}]}}
+                       for a in range(k)]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    rc = main(["fingen", "--doc", str(path), "--generators", "s0", "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert rc == rc_expected
+    assert report["verdicts"][0]["witness"] == witness
+    assert report["per_weight"] == {"2": [k if witness is None else 1, k]}
+    assert elapsed < 1.0
 
 
 def test_fingen_huge_truncation_matches_the_document_window(docs, capsys):

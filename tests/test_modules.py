@@ -1,8 +1,9 @@
 import math
+import random
+from collections import deque
 
 import pytest
 
-import psibench.modules
 from psibench.models import power_tower_module
 from psibench.modules import (ModuleSymbol, PsiModule, abelian_generator_profile,
                               closure_enumerate, is_fg_by)
@@ -153,20 +154,113 @@ def test_trivial_profile():
 
 
 def test_closure_terminates_on_scaling_chains():
-    # psi(m) = 2 p^q m: children keep producing new multiples; the depth cap
-    # guarantees termination
+    # psi(m) = 2 p^q m: the chain m, 2m, 4m, ... stays in the lattice that m
+    # spans, so the first round grows nothing
     sym = ModuleSymbol("m", 4)
     M = PsiModule(3, 4, [sym], {"m": [{"m": 2}, {}, {}]})
     wit = closure_enumerate(M, ["m"], max_depth=5)
-    assert len(wit.nodes) == 6
+    assert [n.element for n in wit.nodes] == [M.basis_element("m")]
     assert is_fg_by(M, ["m"], max_depth=5).generated
 
 
-def test_closure_holds_at_most_max_closure_nodes(monkeypatch):
-    sym = ModuleSymbol("m", 4)
-    M = PsiModule(3, 4, [sym], {"m": [{"m": 2}, {}, {}]})
-    monkeypatch.setattr(psibench.modules, "MAX_CLOSURE_NODES", 10)
-    wit = closure_enumerate(M, ["m"], max_depth=9)
-    assert [n.depth for n in wit.nodes] == list(range(10))
-    with pytest.raises(ValueError, match="MAX_CLOSURE_NODES=10 nodes"):
-        closure_enumerate(M, ["m"], max_depth=10)
+# -- the lattice closure against the node closure -----------------------------------
+
+def node_closure_per_weight(module, gens, max_depth=None):
+    """Reference: expand every distinct (element, level) node breadth first
+    up to the depth, then count per weight the unit vectors in the span of
+    all nodes."""
+    if max_depth is None:
+        max_depth = max(module.truncation, 1)
+    queue = deque()
+    seen = set()
+    for g in gens:
+        e = module.basis_element(g)
+        queue.append((0, e, e.weight() // 2))
+        seen.add((str(e), e.weight() // 2))
+    rows = []
+    while queue:
+        depth, e, level = queue.popleft()
+        rows.append(e.vector())
+        if depth >= max_depth:
+            continue
+        for j, child in enumerate(module.decompose(e, level).layers):
+            key = (str(child), level + j * (module.p - 1))
+            if child and key not in seen:
+                seen.add(key)
+                queue.append((depth + 1, child, key[1]))
+    hnf = hermite_normal_form(rows)
+    per_weight = {}
+    for s in module.symbols:
+        unit = [int(t.name == s.name) for t in module.symbols]
+        got, dim = per_weight.get(s.weight, (0, 0))
+        per_weight[s.weight] = (got + in_lattice(hnf, unit), dim + 1)
+    return per_weight
+
+
+def random_forest(seed, p, D, size, generated):
+    """Roots r0 (weight 2) and r1 (weight 4); each further symbol hangs with
+    a unit coefficient in a random layer of an earlier one.  Some layers also
+    take a later symbol, so layers are sums and the graph is a DAG (the node
+    closure stays finite); when not generated, one edge is scaled by 2 or p."""
+    rng = random.Random(seed)
+    weights = {"r0": 2, "r1": 4}
+    layers = {"r0": {}, "r1": {}}
+    order = ["r0", "r1"]
+    while len(order) < size:
+        parent = rng.choice(order)
+        w = weights[parent]
+        i = rng.randrange(min(w // 2, 3) + 1)
+        child_weight = w + 2 * i * (p - 1)
+        if i in layers[parent] or child_weight > 2 * D:
+            continue
+        child = f"s{len(order)}"
+        weights[child], layers[child] = child_weight, {}
+        layers[parent][i] = {child: rng.choice([-1, 1])}
+        order.append(child)
+    for n, parent in enumerate(order):
+        for i, layer in layers[parent].items():
+            floor = weights[parent] + 2 * i * (p - 1)
+            later = [s for s in order[n + 1:] if weights[s] >= floor and s not in layer]
+            if later and rng.random() < 0.3:
+                layer[rng.choice(later)] = rng.choice([-2, -1, 1, 3])
+    if not generated:
+        parent, i = rng.choice([(s, i) for s in order for i in layers[s]])
+        child = next(iter(layers[parent][i]))
+        layers[parent][i][child] *= rng.choice([2, p])
+    data = {s: [layers[s].get(i, {}) for i in range(weights[s] // 2 + 1)] for s in order}
+    return PsiModule(p, D, [ModuleSymbol(s, weights[s]) for s in order], data)
+
+
+def two_level_module():
+    """a is reached at level 1 (layer 0 of b) a round before level 2 (layer 0
+    of d, from c).  Split at level 1, a yields only 2x + y; split at level 2
+    it yields x and y, so a shared lattice for all levels would lose them."""
+    symbols = [ModuleSymbol("b", 2), ModuleSymbol("c", 4), ModuleSymbol("d", 4),
+               ModuleSymbol("a", 4), ModuleSymbol("x", 6), ModuleSymbol("y", 8)]
+    layers = {"b": [{"a": 1}, {}], "c": [{"d": 1}, {}, {}], "d": [{"a": 1}, {}, {}],
+              "a": [{}, {"x": 1}, {"y": 1}], "x": [{}] * 4, "y": [{}] * 5}
+    return PsiModule(2, 4, symbols, layers)
+
+
+def oracle_cases():
+    yield two_level_module(), ["b", "c"]
+    for seed in range(4):
+        for p, D in ((2, 12), (3, 15), (5, 20)):
+            for generated in (True, False):
+                yield random_forest(seed, p, D, 14, generated), ["r0", "r1"]
+    for p in (2, 3, 5):
+        tower = power_tower_module(p, p**3)
+        yield tower, ["x"]
+        yield tower, [f"x^{p}"]
+
+
+def test_lattice_closure_matches_the_node_closure():
+    verdicts = set()
+    for module, gens in oracle_cases():
+        for depth in (0, 1, 2, 4, None):
+            want = node_closure_per_weight(module, gens, depth)
+            report = is_fg_by(module, gens, depth)
+            assert report.per_weight == want, (gens, depth)
+            assert report.generated == all(got == dim for got, dim in want.values())
+            verdicts.add(report.generated)
+    assert verdicts == {True, False}

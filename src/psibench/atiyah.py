@@ -7,9 +7,9 @@ generator g of weight 2*sigma, a chosen splitting of psi(g) into layers
 
 with g_i of weight >= 2*sigma + 2*i*(p-1) and g_sigma = g^p.  The calculus
 below extends such splittings to arbitrary elements: products convolve
-layers, sums absorb the higher-level summand into layer 0 and correct the
-layer below the top by (t^p - r^p - s^p)/p, read off the three tops, and a
-splitting at level q can be pushed down to any lower level.  A level-0 pair
+layers, a sum absorbs its higher-level summands into layer 0 and corrects
+the layer below the top once, by (t^p - sum of the s_k^p)/p, and a splitting
+at level q can be pushed down to any lower level in one step.  A level-0 pair
 (r', r^p) weighs like a level-1 splitting, so one rule serves every level.
 Everything is exact integer arithmetic; the only approximation in the system
 is the weight truncation of the ambient ring, which the sticky ``truncated``
@@ -22,7 +22,7 @@ import random
 from collections import namedtuple
 
 from .arith import fermat_quotient, validate_prime
-from .rings import UNIT, Element, WeightedRing, mono_key, mono_weight
+from .rings import UNIT, Element, WeightedRing, mono_weight
 from .verdicts import Verdict
 
 # Entries one algebra's splitting cache holds; once full it stops inserting.
@@ -136,9 +136,6 @@ class PrePsiAlgebra:
             remember(self.psi_images, m, out)
         return out
 
-    def psi_of_generator(self, key) -> Element:
-        return self._generator_images[key]
-
     def P(self, i: int, cls):
         """P^i on a graded class: ``steenrod.steenrod_P``, looked up on each
         call so that a wrapper installed on that module sees every call."""
@@ -222,36 +219,36 @@ def scalar_decomposition(algebra: PrePsiAlgebra, c: int) -> AtiyahDecomposition:
         algebra, ring.scalar(c), 0, (ring.scalar(quotient), ring.scalar(c - p * quotient)))
 
 
-def atiyah_sum(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDecomposition:
-    """Combine splittings of r at level q and s at level v >= q into one for
-    t = r+s at level q.
+def atiyah_sum(*ds: AtiyahDecomposition) -> AtiyahDecomposition:
+    """Combine splittings of s_1, ..., s_n into one for t = s_1 + ... + s_n
+    at the lowest of their levels, q.
 
-    The layers of s weighted by at least r's bottom power of p fold into
-    layer 0, times their surplus powers of p; the others add to the layer
-    of r with the same power of p, and the new top is t^p.  The correction
-    c = (t^p - r^p - s^p)/p, read off the three tops, is subtracted from
+    A summand at level q is the base.  The layers of every other summand
+    weighted by at least the base's bottom power of p fold into layer 0,
+    times their surplus powers of p; the others add to the base layer with
+    the same power of p, and the new top is t^p.  The single correction
+    c = (t^p - s_1^p - ... - s_n^p)/p, read off the tops, is subtracted from
     the layer below the top.  A level-0 pair counts as a level-1 splitting,
-    so one rule serves every level; at v = q it is the textbook
-    two-summand construction.
+    so one rule serves every level; for two summands at one level it is the
+    textbook two-summand construction.
     """
-    if da.algebra is not db.algebra:
+    base = min(range(len(ds)), key=lambda k: ds[k].level)
+    A, a = ds[base].algebra, len(ds[base].layers) - 1
+    if any(d.algebra is not A for d in ds):
         raise ValueError("decompositions live in different algebras")
-    if da.level > db.level:
-        raise ValueError(f"first summand must have the lower level: {da.level} > {db.level}")
-    A = da.algebra
-    p = A.p
-    t = da.source + db.source
+    p, layers = A.p, list(ds[base].layers[:a])
+    t, tops = ds[base].source, ds[base].layers[-1]
+    for d in ds[:base] + ds[base + 1:]:  # by position: a summand may repeat
+        t, tops = t + d.source, tops + d.layers[-1]
+        shift = len(d.layers) - 1 - a
+        for j, layer in enumerate(d.layers[:-1]):
+            if j <= shift:
+                layers[0] = layers[0] + layer * p ** (shift - j)
+            else:
+                layers[j - shift] = layers[j - shift] + layer
     top = t**p
-    a, b = len(da.layers) - 1, len(db.layers) - 1
-    layers = [*da.layers[:a], top]
-    layers[a - 1] = layers[a - 1] - (top - da.layers[-1] - db.layers[-1]).exact_div(p)
-    shift = b - a
-    for j in range(b):
-        if j <= shift:
-            layers[0] = layers[0] + db.layers[j] * p ** (shift - j)
-        else:
-            layers[j - shift] = layers[j - shift] + db.layers[j]
-    return AtiyahDecomposition(A, t, da.level, tuple(layers))
+    layers[a - 1] = layers[a - 1] - (top - tops).exact_div(p)
+    return AtiyahDecomposition(A, t, ds[base].level, (*layers, top))
 
 
 def atiyah_product(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDecomposition:
@@ -271,20 +268,21 @@ def atiyah_product(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDe
     return AtiyahDecomposition(A, da.source * db.source, da.level + db.level, tuple(layers))
 
 
-def atiyah_shift(d: AtiyahDecomposition) -> AtiyahDecomposition:
-    """Rewrite a level-q splitting (q >= 1) as a level-(q-1) one: all layers
-    pick up a factor p and the two below the top merge.  A level-1 splitting
-    already has the shape of a level-0 pair, so it only changes its level."""
+def atiyah_shift(d: AtiyahDecomposition, level: int) -> AtiyahDecomposition:
+    """Rewrite a level-q splitting at a lower level r, as q-r single-level
+    shifts would (each multiplies the layers by p and merges the two below
+    the top): with k = max(r, 1), layers k-1 .. q-1 merge by Horner's rule
+    and those below pick up p^(q-k).  A level-1 splitting already has the
+    shape of a level-0 pair, so it only changes its level."""
     q = d.level
-    if q == 0:
-        raise ValueError("cannot shift a level-0 decomposition")
-    if q == 1:
-        return AtiyahDecomposition(d.algebra, d.source, 0, d.layers)
-    p = d.algebra.p
-    new = [d.layers[i] * p for i in range(q - 2)]
-    new.append(d.layers[q - 2] * p + d.layers[q - 1])
-    new.append(d.layers[q])
-    return AtiyahDecomposition(d.algebra, d.source, q - 1, tuple(new))
+    if not 0 <= level < q:
+        raise ValueError(f"cannot shift a level-{q} decomposition to level {level}")
+    p, k = d.algebra.p, max(level, 1)
+    merged = d.layers[k - 1]
+    for layer in d.layers[k:q]:
+        merged = merged * p + layer
+    new = [layer * p ** (q - k) for layer in d.layers[:k - 1]]
+    return AtiyahDecomposition(d.algebra, d.source, level, (*new, merged, d.layers[q]))
 
 
 def _monomial_decomposition(algebra: PrePsiAlgebra, m) -> AtiyahDecomposition:
@@ -313,7 +311,7 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
     Recursion over the polynomial expression: generators use their stored
     layers, monomials multiply them together, integer coefficients enter
     through the Fermat-quotient rule at level 0, and the term splittings are
-    folded together lowest level first, then shifted down to the requested q.
+    added by one ``atiyah_sum``, then shifted to q by at most one ``atiyah_shift``.
 
     Results are memoized in ``algebra.splittings`` under
     ``(frozenset(e.terms.items()), q)``, at most ``SPLITTING_CACHE_SIZE``
@@ -338,7 +336,7 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
         return cached
 
     pieces = []
-    for m, coeff in sorted(e.terms.items(), key=lambda t: mono_key(t[0])):
+    for m, coeff in e.terms.items():
         if m == UNIT:
             pieces.append(scalar_decomposition(algebra, coeff))
             continue
@@ -346,13 +344,10 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
         if coeff != 1:
             d = atiyah_product(scalar_decomposition(algebra, coeff), d)
         pieces.append(d)
-    pieces.sort(key=lambda d: d.level)
-    acc = pieces[0]
-    for nxt in pieces[1:]:
-        acc = atiyah_sum(acc, nxt)
-    while acc.level > q:
-        acc = atiyah_shift(acc)
-    return remember(algebra.splittings, key, acc)
+    d = pieces[0] if len(pieces) == 1 else atiyah_sum(*pieces)
+    if d.level > q:
+        d = atiyah_shift(d, q)
+    return remember(algebra.splittings, key, d)
 
 
 def explicit_lift_decomposition(algebra: PrePsiAlgebra, r: Element,

@@ -53,13 +53,13 @@ def _base_report(command: str, doc: dict, seed: int | None, parameters: dict) ->
 
 
 def _load(args) -> dict:
-    """Load the document and apply the --prime/--truncation overrides; the
-    report digest covers the effective document.  ``load_document`` has
-    validated the file, so only an overridden document is validated again."""
+    """Load the document and apply the --truncation override; the report
+    digest covers the effective document.  ``load_document`` has validated
+    the file, so only an overridden document is validated again."""
     doc = load_document(args.doc)
-    overrides = {key: value for key in ("prime", "truncation")
-                 if (value := getattr(args, key, None)) is not None}
-    return validate_document({**doc, **overrides}) if overrides else doc
+    if args.truncation is None:
+        return doc
+    return validate_document({**doc, "truncation": args.truncation})
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -213,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--doc", required=True, help="workbench document (JSON)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--prime", type=int, default=None,
-                       help="override the document prime")
         p.add_argument("--truncation", type=int, default=None,
                        help="override the document truncation bound D")
 

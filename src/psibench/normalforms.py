@@ -39,12 +39,14 @@ def hermite_normal_form(rows) -> list:
 
 
 def pivots(hnf) -> list:
-    """(row, column) positions of the HNF pivots."""
-    out = []
+    """(row, column) positions of the HNF pivots.  The rows are in echelon
+    form, so each row's scan starts one column after the pivot above it."""
+    out, start = [], 0
     for i, row in enumerate(hnf):
-        for j, a in enumerate(row):
-            if a:
+        for j in range(start, len(row)):
+            if row[j]:
                 out.append((i, j))
+                start = j + 1
                 break
     return out
 

@@ -1,8 +1,16 @@
+import os
+import pathlib
+
 import pytest
 
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              projective_space_ring)
 from psibench.rings import GeneratorSymbol, WeightedRing
+
+# pyproject's pythonpath puts src/ on this process's path only; the children
+# some tests spawn (python -m psibench) find it through PYTHONPATH
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

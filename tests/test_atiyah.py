@@ -17,6 +17,7 @@ from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, product_projective_spaces,
                              projective_space_ring)
+from psibench.rings import UNIT, mono_key, mono_weight
 from psibench.steenrod import (GradedClass, check_exactness, classify,
                                interesting_degrees, sample_classes, steenrod_P)
 from psibench.verdicts import FAIL
@@ -154,13 +155,12 @@ def test_sum_across_levels_exact():
     assert combined.problems() == []
 
 
-def test_sum_rejects_wrong_order():
+def test_sum_is_independent_of_summand_order():
     A = adem_failure_ring(3, D=12)
     x = A.ring.gen("x")
     dx = atiyah_decompose(A, x, 2)
     dxx = atiyah_product(dx, dx)
-    with pytest.raises(ValueError):
-        atiyah_sum(dxx, dx)
+    assert atiyah_sum(dxx, dx) == atiyah_sum(dx, dxx)
 
 
 def test_sum_correction_is_the_binomial_middle():
@@ -187,7 +187,7 @@ def test_shift_golden():
     A = projective_space_ring(3, 4)
     t = A.ring.gen("t")
     d = atiyah_decompose(A, t, 1)
-    shifted = atiyah_shift(d)
+    shifted = atiyah_shift(d, 0)
     assert shifted.level == 0
     assert shifted.layers == (d.layers[0], t**3)
     assert shifted.weighted_sum() == A.apply_psi(t)
@@ -195,12 +195,12 @@ def test_shift_golden():
     B = adem_failure_ring(3, D=12)
     x = B.ring.gen("x")
     d2 = atiyah_decompose(B, x, 2)
-    down = atiyah_shift(atiyah_shift(d2))
+    down = atiyah_shift(d2, 0)
     assert down.level == 0
     assert down.weighted_sum() == B.apply_psi(x)
     assert down.layers[1] == x**3
     with pytest.raises(ValueError):
-        atiyah_shift(down)
+        atiyah_shift(down, 0)
 
 
 def test_shift_coherence_in_graded():
@@ -209,12 +209,89 @@ def test_shift_coherence_in_graded():
                       (projective_space_ring(2, 5), "t", 3)):
         e = A.ring.gen(gen) ** (q * 2 // A.ring.symbol(gen).weight)
         direct = atiyah_decompose(A, e, q - 1)
-        shifted = atiyah_shift(atiyah_decompose(A, e, q))
+        shifted = atiyah_shift(atiyah_decompose(A, e, q), q - 1)
         layers = range(1, q) if q - 1 > 0 else [1]
         for i in layers:
             w = 2 * (q - 1) + 2 * i * (A.p - 1)
             if w <= A.ring.max_weight:
                 assert graded_classes_agree(A, direct.layers[i], shifted.layers[i], w) is True
+
+
+# -- the pairwise rule as an oracle ----------------------------------------------------
+# The engine adds all term splittings in one atiyah_sum and shifts once.  The
+# reference below is the rule it replaces: terms in monomial order, splittings
+# folded two at a time lowest level first, each pair corrected by its three
+# tops, then shifted down one level at a time.
+
+
+def _pairwise_sum(da, db):
+    p = da.algebra.p
+    t = da.source + db.source
+    top = t**p
+    a, b = len(da.layers) - 1, len(db.layers) - 1
+    layers = [*da.layers[:a], top]
+    layers[a - 1] = layers[a - 1] - (top - da.layers[-1] - db.layers[-1]).exact_div(p)
+    shift = b - a
+    for j in range(b):
+        if j <= shift:
+            layers[0] = layers[0] + db.layers[j] * p ** (shift - j)
+        else:
+            layers[j - shift] = layers[j - shift] + db.layers[j]
+    return AtiyahDecomposition(da.algebra, t, da.level, layers)
+
+
+def _single_shift(d):
+    q, p = d.level, d.algebra.p
+    if q == 1:
+        return AtiyahDecomposition(d.algebra, d.source, 0, d.layers)
+    layers = [l * p for l in d.layers[:q - 2]]
+    layers += [d.layers[q - 2] * p + d.layers[q - 1], d.layers[q]]
+    return AtiyahDecomposition(d.algebra, d.source, q - 1, layers)
+
+
+def _pairwise_decompose(A, e, q):
+    pieces = []
+    for m, c in sorted(e.terms.items(), key=lambda term: mono_key(term[0])):
+        if m == UNIT:
+            pieces.append(scalar_decomposition(A, c))
+            continue
+        d = atiyah_decompose(A, A.ring.element({m: 1}), mono_weight(m) // 2)
+        pieces.append(d if c == 1 else atiyah_product(scalar_decomposition(A, c), d))
+    pieces.sort(key=lambda d: d.level)
+    acc = pieces[0]
+    for nxt in pieces[1:]:
+        acc = _pairwise_sum(acc, nxt)
+    while acc.level > q:
+        acc = _single_shift(acc)
+    return acc
+
+
+def test_one_sum_and_one_shift_match_the_pairwise_rule():
+    models = [projective_space_ring(2, 4), projective_space_ring(3, 5),
+              projective_space_ring(7, 2), product_projective_spaces(2, 2, 3),
+              product_projective_spaces(5, 2, 2), adem_failure_ring(3),
+              adem_failure_ring(5), dual_numbers_ring(3, 2),
+              build_lift(free_polynomial_presentation(2, 6)).pi]
+    assert {A.p for A in models} == {2, 3, 5, 7}
+    rng = random.Random(22)
+    seen = {"cases": 0, "truncated": 0, "constant": 0, "negative": 0}
+    while seen["cases"] < 2400:
+        A = models[seen["cases"] % len(models)]
+        e = random_element(A, rng, min_weight=2 * rng.randrange(A.ring.top_weight() // 2 + 1),
+                           max_terms=5)
+        if not e:
+            continue
+        for q in range(e.weight() // 2 + 1):
+            ref, got = _pairwise_decompose(A, e, q), atiyah_decompose(A, e, q)
+            assert (got.level, got.layers) == (ref.level, ref.layers), (A, str(e), q)
+            flags = [(d.truncated, d.source.truncated, [l.truncated for l in d.layers])
+                     for d in (got, ref)]
+            assert flags[0] == flags[1], (A, str(e), q)
+            seen["cases"] += 1
+            seen["truncated"] += ref.truncated
+            seen["constant"] += UNIT in e.terms
+            seen["negative"] += min(e.terms.values()) < 0
+    assert all(seen.values()) and seen["truncated"] < seen["cases"]
 
 
 def test_decompose_errors():

@@ -413,6 +413,10 @@ def test_kmax_outside_its_range_exits_two(docs, kmax, message, capsys):
     assert elapsed < 1.0
 
 
+# projective-space-p3-n4.json carrying a prime above MAX_PRIME
+HUGE_PRIME_DOCUMENT = "projective-space-p1000000000000000003-n4.json"
+
+
 @pytest.mark.parametrize("name, extra, message", [
     ("projective-space-p3-n4.json", ["--trials", "1000000"],
      "error: --trials must be at most MAX_TRIALS=32, got 1000000"),
@@ -420,13 +424,18 @@ def test_kmax_outside_its_range_exits_two(docs, kmax, message, capsys):
      "error: top weight 66 must be at most MAX_VERIFY_WEIGHT=64; lower the truncation"),
     ("broken-adem-p3.json", ["--truncation", "2000"],
      "error: top weight 4000 must be at most MAX_VERIFY_WEIGHT=64; lower the truncation"),
-    ("projective-space-p3-n4.json", ["--prime", "1000000000000000003"],
+    (HUGE_PRIME_DOCUMENT, [],
      "error: p must be a prime integer at most MAX_PRIME=2147483648, got 1000000000000000003"),
 ])
-def test_hostile_verify_input_exits_two(name, extra, message, capsys):
+def test_hostile_verify_input_exits_two(name, extra, message, tmp_path, capsys):
     sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
+    doc = sample / name
+    if name == HUGE_PRIME_DOCUMENT:
+        data = json.loads((sample / "projective-space-p3-n4.json").read_text())
+        doc = tmp_path / name
+        doc.write_text(json.dumps({**data, "prime": 1000000000000000003}))
     t0 = time.perf_counter()
-    rc = main(["verify", "--doc", str(sample / name), *extra])
+    rc = main(["verify", "--doc", str(doc), *extra])
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""

@@ -121,12 +121,12 @@ def test_psi_on_lift_generator_formula():
     ring = lift.pi.ring
     # sigma = 1: psi X = pX + X^p
     base = ring.symbol("x")
-    image, dec = lift.pi.psi_of_generator(base.key), lift.pi.generator_decomposition(base)
+    image, dec = lift.pi.apply_psi(ring.var(base)), lift.pi.generator_decomposition(base)
     assert image == ring.var(base) * 3 + ring.var(base) ** 3
     assert dec.problems() == []
     # sigma = 3 at index (1): psi X = 27X + 9X[1,1] + 3X[1,2] + X^3
     v = ring.symbol("x", (1,))
-    image, dec = lift.pi.psi_of_generator(v.key), lift.pi.generator_decomposition(v)
+    image, dec = lift.pi.apply_psi(ring.var(v)), lift.pi.generator_decomposition(v)
     expected = (ring.var(v) * 27 + ring.gen("x", (1, 1)) * 9
                 + ring.gen("x", (1, 2)) * 3 + ring.var(v) ** 3)
     assert image == expected

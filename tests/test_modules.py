@@ -38,6 +38,12 @@ def test_hnf_pivots_positive_and_reduced():
             assert 0 <= hnf[above][j] < hnf[i][j]
 
 
+def test_pivots_skip_leading_zero_columns():
+    hnf = hermite_normal_form([[0, 2, 1], [0, 0, 3]])
+    assert hnf == [[0, 2, 1], [0, 0, 3]]
+    assert pivots(hnf) == [(0, 1), (1, 2)]
+
+
 def test_smith_invariant_factors():
     assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]

@@ -370,8 +370,8 @@ def _splitting_off_by_its_source(name):
     def control(monkeypatch):
         build = getattr(atiyah, name)
 
-        def perturbed(da, db):
-            d = build(da, db)
+        def perturbed(*ds):
+            d = build(*ds)
             return AtiyahDecomposition(d.algebra, d.source, d.level,
                                        (d.layers[0] + d.source,) + d.layers[1:])
 

@@ -8,9 +8,10 @@ import math
 # where 10^12 takes 68 ms and 10^18 more than 20 s.
 MAX_PRIME = 2**31
 
-# Largest p * bit_length(c) admitted for the power c^p of an integer
-# coefficient.  Such powers are exact layers (the top of c*m is (c*m)^p), so
-# they can be refused but not avoided; see ``fermat_quotient``.  On a 2-CPU
+# Largest size in bits admitted for a p-th power: p * bit_length(c) for the
+# power c^p of an integer coefficient, summed over the monomials a power of a
+# sum can keep.  Such powers are exact layers (the top of t is t^p), so they
+# can be refused but not avoided; see ``require_power_bits``.  On a 2-CPU
 # host `verify --trials 2` on a one-generator document, whose lifts reach
 # coefficients near p^3, runs 0.7 s at p = 10,007 (0.4M bits) and 4.9 s and
 # 177 MB at p = 40,009 (1.8M bits), and exits 2 at p = 46,021; without the
@@ -72,17 +73,24 @@ def adem_coefficient(p: int, i: int, j: int, t: int) -> int:
     return (sign * lucas_binom((p - 1) * (j - t) - 1, i - p * t, p)) % p
 
 
+def require_power_bits(bits: int, what: str) -> None:
+    """The one size rule for p-th powers: refuse with ValueError, before it
+    is built, a power estimated at more than ``MAX_POWER_BITS`` bits."""
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"{what} needs about {bits} bits, above "
+                         f"MAX_POWER_BITS={MAX_POWER_BITS}")
+
+
 def fermat_quotient(c: int, p: int) -> int:
     """(c - c^p)/p, an exact integer by Fermat's little theorem.
 
     Every integer coefficient of a split element passes through here, so this
     is where a coefficient whose p-th power would exceed ``MAX_POWER_BITS``
-    bits is refused with ValueError, before the power is built.  The units
-    0 and +-1 have trivial powers and always pass."""
-    if abs(c) > 1 and p * abs(c).bit_length() > MAX_POWER_BITS:
-        raise ValueError(
-            f"a coefficient of {abs(c).bit_length()} bits raised to the power p={p} needs "
-            f"about {p * abs(c).bit_length()} bits, above MAX_POWER_BITS={MAX_POWER_BITS}")
+    bits is refused.  The units 0 and +-1 have trivial powers and always
+    pass."""
+    if abs(c) > 1:
+        bits = abs(c).bit_length()
+        require_power_bits(p * bits, f"a coefficient of {bits} bits raised to the power p={p}")
     num = c - c**p
     q, r = divmod(num, p)
     if r:

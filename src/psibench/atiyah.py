@@ -18,10 +18,11 @@ flags record.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
 
-from .arith import fermat_quotient, validate_prime
+from .arith import fermat_quotient, require_power_bits, validate_prime
 from .rings import UNIT, Element, WeightedRing, mono_weight
 from .verdicts import Verdict
 
@@ -89,10 +90,7 @@ class PrePsiAlgebra:
             data[g.key] = layers
         self.psi_data = data
         self._generator_images = {
-            key: sum((layers[i] * p ** (len(layers) - 1 - i) for i in range(len(layers))),
-                     ring.zero())
-            for key, layers in data.items()
-        }
+            g.key: self.generator_decomposition(g).weighted_sum() for g in ring.generators}
         self.splittings: dict = {}
         self.graded_bases: dict = {}
         self.operations: dict = {}
@@ -230,7 +228,8 @@ def atiyah_sum(*ds: AtiyahDecomposition) -> AtiyahDecomposition:
     c = (t^p - s_1^p - ... - s_n^p)/p, read off the tops, is subtracted from
     the layer below the top.  A level-0 pair counts as a level-1 splitting,
     so one rule serves every level; for two summands at one level it is the
-    textbook two-summand construction.
+    textbook two-summand construction.  t^p is refused before it is built
+    when its size bound exceeds ``MAX_POWER_BITS``.
     """
     base = min(range(len(ds)), key=lambda k: ds[k].level)
     A, a = ds[base].algebra, len(ds[base].layers) - 1
@@ -246,9 +245,38 @@ def atiyah_sum(*ds: AtiyahDecomposition) -> AtiyahDecomposition:
                 layers[0] = layers[0] + layer * p ** (shift - j)
             else:
                 layers[j - shift] = layers[j - shift] + layer
+    require_power_bits(_power_bits(t, p),
+                       f"a sum of {len(t.terms)} terms raised to the power p={p}")
     top = t**p
     layers[a - 1] = layers[a - 1] - (top - tops).exact_div(p)
     return AtiyahDecomposition(A, t, ds[base].level, (*layers, top))
+
+
+def _power_bits(t: Element, p: int) -> int:
+    """An upper bound on the bits of each power t^e, e <= p, that ``t**p``
+    builds by squaring and multiplying.  With M the sum of |c| over the T
+    terms, a coefficient of t^e is at most M^e.  t^e keeps at most
+    C(T+e-1, e) monomials, and only those of weight e*weight(t) up to the
+    ring's top weight: in the n generators of t, those have total degree
+    ceil(e*weight(t)/w_max) up to top/w_min.  The exponents are taken in
+    brackets [e, 2e), each bounded at its ends."""
+    magnitude = sum(abs(c) for c in t.terms.values())
+    if magnitude <= 1:
+        return 0  # zero or a unit monomial: the power is trivial
+    gens = {g for m in t.terms for g, _ in m}
+    w_min = min((g.weight for g in gens), default=1)
+    w_max = max((g.weight for g in gens), default=1)
+    top, low, n = t.ring.top_weight(), t.weight(), len(gens)
+    up_to_top = math.comb(n + top // w_min, n)
+    worst, e = 0, 1
+    while e <= p and e * low <= top:
+        last = min(2 * e - 1, p)
+        a = -(-e * low // w_max)
+        window = up_to_top - (math.comb(n + a - 1, n) if a else 0)
+        kept = min(math.comb(len(t.terms) + last - 1, last), window)
+        worst = max(worst, kept * last * magnitude.bit_length())
+        e *= 2
+    return worst
 
 
 def atiyah_product(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDecomposition:

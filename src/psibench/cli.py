@@ -117,9 +117,7 @@ def cmd_steenrod(args) -> int:
     rep = parse_element(algebra.ring, args.element, mod=algebra.p)
     if rep and not rep.is_homogeneous():
         raise ValueError("class expression must be weight-homogeneous")
-    if args.degree is not None and args.degree % 2:
-        raise ValueError(f"--degree must be even, got {args.degree}")
-    degree = args.degree if args.degree is not None else (rep.weight() if rep else 0)
+    degree = rep.weight() if rep else 0
     cls = gr_class(algebra, rep.integer_lift() if rep else algebra.ring.zero(), degree)
     result = algebra.P(args.index, cls)
     report = _base_report("steenrod", doc, None, {
@@ -149,13 +147,13 @@ def cmd_verify(args) -> int:
     if args.axioms == "all":
         result = classify(algebra, trials=args.trials, seed=seed)
         verdicts = result.verdicts
-        report["classification"] = result.label
+        report.update(result.to_dict())
     else:
         names = [a.strip() for a in args.axioms.split(",") if a.strip()]
         if not names:
             raise ValueError(f"--axioms names no axiom: {args.axioms!r}")
         verdicts = run_axioms(algebra, names, args.trials, seed)
-    report["verdicts"] = [v.to_dict() for v in verdicts]
+        report["verdicts"] = [v.to_dict() for v in verdicts]
     report["status"] = Verdict.merge("verify", verdicts).status
     _emit(report, args.format)
     return 1 if report["status"] == FAIL else 0
@@ -227,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--index", "-i", dest="index", type=int, required=True)
     p.add_argument("--element", required=True, help="homogeneous class expression")
-    p.add_argument("--degree", type=int, default=None)
     p.set_defaults(fn=cmd_steenrod)
 
     p = sub.add_parser("verify", help="run axiom verifier suites / classification")
@@ -261,7 +258,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, ArithmeticError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write(f"error: {message}\n")
         return 2
 
 

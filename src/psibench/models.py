@@ -46,6 +46,11 @@ def adem_failure_ring(p: int, D: int | None = None) -> PrePsiAlgebra:
     return PrePsiAlgebra(ring, p, {x.key: tuple(layers)}, name="broken-adem")
 
 
+def _projective_layers(v, p: int) -> tuple:
+    """The splitting (sum_j binom(p,j)/p v^j, v^p) of psi(v) = (1+v)^p - 1."""
+    return sum(((math.comb(p, j) // p) * v**j for j in range(1, p)), v.ring.zero()), v**p
+
+
 def projective_space_ring(p: int, n: int, D: int | None = None) -> PrePsiAlgebra:
     """Truncated polynomial ring Z[t]/(t^(n+1)), |t| = 2, with
     psi(t) = (1+t)^p - 1 split as (sum_j binom(p,j)/p t^j, t^p).
@@ -58,12 +63,8 @@ def projective_space_ring(p: int, n: int, D: int | None = None) -> PrePsiAlgebra
         D = n * p
     t = GeneratorSymbol("t", (), 2)
     ring = WeightedRing([t], D, monomial_relations=[((t, n + 1),)])
-    te = ring.var(t)
-    bottom = ring.zero()
-    for j in range(1, p):
-        bottom = bottom + (math.comb(p, j) // p) * te**j
-    psi_data = {t.key: (bottom, te**p)}
-    return PrePsiAlgebra(ring, p, psi_data, name=f"projective-space(n={n})")
+    return PrePsiAlgebra(ring, p, {t.key: _projective_layers(ring.var(t), p)},
+                         name=f"projective-space(n={n})")
 
 
 def product_projective_spaces(p: int, n: int, m: int,
@@ -81,13 +82,7 @@ def product_projective_spaces(p: int, n: int, m: int,
     u = GeneratorSymbol("u", (), 2)
     ring = WeightedRing([t, u], D,
                         monomial_relations=[((t, n + 1),), ((u, m + 1),)])
-    psi_data = {}
-    for sym in (t, u):
-        v = ring.var(sym)
-        bottom = ring.zero()
-        for j in range(1, p):
-            bottom = bottom + (math.comb(p, j) // p) * v**j
-        psi_data[sym.key] = (bottom, v**p)
+    psi_data = {sym.key: _projective_layers(ring.var(sym), p) for sym in (t, u)}
     return PrePsiAlgebra(ring, p, psi_data,
                          name=f"product-projective-spaces(n={n},m={m})")
 

@@ -136,15 +136,7 @@ class PsiModule:
             q = s.weight // 2
             if s.name not in layers:
                 raise ValueError(f"missing layer data for symbol {s.name}")
-            given = []
-            for entry in layers[s.name]:
-                if isinstance(entry, ModuleElement):
-                    if entry.module is not self:
-                        raise ValueError("layer elements must belong to this module")
-                    given.append(entry)
-                else:
-                    given.append(ModuleElement(self, dict(entry)))
-            given = tuple(given)
+            given = tuple(ModuleElement(self, coords) for coords in layers[s.name])
             if len(given) != q + 1:
                 raise ValueError(
                     f"symbol {s.name} at level {q} needs {q + 1} layers, got {len(given)}")
@@ -175,29 +167,29 @@ class PsiModule:
         return total
 
     def decompose(self, e: ModuleElement, q: int) -> ModuleDecomposition:
-        """Splitting of an arbitrary element at level q <= weight(e)/2, by
-        shifting each symbol's stored splitting down and adding layerwise."""
+        """Splitting of an arbitrary element at level q <= weight(e)/2.  Each
+        symbol's stored splitting moves from its level down to q in one step,
+        by the rule ``atiyah.atiyah_shift`` applies: layers q .. level merge
+        by Horner's rule, those below pick up p^(level-q), and the result is
+        scaled by the symbol's coordinate; the symbols add layerwise."""
         if 2 * q > e.weight():
             raise ValueError(f"element has weight {e.weight()}, below 2q={2 * q}")
-        layers = [self.zero() for _ in range(q + 1)]
+        p, layers = self.p, [self.zero()] * (q + 1)
         for name, c in sorted(e.coords.items()):
-            own = [layer * c for layer in self.layers[name]]
-            level = self._weights[name] // 2
-            while level > q:
-                # module shift: everything times p, the top two merge
-                merged = [layer * self.p for layer in own[:-2]]
-                merged.append(own[-2] * self.p + own[-1])
-                own = merged
-                level -= 1
-            for i in range(q + 1):
-                layers[i] = layers[i] + own[i]
+            own = self.layers[name]
+            merged = own[q]
+            for layer in own[q + 1:]:
+                merged = merged * p + layer
+            scale = c * p ** (len(own) - 1 - q)
+            shifted = [layer * scale for layer in own[:q]] + [merged * c]
+            layers = [a + b for a, b in zip(layers, shifted)]
         return ModuleDecomposition(self, e, q, tuple(layers))
 
 
 WitnessNode = namedtuple("WitnessNode", "depth element level")
 
 
-class FgWitness(namedtuple("FgWitness", "module generators nodes")):
+class FgWitness(namedtuple("FgWitness", "nodes")):
     """The closure of the generators: ``nodes`` lists, round by round, the
     nodes that grew the lattice of their level."""
 
@@ -216,12 +208,6 @@ def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> 
     one of finitely many levels, so they end without a node bound."""
     if max_depth is None:
         max_depth = max(module.truncation, 1)
-    start = []
-    for g in gens:
-        e = module.basis_element(g) if isinstance(g, str) else g
-        if not e:
-            raise ValueError("zero generators are not allowed")
-        start.append(e)
     lattices: dict = {}
     nodes: list = []
 
@@ -232,8 +218,8 @@ def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> 
             lattices[level] = hermite_normal_form(hnf + [v])
             nodes.append(WitnessNode(depth, element, level))
 
-    for e in start:
-        grow(0, e, int(e.weight() // 2))
+    for g in gens:
+        grow(0, module.basis_element(g), module._weights[g] // 2)
     done = 0
     for depth in range(1, max_depth + 1):
         frontier, done = nodes[done:], len(nodes)
@@ -244,10 +230,10 @@ def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> 
                     grow(depth, child, node.level + j * (module.p - 1))
         if len(nodes) == done:
             break
-    return FgWitness(module, tuple(start), nodes)
+    return FgWitness(nodes)
 
 
-class GenerationReport(namedtuple("GenerationReport", "module per_weight verdict profile")):
+class GenerationReport(namedtuple("GenerationReport", "per_weight verdict profile")):
     """Per-weight comparison of the closure span against the module;
     ``per_weight`` maps a weight to (generated_count, dimension)."""
 
@@ -288,8 +274,7 @@ def is_fg_by(module: PsiModule, gens, max_depth: int | None = None) -> Generatio
         per_weight[w] = (got, len(syms))
         checked += len(syms)
     verdict = Verdict.decide("psi-finite-generation", checked, 0, witness)
-    return GenerationReport(module, per_weight, verdict,
-                            abelian_generator_profile(module))
+    return GenerationReport(per_weight, verdict, abelian_generator_profile(module))
 
 
 def abelian_generator_profile(module: PsiModule) -> list:

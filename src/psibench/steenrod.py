@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .arith import adem_coefficient, lucas_binom  # noqa: F401 (re-exported API)
+from .arith import adem_coefficient
 from .atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose, remember,
                      verify_welldefined)
 from .rings import Element, even_filtration

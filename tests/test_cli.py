@@ -291,8 +291,9 @@ def test_trials_below_one_exit_two(docs, trials, capsys):
 
 @pytest.mark.parametrize("args, message", [
     (["verify", "--doc", "dual-k1.json", "--axioms", ",,"], "--axioms names no axiom"),
+    # the degree is the class's weight, so steenrod takes no --degree
     (["steenrod", "--doc", "dual-k1.json", "-i", "0", "--element", "e", "--degree", "3"],
-     "--degree must be even, got 3"),
+     "unrecognized arguments: --degree 3"),
     (["fingen", "--doc", "tower.json", "--generators", "x", "--max-depth", "-1"],
      "--max-depth: must be at least 0, got -1"),
 ])
@@ -473,6 +474,36 @@ def test_a_coefficient_power_beyond_the_bit_budget_exits_two(command, tmp_path, 
     assert json.loads(capsys.readouterr().out)["layers"] == ["t", "0"]
 
 
+def _two_generator_document(tmp_path, p):
+    """Z[t, u], |t| = |u| = 2, D = p, psi(g) = p*g + g^p for both generators."""
+    def gen(name):
+        return {"id": name, "weight": 2,
+                "layers": [[{"coefficient": 1, "monomial": [[name, 1]]}],
+                           [{"coefficient": 1, "monomial": [[name, p]]}]]}
+    doc = {"kind": "pre-psi-algebra", "name": "two-generators", "prime": p, "truncation": p,
+           "generators": [gen("t"), gen("u")]}
+    path = tmp_path / f"two-generators-p{p}.json"
+    dump_document(doc, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["atiyah"], ["steenrod", "-i", "1"]])
+def test_a_sum_power_beyond_the_bit_budget_exits_two(command, tmp_path, capsys):
+    # (t + u)^p keeps 10,008 monomials with coefficients of up to about 10,000
+    # bits; each summand alone splits at once
+    path = _two_generator_document(tmp_path, 10007)
+    t0 = time.perf_counter()
+    rc = main([command[0], "--doc", path, *command[1:], "--element", "t + u"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: a sum of 2 terms raised to the power p=10007")
+    assert f"above MAX_POWER_BITS={MAX_POWER_BITS}" in captured.err
+    assert captured.err.count("\n") == 1
+    assert elapsed < 2.0
+    assert main([command[0], "--doc", path, *command[1:], "--element", "t"]) == 0
+
+
 def test_verify_at_a_large_prime_stays_fast(tmp_path, capsys):
     # the splitting of a sum reads its correction off the three tops, so its
     # cost does not grow with p; lifts reach coefficients near p^3
@@ -646,6 +677,20 @@ def test_hostile_values_exit_two_with_a_message(sample, command, path, value, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: invalid document: {message}\n"
+
+
+@pytest.mark.parametrize("sample, command, message", [
+    ("power-tower-p3-D81.json", ["fingen", "--generators", "zz"],
+     "unknown module symbol 'zz'"),
+    ("projective-space-p3-n4.json", ["steenrod", "-i", "1", "--element", "y"],
+     "unknown generator 'y' with indices ()"),
+])
+def test_an_unknown_name_exits_two_with_its_message(sample, command, message, capsys):
+    # a KeyError's message, not the quoted repr that str() of it gives
+    assert main([command[0], "--doc", str(SAMPLES / sample), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("key", ["01", "1\n"])

@@ -270,3 +270,42 @@ def test_lattice_closure_matches_the_node_closure():
             assert report.generated == all(got == dim for got, dim in want.values())
             verdicts.add(report.generated)
     assert verdicts == {True, False}
+
+
+# -- the one-step module shift against the per-level loop ---------------------------
+
+def per_level_layers(module, e, q):
+    """Reference: lower each symbol's splitting one level at a time (every
+    layer times p, the top two merged into one), then add layerwise."""
+    layers = [module.zero() for _ in range(q + 1)]
+    for name, c in sorted(e.coords.items()):
+        own = [layer * c for layer in module.layers[name]]
+        level = len(own) - 1
+        while level > q:
+            merged = [layer * module.p for layer in own[:-2]]
+            merged.append(own[-2] * module.p + own[-1])
+            own = merged
+            level -= 1
+        for i in range(q + 1):
+            layers[i] = layers[i] + own[i]
+    return tuple(layers)
+
+
+def test_module_shift_matches_the_per_level_loop():
+    rng = random.Random(0)
+    modules = [two_level_module()] + [random_forest(seed, p, D, 14, seed % 2 == 0)
+                                      for seed in range(3)
+                                      for p, D in ((2, 12), (3, 15), (5, 20))]
+    spread = shifted = 0
+    for module in modules:
+        names = [s.name for s in module.symbols]
+        for _ in range(12):
+            picked = rng.sample(names, rng.randint(1, min(4, len(names))))
+            e = module.element({n: rng.choice([-6, -3, -1, 1, 2, 5]) for n in picked})
+            spread += len({module._weights[n] for n in picked}) > 1
+            for q in range(int(e.weight()) // 2 + 1):
+                d = module.decompose(e, q)
+                assert d.layers == per_level_layers(module, e, q), (names, e, q)
+                assert d.problems() == []
+                shifted += any(module._weights[n] // 2 - q >= 2 for n in picked)
+    assert spread > 20 and shifted > 100

@@ -23,18 +23,20 @@ import random
 from collections import namedtuple
 
 from .arith import fermat_quotient, require_power_bits, validate_prime
-from .rings import UNIT, Element, WeightedRing, mono_weight
+from .rings import UNIT, Element, WeightedRing, add_into
 from .verdicts import Verdict
 
 # Entries one algebra's splitting cache holds; once full it stops inserting.
 SPLITTING_CACHE_SIZE = 4096
 
 
-def remember(memo: dict, key, value):
+def remember(memo: dict, key, value, demand: int = 0):
     """Insert into one of an algebra's bounded memos and return the value:
     a memo keeps inserting while it holds fewer than
-    ``SPLITTING_CACHE_SIZE`` entries, read at each call."""
-    if len(memo) < SPLITTING_CACHE_SIZE:
+    ``SPLITTING_CACHE_SIZE`` entries, read at each call, times the least
+    multiple (at least 1) that covers ``demand`` entries."""
+    size = SPLITTING_CACHE_SIZE
+    if len(memo) < size * max(1, -(-demand // max(size, 1))):
         memo[key] = value
     return value
 
@@ -54,7 +56,9 @@ class PrePsiAlgebra:
     ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree,
     ``operations`` memoizes ``steenrod.steenrod_P`` by (i, class) under the
     same bound (see ``steenrod.operation``), and ``psi_images`` memoizes psi
-    of a monomial under that monomial, also under the same bound.
+    of a monomial under that monomial, under the same bound stretched to
+    cover twice the generator count: a lift reads psi of most of its
+    variables and of many of their products.
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -89,8 +93,8 @@ class PrePsiAlgebra:
                 layers = layers[:sigma] + (top,)
             data[g.key] = layers
         self.psi_data = data
-        self._generator_images = {
-            g.key: self.generator_decomposition(g).weighted_sum() for g in ring.generators}
+        self._generator_images = tuple(
+            self.generator_decomposition(g).weighted_sum() for g in ring.generators)
         self.splittings: dict = {}
         self.graded_bases: dict = {}
         self.operations: dict = {}
@@ -108,15 +112,12 @@ class PrePsiAlgebra:
         terms: dict = {}
         truncated = False
         for m, c in e.terms.items():
-            image = self._psi_monomial(m)
+            image = self.psi_images.get(m)
+            if image is None:
+                image = self._psi_monomial(m)
             truncated = truncated or image.truncated
-            for fm, fc in image.terms.items():
-                total = terms.get(fm, 0) + c * fc
-                if total:
-                    terms[fm] = total
-                else:
-                    terms.pop(fm, None)
-        return Element(self.ring, terms, None, truncated)
+            add_into(terms, image.terms.items(), c)
+        return Element._clean(self.ring, terms, None, truncated)
 
     def _psi_monomial(self, m) -> Element:
         """psi(m), memoized in ``psi_images``: psi(g)^e for a generator
@@ -124,14 +125,15 @@ class PrePsiAlgebra:
         powers, each memoized as a monomial of its own."""
         out = self.psi_images.get(m)
         if out is None:
-            if len(m) == 1:
-                g, e = m[0]
-                out = self._generator_images[g.key] ** e
+            if len(m[1]) == 1:
+                (g, e), = m[1]
+                out = self._generator_images[g] ** e
             else:
+                weights = self.ring._weights
                 out = self.ring.one()
-                for power in m:
-                    out = out * self._psi_monomial((power,))
-            remember(self.psi_images, m, out)
+                for g, e in reversed(m[1]):
+                    out = out * self._psi_monomial((weights[g] * e, ((g, e),)))
+            remember(self.psi_images, m, out, 2 * len(self.ring.generators))
         return out
 
     def P(self, i: int, cls):
@@ -180,9 +182,14 @@ class AtiyahDecomposition(namedtuple("AtiyahDecomposition", "algebra source leve
         return self.layers[-1] if i == self.level else self.layers[i]
 
     def weighted_sum(self) -> Element:
+        """sum_i p^(k-i) * layers[i], in one pass over the layers' terms."""
         p, top = self.algebra.p, len(self.layers) - 1
-        return sum((layer * p ** (top - i) for i, layer in enumerate(self.layers)),
-                   self.algebra.ring.zero())
+        terms: dict = {}
+        for i, layer in enumerate(self.layers):
+            if layer:
+                add_into(terms, layer.terms.items(), p ** (top - i))
+        return Element._clean(self.algebra.ring, terms, None,
+                              any(layer.truncated for layer in self.layers))
 
     def problems(self) -> list:
         """Violations of the defining contract, as human-readable strings."""
@@ -263,9 +270,10 @@ def _power_bits(t: Element, p: int) -> int:
     magnitude = sum(abs(c) for c in t.terms.values())
     if magnitude <= 1:
         return 0  # zero or a unit monomial: the power is trivial
-    gens = {g for m in t.terms for g, _ in m}
-    w_min = min((g.weight for g in gens), default=1)
-    w_max = max((g.weight for g in gens), default=1)
+    weights = t.ring._weights
+    gens = {g for m in t.terms for g, _ in m[1]}
+    w_min = min((weights[g] for g in gens), default=1)
+    w_max = max((weights[g] for g in gens), default=1)
     top, low, n = t.ring.top_weight(), t.weight(), len(gens)
     up_to_top = math.comb(n + top // w_min, n)
     worst, e = 0, 1
@@ -315,20 +323,22 @@ def atiyah_shift(d: AtiyahDecomposition, level: int) -> AtiyahDecomposition:
 
 def _monomial_decomposition(algebra: PrePsiAlgebra, m) -> AtiyahDecomposition:
     """Splitting of a monomial at its natural level weight/2: the cached
-    splitting of m with its last exponent lowered by one, times one generator
-    splitting.  Walks down to the longest cached prefix, then back up."""
+    splitting of m with the exponent of its heaviest-sorted generator lowered
+    by one, times one generator splitting.  Walks down to the longest cached
+    prefix, then back up."""
+    ring = algebra.ring
     chain = []
     d = None
-    while m:
-        key = (frozenset({m: 1}.items()), mono_weight(m) // 2)
+    while m[1]:
+        key = (frozenset({m: 1}.items()), m[0] // 2)
         d = algebra.splittings.get(key)
         if d is not None:
             break
-        g, exp = m[-1]
+        (g, exp), rest = m[1][0], m[1][1:]
         chain.append((g, key))
-        m = m[:-1] if exp == 1 else m[:-1] + ((g, exp - 1),)
+        m = (m[0] - ring._weights[g], rest if exp == 1 else ((g, exp - 1),) + rest)
     for g, key in reversed(chain):
-        gd = algebra.generator_decomposition(g)
+        gd = algebra.generator_decomposition(ring.generators[g])
         d = remember(algebra.splittings, key, gd if d is None else atiyah_product(d, gd))
     return d
 

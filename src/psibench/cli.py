@@ -24,7 +24,8 @@ from .steenrod import AXIOMS, classify, gr_class, run_axioms
 from .verdicts import FAIL, Verdict
 
 # Largest --trials and top weight (the nilpotent bound, else 2D) verify
-# admits; on a 2-CPU host projective_space_ring(3, 32) at --trials 32 takes 9-12 s.
+# admits; on a shared 2-CPU host projective_space_ring(3, 32) at --trials 32
+# takes about 3 s.
 MAX_TRIALS = 32
 MAX_VERIFY_WEIGHT = 64
 

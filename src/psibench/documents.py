@@ -276,7 +276,8 @@ def algebra_from_document(doc: dict) -> PrePsiAlgebra:
         name, indices = id_from_json(g["id"])
         symbols.append(GeneratorSymbol(name, indices, g["weight"]))
     probe = WeightedRing(symbols, D)
-    relations = [mono_from_json(probe, m) for m in doc.get("monomial_relations", [])]
+    relations = [probe.symbol_pairs(mono_from_json(probe, m))
+                 for m in doc.get("monomial_relations", [])]
     ring = WeightedRing(symbols, D, relations)
     psi_data = {}
     for g in doc["generators"]:
@@ -309,7 +310,8 @@ def _algebra_fields(algebra: PrePsiAlgebra) -> dict:
     }
     if ring.monomial_relations:
         doc["monomial_relations"] = [
-            [[id_to_json(g), e] for g, e in m] for m in ring.monomial_relations]
+            [[id_to_json(g), e] for g, e in ring.symbol_pairs(m)]
+            for m in ring.monomial_relations]
     if algebra.graded_gb is not None:
         doc["graded_relations"] = [poly_to_json(b) for b in algebra.graded_gb]
     if algebra.name:

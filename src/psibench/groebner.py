@@ -10,7 +10,7 @@ from bisect import bisect_left
 from collections import deque
 
 from .arith import validate_prime
-from .rings import Element, WeightedRing, mono_div, mono_key, mono_mul, mono_weight
+from .rings import Element, WeightedRing, mono_div, mono_divides, mono_mul
 
 
 class GroebnerBasis:
@@ -21,8 +21,9 @@ class GroebnerBasis:
     generator they contain (the unit lead under None).  The pair update
     reads the files of a new lead's generators to find the leads it shares
     a generator with; a divisor search reads the files of a monomial's
-    generators and takes each lead from the file of its first generator, as
-    a divisor's generators all occur in the monomial."""
+    generators in ascending order and takes each lead from the file of its
+    lightest generator, as a divisor's generators all occur in the
+    monomial."""
 
     def __init__(self, ring: WeightedRing, p: int, basis: list):
         self.ring = ring
@@ -37,7 +38,7 @@ class GroebnerBasis:
     def _append(self, e: Element) -> None:
         lead, coeff = e.leading()
         k = len(self.basis)
-        for g in [g for g, _ in lead] or [None]:
+        for g in [g for g, _ in lead[1]] or [None]:
             self._filed.setdefault(g, []).append(k)
         self.basis.append(e)
         self._leads.append(lead)
@@ -45,25 +46,26 @@ class GroebnerBasis:
 
     def _divisors(self, exps: dict):
         """Indices of the basis elements whose lead divides the monomial with
-        exponent map ``exps``."""
+        exponent map ``exps`` (generator position to exponent)."""
         yield from self._filed.get(None, ())
-        for g in exps:
+        for g, have in exps.items():
             for k in self._filed.get(g, ()):
-                lead = self._leads[k]
-                if lead[0][0] == g and all(exps.get(h, 0) >= e for h, e in lead):
+                lead = self._leads[k][1]
+                if lead[-1][0] == g and (have >= lead[0][1] if len(lead) == 1 else
+                                         all(exps.get(h, 0) >= e for h, e in lead)):
                     yield k
 
     def _sharing(self, t: int) -> list:
         """Indices below t whose lead shares a generator with lead t,
         ascending; read from the files of lead t's generators."""
         found = set()
-        for g, _ in self._leads[t]:
+        for g, _ in self._leads[t][1]:
             file = self._filed[g]
             found.update(file[:bisect_left(file, t)])
         return sorted(found)
 
     def _divisor(self, mono):
-        return next(self._divisors(dict(mono)), None)
+        return next(self._divisors(dict(reversed(mono[1]))), None)
 
     def __len__(self):
         return len(self.basis)
@@ -102,12 +104,16 @@ def _validate_relations(relations, p) -> WeightedRing:
     return ring
 
 
-def _lcm(a, b) -> dict:
-    out = dict(a)
-    for g, e in b:
-        if e > out.get(g, 0):
+def _lcm(weights, a, b):
+    """The lcm of monomials a and b; ``weights`` are the ring's generator
+    weights."""
+    out, w = dict(a[1]), a[0]
+    for g, e in b[1]:
+        have = out.get(g, 0)
+        if e > have:
             out[g] = e
-    return out
+            w += weights[g] * (e - have)
+    return (w, tuple(sorted(out.items(), reverse=True)))
 
 
 def _spoly(gb: GroebnerBasis, i: int, j: int, lcm) -> Element:
@@ -129,7 +135,7 @@ def normal_form(e: Element, gb: GroebnerBasis) -> Element:
     work = dict(e.terms)
     remainder = {}
     while work:
-        mono = max(work, key=mono_key)
+        mono = max(work)
         coeff = work.pop(mono)
         k = gb._divisor(mono)
         if k is None:
@@ -152,7 +158,7 @@ def normal_form(e: Element, gb: GroebnerBasis) -> Element:
             else:
                 work.pop(m, None)
     # reductions of a flagged input stay flagged; reduction itself drops nothing
-    return ring.element(remainder, mod=p, truncated=e.truncated)
+    return Element._clean(ring, remainder, p, e.truncated)
 
 
 def _update(gb: GroebnerBasis, h: Element, pairs: deque) -> None:
@@ -167,23 +173,23 @@ def _update(gb: GroebnerBasis, h: Element, pairs: deque) -> None:
     t = len(gb)
     gb._append(h)
     lead = gb._leads[t]
-    bound = gb.ring.max_weight
+    bound, weights = gb.ring.max_weight, gb.ring._weights
     # coprime pairs are never dropped here, so only the others need an lcm
-    shared = [(_lcm(lead, gb._leads[g]), g) for g in gb._sharing(t)]
+    shared = [(_lcm(weights, lead, gb._leads[g]), g) for g in gb._sharing(t)]
     dropped = set()
     kept = []
     for lcm, g in shared:
         if any(k != g and k < t and k not in dropped
-               for k in gb._divisors(lcm)):
+               for k in gb._divisors(dict(lcm[1]))):
             dropped.add(g)
         else:
             kept.append((lcm, g))
     survivors = [(lcm, a, b) for lcm, a, b in pairs
-                 if not all(lcm.get(x, 0) >= e for x, e in lead)
-                 or _lcm(gb._leads[a], lead) == lcm or _lcm(gb._leads[b], lead) == lcm]
+                 if not mono_divides(lead, lcm) or _lcm(weights, gb._leads[a], lead) == lcm
+                 or _lcm(weights, gb._leads[b], lead) == lcm]
     pairs.clear()
     pairs.extend(survivors)
-    pairs.extend((lcm, t, g) for lcm, g in kept if mono_weight(tuple(lcm.items())) <= bound)
+    pairs.extend((lcm, t, g) for lcm, g in kept if lcm[0] <= bound)
 
 
 def groebner_build(relations, p: int) -> GroebnerBasis:
@@ -198,7 +204,7 @@ def groebner_build(relations, p: int) -> GroebnerBasis:
     for r in relations:
         r = _monic(r, p)
         start.setdefault(frozenset(r.terms.items()), r)
-    start = sorted(start.values(), key=lambda e: mono_key(e.leading()[0]))
+    start = sorted(start.values(), key=lambda e: e.leading()[0])
 
     gb = GroebnerBasis(ring, p, [])
     pairs: deque = deque()
@@ -206,13 +212,12 @@ def groebner_build(relations, p: int) -> GroebnerBasis:
         _update(gb, r, pairs)
     while pairs:
         lcm, i, j = pairs.popleft()
-        lcm = tuple(sorted(lcm.items(), key=lambda ge: ge[0].sort_key))
         s = normal_form(_spoly(gb, i, j, lcm), gb)
         if s:
             _update(gb, _monic(s, p), pairs)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    order = sorted(range(len(gb)), key=lambda k: mono_key(gb._leads[k]))
+    order = sorted(range(len(gb)), key=gb._leads.__getitem__)
     reduced = GroebnerBasis(ring, p, [])
     for k in order:
         if reduced._divisor(gb._leads[k]) is None:
@@ -221,10 +226,10 @@ def groebner_build(relations, p: int) -> GroebnerBasis:
     # lead cannot divide another monomial of its own weight
     for k, b in enumerate(reduced.basis):
         lead = reduced._leads[k]
-        tail = ring.element({m: c for m, c in b.terms.items() if m != lead}, mod=p)
+        tail = Element._clean(ring, {m: c for m, c in b.terms.items() if m != lead}, p)
         if tail:
-            reduced.basis[k] = ring.element(
-                {lead: 1, **normal_form(tail, reduced).terms}, mod=p)
+            reduced.basis[k] = Element._clean(
+                ring, {lead: 1, **normal_form(tail, reduced).terms}, p)
     return reduced
 
 

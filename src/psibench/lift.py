@@ -28,9 +28,10 @@ from .unstable import UnstableAlgebra
 from .verdicts import Verdict
 
 # Largest admissible-variable set a window may need, sized from measured
-# presentations plus lifts on a 2-CPU host: p=2, D=12 (5,702 variables) takes
-# about 3 s and 85 MB; the largest windows under the cap, p=5, D=48 (8,021)
-# and p=7, D=72 (8,161), take about 13 s and 18 s and up to 260 MB.
+# presentations plus lifts on a shared 2-CPU host: p=2, D=12 (5,702
+# variables) takes about 0.7 s and 56 MB peak RSS; the largest windows under
+# the cap, p=5, D=48 (8,021) and p=7, D=72 (8,161), take about 3 s and 5 s
+# and up to 76 MB.
 MAX_LIFT_VARIABLES = 8192
 
 # Largest number of psi-iterates a lift may record.  default_k_max, the least
@@ -79,14 +80,12 @@ def lift_generator_layers(ring: WeightedRing, p: int, sym: GeneratorSymbol) -> t
 
     Children pushed beyond the weight window become flagged zeros."""
     sigma = sym.weight // 2
-    layers = [ring.var(sym)]
+    var, lost = ring.var(sym), Element(ring, {}, truncated=True)
+    layers = [var]
     for i in range(1, sigma):
-        key = (sym.name, sym.indices + (i,))
-        if key in ring._by_key:
-            layers.append(ring.gen(sym.name, sym.indices + (i,)))
-        else:
-            layers.append(Element(ring, {}, truncated=True))
-    layers.append(ring.var(sym) ** p)
+        child = ring._by_key.get((sym.name, sym.indices + (i,)))
+        layers.append(lost if child is None else ring.var(child))
+    layers.append(var ** p)
     return tuple(layers)
 
 
@@ -130,7 +129,9 @@ class UnstablePresentation:
         self.gb = groebner_build(live, p) if live else None
         self.layers = {sym.key: lift_generator_layers(self.ring, p, sym)
                        for sym in self.symbols}
-        middles = {key: {i: layers[i].reduce_mod(p) for i in range(1, len(layers) - 1)}
+        # a flagged zero layer adds nothing to the table's total operation
+        middles = {key: {i: layer.reduce_mod(p) for i, layer in enumerate(layers[1:-1], 1)
+                         if layer}
                    for key, layers in self.layers.items()}
         self.algebra = UnstableAlgebra(self.ring, p, self.gb, middles=middles,
                                        name=name or "presentation")

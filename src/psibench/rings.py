@@ -14,9 +14,11 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-Monomial = tuple  # tuple[tuple[GeneratorSymbol, int], ...], sorted by sort_key
+Monomial = tuple  # (weight, ((position, exponent), ...)), positions descending
 
-UNIT: Monomial = ()
+UNIT: Monomial = (0, ())
+
+_new = object.__new__
 
 
 def even_filtration(w: int) -> int:
@@ -57,70 +59,86 @@ class GeneratorSymbol(namedtuple("GeneratorSymbol", "name indices weight")):
         return f"{self.name}[{','.join(map(str, self.indices))}]"
 
 
+# A monomial is its own key in the graded order: total weight first, then
+# lexicographic with heavier-sorted generators more significant, since
+# positions index the ring's generators in ``sort_key`` order and are stored
+# descending.  Weights are positive, so this is a monomial order, safe for
+# Groebner reduction.  Monomials belong to their ring: ``WeightedRing.monomial``
+# and ``WeightedRing.symbol_pairs`` convert from and to generator symbols.
+
+
 def mono_weight(m: Monomial) -> int:
-    return sum(g.weight * e for g, e in m)
+    return m[0]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
+    if not a[1]:
         return b
-    if not b:
+    if not b[1]:
         return a
-    exps: dict = {}
-    order: dict = {}
-    for g, e in a + b:
+    exps = dict(a[1])
+    for g, e in b[1]:
         exps[g] = exps.get(g, 0) + e
-        order[g] = g.sort_key
-    return tuple(sorted(exps.items(), key=lambda ge: order[ge[0]]))
+    return (a[0] + b[0], tuple(sorted(exps.items(), reverse=True)))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """Whether monomial a divides monomial b."""
-    need = dict(a)
-    for g, e in b:
-        if g in need:
-            need[g] -= min(need[g], e)
-    return all(v == 0 for v in need.values())
+    if a[0] > b[0]:
+        return False
+    have = dict(b[1])
+    return all(have.get(g, 0) >= e for g, e in a[1])
 
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
     """b / a, assuming a divides b."""
-    rem = dict(b)
-    for g, e in a:
+    rem = dict(b[1])
+    for g, e in a[1]:
         rem[g] = rem.get(g, 0) - e
         if rem[g] < 0:
             raise ArithmeticError(f"{a} does not divide {b}")
-    return tuple((g, rem[g]) for g, _ in b if rem[g] > 0)
+    return (b[0] - a[0], tuple((g, rem[g]) for g, _ in b[1] if rem[g] > 0))
 
 
-def mono_key(m: Monomial):
-    """Graded key: total weight first, then lexicographic with heavier-sorted
-    generators more significant.  This is a monomial order (weights are
-    positive), so it is safe for Groebner reduction."""
-    return (mono_weight(m), tuple(sorted(((g.sort_key, e) for g, e in m), reverse=True)))
+def add_into(terms: dict, items, scale: int = 1, mod: int | None = None) -> None:
+    """Add scale * c * m into ``terms`` for each (m, c) of ``items``, reduced
+    mod ``mod``.  Each scale * c must be nonzero mod ``mod``, so a sum that
+    cancels names a term already there; it leaves at once, and the others
+    keep the order that adding one element at a time gives."""
+    get = terms.get
+    for m, c in items:
+        c = get(m, 0) + scale * c
+        if mod is not None:
+            c %= mod
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
 
 
-def mono_str(m: Monomial) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for g, e in m:
-        parts.append(str(g) if e == 1 else f"{g}^{e}")
-    return "*".join(parts)
+def mono_str(ring: "WeightedRing", m: Monomial) -> str:
+    """The monomial as the reports print it, memoized per ring."""
+    s = ring._mono_strs.get(m)
+    if s is None:
+        names = ring._names
+        s = ring._mono_strs[m] = "*".join(
+            names[g] if e == 1 else f"{names[g]}^{e}" for g, e in reversed(m[1])) or "1"
+    return s
 
 
 class WeightedRing:
     """Ambient context: generator table, truncation bound and monomial relations.
 
     ``monomial_relations`` lists monomials identified with zero (e.g. a square
-    of a dual number); they are applied after every product, which keeps
-    nilpotent base rings free of any integral Groebner machinery.  A relation
-    on one generator, g^e, acts as an exponent cap (the smallest such e per
-    generator); only relations on several generators take a divisibility test.
+    of a dual number), given as (generator, exponent) pairs; they are applied
+    after every product, which keeps nilpotent base rings free of any integral
+    Groebner machinery.  A relation on one generator, g^e, acts as an exponent
+    cap (the smallest such e per generator); only relations on several
+    generators take a divisibility test.
     """
 
     def __init__(self, generators: Iterable[GeneratorSymbol], truncation: int,
-                 monomial_relations: Iterable[Monomial] = ()):
+                 monomial_relations: Iterable = ()):
         gens = tuple(generators)
         keys = [g.key for g in gens]
         if len(set(keys)) != len(keys):
@@ -129,10 +147,15 @@ class WeightedRing:
             raise ValueError(f"truncation bound D must be a positive integer, got {truncation}")
         self.generators = tuple(sorted(gens, key=lambda g: g.sort_key))
         self.truncation = truncation
+        self.max_weight = 2 * truncation
         for g in gens:
             if g.weight > self.max_weight:
                 raise ValueError(f"generator {g} has weight {g.weight} beyond 2D")
         self._by_key = {g.key: g for g in self.generators}
+        self._pos = {g.key: i for i, g in enumerate(self.generators)}
+        self._weights = tuple(g.weight for g in self.generators)
+        self._names = tuple(str(g) for g in self.generators)
+        self._mono_strs: dict = {}
         rels = []
         for m in monomial_relations:
             m = tuple(m)
@@ -143,21 +166,34 @@ class WeightedRing:
                     raise ValueError(f"relation monomial uses unknown generator {g}")
                 if e <= 0:
                     raise ValueError("relation exponents must be positive")
-            rels.append(tuple(sorted(m, key=lambda ge: ge[0].sort_key)))
-        self.monomial_relations = tuple(sorted(rels, key=mono_key))
+            rels.append(self.monomial(m))
+        self.monomial_relations = tuple(sorted(rels))
         self._caps: dict = {}
         for m in self.monomial_relations:
-            if len(m) == 1:
-                g, e = m[0]
+            if len(m[1]) == 1:
+                g, e = m[1][0]
                 self._caps[g] = min(self._caps.get(g, e), e)
-        self._general_relations = tuple(m for m in self.monomial_relations if len(m) > 1)
+        self._general_relations = tuple(m for m in self.monomial_relations if len(m[1]) > 1)
         self._max_monomial_weight = None
         if len(self._caps) == len(self.generators):
-            self._max_monomial_weight = sum((e - 1) * g.weight for g, e in self._caps.items())
+            self._max_monomial_weight = sum(
+                (e - 1) * self._weights[g] for g, e in self._caps.items())
 
-    @property
-    def max_weight(self) -> int:
-        return 2 * self.truncation
+    def monomial(self, pairs) -> Monomial:
+        """The monomial of (GeneratorSymbol, exponent) pairs; a generator
+        named more than once contributes the sum of its exponents."""
+        exps: dict = {}
+        for g, e in pairs:
+            i = self._pos[g.key]
+            exps[i] = exps.get(i, 0) + e
+        weights = self._weights
+        return (sum(weights[i] * e for i, e in exps.items()),
+                tuple(sorted(exps.items(), reverse=True)))
+
+    def symbol_pairs(self, m: Monomial) -> tuple:
+        """The (GeneratorSymbol, exponent) pairs of a monomial, in ascending
+        generator order."""
+        return tuple((self.generators[g], e) for g, e in reversed(m[1]))
 
     def symbol(self, name: str, indices: tuple = ()) -> GeneratorSymbol:
         try:
@@ -169,7 +205,7 @@ class WeightedRing:
         """Whether a monomial relation divides m: an exponent reaches its
         generator's cap, or a relation on several generators divides m."""
         caps = self._caps
-        return (any(e >= caps.get(g, e + 1) for g, e in m)
+        return (any(e >= caps.get(g, e + 1) for g, e in m[1])
                 or any(mono_divides(rel, m) for rel in self._general_relations))
 
     def max_monomial_weight(self):
@@ -207,51 +243,52 @@ class WeightedRing:
         return Element(self, dict(terms), mod, truncated)
 
     def zero(self, mod: int | None = None) -> "Element":
-        return Element(self, {}, mod)
+        return Element._clean(self, {}, mod)
 
     def one(self, mod: int | None = None) -> "Element":
-        return Element(self, {UNIT: 1}, mod)
+        return Element._clean(self, {UNIT: 1}, mod)
 
     def scalar(self, c: int, mod: int | None = None) -> "Element":
         return Element(self, {UNIT: c}, mod)
 
     def gen(self, name: str, indices: tuple = (), mod: int | None = None) -> "Element":
-        return Element(self, {((self.symbol(name, indices), 1),): 1}, mod)
+        return self.var(self.symbol(name, indices), mod)
 
     def var(self, symbol: GeneratorSymbol, mod: int | None = None) -> "Element":
-        if symbol.key not in self._by_key:
+        i = self._pos.get(symbol.key)
+        if i is None:
             raise KeyError(f"unknown generator {symbol}")
-        return Element(self, {((self._by_key[symbol.key], 1),): 1}, mod)
+        m = (self._weights[i], ((i, 1),))
+        return Element._clean(self, {} if self.monomial_relations and self.kills(m) else {m: 1},
+                              mod)
 
     def monomials_of_weight(self, weight: int, predicate=None) -> list:
         """All monomials of the given weight (<= 2D), respecting monomial
-        relations; ``predicate`` may prune partial monomials early."""
+        relations; ``predicate`` may prune partial monomials early, and it
+        must reject every multiple of a monomial it rejects, as the
+        relations do."""
         if weight > self.max_weight:
             raise ValueError(f"weight {weight} exceeds the truncation bound {self.max_weight}")
         out: list = []
+        weights, relations = self._weights, self.monomial_relations
 
-        def extend(idx: int, remaining: int, acc: list):
+        def extend(idx: int, remaining: int, acc: tuple):
             if remaining == 0:
-                out.append(tuple(acc))
+                out.append((weight, acc))
                 return
-            for i in range(idx, len(self.generators)):
-                g = self.generators[i]
-                if g.weight > remaining:
-                    continue
+            for i in range(idx, len(weights)):
+                w = weights[i]
                 e = 1
-                while e * g.weight <= remaining:
-                    cand = acc + [(g, e)]
-                    mono = tuple(cand)
-                    if self.monomial_relations and self.kills(mono):
+                while e * w <= remaining:
+                    mono = (weight - remaining + e * w, ((i, e),) + acc)
+                    if (relations and self.kills(mono)
+                            or predicate is not None and not predicate(mono)):
                         break
-                    if predicate is not None and not predicate(mono):
-                        e += 1
-                        continue
-                    extend(i + 1, remaining - e * g.weight, cand)
+                    extend(i + 1, remaining - e * w, mono[1])
                     e += 1
 
-        extend(0, weight, [])
-        return sorted(out, key=mono_key)
+        extend(0, weight, ())
+        return sorted(out)
 
     def __repr__(self):
         return (f"WeightedRing({len(self.generators)} generators, D={self.truncation}, "
@@ -282,12 +319,25 @@ class Element:
                 c %= mod
             if c == 0 or relations and ring.kills(m):
                 continue
-            if mono_weight(m) > bound:
+            if m[0] > bound:
                 dropped = True
                 continue
             clean[m] = c
         self.terms = clean
         self.truncated = truncated or dropped
+
+    @staticmethod
+    def _clean(ring: WeightedRing, terms: dict, mod: int | None = None,
+               truncated: bool = False) -> "Element":
+        """An element on terms that are already nonzero, reduced mod ``mod``,
+        inside the window and not killed: ``__init__``'s filter would keep
+        every one of them, so it does not run."""
+        self = _new(Element)
+        self.ring = ring
+        self.terms = terms
+        self.mod = mod
+        self.truncated = truncated
+        return self
 
     # -- basic protocol -------------------------------------------------------
     def __bool__(self):
@@ -300,7 +350,7 @@ class Element:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((id(self.ring), self.mod, tuple(sorted(self.terms.items(), key=lambda t: mono_key(t[0])))))
+        return hash((id(self.ring), self.mod, tuple(sorted(self.terms.items()))))
 
     def _check_compatible(self, other: "Element"):
         if self.ring is not other.ring:
@@ -314,15 +364,15 @@ class Element:
             other = self.ring.scalar(other, self.mod)
         self._check_compatible(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Element(self.ring, terms, self.mod, self.truncated or other.truncated)
+        add_into(terms, other.terms.items(), 1, self.mod)
+        return Element._clean(self.ring, terms, self.mod, self.truncated or other.truncated)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.ring, {m: -c for m, c in self.terms.items()},
-                       self.mod, self.truncated)
+        mod = self.mod
+        terms = {m: -c if mod is None else mod - c for m, c in self.terms.items()}
+        return Element._clean(self.ring, terms, mod, self.truncated)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -337,44 +387,60 @@ class Element:
             return Element(self.ring, {m: c * other for m, c in self.terms.items()},
                            self.mod, self.truncated)
         self._check_compatible(other)
-        ring = self.ring
+        ring, mod = self.ring, self.mod
         bound, relations = ring.max_weight, ring.monomial_relations
         terms: dict = {}
         dropped = False
-        bw = {m: mono_weight(m) for m in other.terms}
         for ma, ca in self.terms.items():
-            wa = mono_weight(ma)
+            wa = ma[0]
             for mb, cb in other.terms.items():
-                if wa + bw[mb] > bound:
+                if wa + mb[0] > bound:
                     # a product the relations kill is zero, not lost
                     dropped = dropped or not relations or not ring.kills(mono_mul(ma, mb))
                     continue
                 m = mono_mul(ma, mb)
                 terms[m] = terms.get(m, 0) + ca * cb
-        return Element(self.ring, terms, self.mod,
-                       self.truncated or other.truncated or dropped)
+        truncated = self.truncated or other.truncated or dropped
+        if relations:
+            return Element(ring, terms, mod, truncated)
+        if mod is None:
+            terms = {m: c for m, c in terms.items() if c}
+        else:
+            terms = {m: r for m, c in terms.items() if (r := c % mod)}
+        return Element._clean(ring, terms, mod, truncated)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be non-negative integers")
-        result = self.ring.one(self.mod)
-        base = self
+        ring, mod = self.ring, self.mod
+        if len(self.terms) == 1 and n:
+            ((w, pairs), c), = self.terms.items()
+            if w * n <= ring.max_weight:
+                # one term whose power stays in the window: one monomial power
+                m = (w * n, tuple((g, e * n) for g, e in pairs))
+                c = c**n if mod is None else pow(c, n, mod)
+                kept = c and not (ring.monomial_relations and ring.kills(m))
+                return Element._clean(ring, {m: c} if kept else {}, mod, self.truncated)
+            if not ring.monomial_relations:
+                # no relation can kill a power on its way out of the window
+                return Element._clean(ring, {}, mod, True)
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return ring.one(mod) if result is None else result
 
     # -- queries ----------------------------------------------------------------
     def weight(self):
         """Minimum term weight; +inf for the zero element."""
         if not self.terms:
             return math.inf
-        return min(mono_weight(m) for m in self.terms)
+        return min(self.terms)[0]  # monomials order by weight first
 
     def homogeneous_component(self, weight: int) -> "Element":
         """The weight-``weight`` part.  Exact for weight <= 2D even if this
@@ -383,37 +449,38 @@ class Element:
         if weight > self.ring.max_weight:
             raise ValueError(
                 f"component weight {weight} exceeds the truncation bound {self.ring.max_weight}")
-        terms = {m: c for m, c in self.terms.items() if mono_weight(m) == weight}
-        return Element(self.ring, terms, self.mod, truncated=False)
+        terms = {m: c for m, c in self.terms.items() if m[0] == weight}
+        return Element._clean(self.ring, terms, self.mod)
 
     def weights(self) -> list:
-        return sorted({mono_weight(m) for m in self.terms})
+        return sorted({m[0] for m in self.terms})
 
     def is_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1
+        return len({m[0] for m in self.terms}) <= 1
 
     def leading(self):
         """(monomial, coefficient) maximal in the graded order; None if zero."""
         if not self.terms:
             return None
-        m = max(self.terms, key=mono_key)
+        m = max(self.terms)
         return m, self.terms[m]
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     # -- coefficient-ring moves ---------------------------------------------------
     def reduce_mod(self, p: int) -> "Element":
         """Reduce integer coefficients mod p (a ring homomorphism)."""
         if self.mod is not None:
             raise ValueError("element already has mod-p coefficients")
-        return Element(self.ring, dict(self.terms), p, self.truncated)
+        terms = {m: r for m, c in self.terms.items() if (r := c % p)}
+        return Element._clean(self.ring, terms, p, self.truncated)
 
     def integer_lift(self) -> "Element":
         """Mod-p -> integer coefficients via representatives in [1, p-1]."""
         if self.mod is None:
             raise ValueError("element already has integer coefficients")
-        return Element(self.ring, dict(self.terms), None, self.truncated)
+        return Element._clean(self.ring, dict(self.terms), None, self.truncated)
 
     def exact_div(self, k: int) -> "Element":
         """Divide every coefficient by the integer k, which must be exact."""
@@ -425,23 +492,22 @@ class Element:
             if r:
                 raise ArithmeticError(f"coefficient {c} not divisible by {k}")
             terms[m] = q
-        return Element(self.ring, terms, None, self.truncated)
+        return Element._clean(self.ring, terms, None, self.truncated)
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            if m == UNIT:
+            if not m[1]:
                 parts.append(str(c))
             elif c == 1:
-                parts.append(mono_str(m))
+                parts.append(mono_str(self.ring, m))
             elif c == -1:
-                parts.append(f"-{mono_str(m)}")
+                parts.append(f"-{mono_str(self.ring, m)}")
             else:
-                parts.append(f"{c}*{mono_str(m)}")
-        s = " + ".join(parts).replace("+ -", "- ")
-        return s
+                parts.append(f"{c}*{mono_str(self.ring, m)}")
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
         tag = f" mod {self.mod}" if self.mod is not None else ""
@@ -471,7 +537,7 @@ def poly_to_json(e: Element) -> list:
     out = []
     for mono, coeff in e.sorted_terms():
         out.append({"coefficient": coeff,
-                    "monomial": [[id_to_json(g), exp] for g, exp in mono]})
+                    "monomial": [[id_to_json(g), exp] for g, exp in e.ring.symbol_pairs(mono)]})
     return out
 
 
@@ -488,8 +554,4 @@ def poly_from_json(ring: WeightedRing, data, mod: int | None = None) -> Element:
 def mono_from_json(ring: WeightedRing, data) -> tuple:
     """The monomial a document monomial encodes; a generator id named more
     than once contributes the sum of its exponents."""
-    exps: dict = {}
-    for gid, exp in data:
-        sym = ring.symbol(*id_from_json(gid))
-        exps[sym] = exps.get(sym, 0) + exp
-    return tuple(sorted(exps.items(), key=lambda ge: ge[0].sort_key))
+    return ring.monomial((ring.symbol(*id_from_json(gid)), exp) for gid, exp in data)

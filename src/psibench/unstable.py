@@ -10,7 +10,8 @@ is multiplicative.  Quotients are realized by a Groebner basis over Z/p.
 from __future__ import annotations
 
 from .arith import validate_prime
-from .rings import Element, WeightedRing, mono_weight
+from .atiyah import remember
+from .rings import Element, WeightedRing, add_into
 from .steenrod import GradedClass, check_adem, check_p0_identity, gr_class_of_rep, operation
 from .verdicts import Verdict
 
@@ -18,8 +19,10 @@ from .verdicts import Verdict
 class UnstableAlgebra:
     """A graded quotient of a weighted polynomial ring over Z/p, with a
     table-driven action of the operations P^i.  ``graded_bases`` memoizes
-    ``steenrod.graded_basis`` by degree, and ``operations`` memoizes ``P`` by
-    (i, class) as ``steenrod.operation`` describes."""
+    ``steenrod.graded_basis`` by degree, ``operations`` memoizes ``P`` by
+    (i, class) as ``steenrod.operation`` describes, and ``total_images``
+    memoizes the total operation of a monomial under that monomial, bounded
+    like the splitting cache (``atiyah.remember``)."""
 
     def __init__(self, ring: WeightedRing, p: int, graded_gb=None,
                  middles: dict | None = None, name: str = ""):
@@ -30,8 +33,8 @@ class UnstableAlgebra:
         self._action: dict = {}
         middles = middles or {}
         for g in ring.generators:
-            d = g.weight // 2
-            table = {0: ring.var(g, p), d: ring.var(g, p) ** p}
+            d, var = g.weight // 2, ring.var(g, p)
+            table = {0: var, d: var ** p}
             for i, img in middles.get(g.key, {}).items():
                 if not 1 <= i <= d - 1:
                     raise ValueError(
@@ -46,19 +49,25 @@ class UnstableAlgebra:
                 table[i] = img
             self._action[g.key] = table
         self._totals: dict = {}
+        self.total_images: dict = {}
         self.graded_bases: dict = {}
         self.operations: dict = {}
 
-    def _total(self, key) -> Element:
-        if key not in self._totals:
-            table = self._action[key]
-            self._totals[key] = sum(table.values(), self.ring.zero(self.p))
-        return self._totals[key]
+    def _total(self, g: int) -> Element:
+        if g not in self._totals:
+            table = self._action[self.ring.generators[g].key]
+            self._totals[g] = sum(table.values(), self.ring.zero(self.p))
+        return self._totals[g]
 
     def _total_monomial(self, m) -> Element:
-        total = self.ring.one(self.p)
-        for g, e in m:
-            total = total * self._total(g.key) ** e
+        """The total operation on a monomial: its generators' totals raised
+        to their exponents, multiplied in ascending generator order."""
+        total = self.total_images.get(m)
+        if total is None:
+            total = self.ring.one(self.p)
+            for g, e in reversed(m[1]):
+                total = total * self._total(g) ** e
+            remember(self.total_images, m, total)
         return total
 
     def apply_P(self, i: int, e: Element) -> Element:
@@ -68,13 +77,15 @@ class UnstableAlgebra:
         decide target degrees before trusting the answer up there."""
         if e.ring is not self.ring or e.mod != self.p:
             raise ValueError("element does not belong to this algebra")
-        out = self.ring.zero(self.p)
+        p, shift = self.p, 2 * i * (self.p - 1)
+        terms: dict = {}
         for m, c in e.terms.items():
-            target = mono_weight(m) + 2 * i * (self.p - 1)
+            target = m[0] + shift
             if target > self.ring.max_weight:
                 continue
-            out = out + self._total_monomial(m).homogeneous_component(target) * c
-        return out
+            image = self._total_monomial(m).terms.items()
+            add_into(terms, [(tm, tc) for tm, tc in image if tm[0] == target], c, p)
+        return Element._clean(self.ring, terms, p)
 
     def P(self, i: int, cls: GradedClass) -> GradedClass:
         return operation(self, i, cls, _table_P)

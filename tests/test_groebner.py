@@ -165,10 +165,9 @@ def _pair_update_reads(monkeypatch, relations, p):
 
     def update(gb, h, pairs):
         t, lead = len(gb), h.leading()[0]
-        mine = {g for g, _ in lead}
+        mine = {g for g, _ in lead[1]}
         shared = {k for k, gens in enumerate(generators) if gens & mine}
-        chain = {k for lcm, a, b in pairs if all(lcm.get(g, 0) >= e for g, e in lead)
-                 for k in (a, b)}
+        chain = {k for lcm, a, b in pairs if mono_divides(lead, lcm) for k in (a, b)}
         log["reads"].clear()
         log["on"] = True
         try:

@@ -283,8 +283,8 @@ def test_validation_rejects_incomplete_relation_set():
     # leaving out the top-power identification X[1] = X^2 must be refused
     full = free_polynomial_presentation(2, 3)
     kept = [r for r in full.relations
-            if r.terms.keys() != {((full.ring.symbol("x", (1,)), 1),),
-                                  ((full.ring.symbol("x"), 2),)}]
+            if r.terms.keys() != {full.ring.monomial([(full.ring.symbol("x", (1,)), 1)]),
+                                  full.ring.monomial([(full.ring.symbol("x"), 2)])}]
     assert len(kept) == len(full.relations) - 1
     pres = UnstablePresentation(2, [("x", 2)], [poly_to_json(r) for r in kept], 3)
     failed = {v.name: v.witness for v in pres.validation if v.status == FAIL}

@@ -6,8 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psibench.rings import (Element, GeneratorSymbol, WeightedRing, even_filtration,
-                            mono_divides, mono_key, mono_weight)
+from psibench.groebner import groebner_build, normal_form
+from psibench.lift import build_lift
+from psibench.models import (free_polynomial_presentation, product_projective_spaces,
+                             projective_space_ring)
+from psibench.rings import (UNIT, Element, GeneratorSymbol, WeightedRing, even_filtration,
+                            mono_div, mono_divides, mono_mul, mono_weight)
+
+
+def mono_key(pairs):
+    """The graded order on (generator, exponent) pairs, written out: total
+    weight first, then lexicographic with heavier-sorted generators more
+    significant.  The reference that a monomial's own tuple order must equal."""
+    return (sum(g.weight * e for g, e in pairs),
+            tuple(sorted(((g.sort_key, e) for g, e in pairs), reverse=True)))
 
 
 def test_generator_symbol_validation():
@@ -75,9 +87,9 @@ def test_a_term_the_relations_kill_is_zero_not_dropped():
     ring = WeightedRing([t, u], 2, monomial_relations=[((t, 3),)])
     te, ue = ring.var(t), ring.var(u)
     assert not (te**2 * te).truncated
-    assert not ring.element({((t, 3),): 1}).truncated
+    assert not ring.element({ring.monomial([(t, 3)]): 1}).truncated
     assert (ue**2 * ue).truncated
-    assert ring.element({((u, 3),): 1}).truncated
+    assert ring.element({ring.monomial([(u, 3)]): 1}).truncated
     assert ((te + ue) * te**2).truncated  # t^3 is killed, u*t^2 is lost
 
 
@@ -139,7 +151,7 @@ def test_monomials_of_weight(free_ring):
     # weight 4: x^2 and y
     monos = free_ring.monomials_of_weight(4)
     assert len(monos) == 2
-    assert free_ring.monomials_of_weight(0) == [()]
+    assert free_ring.monomials_of_weight(0) == [UNIT]
     with pytest.raises(ValueError):
         free_ring.monomials_of_weight(18)
 
@@ -147,8 +159,9 @@ def test_monomials_of_weight(free_ring):
 def test_monomial_order_is_graded(free_ring):
     x = free_ring.symbol("x")
     y = free_ring.symbol("y")
-    assert mono_key(((x, 1),)) < mono_key(((y, 1),))       # weight 2 < 4
-    assert mono_key(((x, 2),)) < mono_key(((y, 1),))       # same weight, y is larger
+    mono = free_ring.monomial
+    assert mono([(x, 1)]) < mono([(y, 1)])       # weight 2 < 4
+    assert mono([(x, 2)]) < mono([(y, 1)])       # same weight, y is larger
 
 
 # -- property tests -----------------------------------------------------------------
@@ -157,7 +170,7 @@ _RING = WeightedRing([GeneratorSymbol("x", (), 2), GeneratorSymbol("y", (), 4)],
 
 
 def elements(ring):
-    monos = [()]
+    monos = [UNIT]
     for w in range(2, ring.max_weight + 1, 2):
         monos.extend(ring.monomials_of_weight(w))
     term = st.tuples(st.sampled_from(monos), st.integers(-9, 9))
@@ -234,8 +247,8 @@ def _brute_force(ring, terms, mod):
     return kept, dropped
 
 
-def _monomials(gens, exps):
-    return tuple((g, e) for g, e in zip(gens, exps) if e)
+def _monomials(ring, exps):
+    return ring.monomial((g, e) for g, e in zip(ring.generators, exps) if e)
 
 
 @pytest.mark.parametrize("name", list(RELATION_RINGS))
@@ -248,7 +261,7 @@ def test_exponent_caps_match_the_divisibility_filter(name):
         for _ in range(200):
             terms = {}
             for _ in range(rng.randrange(1, 8)):
-                m = _monomials(gens, [rng.randrange(0, 7) for _ in gens])
+                m = _monomials(ring, [rng.randrange(0, 7) for _ in gens])
                 terms[m] = rng.randrange(-4, 5)
             e = Element(ring, terms, mod)
             kept, dropped = _brute_force(ring, terms, mod)
@@ -260,9 +273,10 @@ def test_exponent_caps_match_the_divisibility_filter(name):
     for w in range(0, ring.max_weight + 1, 2):
         expected = [m for exps in itertools.product(range(ring.max_weight // 2 + 1),
                                                     repeat=len(gens))
-                    if mono_weight(m := _monomials(gens, exps)) == w
+                    if mono_weight(m := _monomials(ring, exps)) == w
                     and not any(mono_divides(r, m) for r in ring.monomial_relations)]
-        assert ring.monomials_of_weight(w) == sorted(expected, key=mono_key)
+        assert ring.monomials_of_weight(w) == sorted(
+            expected, key=lambda m: mono_key(ring.symbol_pairs(m)))
     assert ring.max_monomial_weight() is None  # y has no pure-power relation
 
 
@@ -281,3 +295,159 @@ def test_decidable_weights_lie_in_the_window_or_above_the_nilpotent_bound():
     free = WeightedRing([_T, _Y], 3)
     assert [w for w in range(0, 14, 2) if free.decidable(w)] == [0, 2, 4, 6]
     assert not any(free.above_top(w) for w in range(0, 14, 2))
+
+
+# -- the monomial key against the written-out order ------------------------------------
+
+KEY_RINGS = {
+    "lift p=2 D=8": lambda: free_polynomial_presentation(2, 8).ring,
+    "product-projective(3, 3, 3)": lambda: product_projective_spaces(3, 3, 3).ring,
+}
+
+
+def _symbol_monomials(ring, rng, count):
+    """Random monomials as (generator, exponent) pairs: none to three
+    distinct generators in random order, exponents 1 to 3."""
+    return [[(g, rng.randint(1, 3))
+             for g in rng.sample(ring.generators, rng.randint(0, min(3, len(ring.generators))))]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", list(KEY_RINGS))
+def test_monomial_tuple_order_is_the_graded_order(name):
+    ring = KEY_RINGS[name]()
+    pairs = _symbol_monomials(ring, random.Random(name), 300)
+    monos = [ring.monomial(p) for p in pairs]
+    keys = [mono_key(p) for p in pairs]
+    for a, ka in zip(monos, keys):
+        for b, kb in zip(monos, keys):
+            assert (a < b, a == b) == (ka < kb, ka == kb)
+    for p, m in zip(pairs, monos):
+        assert mono_weight(m) == sum(g.weight * e for g, e in p)
+        assert ring.symbol_pairs(m) == tuple(sorted(p, key=lambda ge: ge[0].sort_key))
+    # equal weights and shared generators, where only the lexicographic part decides
+    t, u = ring.generators[:2]
+    if t.weight == u.weight:
+        assert ring.monomial([(t, 1), (u, 2)]) > ring.monomial([(t, 2), (u, 1)])
+
+
+@pytest.mark.parametrize("name", list(KEY_RINGS))
+def test_monomial_arithmetic_agrees_with_exponent_dicts(name):
+    ring = KEY_RINGS[name]()
+    rng = random.Random(name)
+    pairs = _symbol_monomials(ring, rng, 300)
+    # divisors of earlier monomials, so that division succeeds often
+    pairs += [[(g, rng.randint(1, e)) for g, e in p if rng.random() < 0.7] for p in pairs]
+
+    def expect(exps):
+        return (sum(g.weight * e for g, e in exps.items()),
+                tuple(sorted(((g, e) for g, e in exps.items() if e), key=lambda ge: ge[0].sort_key)))
+
+    def got(m):
+        return mono_weight(m), ring.symbol_pairs(m)
+
+    for pa, pb in zip(pairs, pairs[::-1] + pairs[:1]):
+        a, b = ring.monomial(pa), ring.monomial(pb)
+        da, db = dict(pa), dict(pb)
+        assert got(mono_mul(a, b)) == expect({g: da.get(g, 0) + db.get(g, 0) for g in da | db})
+        divides = all(db.get(g, 0) >= e for g, e in da.items())
+        assert mono_divides(a, b) == divides
+        if divides:
+            assert got(mono_div(b, a)) == expect({g: e - da.get(g, 0) for g, e in db.items()})
+        else:
+            with pytest.raises(ArithmeticError):
+                mono_div(b, a)
+        assert mono_div(mono_mul(a, b), a) == b
+
+
+# -- results built without the filter pass it unchanged ------------------------------
+
+_E = GeneratorSymbol("e", (), 4)
+CLEAN_RINGS = {
+    "free": lambda: WeightedRing([_X, _Y, _T], 4),
+    "relations": lambda: WeightedRing([_X, _Y, _T], 4, [((_X, 1), (_Y, 1)), ((_T, 3),)]),
+    "nilpotent": lambda: WeightedRing([_T, _E], 5, [((_T, 4),), ((_E, 2),)]),
+}
+
+
+def _random_element(ring, rng, mod, flagged=False):
+    """Up to five terms with small coefficients, some at the window's edge
+    or beyond it, built through the filter."""
+    terms = {}
+    for _ in range(rng.randrange(6)):
+        m = ring.monomial((g, rng.randrange(4)) for g in ring.generators)
+        terms[m] = terms.get(m, 0) + rng.randint(-3, 3)
+    return Element(ring, terms, mod, flagged)
+
+
+def _assert_clean(r):
+    again = Element(r.ring, dict(r.terms), r.mod, r.truncated)
+    assert list(again.terms.items()) == list(r.terms.items()), r
+    assert again.truncated == r.truncated
+
+
+def _squaring_power(e, n):
+    result, base = e.ring.one(e.mod), e
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@pytest.mark.parametrize("name", list(CLEAN_RINGS))
+@pytest.mark.parametrize("mod", [None, 2, 3])
+def test_element_operations_return_filtered_terms(name, mod):
+    ring = CLEAN_RINGS[name]()
+    rng = random.Random(f"{name}/{mod}")
+    for _ in range(150):
+        a, b = (_random_element(ring, rng, mod, rng.random() < 0.2) for _ in range(2))
+        k = rng.randint(-4, 4)
+        results = [a + b, a - b, -a, a + (-a), a - a, b - a, a * b, a * a, a * k, k * a,
+                   a + k, k - a, ring.zero(mod), ring.one(mod), ring.scalar(k, mod),
+                   *(a ** n for n in range(4)),
+                   *(a.homogeneous_component(w) for w in range(0, ring.max_weight + 1, 2)),
+                   *(ring.var(g, mod) for g in ring.generators)]
+        if mod is None:
+            results += [a.reduce_mod(3), (a * 6).exact_div(3)]
+        else:
+            results.append(a.integer_lift())
+        for r in results:
+            _assert_clean(r)
+
+
+@pytest.mark.parametrize("name", list(CLEAN_RINGS))
+@pytest.mark.parametrize("mod", [None, 3])
+def test_single_term_powers_match_repeated_squaring(name, mod):
+    ring = CLEAN_RINGS[name]()
+    rng = random.Random(f"{name}/{mod}")
+    for _ in range(150):
+        m = ring.monomial((g, rng.randrange(3)) for g in ring.generators)
+        e = Element(ring, {m: rng.choice([-2, -1, 1, 2, 5])}, mod, rng.random() < 0.2)
+        for n in range(7):
+            power, want = e ** n, _squaring_power(e, n)
+            assert list(power.terms.items()) == list(want.terms.items()), (e, n)
+            assert power.truncated == want.truncated, (e, n)
+            _assert_clean(power)
+
+
+def test_algebra_builders_return_filtered_terms():
+    rng = random.Random(0)
+    lift = build_lift(free_polynomial_presentation(2, 5))
+    for A in (projective_space_ring(3, 4), product_projective_spaces(3, 2, 2), lift.pi):
+        for g in A.ring.generators:
+            _assert_clean(A.generator_decomposition(g).weighted_sum())
+        for _ in range(40):
+            e = _random_element(A.ring, rng, None)
+            _assert_clean(A.apply_psi(e))
+    table = lift.graded
+    for _ in range(40):
+        e = _random_element(table.ring, rng, 2)
+        for i in range(4):
+            _assert_clean(table.apply_P(i, e))
+            _assert_clean(normal_form(table.apply_P(i, e), table.graded_gb))
+    gb = groebner_build([r for r in lift.presentation.relations if r], 2)
+    for b in gb:
+        _assert_clean(b)

@@ -12,6 +12,7 @@ from psibench.models import free_polynomial_presentation
 from psibench.steenrod import AXIOMS
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
+BENCH_DATA = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 # stdout sha256 of `verify --axioms all --trials 2 --format json`: caching or
 # refactoring must not move a byte.  Re-recorded when an identity whose
@@ -41,6 +42,14 @@ GOLDEN_VERIFY_TRUNCATION_2000 = "25b408f982f28ca9806c5f7af08e19cf2c2923598391ffe
 # while psi is correct: the report is the old one without that entry.
 GOLDEN_LIFT = {
     "polynomial-presentation-p2-D6.json": "360670db361026fb321fb53a470c3ee32cba5d48890f231556b31e152dc5495e",
+}
+
+# stdout sha256 of `lift --format json` on the benchmark's larger
+# presentations, the same at hash seeds 0 and 1; recorded before monomials
+# were keyed by generator position, to pin the benchmark's slowest command.
+GOLDEN_LIFT_BENCH = {
+    "polynomial-presentation-p2-D8.json": "6e0ee8c7bc781a28acdd9a999ed1cfaf1a4e6c13e86f25fa9a2902031c8d7b79",
+    "polynomial-presentation-p3-D12.json": "3c179cb9c0da228b990c26dd9a8b00f46fe028b9f20a572c1871724ef888432d",
 }
 
 # sha256 of the serialized lift (`lift --out`), which carries the Groebner
@@ -153,6 +162,15 @@ def test_golden_lift_reports(name, capsys):
     rc = main(["lift", "--doc", str(SAMPLES / name), "--format", "json"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LIFT[name]
+    assert rc == 0
+
+
+@pytest.mark.skipif(not BENCH_DATA.is_dir(), reason="benchmark data not present")
+@pytest.mark.parametrize("name", sorted(GOLDEN_LIFT_BENCH))
+def test_golden_lift_reports_on_benchmark_presentations(name, capsys):
+    rc = main(["lift", "--doc", str(BENCH_DATA / name), "--format", "json"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LIFT_BENCH[name]
     assert rc == 0
 
 

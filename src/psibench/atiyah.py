@@ -23,7 +23,7 @@ import random
 from collections import namedtuple
 
 from .arith import fermat_quotient, require_power_bits, validate_prime
-from .rings import UNIT, Element, WeightedRing, add_into
+from .rings import UNIT, Element, WeightedRing, add_into, mono_div
 from .verdicts import Verdict
 
 # Entries one algebra's splitting cache holds; once full it stops inserting.
@@ -112,9 +112,7 @@ class PrePsiAlgebra:
         terms: dict = {}
         truncated = False
         for m, c in e.terms.items():
-            image = self.psi_images.get(m)
-            if image is None:
-                image = self._psi_monomial(m)
+            image = self._psi_monomial(m)
             truncated = truncated or image.truncated
             add_into(terms, image.terms.items(), c)
         return Element._clean(self.ring, terms, None, truncated)
@@ -129,10 +127,9 @@ class PrePsiAlgebra:
                 (g, e), = m[1]
                 out = self._generator_images[g] ** e
             else:
-                weights = self.ring._weights
                 out = self.ring.one()
                 for g, e in reversed(m[1]):
-                    out = out * self._psi_monomial((weights[g] * e, ((g, e),)))
+                    out = out * self._psi_monomial(self.ring.power(g, e))
             remember(self.psi_images, m, out, 2 * len(self.ring.generators))
         return out
 
@@ -334,9 +331,9 @@ def _monomial_decomposition(algebra: PrePsiAlgebra, m) -> AtiyahDecomposition:
         d = algebra.splittings.get(key)
         if d is not None:
             break
-        (g, exp), rest = m[1][0], m[1][1:]
+        g = m[1][0][0]
         chain.append((g, key))
-        m = (m[0] - ring._weights[g], rest if exp == 1 else ((g, exp - 1),) + rest)
+        m = mono_div(m, ring.power(g, 1))
     for g, key in reversed(chain):
         gd = algebra.generator_decomposition(ring.generators[g])
         d = remember(algebra.splittings, key, gd if d is None else atiyah_product(d, gd))

@@ -28,7 +28,7 @@ from .groebner import groebner_build
 from .lift import Lift, UnstablePresentation
 from .modules import ModuleSymbol, PsiModule
 from .rings import (Element, GeneratorSymbol, WeightedRing, id_from_json, id_to_json,
-                    mono_from_json, poly_from_json, poly_to_json)
+                    poly_from_json, poly_to_json)
 
 
 class DocumentError(ValueError):
@@ -276,7 +276,7 @@ def algebra_from_document(doc: dict) -> PrePsiAlgebra:
         name, indices = id_from_json(g["id"])
         symbols.append(GeneratorSymbol(name, indices, g["weight"]))
     probe = WeightedRing(symbols, D)
-    relations = [probe.symbol_pairs(mono_from_json(probe, m))
+    relations = [[(probe.symbol(*id_from_json(gid)), e) for gid, e in m]
                  for m in doc.get("monomial_relations", [])]
     ring = WeightedRing(symbols, D, relations)
     psi_data = {}

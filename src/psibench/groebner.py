@@ -104,18 +104,6 @@ def _validate_relations(relations, p) -> WeightedRing:
     return ring
 
 
-def _lcm(weights, a, b):
-    """The lcm of monomials a and b; ``weights`` are the ring's generator
-    weights."""
-    out, w = dict(a[1]), a[0]
-    for g, e in b[1]:
-        have = out.get(g, 0)
-        if e > have:
-            out[g] = e
-            w += weights[g] * (e - have)
-    return (w, tuple(sorted(out.items(), reverse=True)))
-
-
 def _spoly(gb: GroebnerBasis, i: int, j: int, lcm) -> Element:
     ring, p = gb.ring, gb.p
     uf = ring.element({mono_div(lcm, gb._leads[i]): gb._lead_inv[i]}, mod=p)
@@ -173,9 +161,9 @@ def _update(gb: GroebnerBasis, h: Element, pairs: deque) -> None:
     t = len(gb)
     gb._append(h)
     lead = gb._leads[t]
-    bound, weights = gb.ring.max_weight, gb.ring._weights
+    bound, lcm_of = gb.ring.max_weight, gb.ring.lcm
     # coprime pairs are never dropped here, so only the others need an lcm
-    shared = [(_lcm(weights, lead, gb._leads[g]), g) for g in gb._sharing(t)]
+    shared = [(lcm_of(lead, gb._leads[g]), g) for g in gb._sharing(t)]
     dropped = set()
     kept = []
     for lcm, g in shared:
@@ -185,8 +173,8 @@ def _update(gb: GroebnerBasis, h: Element, pairs: deque) -> None:
         else:
             kept.append((lcm, g))
     survivors = [(lcm, a, b) for lcm, a, b in pairs
-                 if not mono_divides(lead, lcm) or _lcm(weights, gb._leads[a], lead) == lcm
-                 or _lcm(weights, gb._leads[b], lead) == lcm]
+                 if not mono_divides(lead, lcm) or lcm_of(gb._leads[a], lead) == lcm
+                 or lcm_of(gb._leads[b], lead) == lcm]
     pairs.clear()
     pairs.extend(survivors)
     pairs.extend((lcm, t, g) for lcm, g in kept if lcm[0] <= bound)

@@ -29,9 +29,9 @@ from .verdicts import Verdict
 
 # Largest admissible-variable set a window may need, sized from measured
 # presentations plus lifts on a shared 2-CPU host: p=2, D=12 (5,702
-# variables) takes about 0.7 s and 56 MB peak RSS; the largest windows under
-# the cap, p=5, D=48 (8,021) and p=7, D=72 (8,161), take about 3 s and 5 s
-# and up to 76 MB.
+# variables) takes about 0.8 s and 56 MB peak RSS; the largest windows under
+# the cap, p=5, D=48 (8,021) and p=7, D=72 (8,161), take about 3.4 s and
+# 4.6 s and up to 77 MB.
 MAX_LIFT_VARIABLES = 8192
 
 # Largest number of psi-iterates a lift may record.  default_k_max, the least
@@ -129,7 +129,8 @@ class UnstablePresentation:
         self.gb = groebner_build(live, p) if live else None
         self.layers = {sym.key: lift_generator_layers(self.ring, p, sym)
                        for sym in self.symbols}
-        # a flagged zero layer adds nothing to the table's total operation
+        # a child beyond the window gives a flagged zero layer; it adds nothing
+        # to the total operation, the table's only reader, so it is left out
         middles = {key: {i: layer.reduce_mod(p) for i, layer in enumerate(layers[1:-1], 1)
                          if layer}
                    for key, layers in self.layers.items()}

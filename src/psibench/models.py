@@ -115,7 +115,8 @@ def free_polynomial_presentation(p: int, D: int, theta: str = "x", d: int = 1,
         values[sym.indices] = val
         relations.append(
             [{"coefficient": 1, "monomial": [[id_to_json(sym), 1]]}]
-            + [{"coefficient": -c, "monomial": [[theta, e] for _, e in mono[1]]}
+            + [{"coefficient": -c,
+                "monomial": [[id_to_json(g), e] for g, e in base.ring.symbol_pairs(mono)]}
                for mono, c in val.terms.items()])
     return UnstablePresentation(p, [(theta, 2 * d)], relations, D,
                                 max_zeros=max_zeros,

@@ -65,6 +65,9 @@ class GeneratorSymbol(namedtuple("GeneratorSymbol", "name indices weight")):
 # descending.  Weights are positive, so this is a monomial order, safe for
 # Groebner reduction.  Monomials belong to their ring: ``WeightedRing.monomial``
 # and ``WeightedRing.symbol_pairs`` convert from and to generator symbols.
+# Only this module builds monomials (``WeightedRing.power`` and
+# ``WeightedRing.lcm`` for the other modules), so only it keeps the weight and
+# the descending order; a monomial's last pair holds its lightest generator.
 
 
 def mono_weight(m: Monomial) -> int:
@@ -117,13 +120,9 @@ def add_into(terms: dict, items, scale: int = 1, mod: int | None = None) -> None
 
 
 def mono_str(ring: "WeightedRing", m: Monomial) -> str:
-    """The monomial as the reports print it, memoized per ring."""
-    s = ring._mono_strs.get(m)
-    if s is None:
-        names = ring._names
-        s = ring._mono_strs[m] = "*".join(
-            names[g] if e == 1 else f"{names[g]}^{e}" for g, e in reversed(m[1])) or "1"
-    return s
+    """The monomial as the reports print it."""
+    names = ring._names
+    return "*".join([names[g] if e == 1 else f"{names[g]}^{e}" for g, e in reversed(m[1])]) or "1"
 
 
 class WeightedRing:
@@ -155,7 +154,6 @@ class WeightedRing:
         self._pos = {g.key: i for i, g in enumerate(self.generators)}
         self._weights = tuple(g.weight for g in self.generators)
         self._names = tuple(str(g) for g in self.generators)
-        self._mono_strs: dict = {}
         rels = []
         for m in monomial_relations:
             m = tuple(m)
@@ -194,6 +192,21 @@ class WeightedRing:
         """The (GeneratorSymbol, exponent) pairs of a monomial, in ascending
         generator order."""
         return tuple((self.generators[g], e) for g, e in reversed(m[1]))
+
+    def power(self, g: int, e: int) -> Monomial:
+        """The monomial g^e of the generator at position g."""
+        return (self._weights[g] * e, ((g, e),))
+
+    def lcm(self, a: Monomial, b: Monomial) -> Monomial:
+        """The least common multiple of monomials a and b."""
+        exps, w = dict(a[1]), a[0]
+        weights = self._weights
+        for g, e in b[1]:
+            have = exps.get(g, 0)
+            if e > have:
+                exps[g] = e
+                w += weights[g] * (e - have)
+        return (w, tuple(sorted(exps.items(), reverse=True)))
 
     def symbol(self, name: str, indices: tuple = ()) -> GeneratorSymbol:
         try:
@@ -258,7 +271,7 @@ class WeightedRing:
         i = self._pos.get(symbol.key)
         if i is None:
             raise KeyError(f"unknown generator {symbol}")
-        m = (self._weights[i], ((i, 1),))
+        m = self.power(i, 1)
         return Element._clean(self, {} if self.monomial_relations and self.kills(m) else {m: 1},
                               mod)
 
@@ -423,9 +436,6 @@ class Element:
                 c = c**n if mod is None else pow(c, n, mod)
                 kept = c and not (ring.monomial_relations and ring.kills(m))
                 return Element._clean(ring, {m: c} if kept else {}, mod, self.truncated)
-            if not ring.monomial_relations:
-                # no relation can kill a power on its way out of the window
-                return Element._clean(ring, {}, mod, True)
         result, base = None, self
         while n:
             if n & 1:

@@ -388,15 +388,20 @@ def test_psi_memo_is_per_algebra():
     assert A.psi_images is not B.psi_images
 
 
-@pytest.mark.parametrize("size", [3, 0])
-def test_psi_memo_stays_bounded_with_unchanged_values(monkeypatch, size):
-    reference = projective_space_ring(3, 6)
+@pytest.mark.parametrize("make, size, held", [
+    (lambda: projective_space_ring(3, 6), 3, 3),
+    (lambda: projective_space_ring(3, 6), 0, 0),
+    # two generators: the bound stretches to cover 4 monomials, 3 * ceil(4 / 3)
+    (lambda: product_projective_spaces(3, 2, 2), 3, 6),
+], ids=["3", "0", "two-generators"])
+def test_psi_memo_stays_bounded_with_unchanged_values(monkeypatch, make, size, held):
+    reference = make()
     want = _psi_values(reference, _psi_samples(reference))
     monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", size)
-    A = projective_space_ring(3, 6)
+    A = make()
     elements = _psi_samples(A)
     assert _psi_values(A, elements) == want
-    assert len(A.psi_images) == size
+    assert len(A.psi_images) == held
     assert _psi_values(A, elements) == want
 
 

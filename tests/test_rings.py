@@ -358,6 +358,12 @@ def test_monomial_arithmetic_agrees_with_exponent_dicts(name):
             with pytest.raises(ArithmeticError):
                 mono_div(b, a)
         assert mono_div(mono_mul(a, b), a) == b
+        lcm = {g: max(da.get(g, 0), db.get(g, 0)) for g in da | db}
+        assert got(ring.lcm(a, b)) == expect(lcm)
+        assert ring.lcm(a, b) == ring.lcm(b, a) == ring.monomial(lcm.items())
+    for i, g in enumerate(ring.generators):
+        for e in (1, 2, 5):
+            assert ring.power(i, e) == ring.monomial([(g, e)])
 
 
 # -- results built without the filter pass it unchanged ------------------------------

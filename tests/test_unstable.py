@@ -1,6 +1,7 @@
 import pytest
 
-from psibench.models import base_polynomial_algebra
+import psibench.atiyah as atiyah
+from psibench.models import base_polynomial_algebra, free_polynomial_presentation
 from psibench.rings import GeneratorSymbol, WeightedRing
 from psibench.steenrod import gr_class, run_axioms
 from psibench.unstable import (UnstableAlgebra, check_adem_table,
@@ -88,3 +89,37 @@ def test_cartan_for_table_operations():
         for l in range(i + 1):
             rhs = rhs + A.apply_P(l, a) * A.apply_P(i - l, b)
         assert lhs == rhs
+
+
+def _total_cases(A):
+    """(i, monomial) pairs over every monomial of the window."""
+    ring = A.ring
+    return [(i, ring.element({m: 1}, mod=A.p))
+            for w in range(2, ring.max_weight + 1, 2) for m in ring.monomials_of_weight(w)
+            for i in range(w // 2 + 1)]
+
+
+def _total_values(A, cases):
+    return [(i, list(A.apply_P(i, e).terms.items())) for i, e in cases]
+
+
+def test_total_memo_warm_equals_cold():
+    A = free_polynomial_presentation(2, 6).algebra
+    cases = _total_cases(A)
+    cold = _total_values(A, cases)
+    assert A.total_images
+    assert _total_values(A, cases) == cold      # read from the memo
+    A.total_images.clear()
+    assert _total_values(A, cases) == cold      # recomputed
+
+
+@pytest.mark.parametrize("size", [3, 0])
+def test_total_memo_stays_bounded_with_unchanged_values(monkeypatch, size):
+    reference = free_polynomial_presentation(2, 6).algebra
+    want = _total_values(reference, _total_cases(reference))
+    monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", size)
+    A = free_polynomial_presentation(2, 6).algebra
+    cases = _total_cases(A)
+    assert _total_values(A, cases) == want
+    assert len(A.total_images) == size
+    assert _total_values(A, cases) == want

@@ -23,42 +23,25 @@ import random
 from collections import namedtuple
 
 from .arith import fermat_quotient, require_power_bits, validate_prime
-from .rings import UNIT, Element, WeightedRing, add_into, mono_div
+from .rings import UNIT, Element, RingMap, WeightedRing, add_into, mono_div, remember
 from .verdicts import Verdict
-
-# Entries one algebra's splitting cache holds; once full it stops inserting.
-SPLITTING_CACHE_SIZE = 4096
-
-
-def remember(memo: dict, key, value, demand: int = 0):
-    """Insert into one of an algebra's bounded memos and return the value:
-    a memo keeps inserting while it holds fewer than
-    ``SPLITTING_CACHE_SIZE`` entries, read at each call, times the least
-    multiple (at least 1) that covers ``demand`` entries."""
-    size = SPLITTING_CACHE_SIZE
-    if len(memo) < size * max(1, -(-demand // max(size, 1))):
-        memo[key] = value
-    return value
 
 
 class PrePsiAlgebra:
     """A weighted ring with a prime p and per-generator layer data.
 
-    ``psi_data`` maps generator keys to layer tuples; the endomorphism psi is
-    the unique ring-map extension of the layer sums (it fixes integers).  An
+    ``psi_data`` maps generator keys to layer tuples; the endomorphism
+    ``psi`` is the ``RingMap`` on the layer sums (it fixes integers).  An
     optional Groebner basis over Z/p realizes the graded quotient when the
     algebra presents one (e.g. lifts of presented unstable algebras).
 
     ``splittings`` memoizes ``atiyah_decompose`` for this algebra alone.  Its
     key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
     under their monomial's key at the natural level weight/2.  It holds at
-    most ``SPLITTING_CACHE_SIZE`` entries and stops inserting once full.
-    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree,
+    most ``rings.SPLITTING_CACHE_SIZE`` entries and stops inserting once
+    full.  ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree, and
     ``operations`` memoizes ``steenrod.steenrod_P`` by (i, class) under the
-    same bound (see ``steenrod.operation``), and ``psi_images`` memoizes psi
-    of a monomial under that monomial, under the same bound stretched to
-    cover twice the generator count: a lift reads psi of most of its
-    variables and of many of their products.
+    same bound (see ``steenrod.operation``).
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -93,45 +76,19 @@ class PrePsiAlgebra:
                 layers = layers[:sigma] + (top,)
             data[g.key] = layers
         self.psi_data = data
-        self._generator_images = tuple(
-            self.generator_decomposition(g).weighted_sum() for g in ring.generators)
+        self.psi = RingMap(ring, (self.generator_decomposition(g).weighted_sum()
+                                  for g in ring.generators))
         self.splittings: dict = {}
         self.graded_bases: dict = {}
         self.operations: dict = {}
-        self.psi_images: dict = {}
 
     def apply_psi(self, e: Element) -> Element:
-        """The ring endomorphism determined by the generator data: the sum
-        of c * psi(m) over the terms c*m of e, flagged truncated when some
-        psi(m) is.  A term that cancels leaves the sum at once, so the terms
-        keep the order that adding the images one by one gives."""
+        """psi of an integral element of this algebra's ring."""
         if e.ring is not self.ring:
             raise ValueError("element lives in a different ambient ring")
         if e.mod is not None:
             raise ValueError("psi acts on the integral layer")
-        terms: dict = {}
-        truncated = False
-        for m, c in e.terms.items():
-            image = self._psi_monomial(m)
-            truncated = truncated or image.truncated
-            add_into(terms, image.terms.items(), c)
-        return Element._clean(self.ring, terms, None, truncated)
-
-    def _psi_monomial(self, m) -> Element:
-        """psi(m), memoized in ``psi_images``: psi(g)^e for a generator
-        power g^e, else the product of the psi-images of m's generator
-        powers, each memoized as a monomial of its own."""
-        out = self.psi_images.get(m)
-        if out is None:
-            if len(m[1]) == 1:
-                (g, e), = m[1]
-                out = self._generator_images[g] ** e
-            else:
-                out = self.ring.one()
-                for g, e in reversed(m[1]):
-                    out = out * self._psi_monomial(self.ring.power(g, e))
-            remember(self.psi_images, m, out, 2 * len(self.ring.generators))
-        return out
+        return self.psi(e)
 
     def P(self, i: int, cls):
         """P^i on a graded class: ``steenrod.steenrod_P``, looked up on each
@@ -350,10 +307,10 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
 
     Results are memoized in ``algebra.splittings`` under
     ``(frozenset(e.terms.items()), q)``, at most ``SPLITTING_CACHE_SIZE``
-    entries per algebra, after the input checks.  The splitting is built from
-    the terms alone (its source is rebuilt from the pieces), so neither the
-    ``truncated`` flag nor the identity of e can change it and neither is
-    part of the key.
+    entries per algebra (``rings.remember``), after the input checks.  The
+    splitting is built from the terms alone (its source is rebuilt from the
+    pieces), so neither the ``truncated`` flag nor the identity of e can
+    change it and neither is part of the key.
     """
     if e.ring is not algebra.ring:
         raise ValueError("element lives in a different ambient ring")

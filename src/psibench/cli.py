@@ -23,11 +23,11 @@ from .modules import is_fg_by
 from .steenrod import AXIOMS, classify, gr_class, run_axioms
 from .verdicts import FAIL, Verdict
 
-# Largest --trials and top weight (the nilpotent bound, else 2D) verify
-# admits; on a shared 2-CPU host projective_space_ring(3, 32) at --trials 32
-# takes about 3 s.
+# Largest --trials, and largest weight of verify's top (the nilpotent bound,
+# else 2D) and of an --element's heaviest term; on a shared 2-CPU host
+# projective_space_ring(3, 32) at --trials 32 takes about 3 s.
 MAX_TRIALS = 32
-MAX_VERIFY_WEIGHT = 64
+MAX_WEIGHT = 64
 
 
 def int_at_least(low: int):
@@ -63,6 +63,15 @@ def _load(args) -> dict:
     return validate_document({**doc, "truncation": args.truncation})
 
 
+def _element(ring, text: str, mod: int | None = None):
+    """The --element expression, refused above MAX_WEIGHT: a splitting takes
+    one product per generator factor of the heaviest term."""
+    e = parse_element(ring, text, mod=mod)
+    if e and (weight := max(e.terms)[0]) > MAX_WEIGHT:
+        raise ValueError(f"element term of weight {weight} must be at most MAX_WEIGHT={MAX_WEIGHT}")
+    return e
+
+
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return canonical_json(report) + "\n"
@@ -91,7 +100,7 @@ def _emit(report: dict, fmt: str) -> None:
 def cmd_atiyah(args) -> int:
     doc = _load(args)
     algebra = algebra_from_document(doc)
-    element = parse_element(algebra.ring, args.element)
+    element = _element(algebra.ring, args.element)
     if not element:
         raise ValueError("cannot decompose the zero element")
     level = args.level if args.level is not None else int(element.weight() // 2)
@@ -115,7 +124,7 @@ def cmd_atiyah(args) -> int:
 def cmd_steenrod(args) -> int:
     doc = _load(args)
     algebra = algebra_from_document(doc)
-    rep = parse_element(algebra.ring, args.element, mod=algebra.p)
+    rep = _element(algebra.ring, args.element, mod=algebra.p)
     if rep and not rep.is_homogeneous():
         raise ValueError("class expression must be weight-homogeneous")
     degree = rep.weight() if rep else 0
@@ -139,9 +148,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be at most MAX_TRIALS={MAX_TRIALS}, got {args.trials}")
     doc = _load(args)
     algebra = algebra_from_document(doc)
-    if (top := algebra.ring.top_weight()) > MAX_VERIFY_WEIGHT:
-        raise ValueError(f"top weight {top} must be at most MAX_VERIFY_WEIGHT="
-                         f"{MAX_VERIFY_WEIGHT}; lower the truncation")
+    if (top := algebra.ring.top_weight()) > MAX_WEIGHT:
+        raise ValueError(f"top weight {top} must be at most MAX_WEIGHT={MAX_WEIGHT}; "
+                         "lower the truncation")
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     report = _base_report("verify", doc, seed, {
         "axioms": args.axioms, "trials": args.trials})

@@ -119,6 +119,21 @@ def add_into(terms: dict, items, scale: int = 1, mod: int | None = None) -> None
             del terms[m]
 
 
+# Entries one bounded memo holds; once full it stops inserting.
+SPLITTING_CACHE_SIZE = 4096
+
+
+def remember(memo: dict, key, value, demand: int = 0):
+    """Insert into one of the bounded memos and return the value: a memo
+    keeps inserting while it holds fewer than ``SPLITTING_CACHE_SIZE``
+    entries, read at each call, times the least multiple (at least 1) that
+    covers ``demand`` entries."""
+    size = SPLITTING_CACHE_SIZE
+    if len(memo) < size * max(1, -(-demand // max(size, 1))):
+        memo[key] = value
+    return value
+
+
 def mono_str(ring: "WeightedRing", m: Monomial) -> str:
     """The monomial as the reports print it."""
     names = ring._names
@@ -523,6 +538,43 @@ class Element:
         tag = f" mod {self.mod}" if self.mod is not None else ""
         flag = ", truncated" if self.truncated else ""
         return f"<{self}{tag}{flag}>"
+
+
+class RingMap:
+    """The ring endomorphism sending the generator at position g to
+    ``images[g]`` and fixing integers, on coefficients mod ``mod``.  ``memo``
+    holds each monomial's image, bounded by ``remember`` stretched to twice
+    the generator count: a map reads most generators and their products."""
+
+    def __init__(self, ring: WeightedRing, images, mod: int | None = None):
+        self.ring, self.images, self.mod = ring, tuple(images), mod
+        self.memo: dict = {}
+
+    def image(self, m: Monomial) -> "Element":
+        """``images[g] ** e`` for a generator power g^e, else the product of
+        the images of m's generator powers in ascending generator order."""
+        out = self.memo.get(m)
+        if out is None:
+            if len(m[1]) == 1:
+                (g, e), = m[1]
+                out = self.images[g] ** e
+            else:
+                out = self.ring.one(self.mod)
+                for g, e in reversed(m[1]):
+                    out = out * self.image(self.ring.power(g, e))
+            remember(self.memo, m, out, 2 * len(self.images))
+        return out
+
+    def __call__(self, e: "Element") -> "Element":
+        """The sum of c * image(m) over the terms c*m of e, added in term
+        order, flagged truncated when e or some image is."""
+        terms: dict = {}
+        truncated = e.truncated
+        for m, c in e.terms.items():
+            image = self.image(m)
+            truncated = truncated or image.truncated
+            add_into(terms, image.terms.items(), c, self.mod)
+        return Element._clean(self.ring, terms, self.mod, truncated)
 
 
 # -- the document encoding --------------------------------------------------------------

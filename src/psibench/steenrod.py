@@ -15,9 +15,8 @@ import random
 from collections import namedtuple
 
 from .arith import adem_coefficient
-from .atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose, remember,
-                     verify_welldefined)
-from .rings import Element, even_filtration
+from .atiyah import AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose, verify_welldefined
+from .rings import Element, even_filtration, remember
 from .verdicts import Verdict
 
 
@@ -141,7 +140,7 @@ def operation(algebra, i: int, cls: GradedClass, compute) -> GradedClass:
     monomial.  Otherwise ``compute(algebra, i, cls)``,
     memoized in the algebra's ``operations`` dict under ``(i, degree, rep
     terms)``, the same data ``GradedClass`` equality compares, and bounded
-    like the splitting cache (``atiyah.remember``)."""
+    like the splitting cache (``rings.remember``)."""
     if i < 0:
         raise ValueError("operation index must be non-negative")
     target = cls.degree + 2 * i * (algebra.p - 1)

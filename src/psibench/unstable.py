@@ -10,19 +10,18 @@ is multiplicative.  Quotients are realized by a Groebner basis over Z/p.
 from __future__ import annotations
 
 from .arith import validate_prime
-from .atiyah import remember
-from .rings import Element, WeightedRing, add_into
+from .rings import Element, RingMap, WeightedRing, add_into
 from .steenrod import GradedClass, check_adem, check_p0_identity, gr_class_of_rep, operation
 from .verdicts import Verdict
 
 
 class UnstableAlgebra:
     """A graded quotient of a weighted polynomial ring over Z/p, with a
-    table-driven action of the operations P^i.  ``graded_bases`` memoizes
-    ``steenrod.graded_basis`` by degree, ``operations`` memoizes ``P`` by
-    (i, class) as ``steenrod.operation`` describes, and ``total_images``
-    memoizes the total operation of a monomial under that monomial, bounded
-    like the splitting cache (``atiyah.remember``)."""
+    table-driven action of the operations P^i.  ``total`` is the total
+    operation, the ``RingMap`` on each generator's table sum.
+    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree, and
+    ``operations`` memoizes ``P`` by (i, class) as ``steenrod.operation``
+    describes."""
 
     def __init__(self, ring: WeightedRing, p: int, graded_gb=None,
                  middles: dict | None = None, name: str = ""):
@@ -30,7 +29,7 @@ class UnstableAlgebra:
         self.p = validate_prime(p)
         self.graded_gb = graded_gb
         self.name = name
-        self._action: dict = {}
+        totals = []
         middles = middles or {}
         for g in ring.generators:
             d, var = g.weight // 2, ring.var(g, p)
@@ -47,28 +46,10 @@ class UnstableAlgebra:
                         f"table image P^{i}{g} must be homogeneous of weight "
                         f"{g.weight + 2 * i * (p - 1)}")
                 table[i] = img
-            self._action[g.key] = table
-        self._totals: dict = {}
-        self.total_images: dict = {}
+            totals.append(sum(table.values(), ring.zero(p)))
+        self.total = RingMap(ring, totals, mod=p)
         self.graded_bases: dict = {}
         self.operations: dict = {}
-
-    def _total(self, g: int) -> Element:
-        if g not in self._totals:
-            table = self._action[self.ring.generators[g].key]
-            self._totals[g] = sum(table.values(), self.ring.zero(self.p))
-        return self._totals[g]
-
-    def _total_monomial(self, m) -> Element:
-        """The total operation on a monomial: its generators' totals raised
-        to their exponents, multiplied in ascending generator order."""
-        total = self.total_images.get(m)
-        if total is None:
-            total = self.ring.one(self.p)
-            for g, e in reversed(m[1]):
-                total = total * self._total(g) ** e
-            remember(self.total_images, m, total)
-        return total
 
     def apply_P(self, i: int, e: Element) -> Element:
         """P^i on a raw mod-p element, term by term (no normal form).
@@ -83,7 +64,7 @@ class UnstableAlgebra:
             target = m[0] + shift
             if target > self.ring.max_weight:
                 continue
-            image = self._total_monomial(m).terms.items()
+            image = self.total.image(m).terms.items()
             add_into(terms, [(tm, tc) for tm, tc in image if tm[0] == target], c, p)
         return Element._clean(self.ring, terms, p)
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psibench.atiyah as atiyah
+import psibench.rings as rings
 from psibench.atiyah import (AtiyahDecomposition, PrePsiAlgebra,
                              atiyah_decompose, atiyah_product, atiyah_shift,
                              atiyah_sum, explicit_lift_decomposition,
@@ -370,13 +371,13 @@ def test_psi_memo_values_are_recomputed_alike():
     A = projective_space_ring(3, 6)
     elements = _psi_samples(A)
     first = _psi_values(A, elements)
-    assert A.psi_images
+    assert A.psi.memo
     assert _psi_values(A, elements) == first      # read from the memo
-    A.psi_images.clear()
+    A.psi.memo.clear()
     assert _psi_values(A, elements) == first      # recomputed
     lift = build_lift(free_polynomial_presentation(2, 6))
     iterates = lift.ideal_generators
-    lift.pi.psi_images.clear()
+    lift.pi.psi.memo.clear()
     for k in range(1, lift.k_max + 1):
         assert [lift.pi.apply_psi(f) for f in iterates[k - 1]] == list(iterates[k])
 
@@ -384,8 +385,8 @@ def test_psi_memo_values_are_recomputed_alike():
 def test_psi_memo_is_per_algebra():
     A, B = projective_space_ring(3, 6), projective_space_ring(3, 6)
     _psi_values(A, _psi_samples(A))
-    assert A.psi_images and not B.psi_images
-    assert A.psi_images is not B.psi_images
+    assert A.psi.memo and not B.psi.memo
+    assert A.psi.memo is not B.psi.memo
 
 
 @pytest.mark.parametrize("make, size, held", [
@@ -397,11 +398,11 @@ def test_psi_memo_is_per_algebra():
 def test_psi_memo_stays_bounded_with_unchanged_values(monkeypatch, make, size, held):
     reference = make()
     want = _psi_values(reference, _psi_samples(reference))
-    monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", size)
+    monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", size)
     A = make()
     elements = _psi_samples(A)
     assert _psi_values(A, elements) == want
-    assert len(A.psi_images) == held
+    assert len(A.psi.memo) == held
     assert _psi_values(A, elements) == want
 
 
@@ -515,7 +516,7 @@ def test_splitting_cache_is_per_algebra():
 
 
 def test_splitting_cache_bound(monkeypatch):
-    monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", 3)
+    monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", 3)
     A = projective_space_ring(3, 5)
     t = A.ring.gen("t")
     for e in (t**4, t + t**3, t * 2 + t**2, t**5):
@@ -579,7 +580,7 @@ def test_operation_memo_bound(monkeypatch):
         cases = _operation_cases(A, random.Random(37))
         unbounded = [A.P(i, c) for i, c in cases]
         A.operations.clear()
-        monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", 3)
+        monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", 3)
         bounded = []
         for i, c in cases:
             bounded.append(A.P(i, c))
@@ -594,7 +595,7 @@ def test_operation_memo_bound(monkeypatch):
 
 def test_memoized_operations_keep_the_adem_witness(monkeypatch):
     memoized = classify(adem_failure_ring(3))
-    monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", 0)  # no memo at all
+    monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", 0)  # no memo at all
     A = adem_failure_ring(3)
     plain = classify(A)
     assert not A.operations and not A.splittings

@@ -418,17 +418,27 @@ def test_kmax_outside_its_range_exits_two(docs, kmax, message, capsys):
 HUGE_PRIME_DOCUMENT = "projective-space-p1000000000000000003-n4.json"
 
 
-@pytest.mark.parametrize("name, extra, message", [
-    ("projective-space-p3-n4.json", ["--trials", "1000000"],
+# Without the element bound, atiyah on x^600 (weight 2400) took about 6 s and
+# 150 MB on a 2-CPU host, and on x^2000 did not finish in 30 s: a monomial's
+# splitting takes one product per generator factor.
+@pytest.mark.parametrize("name, argv, message", [
+    ("projective-space-p3-n4.json", ["verify", "--trials", "1000000"],
      "error: --trials must be at most MAX_TRIALS=32, got 1000000"),
-    ("broken-adem-p3.json", ["--truncation", "33"],
-     "error: top weight 66 must be at most MAX_VERIFY_WEIGHT=64; lower the truncation"),
-    ("broken-adem-p3.json", ["--truncation", "2000"],
-     "error: top weight 4000 must be at most MAX_VERIFY_WEIGHT=64; lower the truncation"),
-    (HUGE_PRIME_DOCUMENT, [],
+    ("broken-adem-p3.json", ["verify", "--truncation", "33"],
+     "error: top weight 66 must be at most MAX_WEIGHT=64; lower the truncation"),
+    ("broken-adem-p3.json", ["verify", "--truncation", "2000"],
+     "error: top weight 4000 must be at most MAX_WEIGHT=64; lower the truncation"),
+    (HUGE_PRIME_DOCUMENT, ["verify"],
      "error: p must be a prime integer at most MAX_PRIME=2147483648, got 1000000000000000003"),
+    *(("broken-adem-p3.json", [*command, "--truncation", "100000", "--element", element],
+       f"error: element term of weight {weight} must be at most MAX_WEIGHT=64")
+      for command, element, weight in [(["atiyah"], "x^600", 2400),
+                                        (["atiyah"], "x^1000", 4000),
+                                        (["atiyah"], "x^2000", 8000),
+                                        (["atiyah", "--level", "2"], "x+x^600", 2400),
+                                        (["steenrod", "-i", "1"], "x^600", 2400)]),
 ])
-def test_hostile_verify_input_exits_two(name, extra, message, tmp_path, capsys):
+def test_hostile_input_exits_two(name, argv, message, tmp_path, capsys):
     sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
     doc = sample / name
     if name == HUGE_PRIME_DOCUMENT:
@@ -436,12 +446,12 @@ def test_hostile_verify_input_exits_two(name, extra, message, tmp_path, capsys):
         doc = tmp_path / name
         doc.write_text(json.dumps({**data, "prime": 1000000000000000003}))
     t0 = time.perf_counter()
-    rc = main(["verify", "--doc", str(doc), *extra])
+    rc = main([argv[0], "--doc", str(doc), *argv[1:]])
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == message + "\n"
-    assert elapsed < 2.0
+    assert elapsed < 1.0
 
 
 def _one_generator_document(tmp_path, p):

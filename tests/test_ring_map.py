@@ -1,0 +1,128 @@
+"""``rings.RingMap`` against a memo-free naive substitution.
+
+Every model of ``models.py`` that carries a ring map is covered: psi of the
+pre-psi-p algebras (also with windows small enough that images lose terms)
+and of the D6 and D8 lifts, and the total operation of the polynomial
+algebra and of the D6 and D8 presentations.  ``power_tower_module`` is a
+module, not a ring, and has no ring map.  The naive map replaces each
+term's generators by their images and multiplies them out one factor at a
+time; the values and the ``truncated`` flags must agree at every memo size,
+and each memo must stay within its ``remember`` bound.
+"""
+
+import functools
+import random
+
+import pytest
+
+import psibench.rings as rings
+from psibench.lift import build_lift
+from psibench.models import (adem_failure_ring, base_polynomial_algebra, dual_numbers_ring,
+                             free_polynomial_presentation, product_projective_spaces,
+                             projective_space_ring)
+
+DEFAULT_SIZE = rings.SPLITTING_CACHE_SIZE
+
+
+@functools.lru_cache(maxsize=None)
+def _presentation(D):
+    return free_polynomial_presentation(2, D)
+
+
+# (name, factory of the map's owner, attribute of the map, whether some
+# sampled image loses terms above the window)
+MAPS = [
+    ("dual-numbers-k1", lambda: dual_numbers_ring(3, 1), "psi", False),
+    # e^2 = 0 kills every product before it can leave the window
+    ("dual-numbers-k2-D3", lambda: dual_numbers_ring(3, 2, D=3), "psi", False),
+    ("broken-adem-p3", lambda: adem_failure_ring(3), "psi", True),
+    ("broken-adem-p5-D8", lambda: adem_failure_ring(5, D=8), "psi", True),
+    ("projective-p3-n4", lambda: projective_space_ring(3, 4), "psi", False),
+    ("projective-p3-n4-D3", lambda: projective_space_ring(3, 4, D=3), "psi", True),
+    ("product-projective-p3-2-2", lambda: product_projective_spaces(3, 2, 2), "psi", False),
+    ("product-projective-p2-3-2-D4",
+     lambda: product_projective_spaces(2, 3, 2, D=4), "psi", True),
+    ("polynomial-p3-d2", lambda: base_polynomial_algebra(3, d=2, D=12), "total", True),
+    ("polynomial-p2", lambda: base_polynomial_algebra(2), "total", True),
+    ("presentation-D6", lambda: _presentation(6).algebra, "total", True),
+    ("presentation-D8", lambda: _presentation(8).algebra, "total", True),
+    ("lift-D6", lambda: build_lift(_presentation(6)).pi, "psi", True),
+    ("lift-D8", lambda: build_lift(_presentation(8)).pi, "psi", True),
+]
+
+
+def _samples(ring_map, seed, count=30):
+    """Random elements on in-window monomials of up to three generator
+    powers, so that the inputs themselves carry no ``truncated`` flag."""
+    ring, p = ring_map.ring, 3 if ring_map.mod is None else ring_map.mod
+    rng = random.Random(seed)  # a str seed: the same draws in every process
+    n = len(ring.generators)
+    out = []
+    while len(out) < count:
+        terms = {}
+        for _ in range(rng.randrange(5)):
+            pairs = [(ring.generators[rng.randrange(n)], rng.randint(1, 3))
+                     for _ in range(rng.randrange(4))]
+            m = ring.monomial(pairs)
+            if m[0] <= ring.max_weight:
+                terms[m] = terms.get(m, 0) + rng.randint(-p * p, p * p)
+        e = ring.element(terms, mod=ring_map.mod)
+        assert not e.truncated
+        out.append(e)
+    return out
+
+
+def _naive(ring_map, e):
+    """The substitution with no memo and no powers: each generator factor
+    multiplied in, one at a time, onto a zero that keeps e's flag."""
+    ring, mod = ring_map.ring, ring_map.mod
+    total = ring.element({}, mod, truncated=e.truncated)
+    for m, c in e.terms.items():
+        term = ring.scalar(c, mod)
+        for g, k in m[1]:
+            for _ in range(k):
+                term = term * ring_map.images[g]
+        total = total + term
+    return total
+
+
+def _bound(size, generators):
+    """``remember``'s bound at this size for a demand of twice the
+    generator count: the least multiple of the size that covers it."""
+    return size * -(-2 * generators // size) if size else 0
+
+
+@pytest.mark.parametrize("size", [0, 3, DEFAULT_SIZE], ids=["0", "3", "default"])
+@pytest.mark.parametrize("name, make, attr, lossy", MAPS, ids=[m[0] for m in MAPS])
+def test_ring_map_agrees_with_naive_substitution(monkeypatch, name, make, attr, lossy, size):
+    algebra = make()
+    ring_map = getattr(algebra, attr)
+    assert ring_map.ring is algebra.ring
+    assert ring_map.mod == (None if attr == "psi" else algebra.p)
+    if attr == "psi":
+        # the images are the weighted layer sums of the generator data
+        p = algebra.p
+        for g, image in zip(algebra.ring.generators, ring_map.images):
+            layers = algebra.psi_data[g.key]
+            want = sum((layer * p ** (len(layers) - 1 - i) for i, layer in enumerate(layers)),
+                       algebra.ring.zero())
+            assert image == want and image.truncated == want.truncated, g
+    monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", size)
+    ring_map.memo.clear()
+    bound = _bound(size, len(algebra.ring.generators))
+    flagged = 0
+    for e in _samples(ring_map, seed=name):
+        want = _naive(ring_map, e)
+        for _ in range(2):  # cold, then read from the memo
+            got = ring_map(e)
+            assert got == want, (name, str(e))
+            assert got.truncated == want.truncated, (name, str(e))
+            assert len(ring_map.memo) <= bound
+        if attr == "psi":
+            assert algebra.apply_psi(e) == want
+        flagged += want.truncated
+    assert bool(flagged) == lossy
+    # an input that lost terms passes its flag on
+    lost = algebra.ring.element(e.terms, ring_map.mod, truncated=True)
+    got, want = ring_map(lost), _naive(ring_map, lost)
+    assert got == want and got.truncated and want.truncated

@@ -1,6 +1,6 @@
 import pytest
 
-import psibench.atiyah as atiyah
+import psibench.rings as rings
 from psibench.models import base_polynomial_algebra, free_polynomial_presentation
 from psibench.rings import GeneratorSymbol, WeightedRing
 from psibench.steenrod import gr_class, run_axioms
@@ -107,19 +107,20 @@ def test_total_memo_warm_equals_cold():
     A = free_polynomial_presentation(2, 6).algebra
     cases = _total_cases(A)
     cold = _total_values(A, cases)
-    assert A.total_images
+    assert A.total.memo
     assert _total_values(A, cases) == cold      # read from the memo
-    A.total_images.clear()
+    A.total.memo.clear()
     assert _total_values(A, cases) == cold      # recomputed
 
 
-@pytest.mark.parametrize("size", [3, 0])
-def test_total_memo_stays_bounded_with_unchanged_values(monkeypatch, size):
+# 69 generators: the bound stretches to cover 138 monomials, 3 * ceil(138 / 3)
+@pytest.mark.parametrize("size, held", [(3, 138), (0, 0)], ids=["3", "0"])
+def test_total_memo_stays_bounded_with_unchanged_values(monkeypatch, size, held):
     reference = free_polynomial_presentation(2, 6).algebra
     want = _total_values(reference, _total_cases(reference))
-    monkeypatch.setattr(atiyah, "SPLITTING_CACHE_SIZE", size)
+    monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", size)
     A = free_polynomial_presentation(2, 6).algebra
     cases = _total_cases(A)
     assert _total_values(A, cases) == want
-    assert len(A.total_images) == size
+    assert len(A.total.memo) == held
     assert _total_values(A, cases) == want

@@ -177,22 +177,21 @@ class UnstablePresentation:
                     yield True
 
     def _closure_outcomes(self, nf):
-        """The table operations P^i send every relation into the ideal; a
-        target is judged as ``WeightedRing.above_top`` says."""
+        """The table operations P^i send every relation into the ideal.  Per
+        relation, ``WeightedRing.targets`` sizes the run of compared targets
+        (i = 1, 2, ...) and the count of skipped ones that follows it."""
+        step = 2 * (self.p - 1)
         for rel in self.relations:
             if not rel:
                 continue
             w = rel.weight()
-            for i in range(1, w // 2 + 1):
-                target = w + 2 * i * (self.p - 1)
-                if self.ring.above_top(target):
-                    break
-                if not self.ring.decidable(target):
-                    yield None
-                elif nf(image := self.algebra.apply_P(i, rel)):
+            compared, skipped = self.ring.targets(w + step, step, w // 2)
+            for i in range(1, compared + 1):
+                if nf(image := self.algebra.apply_P(i, rel)):
                     yield {"relation": str(rel), "i": i, "image": str(image)}
                 else:
                     yield True
+            yield skipped
 
     def __repr__(self):
         gens = ", ".join(f"{t}@{d}" for t, d in self.generators)

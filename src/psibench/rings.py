@@ -248,9 +248,8 @@ class WeightedRing:
         return self._max_monomial_weight
 
     def above_top(self, weight: int) -> bool:
-        """Whether the weight lies above the nilpotent bound.  An identity
-        whose target lands there compares 0 with 0: it is neither computed
-        nor counted; any other is compared if ``decidable``, else skipped."""
+        """Whether the weight lies above the nilpotent bound, where every
+        graded piece is zero."""
         bound = self._max_monomial_weight
         return bound is not None and weight > bound
 
@@ -264,6 +263,18 @@ class WeightedRing:
         bound clipped to 2D, else 2D.  Loops over weights stop here."""
         top = self.max_monomial_weight()
         return self.max_weight if top is None else min(top, self.max_weight)
+
+    def targets(self, start: int, step: int, count: int) -> tuple:
+        """The one rule for a run of identities with rising target weights
+        ``start + i*step`` (step > 0, i < count), as (compared, skipped): the
+        first ``compared`` lie at or below ``top_weight``; the next
+        ``skipped`` lie above 2D and not above the nilpotent bound (all the
+        rest on a free ring), so truncation cannot decide them; any others
+        compare 0 with 0 above the top monomial and are not counted."""
+        def upto(limit):
+            return max(0, min(count, (limit - start) // step + 1))
+        bound, compared = self._max_monomial_weight, upto(self.top_weight())
+        return compared, (count if bound is None else upto(bound)) - compared
 
     # -- element constructors ------------------------------------------------
     def element(self, terms: Mapping[Monomial, int], mod: int | None = None,

@@ -235,23 +235,19 @@ def _double_layer_class(base: AtiyahDecomposition, i: int, j: int) -> GradedClas
 
 def check_additivity(algebra, degree: int, trials: int = 20, seed: int = 0) -> Verdict:
     """P^i(a + b) = P^i(a) + P^i(b) on sampled pairs in one degree."""
-    rng, ring = random.Random(seed), algebra.ring
-    q = degree // 2
+    rng = random.Random(seed)
     classes = sample_classes(algebra, degree, rng, trials)
     pairs = [(a, b) for a in classes for b in classes][: max(trials, len(classes)) * 4]
+    compared, skipped = algebra.ring.targets(degree, 2 * (algebra.p - 1), degree // 2 + 1)
 
     def outcomes():
         for a, b in pairs:
-            for i in range(q + 1):
-                target = degree + 2 * i * (algebra.p - 1)
-                if ring.above_top(target):
-                    break
-                if not ring.decidable(target):
-                    yield None
-                elif algebra.P(i, a + b) == algebra.P(i, a) + algebra.P(i, b):
+            for i in range(compared):
+                if algebra.P(i, a + b) == algebra.P(i, a) + algebra.P(i, b):
                     yield True
                 else:
                     yield {"degree": degree, "i": i, "a": str(a.rep), "b": str(b.rep)}
+            yield skipped
     return Verdict.tally("additivity", outcomes())
 
 
@@ -261,13 +257,13 @@ def check_pth_power(algebra, degree: int, trials: int = 10, seed: int = 0) -> Ve
     ``check_exactness`` already checks, so it cannot fail.  Kept only as the
     name ``perfbench/tracer.py`` probes."""
     rng = random.Random(seed)
-    q = degree // 2
+    compared, skipped = algebra.ring.targets(degree * algebra.p, 1, 1)
 
     def outcomes():
         for cls in sample_classes(algebra, degree, rng, trials):
-            if not algebra.ring.decidable(degree * algebra.p):
-                yield None
-            elif algebra.P(q, cls) == cls.pth_power():
+            if not compared:
+                yield skipped
+            elif algebra.P(degree // 2, cls) == cls.pth_power():
                 yield True
             else:
                 yield {"degree": degree, "class": str(cls.rep)}
@@ -296,22 +292,16 @@ def check_cartan(algebra, deg1: int, deg2: int) -> Verdict:
     """P^i(a*b) = sum over l+k=i of P^l(a) P^k(b) on basis pairs (bilinear);
     each (pair, i) whose target degree truncation cannot decide is one skip,
     and no a*b is formed for it."""
-    name, ring = f"cartan@{deg1}x{deg2}", algebra.ring
     q1, q2 = deg1 // 2, deg2 // 2
     pairs = [(a, b) for a in graded_basis(algebra, deg1) for b in graded_basis(algebra, deg2)]
     step = 2 * (algebra.p - 1)
+    compared, skipped = algebra.ring.targets(deg1 + deg2, step, q1 + q2 + 1)
 
     def outcomes():
         for a, b in pairs:
-            for i in range(q1 + q2 + 1):
-                target = deg1 + deg2 + i * step
-                if ring.above_top(target):
-                    break
-                if not ring.decidable(target):
-                    yield None
-                    continue
+            for i in range(compared):
                 lhs = algebra.P(i, a * b)
-                rhs = zero_class(algebra, target)
+                rhs = zero_class(algebra, deg1 + deg2 + i * step)
                 for l in range(max(i - q2, 0), min(i, q1) + 1):
                     rhs = rhs + algebra.P(l, a) * algebra.P(i - l, b)
                 if lhs == rhs:
@@ -319,7 +309,8 @@ def check_cartan(algebra, deg1: int, deg2: int) -> Verdict:
                 else:
                     yield {"deg1": deg1, "deg2": deg2, "i": i,
                            "a": str(a.rep), "b": str(b.rep)}
-    return Verdict.tally(name, outcomes())
+            yield skipped
+    return Verdict.tally(f"cartan@{deg1}x{deg2}", outcomes())
 
 
 def check_p0_identity(algebra, degrees) -> Verdict:
@@ -339,46 +330,45 @@ def check_adem(algebra, degree: int) -> Verdict:
     """The relations rewriting P^i P^j for i < pj, checked by composing the
     operations on every basis class; linearity extends them to every class.
     On an algebra that carries splittings the double layers r_(j,i) of the
-    basis lifts give a second route, and both routes must agree."""
+    basis lifts give a second route, and both routes must agree.  Per j, the rule
+    ``WeightedRing.targets`` sizes the run of i compared, then one skip count."""
     p = algebra.p
     q = degree // 2
     if q == 0:
         return Verdict.decide("adem", 0, 0, None, ("degree 0 is trivial",))
-    ring, step = algebra.ring, 2 * (p - 1)
-    # (t, c) per relation below the top, once per call, ordered by j then i;
-    # None when truncation cannot decide the target
-    coefficients = {(i, j): [(t, c) for t in range(i // p + 1)
-                             if (c := adem_coefficient(p, i, j, t))]
-                    if ring.decidable(degree + (i + j) * step) else None
-                    for j in range(1, q + 3) for i in range(1, p * j)
-                    if not ring.above_top(degree + (i + j) * step)}
-    if not coefficients:
+    step, plan = 2 * (p - 1), []
+    for j in range(1, q + 3):
+        compared, skipped = algebra.ring.targets(degree + (j + 1) * step, step, p * j - 1)
+        run = [(i, [(t, c) for t in range(i // p + 1) if (c := adem_coefficient(p, i, j, t))])
+               for i in range(1, compared + 1)]
+        if run or skipped:
+            plan.append((j, run, skipped))
+    if not plan:
         return Verdict.tally("adem", ())
     layered = isinstance(algebra, PrePsiAlgebra)
 
     def outcomes():
         for cls in graded_basis(algebra, degree):
             base = atiyah_decompose(algebra, cls.lift(), q) if layered else None
-            for (i, j), coeffs in coefficients.items():
-                if coeffs is None:
-                    yield None
-                    continue
-                target = degree + (i + j) * step
-                lhs = algebra.P(i, algebra.P(j, cls))
-                rhs = sum((algebra.P(i + j - t, algebra.P(t, cls)) * c for t, c in coeffs),
-                          zero_class(algebra, target))
-                if base is not None:
-                    layer_rhs = sum((_double_layer_class(base, t, i + j - t) * c
-                                     for t, c in coeffs), zero_class(algebra, target))
-                    if _double_layer_class(base, j, i) != lhs or layer_rhs != rhs:
+            for j, run, skipped in plan:
+                for i, coeffs in run:
+                    target = degree + (i + j) * step
+                    lhs = algebra.P(i, algebra.P(j, cls))
+                    rhs = sum((algebra.P(i + j - t, algebra.P(t, cls)) * c for t, c in coeffs),
+                              zero_class(algebra, target))
+                    if base is not None:
+                        layer_rhs = sum((_double_layer_class(base, t, i + j - t) * c
+                                         for t, c in coeffs), zero_class(algebra, target))
+                        if _double_layer_class(base, j, i) != lhs or layer_rhs != rhs:
+                            yield {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
+                                   "note": "layer route and composition route disagree"}
+                            continue
+                    if lhs == rhs:
+                        yield True
+                    else:
                         yield {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
-                               "note": "layer route and composition route disagree"}
-                        continue
-                if lhs == rhs:
-                    yield True
-                else:
-                    yield {"degree": degree, "i": i, "j": j, "class": str(cls.rep),
-                           "lhs": str(lhs.rep), "rhs": str(rhs.rep)}
+                               "lhs": str(lhs.rep), "rhs": str(rhs.rep)}
+                yield skipped
     return Verdict.tally("adem", outcomes())
 
 

@@ -39,19 +39,22 @@ class Verdict(namedtuple("Verdict", "name status checked skipped witness notes",
     @staticmethod
     def tally(name: str, outcomes) -> "Verdict":
         """The verdict of a check's identities, read in order: True is one
-        checked exactly, None one beyond the truncation window (skipped), and
-        anything else is a witness, a FAIL that ends the check at once: no
-        further outcome is drawn, so the counts are those before it."""
+        checked exactly, an int k >= 0 counts k skipped beyond the truncation
+        window (a run, ``WeightedRing.targets``), and a dict is a witness: a
+        FAIL that ends the check at once, so the counts are those before it.
+        Any other outcome raises TypeError."""
         checked = skipped = 0
         witness = None
         for outcome in outcomes:
             if outcome is True:
                 checked += 1
-            elif outcome is None:
-                skipped += 1
-            else:
+            elif type(outcome) is int and outcome >= 0:
+                skipped += outcome
+            elif isinstance(outcome, dict):
                 witness = outcome
                 break
+            else:
+                raise TypeError(f"{name}: unknown outcome {outcome!r}")
         return Verdict.decide(name, checked, skipped, witness)
 
     @staticmethod

@@ -295,6 +295,19 @@ def test_validation_rejects_incomplete_relation_set():
         build_lift(pres)
 
 
+def test_closure_fail_after_a_skip_keeps_the_counts_before_it():
+    # without x[0,1,1] = 0, P^1 of the relation x[0,1] + x^2 leaves the
+    # ideal; an earlier relation's targets ran past the window first.  The
+    # counts were recorded when each skipped target was a separate outcome.
+    full = free_polynomial_presentation(2, 3)
+    kept = [poly_to_json(r) for r in full.relations if str(r) != "x[0,1,1]"]
+    assert len(kept) == len(full.relations) - 1
+    pres = UnstablePresentation(2, [("x", 2)], kept, 3)
+    (v,) = [v for v in pres.validation if v.name == "steenrod-closure"]
+    assert (v.status, v.checked, v.skipped) == (FAIL, 2, 1)
+    assert v.witness == {"relation": "x[0,1] + x^2", "i": 1, "image": "x[0,1,1]"}
+
+
 def test_validation_verdicts():
     pres = free_polynomial_presentation(2, 4)
     assert [v.name for v in pres.validation] == [

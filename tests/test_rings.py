@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from psibench.groebner import groebner_build, normal_form
 from psibench.lift import build_lift
-from psibench.models import (free_polynomial_presentation, product_projective_spaces,
-                             projective_space_ring)
+from psibench.models import (adem_failure_ring, free_polynomial_presentation,
+                             product_projective_spaces, projective_space_ring)
 from psibench.rings import (UNIT, Element, GeneratorSymbol, WeightedRing, even_filtration,
                             mono_div, mono_divides, mono_mul, mono_weight)
 
@@ -295,6 +295,35 @@ def test_decidable_weights_lie_in_the_window_or_above_the_nilpotent_bound():
     free = WeightedRing([_T, _Y], 3)
     assert [w for w in range(0, 14, 2) if free.decidable(w)] == [0, 2, 4, 6]
     assert not any(free.above_top(w) for w in range(0, 14, 2))
+
+
+def _ladder(ring, start, step, count):
+    """``targets`` written out index by index: stop above the top monomial,
+    skip what truncation cannot decide, compare the rest."""
+    compared = skipped = 0
+    for i in range(count):
+        target = start + i * step
+        if ring.above_top(target):
+            break
+        if not ring.decidable(target):
+            skipped += 1
+        else:
+            assert not skipped, "a compared target after a skipped one"
+            compared += 1
+    return compared, skipped
+
+
+@pytest.mark.parametrize("ring", [
+    adem_failure_ring(3).ring,               # free: no top monomial, 2D = 18
+    projective_space_ring(3, 4).ring,        # top 8 below 2D
+    WeightedRing([_T, _Y], 3, [((_T, 3),), ((_Y, 2),)]),  # top 8 above 2D = 6
+], ids=["free", "top-below-window", "top-above-window"])
+def test_targets_agree_with_the_per_index_ladder(ring):
+    for start in range(0, 24):
+        for step in range(1, 7):
+            for count in range(0, 9):
+                assert ring.targets(start, step, count) == _ladder(ring, start, step, count), \
+                    (start, step, count)
 
 
 # -- the monomial key against the written-out order ------------------------------------

@@ -52,6 +52,16 @@ GOLDEN_LIFT_BENCH = {
     "polynomial-presentation-p3-D12.json": "3c179cb9c0da228b990c26dd9a8b00f46fe028b9f20a572c1871724ef888432d",
 }
 
+# stdout sha256 of `verify --trials 2 --format json` on the benchmark's
+# pre-psi-algebra documents that no golden above pins, recorded before
+# skipped identities were counted a run at a time.  product-projective-p3-3-3
+# is the only valid model here with Adem identities to compare (5).
+GOLDEN_VERIFY_BENCH = {
+    "product-projective-p3-3-3.json": "ee78828405868a13e79f02d05d86a58b728cee08908068fbfe69bc6b36b20f11",
+    "product-projective-p5-3-3.json": "aae030ef83d186144604749206bf34e20b3f9f28371bef74a056ebcabaf9751a",
+    "projective-space-p5-n3.json": "fc22787650c1c4f99d747ce34307c2025a1ec03293145d3402d6b6001d659efe",
+}
+
 # sha256 of the serialized lift (`lift --out`), which carries the Groebner
 # basis that stdout does not; recorded before the lift shared the
 # presentation's ring and basis.
@@ -110,6 +120,15 @@ def test_golden_verify_reports(name, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[name]
     assert rc == (1 if name.startswith("broken") else 0)
+
+
+@pytest.mark.skipif(not BENCH_DATA.is_dir(), reason="benchmark data not present")
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY_BENCH))
+def test_golden_verify_reports_on_benchmark_documents(name, capsys):
+    rc = main(["verify", "--doc", str(BENCH_DATA / name), "--trials", "2", "--format", "json"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_BENCH[name]
+    assert rc == 0
 
 
 @pytest.mark.skipif(not SAMPLES.is_dir(), reason="sample documents not present")

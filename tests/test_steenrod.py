@@ -5,7 +5,8 @@ import pytest
 import psibench.atiyah as atiyah
 import psibench.steenrod as steenrod
 from psibench.arith import adem_coefficient
-from psibench.atiyah import AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose
+from psibench.atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose,
+                             verify_welldefined)
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              product_projective_spaces, projective_space_ring)
 from psibench.rings import GeneratorSymbol, WeightedRing
@@ -431,3 +432,69 @@ def test_every_registry_axiom_can_fail(axiom, monkeypatch):
     (verdict,) = run_axioms(algebra, (axiom.cli,), trials=2, seed=0)
     assert verdict.name == axiom.verdict
     assert verdict.status == FAIL and verdict.witness, verdict.describe()
+
+
+# -- a witness after skipped identities ---------------------------------------------
+# Every negative control above FAILs before any skip.  These FAIL after one:
+# the first class or pair passes and leaves a run of targets that truncation
+# cannot decide, then the next one fails.  Their (checked, skipped) and
+# witnesses were recorded when each skipped identity was a separate outcome.
+
+
+def _operation_off_on_one_class(monkeypatch, i_off, n, D, extra):
+    """P^i_off of the second degree-2 basis class (u) alone gains
+    ``extra(basis)``, on Z[t,u]/(t^(n+1), u^(n+1)) at p = 3 and truncation D."""
+    derived = steenrod._derived_P
+
+    def perturbed(algebra, i, cls):
+        out = derived(algebra, i, cls)
+        basis = graded_basis(algebra, 2)
+        return out + extra(basis) if i == i_off and cls == basis[1] else out
+
+    monkeypatch.setattr(steenrod, "_derived_P", perturbed)
+    return product_projective_spaces(3, n, n, D)
+
+
+def _p0_off(monkeypatch):
+    # window 4 below the top 12: targets 6 and up are skipped
+    return _operation_off_on_one_class(monkeypatch, 0, 3, 2, lambda basis: basis[0])
+
+
+def _explicit_construction_off(monkeypatch):
+    """verify_welldefined at level 1 when the explicit construction's layer 0
+    gains its source: inexact, after the engine's layers agreed on weight 2
+    and skipped weight 6."""
+    build = atiyah.explicit_lift_decomposition
+
+    def perturbed(*args):
+        d = build(*args)
+        return AtiyahDecomposition(d.algebra, d.source, d.level,
+                                   (d.layers[0] + d.source,) + d.layers[1:])
+
+    monkeypatch.setattr(atiyah, "explicit_lift_decomposition", perturbed)
+    A = product_projective_spaces(3, 3, 3, D=2)
+    return verify_welldefined(A, A.ring.gen("t"), 1, trials=2, seed=0)
+
+
+LATE_WITNESS_CONTROLS = {
+    "welldefined": (_explicit_construction_off, 1, 1,
+                    {"oracle": "explicit construction is inexact"}),
+    "additivity": (lambda mp: check_additivity(_p0_off(mp), 2, trials=2, seed=0), 1, 1,
+                   {"degree": 2, "i": 0, "a": "t", "b": "u"}),
+    "cartan": (lambda mp: check_cartan(_p0_off(mp), 2, 2), 1, 2,
+               {"deg1": 2, "deg2": 2, "i": 0, "a": "t", "b": "u"}),
+    # window 10, top 16: P^1 P^1 on degree 2 is compared, P^2 P^1 and
+    # P^1 P^2 (weight 14) are skipped; P^1(u) gains t^2*u
+    "adem": (lambda mp: check_adem(_operation_off_on_one_class(
+                 mp, 1, 4, 5, lambda basis: basis[0] * basis[0] * basis[1]), 2), 1, 2,
+             {"degree": 2, "i": 1, "j": 1, "class": "u",
+              "note": "layer route and composition route disagree"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATE_WITNESS_CONTROLS))
+def test_a_witness_after_skips_keeps_the_counts_before_it(name, monkeypatch):
+    run, checked, skipped, witness = LATE_WITNESS_CONTROLS[name]
+    v = run(monkeypatch)
+    assert (v.status, v.checked, v.skipped) == (FAIL, checked, skipped), v.describe()
+    assert witness.items() <= v.witness.items()

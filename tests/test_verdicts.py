@@ -1,8 +1,10 @@
+import pytest
+
 from psibench.verdicts import FAIL, PASS, PASS_UP_TO_TRUNCATION, Verdict
 
 
 def test_tally_counts_checked_and_skipped_in_order():
-    v = Verdict.tally("t", [True, None, True, None, None])
+    v = Verdict.tally("t", [True, 1, True, 1, 1])
     assert (v.status, v.checked, v.skipped, v.witness) == (PASS_UP_TO_TRUNCATION, 2, 3, None)
     assert v.name == "t" and v.notes == ()
 
@@ -14,7 +16,7 @@ def test_tally_pass_needs_no_skipped_outcome():
 
 
 def test_tally_fails_with_the_counts_before_the_first_witness():
-    v = Verdict.tally("t", [True, None, True, {"i": 1}, True, {"i": 2}])
+    v = Verdict.tally("t", [True, 1, True, {"i": 1}, True, {"i": 2}])
     assert (v.status, v.checked, v.skipped, v.witness) == (FAIL, 2, 1, {"i": 1})
     assert v == Verdict.decide("t", 2, 1, {"i": 1})
 
@@ -23,15 +25,27 @@ def test_tally_draws_no_outcome_after_a_witness():
     drawn = []
 
     def outcomes():
-        for outcome in (True, None, {"i": 0}):
+        for outcome in (True, 1, {"i": 0}):
             drawn.append(outcome)
             yield outcome
         raise AssertionError("an outcome was drawn after the witness")
 
     v = Verdict.tally("t", outcomes())
     assert v.witness == {"i": 0} and (v.checked, v.skipped) == (1, 1)
-    assert drawn == [True, None, {"i": 0}]
+    assert drawn == [True, 1, {"i": 0}]
 
+
+def test_tally_counts_a_run_of_skips_before_a_witness():
+    v = Verdict.tally("t", [True, 0, True, 5, True, {"i": 3}, 7])
+    assert (v.status, v.checked, v.skipped, v.witness) == (FAIL, 3, 5, {"i": 3})
+    assert Verdict.tally("t", [True, 0, True, 0]).status == PASS
+
+
+@pytest.mark.parametrize("stray", [None, False, -1, 1.0, "skip", (), object()])
+def test_tally_rejects_an_outcome_it_does_not_know(stray):
+    # taken as a witness, a stray None would end the count early with a PASS
+    with pytest.raises(TypeError, match="unknown outcome"):
+        Verdict.tally("t", [True, 2, stray, {"i": 0}])
 
 
 def test_merge_stops_at_the_first_witness():

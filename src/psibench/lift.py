@@ -22,7 +22,7 @@ from collections import namedtuple
 from .arith import validate_prime
 from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
-from .rings import Element, GeneratorSymbol, WeightedRing, id_from_json, poly_from_json
+from .rings import Element, GeneratorSymbol, WeightedRing, add_into, id_from_json, poly_from_json
 from .steenrod import graded_basis, run_axioms
 from .unstable import UnstableAlgebra
 from .verdicts import Verdict
@@ -95,15 +95,15 @@ class UnstablePresentation:
 
     Relations are polynomials in the document encoding (``rings.poly_from_json``).
     ``layers`` holds the psi layers of every variable (``lift_generator_layers``):
-    the table reads P^i X as layer i mod p for 0 < i < sigma, and the lift
-    takes them as its psi data.
+    the total operation sends X to their sum mod p, and the lift takes them
+    as its psi data.
 
     Load-validation checks that the relation ideal contains the identifying
     relations for zero indices (P^0) and top indices (p-th powers), is closed
     under the table operations, and that the presented quotient satisfies the
-    Adem identities (P^0 = Id holds by construction of the table).  It runs
-    once, at construction, and its verdicts stay in ``validation``: a FAIL
-    is recorded, not raised, and ``build_lift`` refuses the presentation.
+    Adem identities (P^0 = Id holds: each image is X plus heavier terms).  It
+    runs once, at construction, and its verdicts stay in ``validation``: a
+    FAIL is recorded, not raised, and ``build_lift`` refuses the presentation.
     """
 
     def __init__(self, p: int, generators, relations=(), truncation: int = 6,
@@ -127,14 +127,14 @@ class UnstablePresentation:
         self.relations = tuple(poly_from_json(self.ring, r, mod=p) for r in relations)
         live = [r for r in self.relations if r]
         self.gb = groebner_build(live, p) if live else None
-        self.layers = {sym.key: lift_generator_layers(self.ring, p, sym)
-                       for sym in self.symbols}
-        # a child beyond the window gives a flagged zero layer; it adds nothing
-        # to the total operation, the table's only reader, so it is left out
-        middles = {key: {i: layer.reduce_mod(p) for i, layer in enumerate(layers[1:-1], 1)
-                         if layer}
-                   for key, layers in self.layers.items()}
-        self.algebra = UnstableAlgebra(self.ring, p, self.gb, middles=middles,
+        self.layers, totals = {}, []
+        for g in self.ring.generators:
+            terms, layers = {}, lift_generator_layers(self.ring, p, g)
+            for layer in layers:
+                add_into(terms, layer.terms.items(), 1, p)
+            totals.append(Element._clean(self.ring, terms, p, any(l.truncated for l in layers)))
+            self.layers[g.key] = layers
+        self.algebra = UnstableAlgebra(self.ring, p, self.gb, totals=totals,
                                        name=name or "presentation")
         self.validation = self.validate()
 
@@ -144,8 +144,8 @@ class UnstablePresentation:
             Verdict.tally("p0-index-identification", self._zero_index_outcomes(nf)),
             Verdict.tally("top-index-identification", self._top_index_outcomes(nf)),
             Verdict.tally("steenrod-closure", self._closure_outcomes(nf))]
-        # the table's P^0 is the identity on every monomial by construction,
-        # so of the presented quotient's axioms only Adem can fail
+        # each total image is X plus heavier terms, so P^0 is the identity on
+        # every monomial: of the presented quotient's axioms only Adem can fail
         (adem,) = run_axioms(self.algebra, ("adem",))
         verdicts.append(adem._replace(name="adem(table)"))
         return verdicts

@@ -90,7 +90,7 @@ def product_projective_spaces(p: int, n: int, m: int,
 def base_polynomial_algebra(p: int, d: int = 1, theta: str = "x",
                             D: int = 6) -> UnstableAlgebra:
     """The free polynomial Z/p-algebra on one generator of degree 2d with
-    the table action (only d = 1 has forced middles, namely none)."""
+    the default total operation x + x^p: P^i x = 0 for 0 < i < d."""
     sym = GeneratorSymbol(theta, (), 2 * d)
     ring = WeightedRing([sym], D)
     return UnstableAlgebra(ring, p, name=f"Z/{p}[{theta}]")

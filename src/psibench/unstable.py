@@ -1,10 +1,10 @@
-"""Graded Z/p algebras with a generator table of Steenrod-type operations.
+"""Graded Z/p algebras with the Steenrod-type operations of a total operation.
 
-This is the presentation-side counterpart of the derived operations: P^i is
-given on generators by an explicit table (identity at i = 0, p-th power at
-the top, supplied values in between) and extended to all classes through
-additivity and the product rule, via the total operation P = sum_i P^i which
-is multiplicative.  Quotients are realized by a Groebner basis over Z/p.
+P = sum_i P^i is the ring map given by one image per generator, and P^i of a
+class is the weight-shifted part of its image.  P^0 g = g and the p-th power
+at the top hold only as the caller's images hold them: the default g + g^p
+and every presentation's layer sum do, and the ``p0`` and ``adem`` verdicts
+judge the rest.  Quotients are realized by a Groebner basis over Z/p.
 """
 
 from __future__ import annotations
@@ -16,37 +16,25 @@ from .verdicts import Verdict
 
 
 class UnstableAlgebra:
-    """A graded quotient of a weighted polynomial ring over Z/p, with a
-    table-driven action of the operations P^i.  ``total`` is the total
-    operation, the ``RingMap`` on each generator's table sum.
-    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree, and
-    ``operations`` memoizes ``P`` by (i, class) as ``steenrod.operation``
-    describes."""
+    """A graded quotient of a weighted polynomial ring over Z/p, with the
+    operations P^i read off the total operation ``total``: the ``RingMap``
+    sending each generator, in ``ring.generators`` order, to its image in
+    ``totals`` (g + g^p by default).  ``graded_bases`` memoizes
+    ``steenrod.graded_basis`` by degree, and ``operations`` memoizes ``P``
+    by (i, class) as ``steenrod.operation`` describes."""
 
-    def __init__(self, ring: WeightedRing, p: int, graded_gb=None,
-                 middles: dict | None = None, name: str = ""):
+    def __init__(self, ring: WeightedRing, p: int, graded_gb=None, totals=None,
+                 name: str = ""):
         self.ring = ring
         self.p = validate_prime(p)
         self.graded_gb = graded_gb
         self.name = name
-        totals = []
-        middles = middles or {}
-        for g in ring.generators:
-            d, var = g.weight // 2, ring.var(g, p)
-            table = {0: var, d: var ** p}
-            for i, img in middles.get(g.key, {}).items():
-                if not 1 <= i <= d - 1:
-                    raise ValueError(
-                        f"table entries for {g} must have 1 <= i <= {d - 1}, got {i}")
-                if img.ring is not ring or img.mod != p:
-                    raise ValueError(f"table image P^{i}{g} must be a mod-{p} ring element")
-                if img and (not img.is_homogeneous()
-                            or img.weight() != g.weight + 2 * i * (p - 1)):
-                    raise ValueError(
-                        f"table image P^{i}{g} must be homogeneous of weight "
-                        f"{g.weight + 2 * i * (p - 1)}")
-                table[i] = img
-            totals.append(sum(table.values(), ring.zero(p)))
+        if totals is None:
+            totals = [var + var ** p for var in (ring.var(g, p) for g in ring.generators)]
+        # RingMap pairs images with generators by position: refuse a short list
+        if len(totals) != len(ring.generators) or any(
+                img.ring is not ring or img.mod != p for img in totals):
+            raise ValueError(f"the total operation takes one mod-{p} image per generator")
         self.total = RingMap(ring, totals, mod=p)
         self.graded_bases: dict = {}
         self.operations: dict = {}

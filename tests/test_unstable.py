@@ -51,29 +51,48 @@ def test_table_checkers():
         assert check_adem_table(A, d).status != FAIL
 
 
-def test_middle_table_validation():
-    x = GeneratorSymbol("x", (), 4)
-    ring = WeightedRing([x], 8)
-    good = {("x", ()): {1: ring.zero(3)}}
-    UnstableAlgebra(ring, 3, middles=good)
-    with pytest.raises(ValueError):
-        UnstableAlgebra(ring, 3, middles={("x", ()): {2: ring.zero(3)}})  # i = d
-    with pytest.raises(ValueError):
-        UnstableAlgebra(ring, 3, middles={("x", ()): {1: ring.var(x, 3)}})  # bad weight
+def test_total_images_need_one_mod_p_element_of_the_ring_per_generator():
+    x, y = GeneratorSymbol("x", (), 4), GeneratorSymbol("y", (), 2)
+    ring = WeightedRing([x, y], 8)
+    xe, ye = ring.var(x, 3), ring.var(y, 3)
+    UnstableAlgebra(ring, 3, totals=[ye + ye**3, xe + xe**3])
+    other = WeightedRing([x, y], 8)
+    for bad in ([ye + ye**3],                                     # one image short
+                [ye + ye**3, xe, xe],                             # one image too many
+                [ye + ye**3, (xe + xe**3).integer_lift()],        # integral
+                [ye + ye**3, other.var(x, 3)]):                   # another ring
+        with pytest.raises(ValueError, match="one mod-3 image per generator"):
+            UnstableAlgebra(ring, 3, totals=bad)
 
 
 def test_table_route_catches_a_broken_adem_relation():
-    # x of weight 4 at p = 3: P^1 P^1 x = 2 P^2 x = 2 x^3 forces P^1 x != 0
+    # x of weight 4 at p = 3: P^1 P^1 x = 2 P^2 x = 2 x^3 forces P^1 x != 0,
+    # and the default total x + x^3 has P^1 x = 0
     x = GeneratorSymbol("x", (), 4)
     ring = WeightedRing([x], 6)
-    broken = UnstableAlgebra(ring, 3, middles={x.key: {1: ring.zero(3)}})
+    broken = UnstableAlgebra(ring, 3)
     p0, adem = run_axioms(broken, ("p0", "adem"))
     assert p0.status == PASS
     assert adem.status == FAIL
     w = adem.witness
     assert (w["i"], w["j"], w["class"], w["lhs"], w["rhs"]) == (1, 1, "x", "0", "2*x^3")
-    square = UnstableAlgebra(ring, 3, middles={x.key: {1: ring.var(x, 3) ** 2}})
+    xe = ring.var(x, 3)
+    square = UnstableAlgebra(ring, 3, totals=[xe + xe**2 + xe**3])
     assert all(v.status != FAIL for v in run_axioms(square, ("p0", "adem")))
+
+
+@pytest.mark.parametrize("D", [6, 8])
+def test_presentation_totals_are_the_layer_sums_mod_p(D):
+    pres = free_polynomial_presentation(2, D)
+    ring, images = pres.ring, pres.algebra.total.images
+    assert len(images) == len(ring.generators)
+    lossy = 0
+    for g, image in zip(ring.generators, images):
+        layers = pres.layers[g.key]
+        assert image == sum(layers[1:], layers[0]).reduce_mod(2)
+        assert image.truncated == any(layer.truncated for layer in layers)
+        lossy += image.truncated
+    assert 0 < lossy < len(images)     # both kinds of image occur
 
 
 def test_cartan_for_table_operations():

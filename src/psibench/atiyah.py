@@ -23,7 +23,7 @@ import random
 from collections import namedtuple
 
 from .arith import fermat_quotient, require_power_bits, validate_prime
-from .rings import UNIT, Element, RingMap, WeightedRing, add_into, mono_div, remember
+from .rings import UNIT, Element, RingMap, WeightedRing, add_into, mono_div, mono_str, remember
 from .verdicts import Verdict
 
 
@@ -31,9 +31,13 @@ class PrePsiAlgebra:
     """A weighted ring with a prime p and per-generator layer data.
 
     ``psi_data`` maps generator keys to layer tuples; the endomorphism
-    ``psi`` is the ``RingMap`` on the layer sums (it fixes integers).  An
-    optional Groebner basis over Z/p realizes the graded quotient when the
-    algebra presents one (e.g. lifts of presented unstable algebras).
+    ``psi`` is the ``RingMap`` on the layer sums (it fixes integers).  It
+    must preserve each monomial relation prod g^e: the product of the
+    psi(g)^e may keep no term in the window, though it may lose terms above
+    it (``truncated``), as any windowed identity may.  Graded relations are
+    not checked.  An optional Groebner basis over Z/p realizes the graded
+    quotient when the algebra presents one (e.g. lifts of presented
+    unstable algebras).
 
     ``splittings`` memoizes ``atiyah_decompose`` for this algebra alone.  Its
     key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
@@ -78,6 +82,13 @@ class PrePsiAlgebra:
         self.psi_data = data
         self.psi = RingMap(ring, (self.generator_decomposition(g).weighted_sum()
                                   for g in ring.generators))
+        for m in ring.monomial_relations:
+            image = math.prod((self.psi.images[g] ** e for g, e in reversed(m[1])),
+                              start=ring.one())
+            if image:
+                term = ring.element(dict([image.leading()]))
+                raise ValueError(f"psi does not preserve the relation {mono_str(ring, m)} = 0: "
+                                 f"the product of the psi images of its factors keeps {term}")
         self.splittings: dict = {}
         self.graded_bases: dict = {}
         self.operations: dict = {}

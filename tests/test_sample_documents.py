@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -222,3 +225,34 @@ def test_axiom_subset_reports_the_full_run_verdict(name, capsys):
     assert (adem["status"] == "FAIL") == name.startswith("broken")
     if adem["status"] == "FAIL":
         assert adem["witness"]["i"] == 1 and adem["witness"]["j"] == 1
+
+
+# every pinned command, as (argv, golden, exit status): run in a fresh
+# interpreter at two hash seeds, the way the benchmark runs each command
+# with PYTHONHASHSEED set to its workload seed
+PINNED_COMMANDS = [
+    *((["verify", "--doc", str(SAMPLES / name), "--axioms", "all", "--trials", "2",
+        "--format", "json"], digest, 1 if name.startswith("broken") else 0)
+      for name, digest in sorted(GOLDEN_VERIFY.items())),
+    *((["lift", "--doc", str(SAMPLES / name), "--format", "json"], digest, 0)
+      for name, digest in sorted(GOLDEN_LIFT.items())),
+    *((["lift", "--doc", str(BENCH_DATA / name), "--format", "json"], digest, 0)
+      for name, digest in sorted(GOLDEN_LIFT_BENCH.items())),
+    *((["verify", "--doc", str(BENCH_DATA / name), "--trials", "2", "--format", "json"],
+       digest, 0) for name, digest in sorted(GOLDEN_VERIFY_BENCH.items())),
+]
+
+
+@pytest.mark.skipif(not (SAMPLES.is_dir() and BENCH_DATA.is_dir()),
+                    reason="sample documents or benchmark data not present")
+def test_golden_reports_do_not_depend_on_the_hash_seed():
+    for argv, digest, code in PINNED_COMMANDS:
+        # both seeds at once: two children at a time
+        children = [subprocess.Popen([sys.executable, "-m", "psibench", *argv],
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                     env={**os.environ, "PYTHONHASHSEED": seed})
+                    for seed in ("0", "1")]
+        for seed, child in zip(("0", "1"), children):
+            out, err = child.communicate(timeout=60)
+            assert (child.returncode, err) == (code, b""), (argv, seed)
+            assert hashlib.sha256(out).hexdigest() == digest, (argv, seed)

@@ -91,7 +91,7 @@ def test_a_product_that_vanishes_only_by_truncation_is_accepted():
     ring = WeightedRing([t, u], 2, monomial_relations=[((t, 2),)])
     te, ue = ring.var(t), ring.var(u)
     A = PrePsiAlgebra(ring, 2, {t.key: (te + ue**2, te**2), u.key: (ue, ue**2)})
-    square = A.psi.images[ring._pos[t.key]] ** 2
+    square = A.psi.images[ring.generators.index(t)] ** 2
     assert not square and square.truncated
 
 

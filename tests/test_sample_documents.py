@@ -252,7 +252,12 @@ def test_golden_reports_do_not_depend_on_the_hash_seed():
                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                      env={**os.environ, "PYTHONHASHSEED": seed})
                     for seed in ("0", "1")]
-        for seed, child in zip(("0", "1"), children):
-            out, err = child.communicate(timeout=60)
-            assert (child.returncode, err) == (code, b""), (argv, seed)
-            assert hashlib.sha256(out).hexdigest() == digest, (argv, seed)
+        try:
+            for seed, child in zip(("0", "1"), children):
+                out, err = child.communicate(timeout=60)
+                assert (child.returncode, err) == (code, b""), (argv, seed)
+                assert hashlib.sha256(out).hexdigest() == digest, (argv, seed)
+        finally:
+            for child in children:
+                child.kill()  # a no-op once the child has been reaped
+                child.wait()

@@ -43,9 +43,9 @@ class PrePsiAlgebra:
     key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
     under their monomial's key at the natural level weight/2.  It holds at
     most ``rings.SPLITTING_CACHE_SIZE`` entries and stops inserting once
-    full.  ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree, and
-    ``operations`` memoizes ``steenrod.steenrod_P`` by (i, class) under the
-    same bound (see ``steenrod.operation``).
+    full; P^i reads no splitting (``apply_P``).  ``graded_bases`` memoizes
+    ``steenrod.graded_basis`` by degree, and ``operations`` memoizes
+    ``steenrod.steenrod_P`` by (i, class) under the same bound.
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -101,6 +101,19 @@ class PrePsiAlgebra:
             raise ValueError("psi acts on the integral layer")
         return self.psi(e)
 
+    def apply_P(self, i: int, e: Element) -> Element:
+        """P^i on a nonzero mod-p element of one weight 2q, 0 <= i <= q: psi
+        of its integral lift in weight 2q + 2i(p-1), divided by p^(q-i) (an
+        exact division, proved in ``tests/test_band_formula.py``) and reduced
+        mod p, with no normal form.  Callers keep the target in the window."""
+        if e.ring is not self.ring or e.mod != self.p or not e or not e.is_homogeneous():
+            raise ValueError("P^i reads one nonzero weight of this algebra's mod-p elements")
+        p, q = self.p, e.weight() // 2
+        if not 0 <= i <= q:
+            raise ValueError(f"P^{i} is read off psi only for 0 <= i <= {q}")
+        band = self.apply_psi(e.integer_lift()).homogeneous_component(2 * q + 2 * i * (p - 1))
+        return band.exact_div(p ** (q - i)).reduce_mod(p)
+
     def P(self, i: int, cls):
         """P^i on a graded class: ``steenrod.steenrod_P``, looked up on each
         call so that a wrapper installed on that module sees every call."""
@@ -140,8 +153,8 @@ class AtiyahDecomposition(namedtuple("AtiyahDecomposition", "algebra source leve
         return self.source.truncated or any(l.truncated for l in self.layers)
 
     def layer(self, i: int) -> Element:
-        """The layer P^i reads: layers[i] below the level, the top source^p
-        at the level (level 0 included), zero above it."""
+        """Layer i as the checks of the calculus read it: layers[i] below the
+        level, the top source^p at the level (level 0 included), zero above."""
         if i > self.level:
             return self.algebra.ring.zero()
         return self.layers[-1] if i == self.level else self.layers[i]

@@ -164,14 +164,15 @@ class UnstablePresentation:
 
     def _top_index_outcomes(self, nf):
         """X_(theta,I,sigma) = X_(theta,I)^p in the quotient, where sigma is
-        the parent's level."""
+        the parent's level; X^p is the parent's stored top layer."""
         p = self.p
         for sym in self.symbols:
             if not sym.indices:
                 continue
             parent = self.ring._by_key.get((sym.name, sym.indices[:-1]))
             if parent is not None and sym.indices[-1] == parent.weight // 2:
-                if nf(self.ring.var(sym, mod=p) - self.ring.var(parent, mod=p) ** p):
+                top = self.layers[parent.key][-1].reduce_mod(p)
+                if nf(self.ring.var(sym, mod=p) - top):
                     yield {"variable": str(sym), "missing": f"{sym} = {parent}^{p}"}
                 else:
                     yield True

@@ -1,12 +1,12 @@
 """Operations on the mod-p associated graded of a pre-psi-p algebra.
 
-A class in graded weight 2q is lifted to an integral element of weight
-exactly 2q, the element is split into layers at level q, and P^i returns the
-mod-p class of layer i in weight 2q + 2i(p-1); above the level the
-operations vanish, and at the top they are the p-th power, both by
-construction.  The registered checkers (``AXIOMS``) verify the other
-unstable-algebra axioms for these derived operations, degree by degree,
-exactly within the truncation window.
+A class in graded weight 2q has an integral lift e of weight exactly 2q, and
+P^i returns the mod-p class of psi(e)_w / p^(q-i), w = 2q + 2i(p-1)
+(``PrePsiAlgebra.apply_P``); above the level the operations vanish, and at
+the top they are the p-th power, both by construction.  The registered
+checkers (``AXIOMS``) verify the other unstable-algebra axioms for these
+operations, degree by degree, exactly within the truncation window;
+splittings serve only the exactness, well-definedness and Adem checks.
 """
 
 from __future__ import annotations
@@ -134,13 +134,14 @@ def gr_class(algebra: PrePsiAlgebra, e: Element, degree: int) -> GradedClass:
 # -- the operations ----------------------------------------------------------------
 
 
-def operation(algebra, i: int, cls: GradedClass, compute) -> GradedClass:
-    """P^i on a graded class of either kind of algebra, with the conventions
-    both share: zero above the level, on the zero class and above the top
-    monomial.  Otherwise ``compute(algebra, i, cls)``,
-    memoized in the algebra's ``operations`` dict under ``(i, degree, rep
-    terms)``, the same data ``GradedClass`` equality compares, and bounded
-    like the splitting cache (``rings.remember``)."""
+def steenrod_P(algebra, i: int, cls: GradedClass) -> GradedClass:
+    """P^i on a graded class of either kind of algebra: the class of
+    ``algebra.apply_P(i, cls.rep)`` in degree 2q + 2i(p-1), with the
+    conventions both share: zero above the level, on the zero class and
+    above the top monomial.  Computed once per algebra and (i, class) in its
+    ``operations`` dict, under ``(i, degree, rep terms)``, the same data
+    ``GradedClass`` equality compares, and bounded like the splitting cache
+    (``rings.remember``)."""
     if i < 0:
         raise ValueError("operation index must be non-negative")
     target = cls.degree + 2 * i * (algebra.p - 1)
@@ -151,22 +152,9 @@ def operation(algebra, i: int, cls: GradedClass, compute) -> GradedClass:
     key = (i, cls.degree, frozenset(cls.rep.terms.items()))
     out = algebra.operations.get(key)
     if out is None:
-        out = remember(algebra.operations, key, compute(algebra, i, cls))
+        out = remember(algebra.operations, key,
+                       gr_class_of_rep(algebra, algebra.apply_P(i, cls.rep), target))
     return out
-
-
-def _derived_P(algebra: PrePsiAlgebra, i: int, cls: GradedClass) -> GradedClass:
-    """The class of layer i of a level-(degree/2) splitting of the class's
-    lift, in a target degree inside the window."""
-    dr = atiyah_decompose(algebra, cls.lift(), cls.degree // 2)
-    return gr_class(algebra, dr.layer(i), cls.degree + 2 * i * (algebra.p - 1))
-
-
-def steenrod_P(algebra: PrePsiAlgebra, i: int, cls: GradedClass) -> GradedClass:
-    """P^i on a graded class, derived from an Atiyah splitting of any lift of
-    exact weight equal to the class degree; computed once per algebra and
-    (i, class), see ``operation``."""
-    return operation(algebra, i, cls, _derived_P)
 
 
 # -- sampling ------------------------------------------------------------------------
@@ -253,9 +241,9 @@ def check_additivity(algebra, degree: int, trials: int = 20, seed: int = 0) -> V
 
 def check_pth_power(algebra, degree: int, trials: int = 10, seed: int = 0) -> Verdict:
     """P^q is the p-th power map on degree 2q.  Not in ``AXIOMS``: P^q reads
-    the top layer, which every splitting builds as ``source^p`` and
-    ``check_exactness`` already checks, so it cannot fail.  Kept only as the
-    name ``perfbench/tracer.py`` probes."""
+    psi(e) in weight 2pq, which is e^p mod p since loading makes each
+    generator's top layer g^p, so it cannot fail.  Kept only as the name
+    ``perfbench/tracer.py`` probes."""
     rng = random.Random(seed)
     compared, skipped = algebra.ring.targets(degree * algebra.p, 1, 1)
 
@@ -272,8 +260,8 @@ def check_pth_power(algebra, degree: int, trials: int = 10, seed: int = 0) -> Ve
 
 def check_instability(algebra, degree: int, trials: int = 10, seed: int = 0) -> Verdict:
     """P^i vanishes above the level: P^i(c) = 0 for 2i > degree.  Not in
-    ``AXIOMS``: ``operation`` returns zero for i > q before it reads any
-    splitting, so it cannot fail.  Kept only as the name
+    ``AXIOMS``: ``steenrod_P`` returns zero for i > q before it reads psi,
+    so it cannot fail.  Kept only as the name
     ``perfbench/tracer.py`` probes."""
     rng = random.Random(seed)
     q = degree // 2
@@ -330,7 +318,8 @@ def check_adem(algebra, degree: int) -> Verdict:
     """The relations rewriting P^i P^j for i < pj, checked by composing the
     operations on every basis class; linearity extends them to every class.
     On an algebra that carries splittings the double layers r_(j,i) of the
-    basis lifts give a second route, and both routes must agree.  Per j, the rule
+    basis lifts give a second route apart from psi's bands, and both routes
+    must agree.  Per j, the rule
     ``WeightedRing.targets`` sizes the run of i compared, then one skip count."""
     p = algebra.p
     q = degree // 2

@@ -9,9 +9,9 @@ judge the rest.  Quotients are realized by a Groebner basis over Z/p.
 
 from __future__ import annotations
 
+from . import steenrod
 from .arith import validate_prime
 from .rings import Element, RingMap, WeightedRing, add_into
-from .steenrod import GradedClass, check_adem, check_p0_identity, gr_class_of_rep, operation
 from .verdicts import Verdict
 
 
@@ -21,7 +21,7 @@ class UnstableAlgebra:
     sending each generator, in ``ring.generators`` order, to its image in
     ``totals`` (g + g^p by default).  ``graded_bases`` memoizes
     ``steenrod.graded_basis`` by degree, and ``operations`` memoizes ``P``
-    by (i, class) as ``steenrod.operation`` describes."""
+    by (i, class) as ``steenrod.steenrod_P`` describes."""
 
     def __init__(self, ring: WeightedRing, p: int, graded_gb=None, totals=None,
                  name: str = ""):
@@ -56,24 +56,20 @@ class UnstableAlgebra:
             add_into(terms, [(tm, tc) for tm, tc in image if tm[0] == target], c, p)
         return Element._clean(self.ring, terms, p)
 
-    def P(self, i: int, cls: GradedClass) -> GradedClass:
-        return operation(self, i, cls, _table_P)
+    def P(self, i: int, cls: steenrod.GradedClass) -> steenrod.GradedClass:
+        """``steenrod.steenrod_P``, looked up on each call (see ``PrePsiAlgebra.P``)."""
+        return steenrod.steenrod_P(self, i, cls)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"UnstableAlgebra(p={self.p}{tag}, {self.ring!r})"
 
 
-def _table_P(algebra: UnstableAlgebra, i: int, cls: GradedClass) -> GradedClass:
-    target = cls.degree + 2 * i * (algebra.p - 1)
-    return gr_class_of_rep(algebra, algebra.apply_P(i, cls.rep), target)
-
-
 def check_p0_identity_table(algebra: UnstableAlgebra, degrees) -> Verdict:
     """P^0 = Id for the table-extended operations."""
-    return check_p0_identity(algebra, degrees)._replace(name="p0-identity(table)")
+    return steenrod.check_p0_identity(algebra, degrees)._replace(name="p0-identity(table)")
 
 
 def check_adem_table(algebra: UnstableAlgebra, degree: int) -> Verdict:
     """Adem identities for the table-extended operations, by composition."""
-    return check_adem(algebra, degree)._replace(name="adem(table)")
+    return steenrod.check_adem(algebra, degree)._replace(name="adem(table)")

@@ -1,12 +1,15 @@
-"""The weight-band formula: an oracle for ``steenrod_P`` from one psi image.
+"""The weight-band formula that ``steenrod_P`` computes, against the
+splitting calculus as its oracle.
 
 Statement.  Let e be an integral lift of a class of degree 2q, let
 0 <= i <= q and w = 2q + 2i(p-1) <= top_weight().  Then p^(q-i) divides
 psi(e)_w, the weight-w homogeneous part of psi(e), and the class of
-psi(e)_w / p^(q-i) in degree w is P^i[e].
+psi(e)_w / p^(q-i) in degree w is P^i[e], the class of layer i of any
+level-q splitting of e.  ``PrePsiAlgebra.apply_P`` computes exactly this
+quotient, so its division never fails and its class is the operation.
 
-Proof.  Take the level-q splitting psi(e) = sum_{j=0..q} p^(q-j) r_j that
-``steenrod_P`` reads, with r_j of weight >= 2q + 2j(p-1) and r_q = e^p.
+Proof.  Take a level-q splitting psi(e) = sum_{j=0..q} p^(q-j) r_j, with
+r_j of weight >= 2q + 2j(p-1) and r_q = e^p.
 For j > i, r_j has no term of weight w, so
 psi(e)_w = sum_{j<=i} p^(q-j) (r_j)_w = p^(q-i) sum_{j<=i} p^(i-j) (r_j)_w.
 Hence p^(q-i) divides psi(e)_w, and the quotient is (r_i)_w plus multiples
@@ -14,9 +17,11 @@ of p, so its class mod p is the class of (r_i)_w, which is P^i[e].  At
 q = 0 the level-0 pair (r', e^p) gives psi(e) = e = p r' + e^p, and both
 sides read e^p = e mod p.
 
-psi(e) here is ``apply_psi``, the ring map on the generators' layer sums,
-and never meets the splitting calculus; a wrong correction in
-``atiyah_sum`` moves ``steenrod_P`` and not the oracle.
+The engine reads psi(e) through ``apply_psi``, the ring map on the
+generators' layer sums, and never meets the splitting calculus; the oracle
+reads ``atiyah_decompose``, which never meets ``apply_P``.  A wrong band
+moves the engine and not the oracle; a wrong correction in ``atiyah_sum``
+moves neither class, and only the second test sees it.
 """
 
 import itertools
@@ -58,13 +63,11 @@ ALGEBRAS = {
 }
 
 
-def band_P(algebra, i, cls):
-    """P^i of a class of degree 2q, as psi(e)_w / p^(q-i) mod p; the
-    division raises if it is not exact."""
-    q, p = cls.degree // 2, algebra.p
-    w = cls.degree + 2 * i * (p - 1)
-    band = algebra.apply_psi(cls.lift()).homogeneous_component(w)
-    return gr_class(algebra, band.exact_div(p ** (q - i)), w)
+def layer_P(algebra, i, cls):
+    """P^i of a class of degree 2q, as the class of layer i of the level-q
+    splitting of its lift."""
+    w = cls.degree + 2 * i * (algebra.p - 1)
+    return gr_class(algebra, atiyah_decompose(algebra, cls.lift(), cls.degree // 2).layer(i), w)
 
 
 def _classes(algebra, degree, rng):
@@ -88,12 +91,12 @@ def _pairs(algebra):
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
-def test_the_band_formula_agrees_with_steenrod_P(name):
+def test_steenrod_P_agrees_with_the_splitting_calculus(name):
     algebra = ALGEBRAS[name]()
     pairs = list(_pairs(algebra))
     assert pairs
     for i, cls in pairs:
-        assert band_P(algebra, i, cls) == steenrod_P(algebra, i, cls), (i, str(cls))
+        assert steenrod_P(algebra, i, cls) == layer_P(algebra, i, cls), (i, str(cls))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))

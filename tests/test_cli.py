@@ -464,8 +464,7 @@ def _one_generator_document(tmp_path, p):
     return str(path)
 
 
-@pytest.mark.parametrize("command", [["atiyah", "--element", "1000*t"],
-                                     ["steenrod", "-i", "0", "--element", "2*t"]])
+@pytest.mark.parametrize("command", [["atiyah", "--element", "1000*t"]])
 def test_a_coefficient_power_beyond_the_bit_budget_exits_two(command, tmp_path, capsys):
     # 1000^p alone would be about 2.7 GB at this prime; a tree without the
     # budget fails this module's import of MAX_POWER_BITS before building it
@@ -497,7 +496,7 @@ def _two_generator_document(tmp_path, p):
     return str(path)
 
 
-@pytest.mark.parametrize("command", [["atiyah"], ["steenrod", "-i", "1"]])
+@pytest.mark.parametrize("command", [["atiyah"]])
 def test_a_sum_power_beyond_the_bit_budget_exits_two(command, tmp_path, capsys):
     # (t + u)^p keeps 10,008 monomials with coefficients of up to about 10,000
     # bits; each summand alone splits at once
@@ -512,6 +511,27 @@ def test_a_sum_power_beyond_the_bit_budget_exits_two(command, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert elapsed < 2.0
     assert main([command[0], "--doc", path, *command[1:], "--element", "t"]) == 0
+
+
+@pytest.mark.parametrize("document, argv, result", [
+    # P^0 of 2*t reads psi(2*t) = 2p*t in weight 2 and never builds 2^p
+    (lambda tmp: _one_generator_document(tmp, 2147483647), ["-i", "0", "--element", "2*t"],
+     ("2*t", 2)),
+    # P^1 of t + u reads t^p + u^p in weight 2p and never builds (t + u)^p
+    (lambda tmp: _two_generator_document(tmp, 10007), ["-i", "1", "--element", "t + u"],
+     ("u^10007 + t^10007", 20014)),
+], ids=["coefficient", "sum"])
+def test_steenrod_answers_the_power_the_atiyah_rows_refuse(document, argv, result, tmp_path,
+                                                            capsys):
+    path = document(tmp_path)
+    t0 = time.perf_counter()
+    rc = main(["steenrod", "--doc", path, *argv, "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    report = json.loads(captured.out)
+    assert (report["result"], report["result_degree"]) == result
+    assert elapsed < 2.0
 
 
 def test_verify_at_a_large_prime_stays_fast(tmp_path, capsys):

@@ -65,6 +65,23 @@ GOLDEN_VERIFY_BENCH = {
     "projective-space-p5-n3.json": "fc22787650c1c4f99d747ce34307c2025a1ec03293145d3402d6b6001d659efe",
 }
 
+# stdout sha256 of `steenrod -i <i> --element <class> --format json` and of
+# `atiyah --element <element> --format json`, recorded while P^i still read
+# a splitting of the class's lift: a one-monomial class, multi-term classes
+# (whose splitting built the power t^p of a sum), an i above the class's
+# level, and two splittings.
+GOLDEN_STEENROD = {
+    ("projective-space-p3-n4.json", "1", "t"): "7d7de7bf22675fc02b0892d85ead45be033bb41aaa784b10f3214e6681f9c2d3",
+    ("projective-space-p3-n4.json", "1", "t^2"): "1cfffe0099a87e1bf5eaaaae2f3935fe0fdd88b356dca44f6161f660c9f4397e",
+    ("product-projective-p3.json", "0", "t^2 + 2*t*u"): "1cd4b150560d59cc98dcb2261faeab6d5116d521bc6e0603ed68a778117f4d22",
+    ("product-projective-p3.json", "1", "t + u"): "38c8fc983a07718f951932f487c32573e9a8a3ccd44635fb2f07cfda88a7b948",
+    ("product-projective-p3.json", "2", "t + u"): "f0b45fab220877a0923e18c9366d2ad2e16200b0ed3f98654fea5bcb6d1eb825",
+}
+GOLDEN_ATIYAH = {
+    ("product-projective-p3.json", "t + u"): "0da5973ae6d98e18c0383e56aacb8cf62c91d141ba8ff98cad2f3a69c74b5625",
+    ("broken-adem-p3.json", "2*x"): "8c51561820a03801c6f40163d1997765f6e8be29c6d118b5bdfe71de9d006404",
+}
+
 # sha256 of the serialized lift (`lift --out`), which carries the Groebner
 # basis that stdout does not; recorded before the lift shared the
 # presentation's ring and basis.
@@ -240,6 +257,11 @@ PINNED_COMMANDS = [
       for name, digest in sorted(GOLDEN_LIFT_BENCH.items())),
     *((["verify", "--doc", str(BENCH_DATA / name), "--trials", "2", "--format", "json"],
        digest, 0) for name, digest in sorted(GOLDEN_VERIFY_BENCH.items())),
+    *((["steenrod", "--doc", str(SAMPLES / name), "-i", i, "--element", element,
+        "--format", "json"], digest, 0)
+      for (name, i, element), digest in sorted(GOLDEN_STEENROD.items())),
+    *((["atiyah", "--doc", str(SAMPLES / name), "--element", element, "--format", "json"],
+       digest, 0) for (name, element), digest in sorted(GOLDEN_ATIYAH.items())),
 ]
 
 

@@ -219,13 +219,13 @@ def test_additivity_licenses_the_basis(monkeypatch):
     # an operation wrong only on classes with two or more terms passes every
     # check that reads the basis; only additivity, which samples
     # combinations, sees it
-    derived = steenrod._derived_P
+    apply = PrePsiAlgebra.apply_P
 
-    def wrong_on_sums(algebra, i, cls):
-        out = derived(algebra, i, cls)
-        return out * 2 if len(cls.rep.terms) > 1 else out
+    def wrong_on_sums(algebra, i, e):
+        out = apply(algebra, i, e)
+        return out * 2 if len(e.terms) > 1 else out
 
-    monkeypatch.setattr(steenrod, "_derived_P", wrong_on_sums)
+    monkeypatch.setattr(PrePsiAlgebra, "apply_P", wrong_on_sums)
     A = product_projective_spaces(3, 2, 2)
     verdicts = {v.name: v for v in run_axioms(A, ("p0", "adem", "cartan", "additivity"))}
     assert [verdicts[n].status for n in ("p0-identity", "adem", "cartan")] == [PASS] * 3
@@ -335,23 +335,23 @@ def test_lift_independence_of_P_on_random_lift_pairs():
 
 
 def test_each_operation_is_computed_once(monkeypatch):
-    """classify computes P^i once per (i, degree, rep): the layer of a
-    splitting is taken only for inputs the operation memo has not seen."""
-    compute, derived = steenrod._derived_P, steenrod.steenrod_P
+    """classify computes P^i once per (i, degree, rep): psi's band is read
+    only for inputs the operation memo has not seen."""
+    apply, derived = PrePsiAlgebra.apply_P, steenrod.steenrod_P
     computed, calls, reached = [], [], set()
 
-    def counting_compute(algebra, i, cls):
-        computed.append((i, cls.degree, frozenset(cls.lift().terms.items())))
-        return compute(algebra, i, cls)
+    def counting_apply(algebra, i, e):
+        computed.append((i, e.weight(), frozenset(e.terms.items())))
+        return apply(algebra, i, e)
 
     def recording_P(algebra, i, cls):
         calls.append(i)
         target = cls.degree + 2 * i * (algebra.p - 1)
         if cls and i <= cls.degree // 2 and target <= algebra.ring.top_weight():
-            reached.add((i, cls.degree, frozenset(cls.lift().terms.items())))
+            reached.add((i, cls.degree, frozenset(cls.rep.terms.items())))
         return derived(algebra, i, cls)
 
-    monkeypatch.setattr(steenrod, "_derived_P", counting_compute)
+    monkeypatch.setattr(PrePsiAlgebra, "apply_P", counting_apply)
     monkeypatch.setattr(steenrod, "steenrod_P", recording_P)
     A = projective_space_ring(3, 4)
     assert classify(A, trials=2).label == "psi-p-algebra"
@@ -384,14 +384,14 @@ def _splitting_off_by_its_source(name):
 def _operation_off_by_a_basis_class(monkeypatch):
     """P^i for i > 0 gains the first basis class of its target degree, an
     offset that is neither additive nor multiplicative."""
-    derived = steenrod._derived_P
+    apply = PrePsiAlgebra.apply_P
 
-    def perturbed(algebra, i, cls):
-        out = derived(algebra, i, cls)
-        basis = graded_basis(algebra, out.degree)
-        return out + basis[0] if i and basis else out
+    def perturbed(algebra, i, e):
+        basis = graded_basis(algebra, e.weight() + 2 * i * (algebra.p - 1))
+        out = apply(algebra, i, e)
+        return out + basis[0].rep if i and basis else out
 
-    monkeypatch.setattr(steenrod, "_derived_P", perturbed)
+    monkeypatch.setattr(PrePsiAlgebra, "apply_P", perturbed)
     return projective_space_ring(3, 4)
 
 
@@ -399,14 +399,14 @@ def _operation_plus_a_product(monkeypatch):
     """P^i for i > 0 gains the product of its class with the first basis
     class of degree 2i(p-1): still additive, but no longer a derivation of
     the product as Cartan asks."""
-    derived = steenrod._derived_P
+    apply = PrePsiAlgebra.apply_P
 
-    def perturbed(algebra, i, cls):
+    def perturbed(algebra, i, e):
         shift = graded_basis(algebra, 2 * i * (algebra.p - 1))
-        out = derived(algebra, i, cls)
-        return out + cls * shift[0] if i and shift else out
+        out = apply(algebra, i, e)
+        return out + e * shift[0].rep if i and shift else out
 
-    monkeypatch.setattr(steenrod, "_derived_P", perturbed)
+    monkeypatch.setattr(PrePsiAlgebra, "apply_P", perturbed)
     return projective_space_ring(3, 4)
 
 
@@ -444,14 +444,14 @@ def test_every_registry_axiom_can_fail(axiom, monkeypatch):
 def _operation_off_on_one_class(monkeypatch, i_off, n, D, extra):
     """P^i_off of the second degree-2 basis class (u) alone gains
     ``extra(basis)``, on Z[t,u]/(t^(n+1), u^(n+1)) at p = 3 and truncation D."""
-    derived = steenrod._derived_P
+    apply = PrePsiAlgebra.apply_P
 
-    def perturbed(algebra, i, cls):
-        out = derived(algebra, i, cls)
+    def perturbed(algebra, i, e):
+        out = apply(algebra, i, e)
         basis = graded_basis(algebra, 2)
-        return out + extra(basis) if i == i_off and cls == basis[1] else out
+        return out + extra(basis).rep if i == i_off and e == basis[1].rep else out
 
-    monkeypatch.setattr(steenrod, "_derived_P", perturbed)
+    monkeypatch.setattr(PrePsiAlgebra, "apply_P", perturbed)
     return product_projective_spaces(3, n, n, D)
 
 

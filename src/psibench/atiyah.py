@@ -43,9 +43,10 @@ class PrePsiAlgebra:
     key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
     under their monomial's key at the natural level weight/2.  It holds at
     most ``rings.SPLITTING_CACHE_SIZE`` entries and stops inserting once
-    full; P^i reads no splitting (``apply_P``).  ``graded_bases`` memoizes
-    ``steenrod.graded_basis`` by degree, and ``operations`` memoizes
-    ``steenrod.steenrod_P`` by (i, class) under the same bound.
+    full; P^i reads one band of ``psi``, no splitting (``apply_P``).
+    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree, and
+    ``operations`` memoizes ``steenrod.steenrod_P`` by (i, class) under the
+    same bound.
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -102,22 +103,17 @@ class PrePsiAlgebra:
         return self.psi(e)
 
     def apply_P(self, i: int, e: Element) -> Element:
-        """P^i on a nonzero mod-p element of one weight 2q, 0 <= i <= q: psi
-        of its integral lift in weight 2q + 2i(p-1), divided by p^(q-i) (an
-        exact division, proved in ``tests/test_band_formula.py``) and reduced
-        mod p, with no normal form.  Callers keep the target in the window."""
+        """P^i on a nonzero mod-p element of one weight 2q, 0 <= i <= q: the
+        weight-(2q + 2i(p-1)) band of psi of its integral lift (``psi.band``)
+        divided by p^(q-i), exactly (``tests/test_band_formula.py``), mod p,
+        with no normal form.  Callers keep the target in the window."""
         if e.ring is not self.ring or e.mod != self.p or not e or not e.is_homogeneous():
             raise ValueError("P^i reads one nonzero weight of this algebra's mod-p elements")
         p, q = self.p, e.weight() // 2
         if not 0 <= i <= q:
             raise ValueError(f"P^{i} is read off psi only for 0 <= i <= {q}")
-        band = self.apply_psi(e.integer_lift()).homogeneous_component(2 * q + 2 * i * (p - 1))
+        band = self.psi.band(e.integer_lift(), 2 * i * (p - 1))
         return band.exact_div(p ** (q - i)).reduce_mod(p)
-
-    def P(self, i: int, cls):
-        """P^i on a graded class: ``steenrod.steenrod_P``, looked up on each
-        call so that a wrapper installed on that module sees every call."""
-        return steenrod.steenrod_P(self, i, cls)
 
     def generator_decomposition(self, g) -> "AtiyahDecomposition":
         layers = self.psi_data[g.key]
@@ -477,8 +473,3 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
                 yield {**trial, "oracle": "explicit construction is inexact"}
             yield from agreement(dx, ds, {**trial, "oracle": "explicit-vs-engine"})
     return Verdict.tally("well-definedness", outcomes())._replace(notes=(f"seed={seed}",))
-
-
-# bound last: steenrod imports this module, so it can only load once the names
-# above exist
-from . import steenrod  # noqa: E402

@@ -20,7 +20,7 @@ from .documents import (algebra_from_document, canonical_json, document_digest,
                         presentation_from_document, validate_document)
 from .lift import MAX_KMAX, build_lift
 from .modules import is_fg_by
-from .steenrod import AXIOMS, classify, gr_class, run_axioms
+from .steenrod import AXIOMS, classify, gr_class, run_axioms, steenrod_P
 from .verdicts import FAIL, Verdict
 
 # Largest --trials, and largest weight of verify's top (the nilpotent bound,
@@ -129,7 +129,7 @@ def cmd_steenrod(args) -> int:
         raise ValueError("class expression must be weight-homogeneous")
     degree = rep.weight() if rep else 0
     cls = gr_class(algebra, rep.integer_lift() if rep else algebra.ring.zero(), degree)
-    result = algebra.P(args.index, cls)
+    result = steenrod_P(algebra, args.index, cls)
     report = _base_report("steenrod", doc, None, {
         "element": args.element, "i": args.index, "degree": degree})
     report.update({

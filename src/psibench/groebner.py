@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from functools import cached_property
 
 from .arith import validate_prime
 from .rings import Element, WeightedRing, mono_div, mono_divides, mono_mul
@@ -22,8 +23,8 @@ class GroebnerBasis:
     reads the files of a new lead's generators to find the leads it shares
     a generator with; a divisor search reads the files of a monomial's
     generators in ascending order and takes each lead from the file of its
-    lightest generator, as a divisor's generators all occur in the
-    monomial."""
+    lightest generator, as a divisor's generators all occur in the monomial.
+    A graded-basis walk tries only the ``standard_generators``."""
 
     def __init__(self, ring: WeightedRing, p: int, basis: list):
         self.ring = ring
@@ -43,6 +44,7 @@ class GroebnerBasis:
         self.basis.append(e)
         self._leads.append(lead)
         self._lead_inv.append(pow(coeff, -1, self.p))
+        self.__dict__.pop("standard_generators", None)  # the basis grew
 
     def _divisors(self, exps: dict):
         """Indices of the basis elements whose lead divides the monomial with
@@ -82,6 +84,14 @@ class GroebnerBasis:
     def is_standard(self, mono) -> bool:
         """Whether a monomial is a normal-form (standard) monomial."""
         return self._divisor(mono) is None
+
+    @cached_property
+    def standard_generators(self) -> tuple:
+        """The ascending positions of the generators g whose g^1 no lead
+        equals, the only ones a standard monomial contains; kept until the
+        basis grows."""
+        leads, power = set(self._leads), self.ring.power
+        return tuple(g for g in range(len(self.ring.generators)) if power(g, 1) not in leads)
 
 
 def _validate_relations(relations, p) -> WeightedRing:

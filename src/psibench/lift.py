@@ -70,7 +70,7 @@ def enumerate_generators(p: int, generators, D: int, max_zeros: int = 1) -> list
             if zeros < max_zeros:
                 stack.append((indices + (0,), sigma, zeros + 1))
             stack.extend((indices + (i,), sigma + (p - 1) * i, zeros)
-                         for i in range(1, sigma + 1))
+                         for i in range(1, min(sigma, (D - sigma) // (p - 1)) + 1))
     out.sort(key=lambda g: (g.weight, g.name, len(g.indices), g.indices))
     return out
 

@@ -301,21 +301,24 @@ class WeightedRing:
         return Element._clean(self, {} if self.monomial_relations and self.kills(m) else {m: 1},
                               mod)
 
-    def monomials_of_weight(self, weight: int, predicate=None) -> list:
+    def monomials_of_weight(self, weight: int, predicate=None, positions=None) -> list:
         """All monomials of the given weight (<= 2D), respecting monomial
         relations; ``predicate`` may prune partial monomials early, and it
         must reject every multiple of a monomial it rejects, as the
-        relations do."""
+        relations do.  The walk tries only the generator ``positions``
+        (ascending; all by default), so leaving out a generator whose
+        degree-1 monomial the predicate rejects changes nothing."""
         if weight > self.max_weight:
             raise ValueError(f"weight {weight} exceeds the truncation bound {self.max_weight}")
         out: list = []
         weights, relations = self._weights, self.monomial_relations
+        order = range(len(weights)) if positions is None else positions
 
         def extend(idx: int, remaining: int, acc: tuple):
             if remaining == 0:
                 out.append((weight, acc))
                 return
-            for i in range(idx, len(weights)):
+            for k, i in enumerate(order[idx:], idx):
                 w = weights[i]
                 e = 1
                 while e * w <= remaining:
@@ -323,7 +326,7 @@ class WeightedRing:
                     if (relations and self.kills(mono)
                             or predicate is not None and not predicate(mono)):
                         break
-                    extend(i + 1, remaining - e * w, mono[1])
+                    extend(k + 1, remaining - e * w, mono[1])
                     e += 1
 
         extend(0, weight, ())
@@ -586,6 +589,17 @@ class RingMap:
             truncated = truncated or image.truncated
             add_into(terms, image.terms.items(), c, self.mod)
         return Element._clean(self.ring, terms, self.mod, truncated)
+
+    def band(self, e: "Element", shift: int) -> "Element":
+        """The sum over the terms c*m of e of c times the weight-(weight(m)
+        + shift) part of image(m), in term order; targets above 2D add none."""
+        terms: dict = {}
+        for m, c in e.terms.items():
+            target = m[0] + shift
+            if target <= self.ring.max_weight:
+                image = self.image(m).terms.items()
+                add_into(terms, [(tm, tc) for tm, tc in image if tm[0] == target], c, self.mod)
+        return Element._clean(self.ring, terms, self.mod)
 
 
 # -- the document encoding --------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import steenrod
 from .arith import validate_prime
-from .rings import Element, RingMap, WeightedRing, add_into
+from .rings import Element, RingMap, WeightedRing
 from .verdicts import Verdict
 
 
@@ -20,8 +20,8 @@ class UnstableAlgebra:
     operations P^i read off the total operation ``total``: the ``RingMap``
     sending each generator, in ``ring.generators`` order, to its image in
     ``totals`` (g + g^p by default).  ``graded_bases`` memoizes
-    ``steenrod.graded_basis`` by degree, and ``operations`` memoizes ``P``
-    by (i, class) as ``steenrod.steenrod_P`` describes."""
+    ``steenrod.graded_basis`` by degree, and ``operations`` memoizes
+    ``steenrod.steenrod_P`` by (i, class)."""
 
     def __init__(self, ring: WeightedRing, p: int, graded_gb=None, totals=None,
                  name: str = ""):
@@ -40,25 +40,12 @@ class UnstableAlgebra:
         self.operations: dict = {}
 
     def apply_P(self, i: int, e: Element) -> Element:
-        """P^i on a raw mod-p element, term by term (no normal form).
-
-        Components pushed beyond the truncation window are dropped; callers
-        decide target degrees before trusting the answer up there."""
+        """P^i on a raw mod-p element: ``total.band`` at shift 2i(p-1), with
+        no normal form.  Targets beyond the window are dropped; callers decide
+        target degrees before trusting the answer up there."""
         if e.ring is not self.ring or e.mod != self.p:
             raise ValueError("element does not belong to this algebra")
-        p, shift = self.p, 2 * i * (self.p - 1)
-        terms: dict = {}
-        for m, c in e.terms.items():
-            target = m[0] + shift
-            if target > self.ring.max_weight:
-                continue
-            image = self.total.image(m).terms.items()
-            add_into(terms, [(tm, tc) for tm, tc in image if tm[0] == target], c, p)
-        return Element._clean(self.ring, terms, p)
-
-    def P(self, i: int, cls: steenrod.GradedClass) -> steenrod.GradedClass:
-        """``steenrod.steenrod_P``, looked up on each call (see ``PrePsiAlgebra.P``)."""
-        return steenrod.steenrod_P(self, i, cls)
+        return self.total.band(e, 2 * i * (self.p - 1))
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""

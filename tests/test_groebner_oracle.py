@@ -6,7 +6,9 @@ weight at most 2D.  Membership does not depend on the monomial order, so
 sympy's basis in its own order is an independent oracle (skipped when sympy
 is absent).  Neither does the number of standard monomials in one weight:
 it is the number of monomials minus the rank over Z/p of the Macaulay matrix
-of all monomial multiples of the relations in that weight.
+of all monomial multiples of the relations in that weight.  The graded basis,
+which walks only ``GroebnerBasis.standard_generators``, must equal the walk
+over every generator.
 """
 
 import random
@@ -168,3 +170,44 @@ def test_indexed_divisor_lookup_matches_a_brute_force_scan(seed):
             found = list(gb._divisors(dict(mono[1])))
             assert len(found) == len(set(found)) and set(found) == want, mono
             assert gb.is_standard(mono) == (not want)
+
+
+def _assert_pruned_walk_is_the_full_walk(algebra):
+    ring, gb = algebra.ring, algebra.graded_gb
+    for w in range(0, ring.max_weight + 1, 2):
+        want = ring.monomials_of_weight(w, predicate=gb.is_standard)
+        assert [c.rep.leading()[0] for c in graded_basis(algebra, w)] == want, w
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_graded_basis_walk_agrees_with_the_unpruned_walk(seed):
+    ring, p, relations, _, _ = _case(seed)
+    _assert_pruned_walk_is_the_full_walk(UnstableAlgebra(ring, p, groebner_build(relations, p)))
+
+
+def test_pruned_walk_keeps_factors_of_killed_products_and_roots_of_leads():
+    gens = [GeneratorSymbol(n, (), w) for n, w in (("a", 2), ("b", 2), ("c", 2), ("d", 4))]
+    ring = WeightedRing(gens, 5)
+    a, b, c, d = (ring.var(g, 3) for g in gens)
+    cases = [
+        ([a * b], (0, 1, 2, 3)),                # a*b dies, a and b do not
+        ([a**2, c, d - b**2], (0, 1)),           # a^2 is a lead, a is not
+        ([c - a, b**3 + a * b**2], (0, 1, 3)),   # c is a whole lead
+    ]
+    for relations, survivors in cases:
+        gb = groebner_build(relations, 3)
+        assert gb.standard_generators == survivors, relations
+        _assert_pruned_walk_is_the_full_walk(UnstableAlgebra(ring, 3, gb))
+    # the presentations' graded bases keep only the powers of x
+    pres = free_polynomial_presentation(2, 8)
+    assert pres.gb.standard_generators == (pres.ring._pos[("x", ())],)
+    _assert_pruned_walk_is_the_full_walk(pres.algebra)
+
+
+def test_standard_generators_are_recomputed_when_the_basis_grows():
+    gens = [GeneratorSymbol(n, (), 2) for n in "xy"]
+    ring = WeightedRing(gens, 4)
+    gb = GroebnerBasis(ring, 2, [ring.var(gens[0], 2) ** 2])
+    assert gb.standard_generators == (0, 1)
+    gb._append(ring.var(gens[1], 2))
+    assert gb.standard_generators == (0,)

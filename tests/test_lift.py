@@ -6,7 +6,7 @@ from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
                            enumerate_generators)
 from psibench.models import free_polynomial_presentation
-from psibench.rings import poly_to_json
+from psibench.rings import GeneratorSymbol, poly_to_json
 from psibench.steenrod import (check_adem, check_additivity, check_cartan,
                                check_instability, check_p0_identity,
                                check_pth_power, classify, gr_class,
@@ -228,7 +228,7 @@ def test_table_P_agrees_with_the_derived_P():
                 for i in range(degree // 2 + 1):
                     if degree + 2 * i * (p - 1) > 2 * pres.truncation:
                         continue
-                    assert lift.graded.P(i, cls) == steenrod_P(lift.pi, i, cls)
+                    assert steenrod_P(lift.graded, i, cls) == steenrod_P(lift.pi, i, cls)
 
 
 def test_lift_axiom_suite():
@@ -353,3 +353,46 @@ def test_default_k_max():
     assert default_k_max(2, 6) == 4   # 2^4 = 16 > 12
     assert default_k_max(3, 6) == 3   # 27 > 18
     assert default_k_max(5, 4) == 2   # 25 > 20
+
+
+def _reference_enumeration(p, generators, D, max_zeros):
+    """Every child of a variable pushed, and a child above the window
+    dropped when it is reached; sorted as ``enumerate_generators`` sorts."""
+    out = []
+
+    def grow(theta, indices, sigma, zeros):
+        if sigma > D:
+            return
+        out.append(GeneratorSymbol(theta, indices, 2 * sigma))
+        if zeros < max_zeros:
+            grow(theta, indices + (0,), sigma, zeros + 1)
+        for i in range(1, sigma + 1):
+            grow(theta, indices + (i,), sigma + (p - 1) * i, zeros)
+
+    for theta, degree in generators:
+        grow(theta, (), degree // 2, 0)
+    return sorted(out, key=lambda g: (g.weight, g.name, len(g.indices), g.indices))
+
+
+WINDOWS = [(2, 2), (2, 5), (2, 7), (3, 4), (3, 9), (3, 11), (5, 6), (5, 13), (5, 18),
+           (7, 3), (7, 14), (7, 25)]
+
+
+@pytest.mark.parametrize("p, D", WINDOWS)
+def test_bounded_children_agree_with_the_reference_enumeration(p, D):
+    for generators in ([("x", 2)], [("x", 2), ("y", 4)]):
+        for max_zeros in (0, 1, 2):
+            want = _reference_enumeration(p, generators, D, max_zeros)
+            assert enumerate_generators(p, generators, D, max_zeros) == want, (
+                generators, max_zeros)
+
+
+@pytest.mark.parametrize("p, D", [(2, 6), (3, 9), (5, 13), (7, 25)])
+def test_variable_cap_refuses_the_same_windows(monkeypatch, p, D):
+    generators = [("x", 2), ("y", 4)]
+    count = len(_reference_enumeration(p, generators, D, 1))
+    monkeypatch.setattr(psibench.lift, "MAX_LIFT_VARIABLES", count)
+    assert len(enumerate_generators(p, generators, D)) == count
+    monkeypatch.setattr(psibench.lift, "MAX_LIFT_VARIABLES", count - 1)
+    with pytest.raises(ValueError, match=f"MAX_LIFT_VARIABLES={count - 1}"):
+        enumerate_generators(p, generators, D)

@@ -1,4 +1,5 @@
-"""``rings.RingMap`` against a memo-free naive substitution.
+"""``rings.RingMap`` against a memo-free naive substitution, and
+``RingMap.band`` against the homogeneous components of whole images.
 
 Every model of ``models.py`` that carries a ring map is covered: psi of the
 pre-psi-p algebras (also with windows small enough that images lose terms)
@@ -20,6 +21,7 @@ from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, base_polynomial_algebra, dual_numbers_ring,
                              free_polynomial_presentation, product_projective_spaces,
                              projective_space_ring)
+from psibench.rings import GeneratorSymbol, RingMap, WeightedRing
 
 DEFAULT_SIZE = rings.SPLITTING_CACHE_SIZE
 
@@ -126,3 +128,53 @@ def test_ring_map_agrees_with_naive_substitution(monkeypatch, name, make, attr, 
     lost = algebra.ring.element(e.terms, ring_map.mod, truncated=True)
     got, want = ring_map(lost), _naive(ring_map, lost)
     assert got == want and got.truncated and want.truncated
+
+
+def _component_band(ring_map, e, shift):
+    """The band as the sum of c * image(m)_(weight(m) + shift) over the terms
+    c*m of e, each target above 2D skipped."""
+    ring = ring_map.ring
+    total = ring.zero(ring_map.mod)
+    for m, c in e.terms.items():
+        if m[0] + shift <= ring.max_weight:
+            total = total + ring_map.image(m).homogeneous_component(m[0] + shift) * c
+    return total
+
+
+def _random_map(seed):
+    """A map on x, y (weight 4) and z with random images of mixed weights,
+    so an image's lowest weight is often not its monomial's: integral or
+    mod 5, on a ring with or without the relations x^3 = y*z = 0."""
+    rng = random.Random(seed)
+    x, y, z = (GeneratorSymbol(n, (), w) for n, w in (("x", 2), ("y", 4), ("z", 2)))
+    relations = [((x, 3),), ((y, 1), (z, 1))] if seed % 2 else []
+    ring = WeightedRing([x, y, z], 6, monomial_relations=relations)
+    mod = 5 if seed % 4 >= 2 else None
+    monos = [m for w in range(0, 13, 2) for m in ring.monomials_of_weight(w)]
+    images = [ring.element({m: rng.randint(-9, 9) for m in rng.sample(monos, rng.randint(1, 4))},
+                           mod) for _ in range(3)]
+    return RingMap(ring, images, mod)
+
+
+BAND_MAPS = [(name, lambda make=make, attr=attr: getattr(make(), attr))
+             for name, make, attr, _ in MAPS]
+BAND_MAPS += [(f"random-{seed}", lambda seed=seed: _random_map(seed)) for seed in range(8)]
+
+
+@pytest.mark.parametrize("name, make", BAND_MAPS, ids=[m[0] for m in BAND_MAPS])
+def test_band_agrees_with_the_homogeneous_components(name, make):
+    ring_map = make()
+    ring = ring_map.ring
+    samples = _samples(ring_map, seed=f"band-{name}", count=12)
+    # with many generators most random monomials leave the window: add light ones
+    light = [ring.var(g, ring_map.mod) for g in ring.generators[:6]]
+    samples += light + [sum(light, ring.zero(ring_map.mod))]
+    samples += [e.homogeneous_component(w) for e in samples for w in e.weights()]
+    above = 0
+    for e in samples:
+        for shift in range(0, ring.max_weight + 1, 2):
+            got = ring_map.band(e, shift)
+            assert got == _component_band(ring_map, e, shift), (name, str(e), shift)
+            assert not got.truncated
+            above += any(m[0] + shift > ring.max_weight for m in e.terms)
+    assert above  # some targets leave the window

@@ -30,8 +30,10 @@ from .verdicts import Verdict
 class PrePsiAlgebra:
     """A weighted ring with a prime p and per-generator layer data.
 
-    ``psi_data`` maps generator keys to layer tuples; the endomorphism
-    ``psi`` is the ``RingMap`` on the layer sums (it fixes integers).  It
+    ``psi_data`` maps each generator key, g of weight 2*sigma, to its sigma
+    layers below the top; the algebra appends the top g^p itself, so
+    ``self.psi_data`` holds the whole splitting, and ``psi`` is the
+    ``RingMap`` on its layer sums (it fixes integers).  It
     must preserve each monomial relation prod g^e: the product of the
     psi(g)^e may keep no term in the window, though it may lose terms above
     it (``truncated``), as any windowed identity may.  Graded relations are
@@ -60,26 +62,18 @@ class PrePsiAlgebra:
             if g.key not in psi_data:
                 raise ValueError(f"missing psi layer data for generator {g}")
             layers = tuple(psi_data[g.key])
-            sigma = g.weight // 2
-            if len(layers) != sigma + 1:
+            if len(layers) != g.weight // 2:
                 raise ValueError(
-                    f"generator {g} has weight {g.weight}; expected {sigma + 1} layers, "
-                    f"got {len(layers)}")
+                    f"generator {g} has weight {g.weight}; expected {g.weight // 2} layers "
+                    f"below the top {g}^{p}, got {len(layers)}")
             for i, layer in enumerate(layers):
                 if layer.ring is not ring or layer.mod is not None:
                     raise ValueError(f"layer {i} of {g} is not an integral element of the ring")
-                if layer.weight() < g.weight + 2 * i * (p - 1):
+                if layer and layer.weight() < g.weight + 2 * i * (p - 1):
                     raise ValueError(
                         f"layer {i} of {g} has weight {layer.weight()}, "
                         f"below the bound {g.weight + 2 * i * (p - 1)}")
-            top = ring.var(g) ** p
-            if layers[sigma] != top:
-                raise ValueError(f"top layer of {g} must equal {g}^{p}")
-            if layers[sigma].truncated != top.truncated:
-                # the computed top carries the flag; a value-equal given one
-                # may not (a lift's layers already hold this top, shared)
-                layers = layers[:sigma] + (top,)
-            data[g.key] = layers
+            data[g.key] = (*layers, ring.var(g) ** p)
         self.psi_data = data
         self.psi = RingMap(ring, (self.generator_decomposition(g).weighted_sum()
                                   for g in ring.generators))

@@ -279,17 +279,24 @@ def algebra_from_document(doc: dict) -> PrePsiAlgebra:
     relations = [[(probe.symbol(*id_from_json(gid)), e) for gid, e in m]
                  for m in doc.get("monomial_relations", [])]
     ring = WeightedRing(symbols, D, relations)
-    psi_data = {}
-    for g in doc["generators"]:
-        name, indices = id_from_json(g["id"])
-        psi_data[(name, indices)] = tuple(
-            poly_from_json(ring, layer) for layer in g["layers"])
+    # a document writes sigma + 1 layers; the written top must equal the algebra's g^p
+    psi_data, tops = {}, {}
+    for sym, g in zip(symbols, doc["generators"]):
+        layers = [poly_from_json(ring, layer) for layer in g["layers"]]
+        if len(layers) != sym.weight // 2 + 1:
+            raise ValueError(f"generator {sym} has weight {sym.weight}; expected "
+                             f"{sym.weight // 2 + 1} layers, got {len(layers)}")
+        psi_data[sym.key], tops[sym] = layers[:-1], layers[-1]
     gb = None
     graded = [poly_from_json(ring, r, mod=p) for r in doc.get("graded_relations", [])]
     graded = [r for r in graded if r]
     if graded:
         gb = groebner_build(graded, p)
-    return PrePsiAlgebra(ring, p, psi_data, graded_gb=gb, name=doc.get("name", ""))
+    algebra = PrePsiAlgebra(ring, p, psi_data, graded_gb=gb, name=doc.get("name", ""))
+    for sym, top in tops.items():
+        if top != algebra.psi_data[sym.key][-1]:
+            raise ValueError(f"top layer of {sym} must equal {sym}^{p}")
+    return algebra
 
 
 def algebra_to_document(algebra: PrePsiAlgebra) -> dict:

@@ -76,17 +76,16 @@ def enumerate_generators(p: int, generators, D: int, max_zeros: int = 1) -> list
 
 
 def lift_generator_layers(ring: WeightedRing, p: int, sym: GeneratorSymbol) -> tuple:
-    """Layers of psi on a lift variable: (X, X_(...,1), ..., X_(...,sigma-1), X^p).
+    """The psi layers of a lift variable below its top X^p:
+    (X, X_(...,1), ..., X_(...,sigma-1)).
 
-    Children pushed beyond the weight window become flagged zeros."""
+    ``enumerate_generators`` admits the child X_(...,i) exactly for
+    i <= (D - sigma)//(p - 1), so the first k = min(sigma - 1, that bound)
+    slots are children and the rest, beyond the weight window, one flagged zero."""
     sigma = sym.weight // 2
-    var, lost = ring.var(sym), Element(ring, {}, truncated=True)
-    layers = [var]
-    for i in range(1, sigma):
-        child = ring._by_key.get((sym.name, sym.indices + (i,)))
-        layers.append(lost if child is None else ring.var(child))
-    layers.append(var ** p)
-    return tuple(layers)
+    k = min(sigma - 1, (ring.truncation - sigma) // (p - 1))
+    children = (ring.gen(sym.name, sym.indices + (i,)) for i in range(1, k + 1))
+    return (ring.var(sym), *children, *(Element(ring, {}, truncated=True),) * (sigma - 1 - k))
 
 
 class UnstablePresentation:
@@ -94,9 +93,11 @@ class UnstablePresentation:
     admissible variables; the presented quotient carries the table action.
 
     Relations are polynomials in the document encoding (``rings.poly_from_json``).
-    ``layers`` holds the psi layers of every variable (``lift_generator_layers``):
-    the total operation sends X to their sum mod p, and the lift takes them
-    as its psi data.
+    ``pi`` is the lift's pre-psi-p algebra, built once here on the psi layers
+    of every variable (``lift_generator_layers``), with the relations'
+    Groebner basis as its graded quotient: the total operation sends X to
+    the sum of its layers in ``pi.psi_data`` mod p, and ``build_lift`` takes
+    ``pi`` as it is.
 
     Load-validation checks that the relation ideal contains the identifying
     relations for zero indices (P^0) and top indices (p-th powers), is closed
@@ -127,13 +128,15 @@ class UnstablePresentation:
         self.relations = tuple(poly_from_json(self.ring, r, mod=p) for r in relations)
         live = [r for r in self.relations if r]
         self.gb = groebner_build(live, p) if live else None
-        self.layers, totals = {}, []
-        for g in self.ring.generators:
-            terms, layers = {}, lift_generator_layers(self.ring, p, g)
-            for layer in layers:
+        below = {g.key: lift_generator_layers(self.ring, p, g) for g in self.ring.generators}
+        self.pi = PrePsiAlgebra(self.ring, p, below, graded_gb=self.gb,
+                                name=(name or "lift") + ":Pi")
+        totals = []
+        for layers in self.pi.psi_data.values():
+            terms = {}
+            for layer in filter(None, layers):
                 add_into(terms, layer.terms.items(), 1, p)
             totals.append(Element._clean(self.ring, terms, p, any(l.truncated for l in layers)))
-            self.layers[g.key] = layers
         self.algebra = UnstableAlgebra(self.ring, p, self.gb, totals=totals,
                                        name=name or "presentation")
         self.validation = self.validate()
@@ -171,7 +174,7 @@ class UnstablePresentation:
                 continue
             parent = self.ring._by_key.get((sym.name, sym.indices[:-1]))
             if parent is not None and sym.indices[-1] == parent.weight // 2:
-                top = self.layers[parent.key][-1].reduce_mod(p)
+                top = self.pi.psi_data[parent.key][-1].reduce_mod(p)
                 if nf(self.ring.var(sym, mod=p) - top):
                     yield {"variable": str(sym), "missing": f"{sym} = {parent}^{p}"}
                 else:
@@ -237,21 +240,17 @@ def build_lift(pres: UnstablePresentation, k_max: int | None = None) -> Lift:
     if not 0 <= k_max <= MAX_KMAX:
         raise ValueError(f"k_max must be between 0 and MAX_KMAX={MAX_KMAX}, got {k_max}")
 
-    # Pi lives on the presentation's ring with its psi layers, so its graded
-    # quotient is the presentation's algebra and reuses its Groebner basis
-    pi = PrePsiAlgebra(pres.ring, p, pres.layers, graded_gb=pres.gb,
-                       name=(pres.name or "lift") + ":Pi")
-
-    # every psi layer sits at or above its variable's weight, so psi^k of a
-    # relation f of weight 2*sigma is p^(k*sigma)*f plus higher weight: the
-    # iterates die in the graded quotient by construction
+    # Pi is the presentation's own algebra (``pres.pi``), with its graded
+    # quotient.  Every psi layer sits at or above its variable's weight, so
+    # psi^k of a relation f of weight 2*sigma is p^(k*sigma)*f plus higher
+    # weight: the iterates die in the graded quotient by construction
     ideal: dict = {}
     current = [rel.integer_lift() for rel in pres.relations if rel]
     ideal[0] = tuple(current)
     for k in range(1, k_max + 1):
-        current = [pi.apply_psi(f) for f in current]
+        current = [pres.pi.apply_psi(f) for f in current]
         ideal[k] = tuple(current)
 
     census = {degree: len(graded_basis(pres.algebra, degree))
               for degree in range(0, 2 * D + 1, 2)}
-    return Lift(pres, pi, pres.algebra, ideal, k_max, census)
+    return Lift(pres, pres.pi, pres.algebra, ideal, k_max, census)

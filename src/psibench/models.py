@@ -14,7 +14,7 @@ from .unstable import UnstableAlgebra
 
 def dual_numbers_ring(p: int, k: int, D: int = 8) -> PrePsiAlgebra:
     """Integers adjoined a square-zero variable of weight 4, with
-    psi(e) = p^2*k*e split as (k*e, 0, e^p).
+    psi(e) = p^2*k*e split as (k*e, 0, e^p); the algebra adds the top e^p.
 
     P^0 acts as multiplication by k on the weight-4 class, so the identity
     axiom holds iff k = 1 mod p; everything above is zero, which settles the
@@ -22,8 +22,7 @@ def dual_numbers_ring(p: int, k: int, D: int = 8) -> PrePsiAlgebra:
     eps = GeneratorSymbol("e", (), 4)
     ring = WeightedRing([eps], D, monomial_relations=[((eps, 2),)])
     e = ring.var(eps)
-    psi_data = {eps.key: (e * k, ring.zero(), e**p)}
-    return PrePsiAlgebra(ring, p, psi_data, name=f"dual-numbers(k={k})")
+    return PrePsiAlgebra(ring, p, {eps.key: (e * k, ring.zero())}, name=f"dual-numbers(k={k})")
 
 
 def adem_failure_ring(p: int, D: int | None = None) -> PrePsiAlgebra:
@@ -39,16 +38,13 @@ def adem_failure_ring(p: int, D: int | None = None) -> PrePsiAlgebra:
     x = GeneratorSymbol("x", (), 2 * (p - 1))
     ring = WeightedRing([x], D)
     xe = ring.var(x)
-    layers = [xe, ring.zero()]
-    for i in range(2, p - 1):
-        layers.append(xe ** (i + 1))
-    layers.append(xe**p)
-    return PrePsiAlgebra(ring, p, {x.key: tuple(layers)}, name="broken-adem")
+    layers = (xe, ring.zero(), *(xe ** (i + 1) for i in range(2, p - 1)))
+    return PrePsiAlgebra(ring, p, {x.key: layers}, name="broken-adem")
 
 
 def _projective_layers(v, p: int) -> tuple:
-    """The splitting (sum_j binom(p,j)/p v^j, v^p) of psi(v) = (1+v)^p - 1."""
-    return sum(((math.comb(p, j) // p) * v**j for j in range(1, p)), v.ring.zero()), v**p
+    """The layer sum_j binom(p,j)/p v^j below the top v^p of psi(v) = (1+v)^p - 1."""
+    return (sum(((math.comb(p, j) // p) * v**j for j in range(1, p)), v.ring.zero()),)
 
 
 def projective_space_ring(p: int, n: int, D: int | None = None) -> PrePsiAlgebra:

@@ -350,8 +350,7 @@ def test_apply_psi_is_a_ring_map(free_ring):
     # psi(x) = 3(x + x^2) + x^3 and psi(y) = 18y + 3x^4 + y^3 on Z[x, y] with
     # D = 8, where products lose their terms above weight 16
     x, y = free_ring.gen("x"), free_ring.gen("y")
-    A = PrePsiAlgebra(free_ring, 3, {("x", ()): (x + x**2, x**3),
-                                     ("y", ()): (y * 2, x**4, y**3)})
+    A = PrePsiAlgebra(free_ring, 3, {("x", ()): (x + x**2,), ("y", ()): (y * 2, x**4)})
     a, b = x * 3 + y, x**2 - y
     assert A.apply_psi(a + b) == A.apply_psi(a) + A.apply_psi(b)
     assert A.apply_psi(a * b) == A.apply_psi(a) * A.apply_psi(b)
@@ -458,11 +457,9 @@ def test_generator_data_validation():
     ring = WeightedRing([x], 8)
     xe = ring.var(x)
     with pytest.raises(ValueError):  # wrong layer count
-        PrePsiAlgebra(ring, 3, {x.key: (xe, xe**3)})
-    with pytest.raises(ValueError):  # top layer must be x^p
-        PrePsiAlgebra(ring, 3, {x.key: (xe, ring.zero(), xe**2)})
+        PrePsiAlgebra(ring, 3, {x.key: (xe,)})
     with pytest.raises(ValueError):  # layer weight too small
-        PrePsiAlgebra(ring, 3, {x.key: (xe, xe, xe**3)})
+        PrePsiAlgebra(ring, 3, {x.key: (xe, xe)})
     with pytest.raises(ValueError):  # missing generator data
         PrePsiAlgebra(ring, 3, {})
 

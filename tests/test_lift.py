@@ -4,7 +4,7 @@ import psibench.groebner
 import psibench.lift
 from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
-                           enumerate_generators)
+                           enumerate_generators, lift_generator_layers)
 from psibench.models import free_polynomial_presentation
 from psibench.rings import GeneratorSymbol, poly_to_json
 from psibench.steenrod import (check_adem, check_additivity, check_cartan,
@@ -212,6 +212,7 @@ def test_lift_reuses_the_presentation(monkeypatch):
     monkeypatch.setattr(psibench.groebner, "groebner_build", refuse)
     monkeypatch.setattr(psibench.lift, "groebner_build", refuse)
     lift = build_lift(pres)
+    assert lift.pi is pres.pi
     assert lift.pi.ring is pres.ring
     assert lift.pi.graded_gb is pres.gb
     assert lift.graded is pres.algebra
@@ -396,3 +397,41 @@ def test_variable_cap_refuses_the_same_windows(monkeypatch, p, D):
     monkeypatch.setattr(psibench.lift, "MAX_LIFT_VARIABLES", count - 1)
     with pytest.raises(ValueError, match=f"MAX_LIFT_VARIABLES={count - 1}"):
         enumerate_generators(p, generators, D)
+
+
+def _reference_layers(ring, sym, admitted):
+    """The psi layers of a lift variable below its top, every slot
+    1..sigma-1 probed for an enumerated child: a missing one is a flagged
+    zero."""
+    lost = ring.element({}, truncated=True)
+    children = [admitted.get((sym.name, sym.indices + (i,))) for i in range(1, sym.weight // 2)]
+    return [ring.var(sym)] + [lost if c is None else ring.var(c) for c in children]
+
+
+LAYER_WINDOWS = [(2, 3), (2, 6), (3, 5), (3, 9), (5, 9), (5, 12), (7, 8), (7, 15)]
+
+
+@pytest.mark.parametrize("p, D", LAYER_WINDOWS)
+def test_lift_layers_are_the_enumerated_children(p, D):
+    children = padded = 0
+    for generators in ([("x", 2)], [("x", 2), ("y", 4)]):
+        for max_zeros in (0, 1, 2):
+            pres = UnstablePresentation(p, generators, (), D, max_zeros=max_zeros)
+            ring = pres.ring
+            admitted = {s.key: s for s in enumerate_generators(p, generators, D, max_zeros)}
+            assert admitted.keys() == {g.key for g in ring.generators}
+            for sym in ring.generators:
+                want = _reference_layers(ring, sym, admitted)
+                got = lift_generator_layers(ring, p, sym)
+                full = pres.pi.psi_data[sym.key]
+                top = ring.var(sym) ** p
+                assert list(got) == want and list(full) == want + [top], (generators, sym)
+                flags = [layer.truncated for layer in want]
+                assert [layer.truncated for layer in got] == flags, (generators, sym)
+                assert [layer.truncated for layer in full] == flags + [top.truncated]
+                for layer in want[1:]:
+                    # a padded slot is a flagged zero, a child slot an unflagged variable
+                    assert layer.truncated == (not layer), (generators, sym)
+                    padded += layer.truncated
+                    children += not layer.truncated
+    assert children and padded

@@ -90,7 +90,7 @@ def test_a_product_that_vanishes_only_by_truncation_is_accepted():
     t, u = GeneratorSymbol("t", (), 2), GeneratorSymbol("u", (), 2)
     ring = WeightedRing([t, u], 2, monomial_relations=[((t, 2),)])
     te, ue = ring.var(t), ring.var(u)
-    A = PrePsiAlgebra(ring, 2, {t.key: (te + ue**2, te**2), u.key: (ue, ue**2)})
+    A = PrePsiAlgebra(ring, 2, {t.key: (te + ue**2,), u.key: (ue,)})
     square = A.psi.images[ring.generators.index(t)] ** 2
     assert not square and square.truncated
 
@@ -158,8 +158,7 @@ def test_random_algebras_agree_with_the_naive_check():
     for _ in range(300):
         p, symbols, D, relations, layers = _random_algebra(rng)
         ring = WeightedRing(symbols, D, relations)
-        psi_data = {g.key: tuple(ring.element(terms) for terms in layers[g])
-                    + (ring.var(g) ** p,) for g in symbols}
+        psi_data = {g.key: tuple(ring.element(terms) for terms in layers[g]) for g in symbols}
         naive = _naive_images(p, symbols, D, relations, layers)
         try:
             PrePsiAlgebra(ring, p, psi_data)

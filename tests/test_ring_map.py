@@ -54,20 +54,32 @@ MAPS = [
 
 
 def _samples(ring_map, seed, count=30):
-    """Random elements on in-window monomials of up to three generator
-    powers, so that the inputs themselves carry no ``truncated`` flag."""
+    """Random elements of one to four terms, each a monomial of up to three
+    generator powers with a coefficient prime to p.  Each power is drawn
+    among those that fit the weight the monomial has left in the window, and
+    one that a relation would kill ends the monomial: the inputs carry no
+    ``truncated`` flag, and even on rings of many heavy generators nearly
+    all are nonzero."""
     ring, p = ring_map.ring, 3 if ring_map.mod is None else ring_map.mod
     rng = random.Random(seed)  # a str seed: the same draws in every process
-    n = len(ring.generators)
+    units = [c for c in range(-p * p, p * p + 1) if c % p]
     out = []
     while len(out) < count:
         terms = {}
-        for _ in range(rng.randrange(5)):
-            pairs = [(ring.generators[rng.randrange(n)], rng.randint(1, 3))
-                     for _ in range(rng.randrange(4))]
+        for _ in range(rng.randint(1, 4)):
+            pairs, budget = [], ring.max_weight
+            for _ in range(rng.randrange(4)):
+                fits = [g for g in ring.generators if g.weight <= budget]
+                if not fits:
+                    break
+                g = rng.choice(fits)
+                e = rng.randint(1, min(3, budget // g.weight))
+                if ring.kills(ring.monomial(pairs + [(g, e)])):
+                    break
+                pairs.append((g, e))
+                budget -= e * g.weight
             m = ring.monomial(pairs)
-            if m[0] <= ring.max_weight:
-                terms[m] = terms.get(m, 0) + rng.randint(-p * p, p * p)
+            terms[m] = terms.get(m, 0) + rng.choice(units)
         e = ring.element(terms, mod=ring_map.mod)
         assert not e.truncated
         out.append(e)
@@ -112,8 +124,9 @@ def test_ring_map_agrees_with_naive_substitution(monkeypatch, name, make, attr, 
     monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", size)
     ring_map.memo.clear()
     bound = _bound(size, len(algebra.ring.generators))
-    flagged = 0
-    for e in _samples(ring_map, seed=name):
+    flagged, samples = 0, _samples(ring_map, seed=name)
+    assert sum(map(bool, samples)) >= 20, name  # most samples are nonzero
+    for e in samples:
         want = _naive(ring_map, e)
         for _ in range(2):  # cold, then read from the memo
             got = ring_map(e)
@@ -166,7 +179,7 @@ def test_band_agrees_with_the_homogeneous_components(name, make):
     ring_map = make()
     ring = ring_map.ring
     samples = _samples(ring_map, seed=f"band-{name}", count=12)
-    # with many generators most random monomials leave the window: add light ones
+    # the lightest generators, one by one and summed
     light = [ring.var(g, ring_map.mod) for g in ring.generators[:6]]
     samples += light + [sum(light, ring.zero(ring_map.mod))]
     samples += [e.homogeneous_component(w) for e in samples for w in e.weights()]

@@ -88,7 +88,7 @@ def test_presentation_totals_are_the_layer_sums_mod_p(D):
     assert len(images) == len(ring.generators)
     lossy = 0
     for g, image in zip(ring.generators, images):
-        layers = pres.layers[g.key]
+        layers = pres.pi.psi_data[g.key]
         assert image == sum(layers[1:], layers[0]).reduce_mod(2)
         assert image.truncated == any(layer.truncated for layer in layers)
         lossy += image.truncated

@@ -34,13 +34,6 @@ def test_the_written_top_must_be_the_algebras(tmp_path, capsys):
     assert captured.out == "" and "top layer of t must equal t^3" in captured.err
 
 
-def test_a_written_top_equal_to_gp_loads():
-    doc = _projective_with_top([{"coefficient": 1, "monomial": [["t", 3]]}])
-    A = algebra_from_document(doc)
-    t = A.ring.gen("t")
-    assert A.psi_data[("t", ())][-1] == t**3
-
-
 def test_a_top_below_gp_is_refused():
     # x of weight 4 at p = 3 written with the top x^2 instead of x^3
     x = [{"coefficient": 1, "monomial": [["x", 1]]}]

@@ -174,10 +174,6 @@ class AtiyahDecomposition(namedtuple("AtiyahDecomposition", "algebra source leve
                     f"layer {i} has weight {layer.weight()} < {2 * q + 2 * i * (p - 1)}")
         return out
 
-    def __str__(self):
-        body = ", ".join(str(l) for l in self.layers)
-        return f"level {self.level}: ({body})"
-
 
 def zero_decomposition(algebra: PrePsiAlgebra, q: int) -> AtiyahDecomposition:
     z = algebra.ring.zero()
@@ -272,21 +268,28 @@ def atiyah_product(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDe
     return AtiyahDecomposition(A, da.source * db.source, da.level + db.level, tuple(layers))
 
 
+def horner(layers, p: int, k: int) -> tuple:
+    """sum_i p^(n-i) * layers[i], n = len(layers) - 1, with layers k .. n
+    merged by Horner's rule and those below scaled by p^(n-k); at k = 0 the
+    one layer left is the weighted sum.  Ring and module splittings share it."""
+    merged = layers[k]
+    for layer in layers[k + 1:]:
+        merged = merged * p + layer
+    scale = p ** (len(layers) - 1 - k)
+    return (*(layer * scale for layer in layers[:k]), merged)
+
+
 def atiyah_shift(d: AtiyahDecomposition, level: int) -> AtiyahDecomposition:
     """Rewrite a level-q splitting at a lower level r, as q-r single-level
     shifts would (each multiplies the layers by p and merges the two below
-    the top): with k = max(r, 1), layers k-1 .. q-1 merge by Horner's rule
-    and those below pick up p^(q-k).  A level-1 splitting already has the
-    shape of a level-0 pair, so it only changes its level."""
+    the top): with k = max(r, 1), ``horner`` merges layers k-1 .. q-1 and
+    those below pick up p^(q-k).  A level-1 splitting already has the shape
+    of a level-0 pair, so it only changes its level."""
     q = d.level
     if not 0 <= level < q:
         raise ValueError(f"cannot shift a level-{q} decomposition to level {level}")
-    p, k = d.algebra.p, max(level, 1)
-    merged = d.layers[k - 1]
-    for layer in d.layers[k:q]:
-        merged = merged * p + layer
-    new = [layer * p ** (q - k) for layer in d.layers[:k - 1]]
-    return AtiyahDecomposition(d.algebra, d.source, level, (*new, merged, d.layers[q]))
+    lowered = horner(d.layers[:q], d.algebra.p, max(level, 1) - 1)
+    return AtiyahDecomposition(d.algebra, d.source, level, (*lowered, d.layers[q]))
 
 
 def _monomial_decomposition(algebra: PrePsiAlgebra, m) -> AtiyahDecomposition:

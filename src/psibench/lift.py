@@ -211,10 +211,6 @@ class Lift(namedtuple("Lift", "presentation pi graded ideal_generators k_max cen
 
     __slots__ = ()
 
-    @property
-    def p(self) -> int:
-        return self.presentation.p
-
     def basis(self, degree: int) -> list:
         return graded_basis(self.graded, degree)
 

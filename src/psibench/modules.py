@@ -4,9 +4,10 @@ weighted layers, and the finite-generation closure check.
 Module elements are integer combinations of basis symbols sitting in even
 weights up to the window 2D.  Each symbol carries layer data at its own
 level; splittings of arbitrary elements follow by linearity and level
-shifting (no multiplicative top-layer constraint here, unlike the ring
-case).  Generation is decided weight by weight through exact Hermite normal
-forms of the closure's coordinate matrix.
+shifting through ``atiyah.horner``, the Horner rule ring splittings shift by
+too, and psi is the level-0 splitting (no multiplicative top-layer
+constraint here, unlike the ring case).  Generation is decided weight by
+weight through exact Hermite normal forms of the closure's coordinate matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .arith import validate_prime
+from .atiyah import horner
 from .normalforms import hermite_normal_form, in_lattice
 from .verdicts import Verdict
 
@@ -57,9 +59,6 @@ class ModuleElement:
             coords[name] = coords.get(name, 0) + c
         return ModuleElement(self.module, coords)
 
-    def __sub__(self, other):
-        return self + (other * -1)
-
     def __mul__(self, k: int):
         return ModuleElement(self.module, {n: c * k for n, c in self.coords.items()})
 
@@ -91,11 +90,7 @@ class ModuleDecomposition(namedtuple("ModuleDecomposition", "module source level
     __slots__ = ()
 
     def weighted_sum(self) -> ModuleElement:
-        p = self.module.p
-        total = self.module.zero()
-        for i, layer in enumerate(self.layers):
-            total = total + layer * p ** (self.level - i)
-        return total
+        return horner(self.layers, self.module.p, 0)[0]
 
     def problems(self) -> list:
         out = []
@@ -157,32 +152,21 @@ class PsiModule:
         return ModuleElement(self, {name: 1})
 
     def psi(self, e: ModuleElement) -> ModuleElement:
-        p = self.p
-        total = self.zero()
-        for name, c in e.coords.items():
-            layers = self.layers[name]
-            q = self._weights[name] // 2
-            for i, layer in enumerate(layers):
-                total = total + layer * (c * p ** (q - i))
-        return total
+        """psi(e): its splitting at level 0, whose one layer is the weighted sum."""
+        return self.decompose(e, 0).layers[0]
 
     def decompose(self, e: ModuleElement, q: int) -> ModuleDecomposition:
         """Splitting of an arbitrary element at level q <= weight(e)/2.  Each
-        symbol's stored splitting moves from its level down to q in one step,
-        by the rule ``atiyah.atiyah_shift`` applies: layers q .. level merge
-        by Horner's rule, those below pick up p^(level-q), and the result is
-        scaled by the symbol's coordinate; the symbols add layerwise."""
+        symbol's stored splitting moves from its level down to q in one step
+        through ``atiyah.horner``, the rule ring splittings shift by too:
+        layers q .. level merge, those below pick up p^(level-q), and the
+        result is scaled by the symbol's coordinate; the symbols add layerwise."""
         if 2 * q > e.weight():
             raise ValueError(f"element has weight {e.weight()}, below 2q={2 * q}")
-        p, layers = self.p, [self.zero()] * (q + 1)
+        layers = [self.zero()] * (q + 1)
         for name, c in sorted(e.coords.items()):
-            own = self.layers[name]
-            merged = own[q]
-            for layer in own[q + 1:]:
-                merged = merged * p + layer
-            scale = c * p ** (len(own) - 1 - q)
-            shifted = [layer * scale for layer in own[:q]] + [merged * c]
-            layers = [a + b for a, b in zip(layers, shifted)]
+            shifted = horner(self.layers[name], self.p, q)
+            layers = [a + b * c for a, b in zip(layers, shifted)]
         return ModuleDecomposition(self, e, q, tuple(layers))
 
 

@@ -76,10 +76,6 @@ class GradedClass(namedtuple("GradedClass", "algebra degree rep")):
         self._require_same(other)
         return gr_class_of_rep(self.algebra, self.rep + other.rep, self.degree)
 
-    def __sub__(self, other):
-        self._require_same(other)
-        return gr_class_of_rep(self.algebra, self.rep - other.rep, self.degree)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return gr_class_of_rep(self.algebra, self.rep * other, self.degree)

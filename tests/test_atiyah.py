@@ -414,6 +414,23 @@ def test_layer_weight_contracts():
             assert layer.weight() >= 2 * q + 2 * i * (A.p - 1)
 
 
+def test_problems_report_each_broken_contract():
+    # psi(t) = 3*(t + t^2) + t^3 on CP^4 at p = 3; each hand-built splitting
+    # breaks exactly one clause of the contract
+    A = projective_space_ring(3, 4)
+    t = A.ring.gen("t")
+    low, top = atiyah_decompose(A, t, 1).layers
+    wrong_sum = AtiyahDecomposition(A, t, 1, (low + t**2, top))
+    assert wrong_sum.problems() == ["weighted layer sum differs from psi(source)"]
+    wrong_top = AtiyahDecomposition(A, t, 1, (low + t**3, top * -2))
+    assert wrong_top.problems() == ["top layer is not source^p"]
+    # level 2 of t^2: 3*t^2 moved from layer 0 (weight >= 4) to layer 1 (>= 8)
+    d = atiyah_decompose(A, t**2, 2)
+    too_low = AtiyahDecomposition(A, t**2, 2, (d.layers[0] - t**2, d.layers[1] + t**2 * 3,
+                                               d.layers[2]))
+    assert too_low.problems() == ["layer 1 has weight 4 < 8"]
+
+
 _CP = projective_space_ring(3, 5)
 _CP_MONOS = [UNIT] + [m for w in range(2, _CP.ring.max_weight + 1, 2)
                     for m in _CP.ring.monomials_of_weight(w)]

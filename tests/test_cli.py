@@ -437,6 +437,11 @@ HUGE_PRIME_DOCUMENT = "projective-space-p1000000000000000003-n4.json"
                                         (["atiyah"], "x^2000", 8000),
                                         (["atiyah", "--level", "2"], "x+x^600", 2400),
                                         (["steenrod", "-i", "1"], "x^600", 2400)]),
+    *(("projective-space-p3-n4.json", ["atiyah", "--element", element], f"error: {message}")
+      for element, message in [("t^-1", "exponent must be an integer literal"),
+                                ("*t", "unexpected token '*' in element expression"),
+                                ("2 3", "expected + or - between terms, got 3")]),
+    ("power-tower-p3-D81.json", ["fingen", "--generators", ","], "error: no generators supplied"),
 ])
 def test_hostile_input_exits_two(name, argv, message, tmp_path, capsys):
     sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
@@ -621,6 +626,13 @@ def test_a_top_beyond_the_window_narrows_the_scope_however_written(tmp_path, cap
         assert json.loads(capsys.readouterr().out)["scope"] == "valid below weight 8", top
 
 
+def test_text_format_prints_a_fail_witness_as_json(capsys):
+    assert main(["verify", "--doc", str(SAMPLES / "broken-adem-p3.json"), "--format", "text"]) == 1
+    adem = [line for line in capsys.readouterr().out.splitlines() if "adem:" in line]
+    assert adem == ['  adem: FAIL (checked 0, skipped 0) witness={"class": "x", "degree": 4, '
+                    '"i": 1, "j": 1, "lhs": "0", "rhs": "2*x^3"}']
+
+
 # one command line per subcommand, on a sample it accepts
 ONE_OF_EACH = [
     ("projective-space-p3-n4.json", ["atiyah", "--element", "t"]),
@@ -672,23 +684,37 @@ def test_verify_reports_its_seed_and_no_other_command_has_one(tmp_path, capsys):
 
 # (sample, command, path to a value, the value written there, the message)
 VERIFY_P0 = ["verify", "--axioms", "p0", "--trials", "1"]
+T2_PLUS_T = [{"coefficient": 1, "monomial": [["t", 2]]}, {"coefficient": 1, "monomial": [["t", 1]]}]
 HOSTILE = [
     ("power-tower-p3-D81.json", ["fingen", "--generators", "x"], ("symbols", 0, "weight"), 2.0,
-     "symbol weights are integers >= 0"),
+     "invalid document: symbol weights are integers >= 0"),
     ("projective-space-p3-n4.json", VERIFY_P0, ("generators", 0, "weight"), 2.0,
-     "generator weights are integers >= 2"),
+     "invalid document: generator weights are integers >= 2"),
     ("polynomial-presentation-p2-D6.json", ["lift"], ("generators", 0, "degree"), 2.0,
-     "degrees are integers >= 2"),
+     "invalid document: degrees are integers >= 2"),
     ("broken-adem-p3.json", VERIFY_P0, ("generators", 0, "layers"), 7,
-     "layers must be an array"),
+     "invalid document: layers must be an array"),
     ("broken-adem-p3.json", VERIFY_P0, ("generators", 0, "layers"), {},
-     "layers must be an array"),
+     "invalid document: layers must be an array"),
     ("dual-numbers-p3-k1.json", VERIFY_P0, ("monomial_relations",), 3,
-     "monomial_relations must be an array"),
+     "invalid document: monomial_relations must be an array"),
     ("dual-numbers-p3-k1.json", VERIFY_P0, ("graded_relations",), 3,
-     "graded_relations must be an array"),
+     "invalid document: graded_relations must be an array"),
     ("polynomial-presentation-p2-D6.json", ["lift"], ("relations",), 1,
-     "relations must be an array"),
+     "invalid document: relations must be an array"),
+    # the documents below pass the schema and are refused when they are built
+    ("projective-space-p3-n4.json", VERIFY_P0, ("generators", 0, "layers"), [T2_PLUS_T],
+     "generator t has weight 2; expected 2 layers, got 1"),
+    ("dual-numbers-p3-k1.json", VERIFY_P0, ("monomial_relations",), [[]],
+     "the unit monomial cannot be a relation"),
+    ("power-tower-p3-D81.json", ["fingen", "--generators", "x"], ("symbols", 1, "id"), "x",
+     "duplicate symbol names"),
+    ("power-tower-p3-D81.json", ["fingen", "--generators", "x"], ("symbols", 0, "layers", "5"),
+     [{"coefficient": 1, "symbol": "x^3"}], "symbol 'x' at level 1 has a layer index 5"),
+    ("polynomial-presentation-p2-D6.json", ["lift"], ("generators", 0, "degree"), 3,
+     "generator degrees must be positive even integers, got 3"),
+    ("polynomial-presentation-p2-D6.json", ["lift"], ("generators",),
+     [{"degree": 2, "theta": "x"}] * 2, "duplicate generator names"),
 ]
 
 
@@ -706,7 +732,7 @@ def test_hostile_values_exit_two_with_a_message(sample, command, path, value, me
     assert main([command[0], "--doc", str(bad), *command[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: invalid document: {message}\n"
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("sample, command, message", [

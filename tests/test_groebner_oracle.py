@@ -211,3 +211,23 @@ def test_standard_generators_are_recomputed_when_the_basis_grows():
     assert gb.standard_generators == (0, 1)
     gb._append(ring.var(gens[1], 2))
     assert gb.standard_generators == (0,)
+
+
+def test_membership_under_monomial_relations_agrees_with_sympy():
+    """Z/3[t, u] with t^4 = u^4 = 0 and the graded relation tu + t^2: a
+    reduction step may build a term the monomial relations kill, which
+    ``normal_form`` must drop, as the quotient by (tu + t^2, t^4, u^4) does."""
+    sympy = pytest.importorskip("sympy", exc_type=ImportError)
+    t, u = GeneratorSymbol("t", (), 2), GeneratorSymbol("u", (), 2)
+    ring = WeightedRing([t, u], 8, monomial_relations=[((t, 4),), ((u, 4),)])
+    gb = groebner_build([ring.var(t, 3) * ring.var(u, 3) + ring.var(t, 3) ** 2], 3)
+    names = {"t": sympy.Symbol("t"), "u": sympy.Symbol("u")}
+    T, U = names.values()
+    oracle = sympy.groebner([T * U + T**2, T**4, U**4], T, U, modulus=3, order="grevlex")
+    checked = 0
+    for w in range(0, 17, 2):
+        for m in ring.monomials_of_weight(w):
+            e = ring.element({m: 1}, mod=3)
+            assert gb.contains(e) == oracle.contains(_to_sympy(sympy, e, names)), str(e)
+            checked += 1
+    assert checked == 16

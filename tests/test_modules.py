@@ -5,8 +5,8 @@ from collections import deque
 import pytest
 
 from psibench.models import power_tower_module
-from psibench.modules import (ModuleSymbol, PsiModule, abelian_generator_profile,
-                              closure_enumerate, is_fg_by)
+from psibench.modules import (ModuleDecomposition, ModuleSymbol, PsiModule,
+                              abelian_generator_profile, closure_enumerate, is_fg_by)
 from psibench.normalforms import (hermite_normal_form, in_lattice, pivots,
                                   smith_normal_form)
 
@@ -72,6 +72,16 @@ def test_module_psi_and_decompose():
     assert d.problems() == []
     shifted = M.decompose(m, 1)
     assert shifted.weighted_sum() == M.psi(m)
+
+
+def test_module_problems_report_each_broken_contract():
+    # psi(m) = 9m; each hand-built splitting breaks exactly one clause
+    M = fixed_point_module()
+    m, z = M.basis_element("m"), M.zero()
+    wrong_sum = ModuleDecomposition(M, m, 2, (m * 2, z, z))
+    assert wrong_sum.problems() == ["weighted layer sum differs from psi(source)"]
+    too_low = ModuleDecomposition(M, m, 2, (z, m * 3, z))  # layer 1 needs weight >= 8
+    assert too_low.problems() == ["layer 1 has weight 4"]
 
 
 def test_module_symbol_validation():

@@ -20,7 +20,7 @@ from .documents import (algebra_from_document, canonical_json, document_digest,
                         presentation_from_document, validate_document)
 from .lift import MAX_KMAX, build_lift
 from .modules import is_fg_by
-from .steenrod import AXIOMS, classify, gr_class, run_axioms, steenrod_P
+from .steenrod import AXIOMS, check_closure, classify, gr_class, run_axioms, steenrod_P
 from .verdicts import FAIL, Verdict
 
 # Largest --trials, and largest weight of verify's top (the nilpotent bound,
@@ -124,6 +124,9 @@ def cmd_atiyah(args) -> int:
 def cmd_steenrod(args) -> int:
     doc = _load(args)
     algebra = algebra_from_document(doc)
+    if (w := check_closure(algebra).witness) is not None:
+        raise ValueError(f"P^{w['i']} sends the graded relation {w['relation']} to {w['image']}, "
+                         "outside the ideal, so P^i of a class depends on its representative")
     rep = _element(algebra.ring, args.element, mod=algebra.p)
     if rep and not rep.is_homogeneous():
         raise ValueError("class expression must be weight-homogeneous")

@@ -11,6 +11,7 @@ command-line element input.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -38,6 +39,25 @@ class DocumentError(ValueError):
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise DocumentError(f"invalid document: {message}")
+
+
+def _loader(kind: str):
+    """A loader of one kind of document whose refusals of content the schema
+    admits read like the schema's own: ``invalid document: <message>``."""
+    def wrap(build):
+        @functools.wraps(build)
+        def load(doc):
+            _expect(doc["kind"] == kind, f"expected a {kind} document, got kind={doc['kind']!r}")
+            try:
+                return build(doc)
+            except DocumentError:
+                raise
+            except (ValueError, KeyError) as exc:
+                # str() of a KeyError is the repr of its message
+                message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+                raise DocumentError(f"invalid document: {message}") from exc
+        return load
+    return wrap
 
 
 def _is_int(value, minimum: int | None = None) -> bool:
@@ -266,9 +286,8 @@ def parse_element(ring: WeightedRing, text: str, mod: int | None = None) -> Elem
 # -- pre-psi-algebra documents ---------------------------------------------------------
 
 
+@_loader("pre-psi-algebra")
 def algebra_from_document(doc: dict) -> PrePsiAlgebra:
-    if doc["kind"] != "pre-psi-algebra":
-        raise ValueError(f"expected a pre-psi-algebra document, got kind={doc['kind']!r}")
     p = doc["prime"]
     D = doc["truncation"]
     symbols = []
@@ -283,19 +302,14 @@ def algebra_from_document(doc: dict) -> PrePsiAlgebra:
     psi_data, tops = {}, {}
     for sym, g in zip(symbols, doc["generators"]):
         layers = [poly_from_json(ring, layer) for layer in g["layers"]]
-        if len(layers) != sym.weight // 2 + 1:
-            raise ValueError(f"generator {sym} has weight {sym.weight}; expected "
-                             f"{sym.weight // 2 + 1} layers, got {len(layers)}")
+        _expect(len(layers) == sym.weight // 2 + 1, f"generator {sym} has weight {sym.weight}; "
+                f"expected {sym.weight // 2 + 1} layers, got {len(layers)}")
         psi_data[sym.key], tops[sym] = layers[:-1], layers[-1]
-    gb = None
     graded = [poly_from_json(ring, r, mod=p) for r in doc.get("graded_relations", [])]
-    graded = [r for r in graded if r]
-    if graded:
-        gb = groebner_build(graded, p)
+    gb = groebner_build(graded, p) if any(graded) else None
     algebra = PrePsiAlgebra(ring, p, psi_data, graded_gb=gb, name=doc.get("name", ""))
     for sym, top in tops.items():
-        if top != algebra.psi_data[sym.key][-1]:
-            raise ValueError(f"top layer of {sym} must equal {sym}^{p}")
+        _expect(top == algebra.psi_data[sym.key][-1], f"top layer of {sym} must equal {sym}^{p}")
     return algebra
 
 
@@ -329,9 +343,8 @@ def _algebra_fields(algebra: PrePsiAlgebra) -> dict:
 # -- presentation documents --------------------------------------------------------------
 
 
+@_loader("presentation")
 def presentation_from_document(doc: dict) -> UnstablePresentation:
-    if doc["kind"] != "presentation":
-        raise ValueError(f"expected a presentation document, got kind={doc['kind']!r}")
     generators = [(g["theta"], g["degree"]) for g in doc["generators"]]
     return UnstablePresentation(
         doc["prime"], generators, doc.get("relations", []), doc["truncation"],
@@ -372,9 +385,8 @@ def lift_to_document(lift: Lift) -> dict:
 # -- psi-module documents ------------------------------------------------------------------
 
 
+@_loader("psi-module")
 def module_from_document(doc: dict) -> PsiModule:
-    if doc["kind"] != "psi-module":
-        raise ValueError(f"expected a psi-module document, got kind={doc['kind']!r}")
     symbols = [ModuleSymbol(s["id"], s["weight"]) for s in doc["symbols"]]
     layer_coords = {}
     for s in doc["symbols"]:
@@ -387,9 +399,7 @@ def module_from_document(doc: dict) -> PsiModule:
             _expect(i not in named, f"symbol {s['id']!r} names layer {i} twice, "
                                     f"as {named.get(i)!r} and {key!r}")
             named[i] = key
-            if i > q:
-                raise ValueError(
-                    f"symbol {s['id']!r} at level {q} has a layer index {i}")
+            _expect(i <= q, f"symbol {s['id']!r} at level {q} has a layer index {i}")
             coords: dict = {}
             for entry in modelem:
                 coords[entry["symbol"]] = coords.get(entry["symbol"], 0) + entry["coefficient"]

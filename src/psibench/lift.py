@@ -23,7 +23,7 @@ from .arith import validate_prime
 from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
 from .rings import Element, GeneratorSymbol, WeightedRing, add_into, id_from_json, poly_from_json
-from .steenrod import graded_basis, run_axioms
+from .steenrod import closure_outcomes, graded_basis, run_axioms
 from .unstable import UnstableAlgebra
 from .verdicts import Verdict
 
@@ -146,7 +146,7 @@ class UnstablePresentation:
         verdicts = [
             Verdict.tally("p0-index-identification", self._zero_index_outcomes(nf)),
             Verdict.tally("top-index-identification", self._top_index_outcomes(nf)),
-            Verdict.tally("steenrod-closure", self._closure_outcomes(nf))]
+            Verdict.tally("steenrod-closure", closure_outcomes(self.algebra, self.relations, nf))]
         # each total image is X plus heavier terms, so P^0 is the identity on
         # every monomial: of the presented quotient's axioms only Adem can fail
         (adem,) = run_axioms(self.algebra, ("adem",))
@@ -179,23 +179,6 @@ class UnstablePresentation:
                     yield {"variable": str(sym), "missing": f"{sym} = {parent}^{p}"}
                 else:
                     yield True
-
-    def _closure_outcomes(self, nf):
-        """The table operations P^i send every relation into the ideal.  Per
-        relation, ``WeightedRing.targets`` sizes the run of compared targets
-        (i = 1, 2, ...) and the count of skipped ones that follows it."""
-        step = 2 * (self.p - 1)
-        for rel in self.relations:
-            if not rel:
-                continue
-            w = rel.weight()
-            compared, skipped = self.ring.targets(w + step, step, w // 2)
-            for i in range(1, compared + 1):
-                if nf(image := self.algebra.apply_P(i, rel)):
-                    yield {"relation": str(rel), "i": i, "image": str(image)}
-                else:
-                    yield True
-            yield skipped
 
     def __repr__(self):
         gens = ", ".join(f"{t}@{d}" for t, d in self.generators)

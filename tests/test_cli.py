@@ -10,13 +10,15 @@ import pytest
 import psibench.cli
 import psibench.documents
 import psibench.lift
+import psibench.steenrod as steenrod
 from psibench.arith import MAX_POWER_BITS
+from psibench.atiyah import PrePsiAlgebra
 from psibench.cli import main
 from psibench.documents import (algebra_to_document, dump_document,
                                 module_to_document, presentation_to_document)
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, power_tower_module,
-                             projective_space_ring)
+                             product_projective_spaces, projective_space_ring)
 from psibench.steenrod import AXIOMS
 
 
@@ -130,8 +132,8 @@ def test_lift_of_a_relation_outside_the_window_exits_two(tmp_path, capsys):
     rc = main(["lift", "--doc", str(path), "--format", "json"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == ("error: relation references x[9, 9], which is not an "
-                            "enumerated variable within the window\n")
+    assert captured.err == ("error: invalid document: relation references x[9, 9], which "
+                            "is not an enumerated variable within the window\n")
 
 
 def test_lift_of_a_constant_relation_exits_two(tmp_path, capsys):
@@ -142,7 +144,7 @@ def test_lift_of_a_constant_relation_exits_two(tmp_path, capsys):
     rc = main(["lift", "--doc", str(path), "--format", "json"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err.startswith("error: constant relation supplied: 1")
+    assert captured.err.startswith("error: invalid document: constant relation supplied: 1")
     assert captured.err.count("\n") == 1
 
 
@@ -316,7 +318,7 @@ def test_unknown_axiom_lists_the_registry(docs, name, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     names = ", ".join(a.cli for a in AXIOMS)
-    assert names == "exactness, welldefined, p0, adem, additivity, cartan"
+    assert names == "closure, exactness, welldefined, p0, adem, additivity, cartan"
     assert captured.err == f"error: unknown axiom {name!r}; choose from {names}\n"
 
 
@@ -429,7 +431,8 @@ HUGE_PRIME_DOCUMENT = "projective-space-p1000000000000000003-n4.json"
     ("broken-adem-p3.json", ["verify", "--truncation", "2000"],
      "error: top weight 4000 must be at most MAX_WEIGHT=64; lower the truncation"),
     (HUGE_PRIME_DOCUMENT, ["verify"],
-     "error: p must be a prime integer at most MAX_PRIME=2147483648, got 1000000000000000003"),
+     "error: invalid document: p must be a prime integer at most MAX_PRIME=2147483648, "
+     "got 1000000000000000003"),
     *(("broken-adem-p3.json", [*command, "--truncation", "100000", "--element", element],
        f"error: element term of weight {weight} must be at most MAX_WEIGHT=64")
       for command, element, weight in [(["atiyah"], "x^600", 2400),
@@ -551,6 +554,51 @@ def test_verify_at_a_large_prime_stays_fast(tmp_path, capsys):
     assert elapsed < 5.0
 
 
+def _not_closed_document(tmp_path):
+    """Z[t,u]/(t^5, u^5) at p = 3, D = 16, with the graded relation t^2 + u^2,
+    which P^1 does not preserve: P^1(t^2 + u^2) = 2t^4 + 2u^4 = t^4 modulo it."""
+    doc = algebra_to_document(product_projective_spaces(3, 4, 4, D=16))
+    doc["graded_relations"] = [[{"coefficient": 1, "monomial": [["t", 2]]},
+                                {"coefficient": 1, "monomial": [["u", 2]]}]]
+    path = tmp_path / "not-closed.json"
+    dump_document(doc, str(path))
+    return str(path)
+
+
+def test_verify_labels_a_document_whose_relations_are_not_closed(tmp_path, capsys):
+    rc = main(["verify", "--doc", _not_closed_document(tmp_path), "--trials", "2",
+               "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1 and report["classification"] == "not-pre-psi-p"
+    closure = report["verdicts"][0]
+    assert (closure["axiom"], closure["status"]) == ("steenrod-closure", "FAIL")
+    assert closure["witness"] == {"relation": "u^2 + t^2", "i": 1, "image": "2*u^4 + 2*t^4"}
+
+
+def test_steenrod_refuses_a_document_whose_relations_are_not_closed(tmp_path, capsys):
+    # the class of t^2 is also the class of 2*u^2, so no answer is the operation's
+    rc = main(["steenrod", "-i", "1", "--element", "t^2", "--doc", _not_closed_document(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: P^1 sends the graded relation u^2 + t^2 to 2*u^4 + 2*t^4, "
+                            "outside the ideal, so P^i of a class depends on its "
+                            "representative\n")
+
+
+def test_steenrod_without_graded_relations_reads_one_band(monkeypatch, capsys):
+    # the closure check builds no graded basis and reads no psi image when
+    # there is no graded relation to check
+    calls = []
+    apply, basis = PrePsiAlgebra.apply_P, steenrod.graded_basis
+    monkeypatch.setattr(PrePsiAlgebra, "apply_P",
+                        lambda *a: calls.append("apply_P") or apply(*a))
+    monkeypatch.setattr(steenrod, "graded_basis", lambda *a: calls.append("basis") or basis(*a))
+    assert main(["steenrod", "-i", "1", "--element", "t^2",
+                 "--doc", str(SAMPLES / "projective-space-p3-n4.json")]) == 0
+    capsys.readouterr()
+    assert calls == ["apply_P"]
+
+
 def test_a_constant_graded_relation_exits_two(tmp_path, capsys):
     doc = algebra_to_document(projective_space_ring(3, 4))
     doc["graded_relations"] = [[{"coefficient": 1, "monomial": []}]]
@@ -559,7 +607,7 @@ def test_a_constant_graded_relation_exits_two(tmp_path, capsys):
     rc = main(["verify", "--doc", str(path), "--format", "json"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err.startswith("error: constant relation supplied: 1")
+    assert captured.err.startswith("error: invalid document: constant relation supplied: 1")
     assert captured.err.count("\n") == 1
 
 
@@ -702,19 +750,21 @@ HOSTILE = [
      "invalid document: graded_relations must be an array"),
     ("polynomial-presentation-p2-D6.json", ["lift"], ("relations",), 1,
      "invalid document: relations must be an array"),
-    # the documents below pass the schema and are refused when they are built
+    # the documents below pass the schema and are refused when they are built,
+    # in the same words
     ("projective-space-p3-n4.json", VERIFY_P0, ("generators", 0, "layers"), [T2_PLUS_T],
-     "generator t has weight 2; expected 2 layers, got 1"),
+     "invalid document: generator t has weight 2; expected 2 layers, got 1"),
     ("dual-numbers-p3-k1.json", VERIFY_P0, ("monomial_relations",), [[]],
-     "the unit monomial cannot be a relation"),
+     "invalid document: the unit monomial cannot be a relation"),
     ("power-tower-p3-D81.json", ["fingen", "--generators", "x"], ("symbols", 1, "id"), "x",
-     "duplicate symbol names"),
+     "invalid document: duplicate symbol names"),
     ("power-tower-p3-D81.json", ["fingen", "--generators", "x"], ("symbols", 0, "layers", "5"),
-     [{"coefficient": 1, "symbol": "x^3"}], "symbol 'x' at level 1 has a layer index 5"),
+     [{"coefficient": 1, "symbol": "x^3"}],
+     "invalid document: symbol 'x' at level 1 has a layer index 5"),
     ("polynomial-presentation-p2-D6.json", ["lift"], ("generators", 0, "degree"), 3,
-     "generator degrees must be positive even integers, got 3"),
+     "invalid document: generator degrees must be positive even integers, got 3"),
     ("polynomial-presentation-p2-D6.json", ["lift"], ("generators",),
-     [{"degree": 2, "theta": "x"}] * 2, "duplicate generator names"),
+     [{"degree": 2, "theta": "x"}] * 2, "invalid document: duplicate generator names"),
 ]
 
 
@@ -733,6 +783,19 @@ def test_hostile_values_exit_two_with_a_message(sample, command, path, value, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sample, command, kind", [
+    ("projective-space-p3-n4.json", ["lift"], "presentation"),
+    ("polynomial-presentation-p2-D6.json", VERIFY_P0, "pre-psi-algebra"),
+    ("projective-space-p3-n4.json", ["fingen", "--generators", "t"], "psi-module"),
+])
+def test_a_document_of_another_kind_exits_two(sample, command, kind, capsys):
+    assert main([command[0], "--doc", str(SAMPLES / sample), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    got = json.loads((SAMPLES / sample).read_text())["kind"]
+    assert captured.out == ""
+    assert captured.err == f"error: invalid document: expected a {kind} document, got kind={got!r}\n"
 
 
 @pytest.mark.parametrize("sample, command, message", [

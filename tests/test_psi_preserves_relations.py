@@ -56,8 +56,9 @@ def test_a_psi_that_breaks_a_relation_exits_two(command, tmp_path, capsys):
     rc = main([*command, "--doc", str(path), "--format", "json"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == ("error: psi does not preserve the relation t^3 = 0: the product "
-                            "of the psi images of its factors keeps 81*t^2*u^2\n")
+    assert captured.err == ("error: invalid document: psi does not preserve the relation "
+                            "t^3 = 0: the product of the psi images of its factors keeps "
+                            "81*t^2*u^2\n")
 
 
 MODELS = [

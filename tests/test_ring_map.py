@@ -53,21 +53,27 @@ MAPS = [
 ]
 
 
-def _samples(ring_map, seed, count=30):
+def _samples(ring_map, seed, count=30, p=None):
     """Random elements of one to four terms, each a monomial of up to three
-    generator powers with a coefficient prime to p.  Each power is drawn
-    among those that fit the weight the monomial has left in the window, and
-    one that a relation would kill ends the monomial: the inputs carry no
-    ``truncated`` flag, and even on rings of many heavy generators nearly
-    all are nonzero."""
-    ring, p = ring_map.ring, 3 if ring_map.mod is None else ring_map.mod
+    generator powers with a coefficient prime to p (the algebra's prime;
+    by default the map's modulus, else 3).  Each power is drawn
+    among those that fit the weight the monomial has left, and one that a
+    relation would kill ends the monomial: the inputs carry no ``truncated``
+    flag, and even on rings of many heavy generators nearly all are nonzero.
+    Every other element draws its monomials inside 2D/p, half the window at
+    p = 2: psi and the total operation raise a weight at most p-fold, so
+    their images keep every term (a ring whose generators all weigh more
+    gets constants there).  The others draw inside the whole window, where
+    images of the lossy maps lose terms."""
+    ring, p = ring_map.ring, p or ring_map.mod or 3
     rng = random.Random(seed)  # a str seed: the same draws in every process
     units = [c for c in range(-p * p, p * p + 1) if c % p]
     out = []
     while len(out) < count:
         terms = {}
+        window = ring.max_weight // p if len(out) % 2 else ring.max_weight
         for _ in range(rng.randint(1, 4)):
-            pairs, budget = [], ring.max_weight
+            pairs, budget = [], window
             for _ in range(rng.randrange(4)):
                 fits = [g for g in ring.generators if g.weight <= budget]
                 if not fits:
@@ -124,7 +130,7 @@ def test_ring_map_agrees_with_naive_substitution(monkeypatch, name, make, attr, 
     monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", size)
     ring_map.memo.clear()
     bound = _bound(size, len(algebra.ring.generators))
-    flagged, samples = 0, _samples(ring_map, seed=name)
+    flagged, samples = 0, _samples(ring_map, seed=name, p=algebra.p)
     assert sum(map(bool, samples)) >= 20, name  # most samples are nonzero
     for e in samples:
         want = _naive(ring_map, e)
@@ -136,6 +142,8 @@ def test_ring_map_agrees_with_naive_substitution(monkeypatch, name, make, attr, 
         if attr == "psi":
             assert algebra.apply_psi(e) == want
         flagged += want.truncated
+    # every map checks unflagged images, and each lossy map flagged ones
+    assert len(samples) - flagged >= 10, (name, flagged)
     assert bool(flagged) == lossy
     # an input that lost terms passes its flag on
     lost = algebra.ring.element(e.terms, ring_map.mod, truncated=True)

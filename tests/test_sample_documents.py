@@ -8,11 +8,12 @@ import sys
 import pytest
 
 from psibench.cli import main
-from psibench.documents import (dump_document, lift_to_document, load_document,
+from psibench.documents import (algebra_from_document, dump_document, lift_to_document,
+                                load_document, presentation_from_document,
                                 presentation_to_document)
 from psibench.lift import build_lift
 from psibench.models import free_polynomial_presentation
-from psibench.steenrod import AXIOMS
+from psibench.steenrod import AXIOMS, check_closure
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
 BENCH_DATA = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data"
@@ -26,16 +27,20 @@ BENCH_DATA = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "dat
 # It was re-recorded when Cartan stopped counting a product degree that
 # truncation cannot decide as one skip and counted each (pair, i) target
 # there instead: its cartan verdict went from 7 checked / 29 skipped to 7 / 103.
+# Every verify golden below was re-recorded when closure of the graded
+# relations joined the registry: each report gained a first verdict,
+# steenrod-closure PASS (checked 0, skipped 0, note "no graded relations"),
+# and no other byte moved.
 GOLDEN_VERIFY = {
-    "projective-space-p3-n4.json": "1c3f5520f68ef18ab020b902c000450a0d813a79ada74da06b739139d0f59409",
-    "product-projective-p3.json": "454ec001b3fc522a4cb75279375a1973c0f0f770df21f34a6e848790eded1abb",
-    "broken-adem-p3.json": "ac6336c2df81537e1db446a12f989de679877cde535186aa81bcdfe274fe4d13",
+    "projective-space-p3-n4.json": "1c5306016f45954bd44cd12e397c2bb42611310ac95b1e149727a06e8484d649",
+    "product-projective-p3.json": "263936aa15ffc4762198880edccda7b6387d0c6b48350b60b537dd81dd015a4b",
+    "broken-adem-p3.json": "1108680e37a8e1816e5fc516a991765588e4795a6f1f4be3c07b4361aa4fd4eb",
 }
 
 # stdout sha256 of `verify --trials 2 --truncation 2000 --format json` on the
 # nilpotent projective space; re-recorded, like GOLDEN_VERIFY, for the
 # counts of identities above the top monomial alone.
-GOLDEN_VERIFY_TRUNCATION_2000 = "25b408f982f28ca9806c5f7af08e19cf2c2923598391ffe0e3af1164a9f1d208"
+GOLDEN_VERIFY_TRUNCATION_2000 = "8ea498cbd95cd22ab8c80b5f3c5dcc2534d435a244bcc78053cdd979cf89ac8d"
 
 # stdout sha256 of `lift --format json`.  Re-recorded when presentation
 # validation came to read the graded basis for adem(table) and the lift
@@ -60,9 +65,9 @@ GOLDEN_LIFT_BENCH = {
 # skipped identities were counted a run at a time.  product-projective-p3-3-3
 # is the only valid model here with Adem identities to compare (5).
 GOLDEN_VERIFY_BENCH = {
-    "product-projective-p3-3-3.json": "ee78828405868a13e79f02d05d86a58b728cee08908068fbfe69bc6b36b20f11",
-    "product-projective-p5-3-3.json": "aae030ef83d186144604749206bf34e20b3f9f28371bef74a056ebcabaf9751a",
-    "projective-space-p5-n3.json": "fc22787650c1c4f99d747ce34307c2025a1ec03293145d3402d6b6001d659efe",
+    "product-projective-p3-3-3.json": "bb5ce62765a73839978da6086f5c15ea10de6096dd2092ab08ab3c745d63bc81",
+    "product-projective-p5-3-3.json": "a4142a01ca6436828b077644fe76d8ce19d92532eb5d77d2c082b6f43a9b4494",
+    "projective-space-p5-n3.json": "a8cdf0e4fb798aff5dc13e4ac076806e1f8d9bbdbd9dfcd031d873a130e2381c",
 }
 
 # stdout sha256 of `steenrod -i <i> --element <class> --format json` and of
@@ -98,7 +103,7 @@ GOLDEN_FREE_P3_D6_DOCUMENT = "88028397fae33dffb9652e3eb8c60ce7f78e566836b5959357
 # identities above the top monomial alone (the p0-identity FAIL and its
 # witness are the same).  The second was last re-recorded, like GOLDEN_LIFT,
 # for the basis-read counts and the lift's null seed; a lift's ring is free.
-GOLDEN_VERIFY_P0_FAIL = "f03bb1db5459ee8d831baae2e0ee334aeb9ab247d39ca725f0f5f427a3974f2a"
+GOLDEN_VERIFY_P0_FAIL = "80b2507dadbec7aa7190002e972935abbedaa971ef3b3b05a8400af53a7127f6"
 GOLDEN_LIFT_IDENTIFICATION_FAIL = "3515738df07aeb8e8a563f9373f72cb14047f49fb32fe56bb422770b7e839073"
 
 
@@ -242,6 +247,28 @@ def test_axiom_subset_reports_the_full_run_verdict(name, capsys):
     assert (adem["status"] == "FAIL") == name.startswith("broken")
     if adem["status"] == "FAIL":
         assert adem["witness"]["i"] == 1 and adem["witness"]["j"] == 1
+
+
+# every shipped algebra and presentation; psi-modules carry no operations
+OPERATED = [path for path in sorted(SAMPLES.glob("*.json")) + sorted(BENCH_DATA.glob("*.json"))
+            if json.loads(path.read_text())["kind"] != "psi-module"]
+
+
+@pytest.mark.parametrize("path", OPERATED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_shipped_document_passes_closure(path):
+    doc = load_document(str(path))
+    if doc["kind"] == "pre-psi-algebra":
+        closure = check_closure(algebra_from_document(doc))
+        assert closure.status == "PASS", closure.describe()
+        return
+    # a presentation validates its relations, and its serialized lift
+    # reloads as an algebra whose graded Groebner basis is closed too
+    pres = presentation_from_document(doc)
+    (closure,) = [v for v in pres.validation if v.name == "steenrod-closure"]
+    assert closure.passed and closure.checked, closure.describe()
+    lifted = algebra_from_document(lift_to_document(build_lift(pres)))
+    closure = check_closure(lifted)
+    assert closure.passed and closure.checked, closure.describe()
 
 
 # every pinned command, as (argv, golden, exit status): run in a fresh

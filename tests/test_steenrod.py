@@ -7,11 +7,13 @@ import psibench.steenrod as steenrod
 from psibench.arith import adem_coefficient
 from psibench.atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose,
                              verify_welldefined)
-from psibench.models import (adem_failure_ring, dual_numbers_ring,
+from psibench.documents import algebra_from_document, algebra_to_document
+from psibench.lift import build_lift
+from psibench.models import (adem_failure_ring, dual_numbers_ring, free_polynomial_presentation,
                              product_projective_spaces, projective_space_ring)
 from psibench.rings import GeneratorSymbol, WeightedRing
 from psibench.steenrod import (AXIOMS, GradedClass, check_additivity, check_adem,
-                               check_cartan, check_exactness, check_instability,
+                               check_cartan, check_closure, check_exactness, check_instability,
                                check_p0_identity, check_pth_power, classify,
                                gr_class, graded_basis,
                                interesting_degrees, run_axioms, sample_classes,
@@ -176,19 +178,65 @@ def test_adem_failure_witness():
                          "lhs": "0", "rhs": "2*x^3"}
 
 
-def test_adem_layer_route_checks_the_operation(monkeypatch):
-    # on an algebra with splittings, the composition route of an operation
-    # other than the derived one disagrees with the double layers
+def _double_layer_class(base, j, i):
+    """The class of r_(j,i): layer i of the splitting of layer j of ``base``,
+    taken at level q + j(p-1)."""
+    algebra = base.algebra
+    level = base.level + j * (algebra.p - 1)
+    target = 2 * level + 2 * i * (algebra.p - 1)
+    layer = base.layer(j)
+    if not layer:
+        return zero_class(algebra, target)
+    return gr_class(algebra, atiyah_decompose(algebra, layer, level).layer(i), target)
+
+
+def _double_layer_mismatch(algebra, degree):
+    """The first (class, j, i) in one degree where the splitting calculus and
+    psi's bands disagree: r_(j,i) of the class's basis lift against the
+    composition P^i P^j, which ``steenrod.steenrod_P`` reads off bands.  Only
+    targets up to the top weight are compared; each Adem identity is a
+    linear combination of these compositions."""
+    p, q, top = algebra.p, degree // 2, algebra.ring.top_weight()
+    for cls in graded_basis(algebra, degree):
+        base = atiyah_decompose(algebra, cls.lift(), q)
+        for j in range(q + 1):
+            for i in range(q + j * (p - 1) + 1):
+                if degree + 2 * (i + j) * (p - 1) > top:
+                    break
+                composed = steenrod.steenrod_P(algebra, i, steenrod.steenrod_P(algebra, j, cls))
+                if _double_layer_class(base, j, i) != composed:
+                    return str(cls.rep), j, i
+    return None
+
+
+DOUBLE_LAYER_MODELS = {
+    "projective-p3-n8": lambda: projective_space_ring(3, 8),
+    "projective-p2-n6": lambda: projective_space_ring(2, 6),
+    "product-projective-p3-3-3": lambda: product_projective_spaces(3, 3, 3),
+    "broken-adem-p3-D12": lambda: adem_failure_ring(3, D=12),
+    "dual-numbers-p3-k2": lambda: dual_numbers_ring(3, 2),
+    "lift-p2-D6": lambda: build_lift(free_polynomial_presentation(2, 6)).pi,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE_LAYER_MODELS))
+def test_double_layers_are_the_compositions(name):
+    A = DOUBLE_LAYER_MODELS[name]()
+    for degree in interesting_degrees(A, 2):
+        assert _double_layer_mismatch(A, degree) is None, (name, degree)
+
+
+def test_double_layers_see_a_doubled_operation(monkeypatch):
+    # at p = 3 a doubled P^i P^j (i, j >= 1) is 4 = 1 times the true one, but
+    # P^i P^0 is doubled once, and r_(0,i) is not
     A = projective_space_ring(3, 8)
 
     def doubled(algebra, i, cls):
         return steenrod_P(algebra, i, cls) * (2 if i else 1)
 
-    assert check_adem(A, 4).status == PASS
+    assert _double_layer_mismatch(A, 4) is None
     monkeypatch.setattr(steenrod, "steenrod_P", doubled)
-    v = check_adem(A, 4)
-    assert v.status == FAIL
-    assert v.witness["note"] == "layer route and composition route disagree"
+    assert _double_layer_mismatch(A, 4) == ("t^2", 0, 1)
 
 
 def test_adem_trivial_on_dual_numbers():
@@ -410,7 +458,17 @@ def _operation_plus_a_product(monkeypatch):
     return projective_space_ring(3, 4)
 
 
+def _not_closed_document(monkeypatch=None):
+    """Z[t,u]/(t^5, u^5) at p = 3, D = 16, with the graded relation t^2 + u^2,
+    which P^1 sends to 2t^4 + 2u^4 = t^4 modulo the relation."""
+    doc = algebra_to_document(product_projective_spaces(3, 4, 4, D=16))
+    doc["graded_relations"] = [[{"coefficient": 1, "monomial": [["t", 2]]},
+                                {"coefficient": 1, "monomial": [["u", 2]]}]]
+    return algebra_from_document(doc)
+
+
 NEGATIVE_CONTROLS = {
+    "closure": _not_closed_document,
     # products split every basis class; sums only the alternative lifts
     # that well-definedness compares against
     "exactness": _splitting_off_by_its_source("atiyah_product"),
@@ -420,6 +478,19 @@ NEGATIVE_CONTROLS = {
     "additivity": _operation_off_by_a_basis_class,
     "cartan": _operation_plus_a_product,
 }
+
+
+def test_a_relation_the_operations_leave_fails_closure():
+    A = _not_closed_document()
+    v = check_closure(A)
+    assert (v.status, v.checked, v.skipped) == (FAIL, 0, 0)
+    assert v.witness == {"relation": "u^2 + t^2", "i": 1, "image": "2*u^4 + 2*t^4"}
+    assert classify(A, 2, 0).label == "not-pre-psi-p"
+
+
+def test_closure_without_graded_relations_compares_nothing():
+    v = check_closure(projective_space_ring(3, 4))
+    assert (v.status, v.checked, v.skipped, v.notes) == (PASS, 0, 0, ("no graded relations",))
 
 
 def test_every_registry_axiom_has_a_negative_control():
@@ -484,11 +555,12 @@ LATE_WITNESS_CONTROLS = {
     "cartan": (lambda mp: check_cartan(_p0_off(mp), 2, 2), 1, 2,
                {"deg1": 2, "deg2": 2, "i": 0, "a": "t", "b": "u"}),
     # window 10, top 16: P^1 P^1 on degree 2 is compared, P^2 P^1 and
-    # P^1 P^2 (weight 14) are skipped; P^1(u) gains t^2*u
+    # P^1 P^2 (weight 14) are skipped; P^1(u) gains t^2*u, and composition
+    # alone sees it: P^1 of the perturbed image is not the 2 P^2 u = 0 of Adem
     "adem": (lambda mp: check_adem(_operation_off_on_one_class(
                  mp, 1, 4, 5, lambda basis: basis[0] * basis[0] * basis[1]), 2), 1, 2,
              {"degree": 2, "i": 1, "j": 1, "class": "u",
-              "note": "layer route and composition route disagree"}),
+              "lhs": "t^2*u^3 + 2*t^4*u", "rhs": "0"}),
 }
 
 

@@ -25,7 +25,7 @@ def _projective_with_top(top):
 
 def test_the_written_top_must_be_the_algebras(tmp_path, capsys):
     doc = _projective_with_top([{"coefficient": 2, "monomial": [["t", 3]]}])
-    with pytest.raises(ValueError, match=r"^top layer of t must equal t\^3$"):
+    with pytest.raises(ValueError, match=r"^invalid document: top layer of t must equal t\^3$"):
         algebra_from_document(doc)
     path = tmp_path / "wrong-top.json"
     path.write_text(json.dumps(doc))
@@ -40,7 +40,7 @@ def test_a_top_below_gp_is_refused():
     x2 = [{"coefficient": 1, "monomial": [["x", 2]]}]
     doc = {"kind": "pre-psi-algebra", "prime": 3, "truncation": 8,
            "generators": [{"id": "x", "weight": 4, "layers": [x, [], x2]}]}
-    with pytest.raises(ValueError, match=r"^top layer of x must equal x\^3$"):
+    with pytest.raises(ValueError, match=r"^invalid document: top layer of x must equal x\^3$"):
         algebra_from_document(doc)
 
 

@@ -213,60 +213,63 @@ def cmd_fingen(args) -> int:
     return 0 if result.generated else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("atiyah", "steenrod", "verify", "lift", "fingen")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole argparse tree, or with ``command`` only that subcommand's
+    branch; its usage line still lists every command."""
     parser = argparse.ArgumentParser(
         prog="psibench",
         description="Workbench for Adams-operation splittings and the induced "
                     "Steenrod operations on mod-p associated graded algebras.")
     parser.add_argument("--version", action="version", version=f"psibench {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    every = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
 
-    def common(p):
+    def branch(name, help_text, fn):
+        """The subcommand's parser with the common options, or None."""
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
         p.add_argument("--doc", required=True, help="workbench document (JSON)")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--truncation", type=int, default=None,
                        help="override the document truncation bound D")
+        return p
 
-    p = sub.add_parser("atiyah", help="split psi of an element into weighted layers")
-    common(p)
-    p.add_argument("--element", required=True, help="element expression, e.g. 'x + 2*x^2'")
-    p.add_argument("--level", type=int, default=None,
-                   help="target level q (default: weight/2)")
-    p.set_defaults(fn=cmd_atiyah)
+    if p := branch("atiyah", "split psi of an element into weighted layers", cmd_atiyah):
+        p.add_argument("--element", required=True, help="element expression, e.g. 'x + 2*x^2'")
+        p.add_argument("--level", type=int, default=None,
+                       help="target level q (default: weight/2)")
 
-    p = sub.add_parser("steenrod", help="apply a derived operation to a graded class")
-    common(p)
-    p.add_argument("--index", "-i", dest="index", type=int, required=True)
-    p.add_argument("--element", required=True, help="homogeneous class expression")
-    p.set_defaults(fn=cmd_steenrod)
+    if p := branch("steenrod", "apply a derived operation to a graded class", cmd_steenrod):
+        p.add_argument("--index", "-i", dest="index", type=int, required=True)
+        p.add_argument("--element", required=True, help="homogeneous class expression")
 
-    p = sub.add_parser("verify", help="run axiom verifier suites / classification")
-    common(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="trial seed (default: the document's seed, else 0)")
-    p.add_argument("--axioms", default="all",
-                   help=f"comma list from: {', '.join(a.cli for a in AXIOMS)} (default: all)")
-    p.add_argument("--trials", type=int_at_least(1), default=8,
-                   help=f"samples for exactness, welldefined, additivity; at most {MAX_TRIALS}")
-    p.set_defaults(fn=cmd_verify)
+    if p := branch("verify", "run axiom verifier suites / classification", cmd_verify):
+        p.add_argument("--seed", type=int, default=None,
+                       help="trial seed (default: the document's seed, else 0)")
+        p.add_argument("--axioms", default="all",
+                       help=f"comma list from: {', '.join(a.cli for a in AXIOMS)} (default: all)")
+        p.add_argument("--trials", type=int_at_least(1), default=8,
+                       help=f"samples for exactness, welldefined, additivity; at most {MAX_TRIALS}")
 
-    p = sub.add_parser("lift", help="build the canonical lift of a presentation")
-    common(p)
-    p.add_argument("--kmax", type=int_at_least(0), default=None,
-                   help=f"psi-iterates to record, at most {MAX_KMAX} (default: from p and D)")
-    p.add_argument("--out", default=None, help="write the serialized lift here")
-    p.set_defaults(fn=cmd_lift)
+    if p := branch("lift", "build the canonical lift of a presentation", cmd_lift):
+        p.add_argument("--kmax", type=int_at_least(0), default=None,
+                       help=f"psi-iterates to record, at most {MAX_KMAX} (default: from p and D)")
+        p.add_argument("--out", default=None, help="write the serialized lift here")
 
-    p = sub.add_parser("fingen", help="check psi-finite-generation of a module")
-    common(p)
-    p.add_argument("--generators", required=True, help="comma list of symbol names")
-    p.add_argument("--max-depth", dest="max_depth", type=int_at_least(0), default=None)
-    p.set_defaults(fn=cmd_fingen)
+    if p := branch("fingen", "check psi-finite-generation of a module", cmd_fingen):
+        p.add_argument("--generators", required=True, help="comma list of symbol names")
+        p.add_argument("--max-depth", dest="max_depth", type=int_at_least(0), default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -7,7 +7,8 @@ level; splittings of arbitrary elements follow by linearity and level
 shifting through ``atiyah.horner``, the Horner rule ring splittings shift by
 too, and psi is the level-0 splitting (no multiplicative top-layer
 constraint here, unlike the ring case).  Generation is decided weight by
-weight through exact Hermite normal forms of the closure's coordinate matrix.
+weight through exact membership in one sparse incremental lattice over Z
+(``normalforms.Lattice``) whose columns are the symbol names.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from collections import namedtuple
 
 from .arith import validate_prime
 from .atiyah import horner
-from .normalforms import hermite_normal_form, in_lattice
+from .normalforms import Lattice, in_lattice
+from .rings import add_into
 from .verdicts import Verdict
 
 
@@ -41,6 +43,14 @@ class ModuleElement:
             if name not in module._weights:
                 raise KeyError(f"unknown module symbol {name!r}")
 
+    @staticmethod
+    def _clean(module: "PsiModule", coords: dict) -> "ModuleElement":
+        """An element on nonzero coordinates of module symbols, unchecked."""
+        self = object.__new__(ModuleElement)
+        self.module = module
+        self.coords = coords
+        return self
+
     def __bool__(self):
         return bool(self.coords)
 
@@ -55,12 +65,14 @@ class ModuleElement:
         if self.module is not other.module:
             raise ValueError("elements live in different modules")
         coords = dict(self.coords)
-        for name, c in other.coords.items():
-            coords[name] = coords.get(name, 0) + c
-        return ModuleElement(self.module, coords)
+        add_into(coords, other.coords.items())
+        return ModuleElement._clean(self.module, coords)
 
     def __mul__(self, k: int):
-        return ModuleElement(self.module, {n: c * k for n, c in self.coords.items()})
+        if k == 1:  # elements are never changed in place, so one can be shared
+            return self
+        coords = {n: c * k for n, c in self.coords.items()} if k else {}
+        return ModuleElement._clean(self.module, coords)
 
     __rmul__ = __mul__
 
@@ -68,9 +80,6 @@ class ModuleElement:
         if not self.coords:
             return float("inf")
         return min(self.module._weights[n] for n in self.coords)
-
-    def vector(self) -> list:
-        return [self.coords.get(s.name, 0) for s in self.module.symbols]
 
     def __str__(self):
         if not self.coords:
@@ -127,11 +136,12 @@ class PsiModule:
         self.symbols = tuple(syms)
         self._weights = {s.name: s.weight for s in syms}
         self.layers = {}
+        zero = self.zero()
         for s in syms:
             q = s.weight // 2
             if s.name not in layers:
                 raise ValueError(f"missing layer data for symbol {s.name}")
-            given = tuple(ModuleElement(self, coords) for coords in layers[s.name])
+            given = tuple(ModuleElement(self, c) if c else zero for c in layers[s.name])
             if len(given) != q + 1:
                 raise ValueError(
                     f"symbol {s.name} at level {q} needs {q + 1} layers, got {len(given)}")
@@ -143,7 +153,7 @@ class PsiModule:
             self.layers[s.name] = given
 
     def zero(self) -> ModuleElement:
-        return ModuleElement(self, {})
+        return ModuleElement._clean(self, {})
 
     def element(self, coords: dict) -> ModuleElement:
         return ModuleElement(self, coords)
@@ -160,14 +170,16 @@ class PsiModule:
         symbol's stored splitting moves from its level down to q in one step
         through ``atiyah.horner``, the rule ring splittings shift by too:
         layers q .. level merge, those below pick up p^(level-q), and the
-        result is scaled by the symbol's coordinate; the symbols add layerwise."""
+        result is scaled by the symbol's coordinate; the symbols add layerwise,
+        into one coordinate dict per layer."""
         if 2 * q > e.weight():
             raise ValueError(f"element has weight {e.weight()}, below 2q={2 * q}")
-        layers = [self.zero()] * (q + 1)
+        layers = [{} for _ in range(q + 1)]
         for name, c in sorted(e.coords.items()):
-            shifted = horner(self.layers[name], self.p, q)
-            layers = [a + b * c for a, b in zip(layers, shifted)]
-        return ModuleDecomposition(self, e, q, tuple(layers))
+            for coords, shifted in zip(layers, horner(self.layers[name], self.p, q)):
+                add_into(coords, shifted.coords.items(), c)
+        return ModuleDecomposition(self, e, q, tuple(ModuleElement._clean(self, coords)
+                                                     for coords in layers))
 
 
 WitnessNode = namedtuple("WitnessNode", "depth element level")
@@ -181,10 +193,10 @@ class FgWitness(namedtuple("FgWitness", "nodes")):
 
 
 def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> FgWitness:
-    """Depth rounds over one Hermite normal form lattice per level.  Round 0
-    is the generators; round k splits the nodes that round k-1 kept, and
-    layer j of a node at level q is kept at level q + j(p-1) only when it
-    lies outside that level's lattice.  Splitting at a fixed level is
+    """Depth rounds over one incremental ``Lattice`` per level.  Round 0 is
+    the generators; round k splits the nodes that round k-1 kept, and layer
+    j of a node at level q is kept at level q + j(p-1) only when inserting it
+    grows that level's lattice.  Splitting at a fixed level is
     additive, so a layer inside the lattice is a combination of layers that
     the kept nodes produce: the span matches that of every node within the
     depth.  The rounds stop at ``max_depth`` (default D) or when one grows no
@@ -196,10 +208,7 @@ def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> 
     nodes: list = []
 
     def grow(depth, element, level):
-        hnf = lattices.get(level, [])
-        v = element.vector()
-        if not in_lattice(hnf, v):
-            lattices[level] = hermite_normal_form(hnf + [v])
+        if lattices.setdefault(level, Lattice()).add(element.coords):
             nodes.append(WitnessNode(depth, element, level))
 
     for g in gens:
@@ -237,27 +246,24 @@ class GenerationReport(namedtuple("GenerationReport", "per_weight verdict profil
 
 def is_fg_by(module: PsiModule, gens, max_depth: int | None = None) -> GenerationReport:
     """Decide whether the closure of the generators spans every weight
-    component of the module (within the window), via HNF membership."""
-    witness_tree = closure_enumerate(module, gens, max_depth)
-    rows = [n.element.vector() for n in witness_tree.nodes]
-    hnf = hermite_normal_form(rows)
+    component of the module (within the window), via membership of each
+    symbol in the lattice all the closure's nodes span."""
+    lattice = Lattice()
+    for node in closure_enumerate(module, gens, max_depth).nodes:
+        lattice.add(node.element.coords)
     per_weight: dict = {}
     witness = None
-    checked = 0
-    names = [s.name for s in module.symbols]
     for w in sorted({s.weight for s in module.symbols}):
         syms = [s for s in module.symbols if s.weight == w]
         got = 0
         for s in syms:
-            unit = [1 if n == s.name else 0 for n in names]
-            if in_lattice(hnf, unit):
+            if in_lattice(lattice, {s.name: 1}):
                 got += 1
             elif witness is None:
                 witness = {"weight": w, "symbol": s.name,
                            "rank": got, "needed": len(syms)}
         per_weight[w] = (got, len(syms))
-        checked += len(syms)
-    verdict = Verdict.decide("psi-finite-generation", checked, 0, witness)
+    verdict = Verdict.decide("psi-finite-generation", len(module.symbols), 0, witness)
     return GenerationReport(per_weight, verdict, abelian_generator_profile(module))
 
 

@@ -1,73 +1,90 @@
-"""Exact integer matrix normal forms: Hermite (row style) and Smith."""
+"""Exact integer lattices: one sparse incremental row-style Hermite normal
+form over Z, the dense ``hermite_normal_form`` built on it, and Smith
+normal form."""
 
 from __future__ import annotations
+
+from .rings import add_into
+
+
+class Lattice:
+    """A sublattice of Z^n in row-style Hermite normal form, kept sparse:
+    ``rows`` maps each pivot column to its row, a {column: entry} dict
+    without zeros whose smallest column is that pivot, with a positive entry
+    there, and every other row's entry in that column lies in [0, pivot).
+    Columns are any keys of one total order: matrix positions, or module
+    symbol names."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def add(self, vec: dict) -> bool:
+        """Insert a {column: entry} vector; True exactly when the lattice
+        grew.  Where the reduced vector stops on a pivot that does not divide
+        it, its remainder is the smaller pivot (a Euclid step) and the row it
+        replaces is reduced again.  Then entries above the pivots are reduced
+        where a changed pivot or a changed row may have left them out of range."""
+        v = _reduce(self.rows, vec)
+        if not v:
+            return False
+        changed = set()
+        while v:
+            c = min(v)
+            changed.add(c)
+            row = self.rows.get(c)
+            if row is None:
+                self.rows[c] = v if v[c] > 0 else {k: -a for k, a in v.items()}
+                break
+            self.rows[c] = v
+            v = _reduce(self.rows, row)
+        dirty = set(changed)
+        for c in sorted(self.rows):
+            row = self.rows[c]
+            for above in self.rows if c in changed else dirty:
+                if above < c and (q := self.rows[above].get(c, 0) // row[c]):
+                    add_into(self.rows[above], row.items(), -q)
+                    dirty.add(above)
+        return True
+
+
+def _reduce(rows: dict, vec: dict) -> dict:
+    """vec minus multiples of the rows, column by column, until it is zero
+    (it lies in the lattice) or its leading entry is no multiple of a pivot."""
+    v = {c: a for c, a in vec.items() if a}
+    while v:
+        c = min(v)
+        row = rows.get(c)
+        if row is None:
+            break
+        q, r = divmod(v[c], row[c])
+        if q:
+            add_into(v, row.items(), -q)
+        if r:
+            break
+    return v
+
+
+def in_lattice(lattice: Lattice, vec: dict) -> bool:
+    """Membership of a {column: entry} vector in the lattice."""
+    return not _reduce(lattice.rows, vec)
 
 
 def hermite_normal_form(rows) -> list:
     """Row-style HNF of the lattice spanned by the given integer rows:
     echelon shape, positive pivots, entries above each pivot reduced into
-    [0, pivot)."""
-    mat = [list(r) for r in rows if any(r)]
+    [0, pivot).  The rows are inserted into one ``Lattice``."""
+    mat = [r for r in rows if any(r)]
     if not mat:
         return []
     ncols = len(mat[0])
     if any(len(r) != ncols for r in mat):
         raise ValueError("ragged matrix")
-    top = 0
-    for col in range(ncols):
-        live = [i for i in range(top, len(mat)) if mat[i][col]]
-        if not live:
-            continue
-        # Euclid on the column until a single nonzero entry remains
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(mat[i][col]))
-            piv = live[0]
-            for i in live[1:]:
-                q = mat[i][col] // mat[piv][col]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[piv])]
-            live = [i for i in live if mat[i][col]]
-        piv = live[0]
-        mat[top], mat[piv] = mat[piv], mat[top]
-        if mat[top][col] < 0:
-            mat[top] = [-a for a in mat[top]]
-        for i in range(top):
-            q = mat[i][col] // mat[top][col]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-        top += 1
-    return [r for r in mat[:top]]
-
-
-def pivots(hnf) -> list:
-    """(row, column) positions of the HNF pivots.  The rows are in echelon
-    form, so each row's scan starts one column after the pivot above it."""
-    out, start = [], 0
-    for i, row in enumerate(hnf):
-        for j in range(start, len(row)):
-            if row[j]:
-                out.append((i, j))
-                start = j + 1
-                break
-    return out
-
-
-def in_lattice(hnf, vec) -> bool:
-    """Membership of an integer vector in the row span of an HNF matrix."""
-    if not hnf:
-        return not any(vec)
-    v = list(vec)
-    piv = {col: row for row, col in pivots(hnf)}
-    for col in range(len(v)):
-        if not v[col]:
-            continue
-        row = piv.get(col)
-        if row is None:
-            return False
-        q, r = divmod(v[col], hnf[row][col])
-        if r:
-            return False
-        v = [a - q * b for a, b in zip(v, hnf[row])]
-    return not any(v)
+    lattice = Lattice()
+    for r in mat:
+        lattice.add({j: a for j, a in enumerate(r) if a})
+    return [[lattice.rows[c].get(j, 0) for j in range(ncols)] for c in sorted(lattice.rows)]
 
 
 def smith_normal_form(rows) -> list:

@@ -11,6 +11,7 @@ the truncation window; splittings serve only exactness and well-definedness.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import namedtuple
 
@@ -385,11 +386,11 @@ def _welldefined(algebra, degrees, trials, seed):
     rng = random.Random(seed)
     return (verify_welldefined(algebra, cls.lift(), d // 2, trials=max(2, trials // 2),
                                seed=rng.randrange(2**30))
-            for d in degrees for cls in graded_basis(algebra, d)[:2])
+            for d in degrees() for cls in graded_basis(algebra, d)[:2])
 
 
 def _cartan(algebra, degrees, trials, seed):
-    head = degrees[:4]
+    head = degrees()[:4]
     return (check_cartan(algebra, d1, d2) for d1 in head for d2 in head if d1 <= d2)
 
 
@@ -397,7 +398,9 @@ class Axiom(namedtuple("Axiom", "cli verdict runner")):
     """One registry entry: the name ``verify --axioms`` takes, the name of
     the merged verdict, and a runner yielding the partial verdicts of
     (algebra, degrees, trials, seed) lazily, so the merge stops at the first
-    witness, or the whole verdict, notes and all.  Runners look their
+    witness, or the whole verdict, notes and all.  ``degrees()`` lists the
+    degrees with a nonzero graded piece, found on its first call only, so a
+    runner that never calls it builds no graded basis.  Runners look their
     checkers up by name on each call, so a checker replaced is the one run."""
 
     __slots__ = ()
@@ -406,12 +409,12 @@ class Axiom(namedtuple("Axiom", "cli verdict runner")):
 AXIOMS = (
     Axiom("closure", "steenrod-closure", lambda A, ds, t, s: check_closure(A)),
     Axiom("exactness", "atiyah-exactness",
-          lambda A, ds, t, s: (check_exactness(A, d, t, s) for d in ds)),
+          lambda A, ds, t, s: (check_exactness(A, d, t, s) for d in ds())),
     Axiom("welldefined", "well-definedness", _welldefined),
-    Axiom("p0", "p0-identity", lambda A, ds, t, s: [check_p0_identity(A, ds)]),
-    Axiom("adem", "adem", lambda A, ds, t, s: (check_adem(A, d) for d in ds)),
+    Axiom("p0", "p0-identity", lambda A, ds, t, s: [check_p0_identity(A, ds())]),
+    Axiom("adem", "adem", lambda A, ds, t, s: (check_adem(A, d) for d in ds())),
     Axiom("additivity", "additivity",
-          lambda A, ds, t, s: (check_additivity(A, d, t, s) for d in ds)),
+          lambda A, ds, t, s: (check_additivity(A, d, t, s) for d in ds())),
     Axiom("cartan", "cartan", _cartan),
 )
 
@@ -425,7 +428,7 @@ def run_axioms(algebra, names=None, trials: int = 8, seed: int = 0) -> list:
             raise ValueError(f"unknown axiom {name!r}; choose from "
                              f"{', '.join(by_cli)}")
     chosen = AXIOMS if names is None else [by_cli[n] for n in dict.fromkeys(names)]
-    degrees = interesting_degrees(algebra, 2)
+    degrees = functools.cache(lambda: interesting_degrees(algebra, 2))
     runs = ((a, a.runner(algebra, degrees, trials, seed)) for a in chosen)
     return [run if isinstance(run, Verdict) else Verdict.merge(a.verdict, run)
             for a, run in runs]

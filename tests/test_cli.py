@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -859,3 +860,69 @@ def test_no_command_imports_jsonschema_valid_or_rejected(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: invalid document: truncation must be a positive integer"] * 5 + [
         "exit codes [0, 2, 0, 2, 0, 2, 0, 2, 0, 2] imported []"]
+
+
+def test_the_closure_axiom_computes_no_graded_basis(monkeypatch, capsys):
+    # closure reads no degrees, so verify --axioms closure lists none
+    doc = str(SAMPLES.parent / "perfbench" / "data" / "product-projective-p3-3-3.json")
+    basis, calls = steenrod.graded_basis, []
+    monkeypatch.setattr(steenrod, "graded_basis", lambda *a: calls.append(a[1]) or basis(*a))
+    assert main(["verify", "--axioms", "closure", "--doc", doc, "--format", "json"]) == 0
+    assert calls == []
+    assert main(["verify", "--axioms", "closure,adem", "--doc", doc, "--format", "json"]) == 0
+    assert calls
+    capsys.readouterr()
+
+
+def _parse(parser, argv, capsys):
+    """(exit code, parsed options, stdout, stderr) of one parse."""
+    try:
+        parsed, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    out = capsys.readouterr()
+    return code, parsed, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["atiyah", "--doc", "d", "--element", "x", "--level", "1"],
+    ["steenrod", "--doc", "d", "-i", "2", "--element", "x", "--format", "json"],
+    ["verify", "--doc", "d", "--axioms", "adem", "--trials", "3", "--seed", "5"],
+    ["lift", "--doc", "d", "--kmax", "2", "--out", "o.json", "--truncation", "4"],
+    ["fingen", "--doc", "d", "--generators", "x,y", "--max-depth", "0"],
+    *([command, "--help"] for command in psibench.cli.COMMANDS),
+    *([command] for command in psibench.cli.COMMANDS),
+    ["verify", "--doc", "d", "--bogus"],
+    ["verify", "--version"],
+    ["fingen", "--doc", "d", "--generators", "x", "--max-depth", "-1"],
+    ["lift", "--doc", "d", "--format", "yaml"],
+])
+def test_one_branch_parses_as_the_whole_tree(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    whole = _parse(psibench.cli.build_parser(), argv, capsys)
+    assert _parse(psibench.cli.build_parser(argv[0]), argv, capsys) == whole
+
+
+# sha256 of the exit code, stdout and stderr at 80 columns; none moved when
+# main began to build one subcommand's branch of the parser
+PARSER_OUTPUTS = [
+    (["--help"], "062e3d5aae0e2c059cc975361307be130d12dfaffe524add8ee8c6c2490adea2"),
+    (["--version"], "7d1149889c14a9e1dcd1cd603bdc0991bef61164278ae4eb90da756ce6f4b4a3"),
+    (["verify", "--help"], "1d35280ab59e903c18bb23d97dd22a5d27acf367db1ac93ca23344472c2d4f52"),
+    (["verify"], "0fbbcc31bdede92b9c7c40285be865b96ec0153c3bb71668267651c070ab513d"),
+    (["bogus"], "262aa16ffa2310994c1475b05a7e1687d4abe2706d3675296b1ca08e61aefe9f"),
+    ([], "82ca84627d7914c72a097e284de3c5470acf9bd9d577c6ddaa1d92964dc82659"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words its help and errors differently across Python "
+                           "versions; the hashes are of Python 3.11")
+@pytest.mark.parametrize("argv, digest", PARSER_OUTPUTS)
+def test_help_version_and_usage_errors_are_pinned(argv, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    text = f"{exc.value.code}|{out.out}\0{out.err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

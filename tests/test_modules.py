@@ -3,31 +3,40 @@ import random
 from collections import deque
 
 import pytest
+from dense_lattice import dense_closure, dense_hnf, dense_in_lattice, dense_vector, pivots
 
 from psibench.models import power_tower_module
 from psibench.modules import (ModuleDecomposition, ModuleSymbol, PsiModule,
                               abelian_generator_profile, closure_enumerate, is_fg_by)
-from psibench.normalforms import (hermite_normal_form, in_lattice, pivots,
-                                  smith_normal_form)
+from psibench.normalforms import Lattice, hermite_normal_form, in_lattice, smith_normal_form
 
 
 # -- integer normal forms ------------------------------------------------------------
 
+def lattice_of(rows) -> Lattice:
+    lattice = Lattice()
+    for r in rows:
+        lattice.add(dict(enumerate(r)))
+    return lattice
+
+
 def test_hnf_known_lattice():
-    hnf = hermite_normal_form([[2, 0], [0, 2], [1, 1]])
-    assert hnf == [[1, 1], [0, 2]]
-    assert in_lattice(hnf, [1, 1])
-    assert in_lattice(hnf, [2, 0])
-    assert in_lattice(hnf, [0, 2])
-    assert not in_lattice(hnf, [1, 0])
-    assert not in_lattice(hnf, [0, 1])
+    rows = [[2, 0], [0, 2], [1, 1]]
+    assert hermite_normal_form(rows) == [[1, 1], [0, 2]]
+    lattice = lattice_of(rows)
+    assert in_lattice(lattice, {0: 1, 1: 1})
+    assert in_lattice(lattice, {0: 2})
+    assert in_lattice(lattice, {1: 2})
+    assert not in_lattice(lattice, {0: 1})
+    assert not in_lattice(lattice, {1: 1})
 
 
 def test_hnf_empty_and_zero():
     assert hermite_normal_form([]) == []
     assert hermite_normal_form([[0, 0]]) == []
-    assert in_lattice([], [0, 0])
-    assert not in_lattice([], [1, 0])
+    assert in_lattice(Lattice(), {0: 0, 1: 0})
+    assert not in_lattice(Lattice(), {0: 1, 1: 0})
+    assert not Lattice().add({0: 0})
 
 
 def test_hnf_pivots_positive_and_reduced():
@@ -196,7 +205,7 @@ def node_closure_per_weight(module, gens, max_depth=None):
     rows = []
     while queue:
         depth, e, level = queue.popleft()
-        rows.append(e.vector())
+        rows.append(dense_vector(e))
         if depth >= max_depth:
             continue
         for j, child in enumerate(module.decompose(e, level).layers):
@@ -204,12 +213,12 @@ def node_closure_per_weight(module, gens, max_depth=None):
             if child and key not in seen:
                 seen.add(key)
                 queue.append((depth + 1, child, key[1]))
-    hnf = hermite_normal_form(rows)
+    hnf = dense_hnf(rows)
     per_weight = {}
     for s in module.symbols:
         unit = [int(t.name == s.name) for t in module.symbols]
         got, dim = per_weight.get(s.weight, (0, 0))
-        per_weight[s.weight] = (got + in_lattice(hnf, unit), dim + 1)
+        per_weight[s.weight] = (got + dense_in_lattice(hnf, unit), dim + 1)
     return per_weight
 
 
@@ -280,6 +289,54 @@ def test_lattice_closure_matches_the_node_closure():
             assert report.generated == all(got == dim for got, dim in want.values())
             verdicts.add(report.generated)
     assert verdicts == {True, False}
+
+
+def breadth_first_forest(rng, p, D, size, generated):
+    """The benchmark's module shape: breadth first from r0 (weight 2) and r1
+    (weight 4), each symbol takes a child with a unit coefficient in layers 1
+    and 2 while they fit; when not generated, one edge is scaled by 2 or p."""
+    labels = iter(rng.sample(range(10 * size), size))
+    weights = {"r0": 2, "r1": 4}
+    layers = {"r0": {}, "r1": {}}
+    queue = ["r0", "r1"]
+    while queue and len(weights) < size:
+        parent = queue.pop(0)
+        w = weights[parent]
+        for i in (1, 2):
+            if len(weights) == size or i > w // 2 or w + 2 * i * (p - 1) > 2 * D:
+                continue
+            child = f"s{next(labels)}"
+            weights[child], layers[child] = w + 2 * i * (p - 1), {}
+            layers[parent][i] = {child: rng.choice([-1, 1])}
+            queue.append(child)
+    if not generated:
+        parent, i = rng.choice(sorted((n, i) for n, ls in layers.items() for i in ls))
+        child = next(iter(layers[parent][i]))
+        layers[parent][i][child] *= rng.choice([2, p])
+    data = {s: [layers[s].get(i, {}) for i in range(w // 2 + 1)] for s, w in weights.items()}
+    return PsiModule(p, D, [ModuleSymbol(s, w) for s, w in weights.items()], data)
+
+
+def test_sparse_closure_keeps_the_nodes_of_the_dense_rebuild():
+    # every kept node, in order, matches HNF membership rebuilt per node
+    rng = random.Random(0)
+    cases = kept = 0
+    for n in range(40):
+        for p, D, size in ((2, 12, 14), (3, 15, 18), (5, 20, 12)):
+            module = breadth_first_forest(rng, p, D, size, n % 2 == 0)
+            names = [s.name for s in module.symbols]
+            for gens in (["r0", "r1"], rng.sample(names, 3)):
+                for depth in (None, rng.randrange(4)):
+                    got = closure_enumerate(module, gens, depth).nodes
+                    assert got == dense_closure(module, gens, depth), (p, gens, depth)
+                    cases += 1
+                    kept += len(got)
+    for module, gens in oracle_cases():  # layers that are sums, and the towers
+        for depth in (0, 1, 2, None):
+            assert closure_enumerate(module, gens, depth).nodes == dense_closure(
+                module, gens, depth)
+            cases += 1
+    assert cases > 500 and kept > 4000
 
 
 # -- the one-step module shift against the per-level loop ---------------------------

@@ -3,10 +3,9 @@ rings and the induced Steenrod operations on their mod-p associated graded."""
 
 __version__ = "0.1.0"
 
-from .arith import adem_coefficient, fermat_quotient, is_prime, lucas_binom
+from .arith import adem_coefficient, is_prime, lucas_binom
 from .atiyah import (AtiyahDecomposition, PrePsiAlgebra, atiyah_decompose,
-                     atiyah_product, atiyah_shift, atiyah_sum,
-                     explicit_lift_decomposition, scalar_decomposition,
+                     atiyah_product, atiyah_sum, explicit_lift_decomposition,
                      verify_welldefined)
 from .groebner import GroebnerBasis, groebner_build
 from .lift import Lift, UnstablePresentation, build_lift, enumerate_generators

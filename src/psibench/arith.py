@@ -8,14 +8,15 @@ import math
 # where 10^12 takes 68 ms and 10^18 more than 20 s.
 MAX_PRIME = 2**31
 
-# Largest size in bits admitted for a p-th power: p * bit_length(c) for the
-# power c^p of an integer coefficient, summed over the monomials a power of a
-# sum can keep.  Such powers are exact layers (the top of t is t^p), so they
-# can be refused but not avoided; see ``require_power_bits``.  On a 2-CPU
-# host `verify --trials 2` on a one-generator document, whose lifts reach
-# coefficients near p^3, runs 0.7 s at p = 10,007 (0.4M bits) and 4.9 s and
-# 177 MB at p = 40,009 (1.8M bits), and exits 2 at p = 46,021; without the
-# budget it took 18.5 s and 333 MB at p = 100,003.
+# Largest size in bits admitted for a p-th power, as ``atiyah._power_bits``
+# bounds it: the bits of a coefficient of each power that squaring passes
+# through, times the monomials that power can keep in the window.  The top
+# layer of a splitting of e is e^p, so such a power can be refused but not
+# avoided; see ``require_power_bits``.  A power above the window vanishes
+# unbuilt, and `verify` splits only elements of positive weight under a top
+# weight of at most 64, so only `atiyah` meets the budget.  On a 2-CPU host
+# `atiyah --element "t + u"` on two weight-2 generators at p = D = 1,013
+# (2.0M bits) takes 1.4 s, and at p = D = 10,007 exits 2 at once.
 MAX_POWER_BITS = 2**21
 
 
@@ -80,19 +81,3 @@ def require_power_bits(bits: int, what: str) -> None:
         raise ValueError(f"{what} needs about {bits} bits, above "
                          f"MAX_POWER_BITS={MAX_POWER_BITS}")
 
-
-def fermat_quotient(c: int, p: int) -> int:
-    """(c - c^p)/p, an exact integer by Fermat's little theorem.
-
-    Every integer coefficient of a split element passes through here, so this
-    is where a coefficient whose p-th power would exceed ``MAX_POWER_BITS``
-    bits is refused.  The units 0 and +-1 have trivial powers and always
-    pass."""
-    if abs(c) > 1:
-        bits = abs(c).bit_length()
-        require_power_bits(p * bits, f"a coefficient of {bits} bits raised to the power p={p}")
-    num = c - c**p
-    q, r = divmod(num, p)
-    if r:
-        raise ArithmeticError(f"({c} - {c}^{p}) is not divisible by {p}")
-    return q

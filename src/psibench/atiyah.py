@@ -1,19 +1,17 @@
-"""Distinguished-endomorphism structures and the decomposition calculus.
+"""Distinguished-endomorphism structures and their layer splittings.
 
 A pre-psi-p algebra is a weighted ring with a prime p and, for every
 generator g of weight 2*sigma, a chosen splitting of psi(g) into layers
 
     psi(g) = p^sigma g_0 + p^(sigma-1) g_1 + ... + p g_(sigma-1) + g_sigma,
 
-with g_i of weight >= 2*sigma + 2*i*(p-1) and g_sigma = g^p.  The calculus
-below extends such splittings to arbitrary elements: products convolve
-layers, a sum absorbs its higher-level summands into layer 0 and corrects
-the layer below the top once, by (t^p - sum of the s_k^p)/p, and a splitting
-at level q can be pushed down to any lower level in one step.  A level-0 pair
-(r', r^p) weighs like a level-1 splitting, so one rule serves every level.
-Everything is exact integer arithmetic; the only approximation in the system
-is the weight truncation of the ambient ring, which the sticky ``truncated``
-flags record.
+with g_i of weight >= 2*sigma + 2*i*(p-1) and g_sigma = g^p.  The psi image
+of any element then determines a splitting of it at every level: cut psi(e)
+into weight bands and divide each by its power of p (``atiyah_decompose``).
+A level-0 pair (r', r^p) weighs like a level-1 splitting, so one rule serves
+every level.  Everything is exact integer arithmetic; the only approximation
+in the system is the weight truncation of the ambient ring, which the sticky
+``truncated`` flags record.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ import math
 import random
 from collections import namedtuple
 
-from .arith import fermat_quotient, require_power_bits, validate_prime
-from .rings import UNIT, Element, RingMap, WeightedRing, add_into, mono_div, mono_str, remember
+from .arith import require_power_bits, validate_prime
+from .rings import Element, RingMap, WeightedRing, add_into, mono_str
 from .verdicts import Verdict
 
 
@@ -41,14 +39,11 @@ class PrePsiAlgebra:
     quotient when the algebra presents one (e.g. lifts of presented
     unstable algebras).
 
-    ``splittings`` memoizes ``atiyah_decompose`` for this algebra alone.  Its
-    key is ``(frozenset(e.terms.items()), q)``; monomial splittings live
-    under their monomial's key at the natural level weight/2.  It holds at
-    most ``rings.SPLITTING_CACHE_SIZE`` entries and stops inserting once
-    full; P^i reads one band of ``psi``, no splitting (``apply_P``).
-    ``graded_bases`` memoizes ``steenrod.graded_basis`` by degree, and
-    ``operations`` memoizes ``steenrod.steenrod_P`` by (i, class) under the
-    same bound.
+    ``psi`` memoizes each monomial's image, the one cache that splittings
+    (``atiyah_decompose``) and P^i (``apply_P``) read.  ``graded_bases``
+    memoizes ``steenrod.graded_basis`` by degree, and ``operations``
+    memoizes ``steenrod.steenrod_P`` by (i, class), each holding at most
+    ``rings.SPLITTING_CACHE_SIZE`` entries.
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -84,7 +79,6 @@ class PrePsiAlgebra:
                 term = ring.element(dict([image.leading()]))
                 raise ValueError(f"psi does not preserve the relation {mono_str(ring, m)} = 0: "
                                  f"the product of the psi images of its factors keeps {term}")
-        self.splittings: dict = {}
         self.graded_bases: dict = {}
         self.operations: dict = {}
 
@@ -180,14 +174,6 @@ def zero_decomposition(algebra: PrePsiAlgebra, q: int) -> AtiyahDecomposition:
     return AtiyahDecomposition(algebra, z, q, (z,) * (max(q, 1) + 1))
 
 
-def scalar_decomposition(algebra: PrePsiAlgebra, c: int) -> AtiyahDecomposition:
-    """Level-0 splitting of an integer: psi(c) = c = p*((c - c^p)/p) + c^p."""
-    ring, p = algebra.ring, algebra.p
-    quotient = fermat_quotient(c, p)
-    return AtiyahDecomposition(
-        algebra, ring.scalar(c), 0, (ring.scalar(quotient), ring.scalar(c - p * quotient)))
-
-
 def atiyah_sum(*ds: AtiyahDecomposition) -> AtiyahDecomposition:
     """Combine splittings of s_1, ..., s_n into one for t = s_1 + ... + s_n
     at the lowest of their levels, q.
@@ -201,6 +187,11 @@ def atiyah_sum(*ds: AtiyahDecomposition) -> AtiyahDecomposition:
     so one rule serves every level; for two summands at one level it is the
     textbook two-summand construction.  t^p is refused before it is built
     when its size bound exceeds ``MAX_POWER_BITS``.
+
+    Nothing in the package calls it: ``atiyah_decompose`` cuts psi(e) into
+    bands.  It stays, with ``atiyah_product``, for the splitting calculus
+    the tests check that engine against and for the benchmark tracer's
+    probes, and goes with those probes.
     """
     base = min(range(len(ds)), key=lambda k: ds[k].level)
     A, a = ds[base].algebra, len(ds[base].layers) - 1
@@ -255,7 +246,9 @@ def atiyah_product(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDe
     """Splitting of the product at the sum of the levels: layers convolve, so
     the top is r^p s^p.  A level-0 pair weighs like a level-1 splitting, so
     a factor of level 0 leaves one layer more than the level needs, and the
-    bottom two fold into one: layers[:2] = [p*c_0 + c_1]."""
+    bottom two fold into one: layers[:2] = [p*c_0 + c_1].  Like
+    ``atiyah_sum``, it serves only the tests' calculus and the tracer's
+    probes."""
     if da.algebra is not db.algebra:
         raise ValueError("decompositions live in different algebras")
     A = da.algebra
@@ -268,66 +261,18 @@ def atiyah_product(da: AtiyahDecomposition, db: AtiyahDecomposition) -> AtiyahDe
     return AtiyahDecomposition(A, da.source * db.source, da.level + db.level, tuple(layers))
 
 
-def horner(layers, p: int, k: int) -> tuple:
-    """sum_i p^(n-i) * layers[i], n = len(layers) - 1, with layers k .. n
-    merged by Horner's rule and those below scaled by p^(n-k); at k = 0 the
-    one layer left is the weighted sum.  Ring and module splittings share it."""
-    merged = layers[k]
-    for layer in layers[k + 1:]:
-        merged = merged * p + layer
-    scale = p ** (len(layers) - 1 - k)
-    return (*(layer * scale for layer in layers[:k]), merged)
-
-
-def atiyah_shift(d: AtiyahDecomposition, level: int) -> AtiyahDecomposition:
-    """Rewrite a level-q splitting at a lower level r, as q-r single-level
-    shifts would (each multiplies the layers by p and merges the two below
-    the top): with k = max(r, 1), ``horner`` merges layers k-1 .. q-1 and
-    those below pick up p^(q-k).  A level-1 splitting already has the shape
-    of a level-0 pair, so it only changes its level."""
-    q = d.level
-    if not 0 <= level < q:
-        raise ValueError(f"cannot shift a level-{q} decomposition to level {level}")
-    lowered = horner(d.layers[:q], d.algebra.p, max(level, 1) - 1)
-    return AtiyahDecomposition(d.algebra, d.source, level, (*lowered, d.layers[q]))
-
-
-def _monomial_decomposition(algebra: PrePsiAlgebra, m) -> AtiyahDecomposition:
-    """Splitting of a monomial at its natural level weight/2: the cached
-    splitting of m with the exponent of its heaviest-sorted generator lowered
-    by one, times one generator splitting.  Walks down to the longest cached
-    prefix, then back up."""
-    ring = algebra.ring
-    chain = []
-    d = None
-    while m[1]:
-        key = (frozenset({m: 1}.items()), m[0] // 2)
-        d = algebra.splittings.get(key)
-        if d is not None:
-            break
-        g = m[1][0][0]
-        chain.append((g, key))
-        m = mono_div(m, ring.power(g, 1))
-    for g, key in reversed(chain):
-        gd = algebra.generator_decomposition(ring.generators[g])
-        d = remember(algebra.splittings, key, gd if d is None else atiyah_product(d, gd))
-    return d
-
-
 def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomposition:
-    """Canonical splitting of an arbitrary element at level q <= weight(e)/2.
+    """The splitting of an arbitrary element at level q <= weight(e)/2, cut
+    from psi(e) in weight bands.
 
-    Recursion over the polynomial expression: generators use their stored
-    layers, monomials multiply them together, integer coefficients enter
-    through the Fermat-quotient rule at level 0, and the term splittings are
-    added by one ``atiyah_sum``, then shifted to q by at most one ``atiyah_shift``.
-
-    Results are memoized in ``algebra.splittings`` under
-    ``(frozenset(e.terms.items()), q)``, at most ``SPLITTING_CACHE_SIZE``
-    entries per algebra (``rings.remember``), after the input checks.  The
-    splitting is built from the terms alone (its source is rebuilt from the
-    pieces), so neither the ``truncated`` flag nor the identity of e can
-    change it and neither is part of the key.
+    With k = max(q, 1) and w_i = 2q + 2i(p-1), layer i < k-1 is the part of
+    psi(e) in weights [w_i, w_(i+1)) divided by p^(k-i), layer k-1 is the
+    rest of psi(e) - e^p divided by p, and the top is e^p.  Every term of a
+    monomial's psi image that lands in band i carries at least p^(k-i), and
+    psi(e) = e^p mod p, so every division is exact (``exact_div`` checks
+    it).  e^p is refused before it is built when its size bound
+    (``_power_bits``) exceeds ``MAX_POWER_BITS``.  psi's monomial memo is
+    the only cache.
     """
     if e.ring is not algebra.ring:
         raise ValueError("element lives in a different ambient ring")
@@ -339,24 +284,18 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
         raise ValueError(f"element has weight {e.weight()}, below the requested 2q={2 * q}")
     if q < 0:
         raise ValueError("level must be non-negative")
-    key = (frozenset(e.terms.items()), q)
-    cached = algebra.splittings.get(key)
-    if cached is not None:
-        return cached
-
-    pieces = []
-    for m, coeff in e.terms.items():
-        if m == UNIT:
-            pieces.append(scalar_decomposition(algebra, coeff))
-            continue
-        d = _monomial_decomposition(algebra, m)
-        if coeff != 1:
-            d = atiyah_product(scalar_decomposition(algebra, coeff), d)
-        pieces.append(d)
-    d = pieces[0] if len(pieces) == 1 else atiyah_sum(*pieces)
-    if d.level > q:
-        d = atiyah_shift(d, q)
-    return remember(algebra.splittings, key, d)
+    p, k = algebra.p, max(q, 1)
+    require_power_bits(_power_bits(e, p),
+                       f"the p-th power of a {len(e.terms)}-term element at p={p}")
+    top = e**p
+    psi = algebra.apply_psi(e)
+    bands = [{} for _ in range(k)]
+    for m, c in psi.terms.items():
+        bands[min((m[0] - 2 * q) // (2 * (p - 1)), k - 1)][m] = c
+    add_into(bands[-1], top.terms.items(), -1)
+    layers = [Element._clean(algebra.ring, band, None, psi.truncated).exact_div(p ** (k - i))
+              for i, band in enumerate(bands)]
+    return AtiyahDecomposition(algebra, e, q, (*layers, top))
 
 
 def explicit_lift_decomposition(algebra: PrePsiAlgebra, r: Element,
@@ -366,8 +305,10 @@ def explicit_lift_decomposition(algebra: PrePsiAlgebra, r: Element,
     and f and the element gamma with r^p + p*h^p + f^p = s^p + p*gamma.
 
     This is the well-definedness construction; it serves as an independent
-    oracle against ``atiyah_decompose`` applied to s.  Requires level >= 1,
-    weight(h) >= 2q and weight(f) >= 2q+2.
+    oracle against ``atiyah_decompose`` applied to s, and never splits s:
+    r^p, h^p and f^p are the tops of the three splittings it reads, and s^p
+    is built once.  Requires level >= 1, weight(h) >= 2q and
+    weight(f) >= 2q+2.
     """
     p, q = algebra.p, dr.level
     if q < 1:
@@ -380,7 +321,8 @@ def explicit_lift_decomposition(algebra: PrePsiAlgebra, r: Element,
     dh = atiyah_decompose(algebra, h, q) if h else zero_decomposition(algebra, q)
     n = (f.weight() - 2 * q) // 2 if f else 1
     df = atiyah_decompose(algebra, f, q + n) if f else zero_decomposition(algebra, q + n)
-    gamma = (r**p + (h**p) * p + f**p - s**p).exact_div(p)
+    top = s**p
+    gamma = (dr.layers[-1] + dh.layers[-1] * p + df.layers[-1] - top).exact_div(p)
 
     layers = []
     for i in range(q - 1):
@@ -389,7 +331,7 @@ def explicit_lift_decomposition(algebra: PrePsiAlgebra, r: Element,
     for j in range(q - 1, q + n):
         near_top = near_top + df.layers[j] * p ** (q + n - 1 - j)
     layers.append(near_top)
-    layers.append(s**p)
+    layers.append(top)
     return AtiyahDecomposition(algebra, s, q, tuple(layers))
 
 
@@ -427,8 +369,8 @@ def verify_welldefined(algebra: PrePsiAlgebra, e: Element, q: int,
                        trials: int = 20, seed: int = 0) -> Verdict:
     """Compare layer classes of e against randomized alternative lifts
     s = e + p*h + f, and on every trial against the explicit construction,
-    the one route that does not read s's splitting from the monomial
-    splittings that also build e's.
+    the one route that builds s's splitting from those of e, h and f rather
+    than from the bands of psi(s).
 
     PASS means every compared class agreed in every graded weight below the
     top monomial that the truncation window can decide; the first

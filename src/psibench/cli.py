@@ -64,8 +64,10 @@ def _load(args) -> dict:
 
 
 def _element(ring, text: str, mod: int | None = None):
-    """The --element expression, refused above MAX_WEIGHT: a splitting takes
-    one product per generator factor of the heaviest term."""
+    """The --element expression, refused above MAX_WEIGHT: psi of its
+    heaviest term raises the psi images of that term's generators to their
+    exponents, so the work grows with its weight.  ``parse_element`` has
+    already refused a term above the window 2D."""
     e = parse_element(ring, text, mod=mod)
     if e and (weight := max(e.terms)[0]) > MAX_WEIGHT:
         raise ValueError(f"element term of weight {weight} must be at most MAX_WEIGHT={MAX_WEIGHT}")

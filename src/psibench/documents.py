@@ -232,29 +232,33 @@ def _tokenize(text: str) -> list:
 
 
 def parse_element(ring: WeightedRing, text: str, mod: int | None = None) -> Element:
-    """Parse expressions like ``2*x^3 + x[1,2] - 7``."""
+    """Parse expressions like ``2*x^3 + x[1,2] - 7``.  A term above the
+    window 2D is refused before it is built, rather than dropped."""
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty element expression")
     total = ring.zero(mod)
     i = 0
 
-    def parse_factor(i: int):
+    def parse_factor(i: int, weight: int):
+        """The factor at token i, the weight of its term up to it, and the
+        next index."""
         kind, val = tokens[i]
         if kind == "int":
-            return ring.scalar(val, mod), i + 1
-        if kind == "var":
-            name, indices = val
-            factor = ring.gen(name, indices, mod=mod)
-            i += 1
-            if i + 1 < len(tokens) and tokens[i] == ("op", "^"):
-                kind2, exp = tokens[i + 1]
-                if kind2 != "int":
-                    raise ValueError("exponent must be an integer literal")
-                factor = factor**exp
-                i += 2
-            return factor, i
-        raise ValueError(f"unexpected token {val!r} in element expression")
+            return ring.scalar(val, mod), weight, i + 1
+        if kind != "var":
+            raise ValueError(f"unexpected token {val!r} in element expression")
+        symbol, exp, i = ring.symbol(*val), 1, i + 1
+        if i + 1 < len(tokens) and tokens[i] == ("op", "^"):
+            kind, exp = tokens[i + 1]
+            if kind != "int":
+                raise ValueError("exponent must be an integer literal")
+            i += 2
+        weight += symbol.weight * exp
+        if weight > ring.max_weight:
+            raise ValueError(f"element term of weight {weight} lies above the window "
+                             f"2D={ring.max_weight}")
+        return ring.var(symbol, mod) ** exp, weight, i
 
     sign = 1
     if tokens[0] == ("op", "-"):
@@ -263,9 +267,9 @@ def parse_element(ring: WeightedRing, text: str, mod: int | None = None) -> Elem
     elif tokens[0] == ("op", "+"):
         i = 1
     while i < len(tokens):
-        term, i = parse_factor(i)
+        term, weight, i = parse_factor(i, 0)
         while i < len(tokens) and tokens[i] == ("op", "*"):
-            factor, i = parse_factor(i + 1)
+            factor, weight, i = parse_factor(i + 1, weight)
             term = term * factor
         total = total + term * sign
         if i == len(tokens):

@@ -4,9 +4,8 @@ weighted layers, and the finite-generation closure check.
 Module elements are integer combinations of basis symbols sitting in even
 weights up to the window 2D.  Each symbol carries layer data at its own
 level; splittings of arbitrary elements follow by linearity and level
-shifting through ``atiyah.horner``, the Horner rule ring splittings shift by
-too, and psi is the level-0 splitting (no multiplicative top-layer
-constraint here, unlike the ring case).  Generation is decided weight by
+shifting through ``horner``, and psi is the level-0 splitting (no
+multiplicative top-layer constraint here, unlike the ring case).  Generation is decided weight by
 weight through exact membership in one sparse incremental lattice over Z
 (``normalforms.Lattice``) whose columns are the symbol names.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .arith import validate_prime
-from .atiyah import horner
 from .normalforms import Lattice, in_lattice
 from .rings import add_into
 from .verdicts import Verdict
@@ -90,6 +88,17 @@ class ModuleElement:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def horner(layers, p: int, k: int) -> tuple:
+    """sum_i p^(n-i) * layers[i], n = len(layers) - 1, with layers k .. n
+    merged by Horner's rule and those below scaled by p^(n-k); at k = 0 the
+    one layer left is the weighted sum."""
+    merged = layers[k]
+    for layer in layers[k + 1:]:
+        merged = merged * p + layer
+    scale = p ** (len(layers) - 1 - k)
+    return (*(layer * scale for layer in layers[:k]), merged)
 
 
 class ModuleDecomposition(namedtuple("ModuleDecomposition", "module source level layers")):
@@ -168,10 +177,9 @@ class PsiModule:
     def decompose(self, e: ModuleElement, q: int) -> ModuleDecomposition:
         """Splitting of an arbitrary element at level q <= weight(e)/2.  Each
         symbol's stored splitting moves from its level down to q in one step
-        through ``atiyah.horner``, the rule ring splittings shift by too:
-        layers q .. level merge, those below pick up p^(level-q), and the
-        result is scaled by the symbol's coordinate; the symbols add layerwise,
-        into one coordinate dict per layer."""
+        through ``horner``: layers q .. level merge, those below pick up
+        p^(level-q), and the result is scaled by the symbol's coordinate; the
+        symbols add layerwise, into one coordinate dict per layer."""
         if 2 * q > e.weight():
             raise ValueError(f"element has weight {e.weight()}, below 2q={2 * q}")
         layers = [{} for _ in range(q + 1)]

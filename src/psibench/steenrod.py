@@ -6,7 +6,9 @@ P^i returns the mod-p class of psi(e)_w / p^(q-i), w = 2q + 2i(p-1)
 the top they are the p-th power, both by construction.  The registered
 checkers (``AXIOMS``) verify the other unstable-algebra axioms for these
 operations, and closure of the graded relations under them, exactly within
-the truncation window; splittings serve only exactness and well-definedness.
+the truncation window.  Layer splittings (``atiyah_decompose``), cut from
+the same psi image in weight bands, serve only exactness and
+well-definedness.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def steenrod_P(algebra, i: int, cls: GradedClass) -> GradedClass:
     level, on the zero class and above the top monomial.  Computed once per
     algebra and (i, class) in its ``operations`` dict, under ``(i, degree,
     rep terms)``, the data ``GradedClass`` equality compares, and bounded
-    like the splitting cache (``rings.remember``)."""
+    like every memo (``rings.remember``)."""
     if i < 0:
         raise ValueError("operation index must be non-negative")
     target = cls.degree + 2 * i * (algebra.p - 1)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from psibench.arith import (MAX_POWER_BITS, adem_coefficient, fermat_quotient, is_prime,
-                            lucas_binom, validate_prime)
+from psibench.arith import MAX_POWER_BITS, adem_coefficient, is_prime, lucas_binom, validate_prime
+from splitting_calculus import fermat_quotient
 
 
 def test_is_prime_small():
@@ -64,6 +64,9 @@ def test_adem_coefficient_domain():
         adem_coefficient(3, 1, 1, 1)  # t > floor(i/p)
     with pytest.raises(ValueError):
         adem_coefficient(4, 1, 1, 0)  # not prime
+
+
+# the scalar rule of the splitting calculus that the tests keep as an oracle
 
 
 @given(st.integers(-50, 50), st.sampled_from([2, 3, 5, 7]))

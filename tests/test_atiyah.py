@@ -7,21 +7,23 @@ from hypothesis import strategies as st
 
 import psibench.atiyah as atiyah
 import psibench.rings as rings
+import psibench.steenrod as steenrod
 from psibench.atiyah import (AtiyahDecomposition, PrePsiAlgebra,
-                             atiyah_decompose, atiyah_product, atiyah_shift,
-                             atiyah_sum, explicit_lift_decomposition,
-                             graded_classes_agree, random_element,
-                             scalar_decomposition, verify_welldefined,
+                             atiyah_decompose, atiyah_product, atiyah_sum,
+                             explicit_lift_decomposition, graded_classes_agree,
+                             random_element, verify_welldefined,
                              zero_decomposition)
 from psibench.documents import algebra_from_document, algebra_to_document
 from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, product_projective_spaces,
                              projective_space_ring)
-from psibench.rings import UNIT, mono_weight
+from psibench.rings import UNIT
 from psibench.steenrod import (GradedClass, check_exactness, classify,
                                interesting_degrees, sample_classes, steenrod_P)
 from psibench.verdicts import FAIL
+from splitting_calculus import (atiyah_shift, calculus_decompose, monomial_decomposition,
+                                scalar_decomposition)
 
 
 def test_dual_numbers_psi_and_layers():
@@ -84,11 +86,17 @@ def test_decomposition_needs_one_layer_per_level_and_a_top():
             AtiyahDecomposition(A, t, level, layers)
 
 
+# -- the splitting calculus (tests/splitting_calculus.py) --------------------------------
+# The oracle that the band splitting of ``atiyah_decompose`` is compared with
+# (tests/test_band_formula.py, tests/test_welldefined.py) builds splittings
+# from sums, products and shifts; these pin its rules.
+
+
 def test_square_of_generator_layers():
     # psi(x)^2 = (9x + x^3)^2 = 81 x^2 + 18 x^4 + x^6 peels to (x^2,0,2x^4,0,x^6)
     A = adem_failure_ring(3, D=12)
     x = A.ring.gen("x")
-    dx = atiyah_decompose(A, x, 2)
+    dx = calculus_decompose(A, x, 2)
     d = atiyah_product(dx, dx)
     assert d.level == 4
     assert d.layers == (x**2, A.ring.zero(), x**4 * 2, A.ring.zero(), x**6)
@@ -98,7 +106,7 @@ def test_square_of_generator_layers():
 def test_product_unit_and_level_additivity():
     A = adem_failure_ring(3, D=12)
     x = A.ring.gen("x")
-    dx = atiyah_decompose(A, x, 2)
+    dx = calculus_decompose(A, x, 2)
     done = scalar_decomposition(A, 1)
     prod = atiyah_product(done, dx)
     assert prod.level == dx.level
@@ -117,7 +125,7 @@ def test_product_zero_level_branches():
     assert both.weighted_sum() == A.ring.scalar(10)
     assert both.problems() == []
     x = A.ring.gen("x")
-    dx = atiyah_decompose(A, x, 2)
+    dx = calculus_decompose(A, x, 2)
     mixed = atiyah_product(d2, dx)
     assert mixed.level == 2
     assert mixed.weighted_sum() == A.apply_psi(x * 2)
@@ -136,7 +144,7 @@ def test_product_zero_level_branches():
 def test_sum_with_zero_is_identity():
     A = adem_failure_ring(3, D=12)
     x = A.ring.gen("x")
-    dx = atiyah_decompose(A, x, 2)
+    dx = calculus_decompose(A, x, 2)
     for level in (2, 4):
         combined = atiyah_sum(dx, zero_decomposition(A, level))
         assert combined.level == 2
@@ -148,7 +156,7 @@ def test_sum_across_levels_exact():
     # x at level 2 plus x^2 at level 4: the combined splitting of x + x^2
     A = adem_failure_ring(3, D=12)
     x = A.ring.gen("x")
-    dx = atiyah_decompose(A, x, 2)
+    dx = calculus_decompose(A, x, 2)
     dxx = atiyah_product(dx, dx)
     combined = atiyah_sum(dx, dxx)
     assert combined.level == 2
@@ -159,7 +167,7 @@ def test_sum_across_levels_exact():
 def test_sum_is_independent_of_summand_order():
     A = adem_failure_ring(3, D=12)
     x = A.ring.gen("x")
-    dx = atiyah_decompose(A, x, 2)
+    dx = calculus_decompose(A, x, 2)
     dxx = atiyah_product(dx, dx)
     assert atiyah_sum(dxx, dx) == atiyah_sum(dx, dxx)
 
@@ -169,13 +177,13 @@ def test_sum_correction_is_the_binomial_middle():
     # layer below the top
     A = projective_space_ring(2, 4)
     t = A.ring.gen("t")
-    dt = atiyah_decompose(A, t, 1)
+    dt = calculus_decompose(A, t, 1)
     # (1/2) binom(2,1) = 1, so the correction for r = s is r*s = t^2
     assert atiyah_sum(dt, dt).layers == (dt.layers[0] * 2 - t**2, (t * 2) ** 2)
     for p in (3, 5):
         B = adem_failure_ring(p, D=2 * p * (p - 1))
         x = B.ring.gen("x")
-        dx, dxx = atiyah_decompose(B, x, p - 1), atiyah_decompose(B, x**2, 2 * (p - 1))
+        dx, dxx = calculus_decompose(B, x, p - 1), calculus_decompose(B, x**2, 2 * (p - 1))
         combined = atiyah_sum(dx, dxx)
         c = dx.layers[p - 2] + dxx.layers[2 * p - 3] - combined.layers[p - 2]
         assert (x + x**2) ** p - c * p == x**p + x ** (2 * p)
@@ -187,7 +195,7 @@ def test_sum_correction_is_the_binomial_middle():
 def test_shift_golden():
     A = projective_space_ring(3, 4)
     t = A.ring.gen("t")
-    d = atiyah_decompose(A, t, 1)
+    d = calculus_decompose(A, t, 1)
     shifted = atiyah_shift(d, 0)
     assert shifted.level == 0
     assert shifted.layers == (d.layers[0], t**3)
@@ -195,7 +203,7 @@ def test_shift_golden():
 
     B = adem_failure_ring(3, D=12)
     x = B.ring.gen("x")
-    d2 = atiyah_decompose(B, x, 2)
+    d2 = calculus_decompose(B, x, 2)
     down = atiyah_shift(d2, 0)
     assert down.level == 0
     assert down.weighted_sum() == B.apply_psi(x)
@@ -209,8 +217,8 @@ def test_shift_coherence_in_graded():
     for A, gen, q in ((adem_failure_ring(3, D=12), "x", 2),
                       (projective_space_ring(2, 5), "t", 3)):
         e = A.ring.gen(gen) ** (q * 2 // A.ring.symbol(gen).weight)
-        direct = atiyah_decompose(A, e, q - 1)
-        shifted = atiyah_shift(atiyah_decompose(A, e, q), q - 1)
+        direct = calculus_decompose(A, e, q - 1)
+        shifted = atiyah_shift(calculus_decompose(A, e, q), q - 1)
         layers = range(1, q) if q - 1 > 0 else [1]
         for i in layers:
             w = 2 * (q - 1) + 2 * i * (A.p - 1)
@@ -219,10 +227,10 @@ def test_shift_coherence_in_graded():
 
 
 # -- the pairwise rule as an oracle ----------------------------------------------------
-# The engine adds all term splittings in one atiyah_sum and shifts once.  The
-# reference below is the rule it replaces: terms in monomial order, splittings
-# folded two at a time lowest level first, each pair corrected by its three
-# tops, then shifted down one level at a time.
+# The calculus adds all term splittings in one atiyah_sum and shifts once.
+# The reference below is the rule that replaced: terms in monomial order,
+# splittings folded two at a time lowest level first, each pair corrected by
+# its three tops, then shifted down one level at a time.
 
 
 def _pairwise_sum(da, db):
@@ -256,7 +264,7 @@ def _pairwise_decompose(A, e, q):
         if m == UNIT:
             pieces.append(scalar_decomposition(A, c))
             continue
-        d = atiyah_decompose(A, A.ring.element({m: 1}), mono_weight(m) // 2)
+        d = monomial_decomposition(A, m)
         pieces.append(d if c == 1 else atiyah_product(scalar_decomposition(A, c), d))
     pieces.sort(key=lambda d: d.level)
     acc = pieces[0]
@@ -283,7 +291,7 @@ def test_one_sum_and_one_shift_match_the_pairwise_rule():
         if not e:
             continue
         for q in range(e.weight() // 2 + 1):
-            ref, got = _pairwise_decompose(A, e, q), atiyah_decompose(A, e, q)
+            ref, got = _pairwise_decompose(A, e, q), calculus_decompose(A, e, q)
             assert (got.level, got.layers) == (ref.level, ref.layers), (A, str(e), q)
             flags = [(d.truncated, d.source.truncated, [l.truncated for l in d.layers])
                      for d in (got, ref)]
@@ -457,8 +465,8 @@ def test_sum_and_product_identities_property(data):
     a = _CP.ring.element({data.draw(st.sampled_from(monos)): data.draw(st.integers(-5, 5))})
     b = _CP.ring.element({data.draw(st.sampled_from(monos)): data.draw(st.integers(-5, 5))})
     assume(bool(a) and bool(b))
-    da = atiyah_decompose(_CP, a, int(a.weight() // 2))
-    db = atiyah_decompose(_CP, b, int(b.weight() // 2))
+    da = calculus_decompose(_CP, a, int(a.weight() // 2))
+    db = calculus_decompose(_CP, b, int(b.weight() // 2))
     prod = atiyah_product(da, db)
     assert prod.level == da.level + db.level
     assert prod.problems() == []
@@ -481,7 +489,7 @@ def test_generator_data_validation():
         PrePsiAlgebra(ring, 3, {})
 
 
-# -- the per-algebra splitting cache ------------------------------------------------
+# -- the one cache: psi's monomial memo -----------------------------------------------
 
 
 def _same_splitting(a, b):
@@ -490,6 +498,9 @@ def _same_splitting(a, b):
 
 
 def test_splitting_cache_warm_equals_cold():
+    """Splittings read psi's monomial memo and keep no cache of their own:
+    read again, read after the memo is cleared, and read off a copy of the
+    element flagged truncated, they have the same layers."""
     rng = random.Random(23)
     for A in (projective_space_ring(3, 5), adem_failure_ring(3), dual_numbers_ring(2, 3)):
         cases = []
@@ -498,16 +509,15 @@ def test_splitting_cache_warm_equals_cold():
             if e:
                 cases.extend((e, q) for q in range(int(e.weight() // 2) + 1))
         warm = [atiyah_decompose(A, e, q) for e, q in cases]
+        assert A.psi.memo
         for (e, q), d in zip(cases, warm):
-            assert atiyah_decompose(A, e, q) is d
-            assert atiyah_decompose(A, A.ring.element(e.terms, truncated=True), q) is d
+            assert _same_splitting(atiyah_decompose(A, e, q), d)
+        A.psi.memo.clear()
         for (e, q), d in zip(cases, warm):
-            flagged = A.ring.element(e.terms, truncated=True)
-            A.splittings.clear()
             assert _same_splitting(atiyah_decompose(A, e, q), d), (A.name, str(e), q)
-            A.splittings.clear()
-            assert _same_splitting(atiyah_decompose(A, flagged, q), d)
-        # input checks stay ahead of the lookup
+            flagged = atiyah_decompose(A, A.ring.element(e.terms, truncated=True), q)
+            assert flagged.layers == d.layers and flagged.truncated
+        # input checks come first
         x = A.ring.var(A.ring.generators[0])
         atiyah_decompose(A, x, 0)
         with pytest.raises(ValueError):
@@ -520,26 +530,30 @@ def test_splitting_cache_is_per_algebra():
     doc = algebra_to_document(projective_space_ring(3, 4))
     A, B = algebra_from_document(doc), algebra_from_document(doc)
     d = atiyah_decompose(A, A.ring.gen("t") ** 2 * 2, 2)
-    assert A.splittings and not B.splittings
+    assert A.psi.memo and not B.psi.memo
     e = B.ring.gen("t") ** 2 * 2
     dB = atiyah_decompose(B, e, 2)
-    assert dB is not d and dB.algebra is B and dB.source.ring is B.ring
-    assert not set(A.splittings.values()) & set(B.splittings.values())
+    assert dB.algebra is B and all(layer.ring is B.ring for layer in dB.layers)
+    assert [str(layer) for layer in dB.layers] == [str(layer) for layer in d.layers]
     with pytest.raises(ValueError):
         atiyah_decompose(A, e, 2)
 
 
 def test_splitting_cache_bound(monkeypatch):
+    def cases(A):
+        t = A.ring.gen("t")
+        return [t**4, t + t**3, t * 2 + t**2, t**5, t**3 * 7]
+
+    reference = projective_space_ring(3, 5)
+    want = [[str(layer) for layer in atiyah_decompose(reference, e, 1).layers]
+            for e in cases(reference)]
     monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", 3)
     A = projective_space_ring(3, 5)
-    t = A.ring.gen("t")
-    for e in (t**4, t + t**3, t * 2 + t**2, t**5):
+    for e, layers in zip(cases(A), want):
         d = atiyah_decompose(A, e, 1)
-        assert d.problems() == []
-        assert len(A.splittings) <= 3
-    assert len(A.splittings) == 3
-    atiyah_decompose(A, t**3 * 7, 1)
-    assert len(A.splittings) == 3
+        assert d.problems() == [] and [str(layer) for layer in d.layers] == layers
+        assert len(A.psi.memo) <= 3
+    assert len(A.psi.memo) == 3
 
 
 def _operation_cases(A, rng):
@@ -612,7 +626,7 @@ def test_memoized_operations_keep_the_adem_witness(monkeypatch):
     monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", 0)  # no memo at all
     A = adem_failure_ring(3)
     plain = classify(A)
-    assert not A.operations and not A.splittings
+    assert not A.operations and not A.psi.memo
     assert memoized.label == plain.label == "pre-psi-p"
     adem = memoized.verdict("adem")
     assert adem.status == FAIL and adem.to_dict() == plain.verdict("adem").to_dict()
@@ -634,38 +648,50 @@ def test_welldefined_runs_the_explicit_oracle_on_every_trial(monkeypatch):
     assert v.checked + v.skipped == 7 * 2 * 2
 
 
-def test_poisoned_splitting_cache_is_caught():
-    """A wrong cached splitting is caught: the exactness check and the
-    explicit well-definedness oracle compare against data the cache does not
+def _poison(monkeypatch, hit):
+    """Replace the engine, where atiyah and steenrod call it, by one whose
+    splittings of the sources that ``hit`` accepts gain their source in
+    layer 0."""
+    engine = atiyah.atiyah_decompose
+
+    def poisoned(algebra, e, q):
+        d = engine(algebra, e, q)
+        if not hit(e):
+            return d
+        return AtiyahDecomposition(algebra, e, q, (d.layers[0] + e,) + d.layers[1:])
+
+    for module in (atiyah, steenrod):
+        monkeypatch.setattr(module, "atiyah_decompose", poisoned)
+
+
+def test_poisoned_splitting_engine_is_caught(monkeypatch):
+    """A wrong splitting is caught: the exactness check and the explicit
+    well-definedness oracle compare against data the engine's output does not
     supply (psi of the source, and splittings of h and f rather than of s)."""
     A = projective_space_ring(3, 4)
     t = A.ring.gen("t")
-    good = atiyah_decompose(A, t, 1)
-    key = (frozenset(t.terms.items()), 1)
-    A.splittings[key] = AtiyahDecomposition(A, t, 1, (good.layers[0] + t, good.layers[1]))
-
+    _poison(monkeypatch, lambda e: True)
     v = check_exactness(A, 2, trials=2, seed=0)
     assert v.status == FAIL
     assert v.witness["class"] == "t" and v.witness["problems"]
-    # the poisoned monomial splitting of t also enters every lift s, so the
-    # engine-vs-engine comparison alone agrees; the explicit oracle does not
+    # every splitting gains its source, so the engine-vs-engine comparison
+    # alone agrees; the explicit oracle does not
     v = verify_welldefined(A, t, 1, trials=3, seed=0)
     assert v.status == FAIL
     assert v.witness["oracle"] == "explicit construction is inexact"
     # the count stops at the witness: the two layers of trial 0 agreed first
     assert (v.witness["trial"], v.checked, v.skipped) == (0, 2, 0)
 
-    # a fresh algebra, since the poison above spread into cached products of t
-    A = projective_space_ring(3, 4)
-    t = A.ring.gen("t")
+    # only the splitting of s is wrong: the explicit construction never
+    # splits s, so it disagrees with that splitting
+    monkeypatch.undo()
     good = atiyah_decompose(A, t, 1)
     h, f = t, t**2
     s = t + h * 3 + f
     true_ds = atiyah_decompose(A, s, 1)
-    A.splittings[(frozenset(s.terms.items()), 1)] = AtiyahDecomposition(
-        A, s, 1, (true_ds.layers[0] + t, true_ds.layers[1]))
+    _poison(monkeypatch, lambda e: e == s)
     dx = explicit_lift_decomposition(A, t, good, h, f)
     assert dx.weighted_sum() == A.apply_psi(s)
     assert graded_classes_agree(A, dx.layers[0], true_ds.layers[0], 2) is True
-    poisoned = atiyah_decompose(A, s, 1)
+    poisoned = atiyah.atiyah_decompose(A, s, 1)
     assert graded_classes_agree(A, dx.layers[0], poisoned.layers[0], 2) is False

@@ -421,9 +421,10 @@ def test_kmax_outside_its_range_exits_two(docs, kmax, message, capsys):
 HUGE_PRIME_DOCUMENT = "projective-space-p1000000000000000003-n4.json"
 
 
-# Without the element bound, atiyah on x^600 (weight 2400) took about 6 s and
-# 150 MB on a 2-CPU host, and on x^2000 did not finish in 30 s: a monomial's
-# splitting takes one product per generator factor.
+# Without the element bound, atiyah on x^2000 (weight 8000) at --truncation
+# 100000 takes about 8 s on a 2-CPU host: psi of a monomial raises the psi
+# images of its generators to their exponents.  A term above the window 2D is
+# refused by name rather than dropped.
 @pytest.mark.parametrize("name, argv, message", [
     ("projective-space-p3-n4.json", ["verify", "--trials", "1000000"],
      "error: --trials must be at most MAX_TRIALS=32, got 1000000"),
@@ -446,6 +447,11 @@ HUGE_PRIME_DOCUMENT = "projective-space-p1000000000000000003-n4.json"
                                 ("*t", "unexpected token '*' in element expression"),
                                 ("2 3", "expected + or - between terms, got 3")]),
     ("power-tower-p3-D81.json", ["fingen", "--generators", ","], "error: no generators supplied"),
+    *(("projective-space-p3-n4.json", [*command, "--element", element, "--truncation", D],
+       f"error: element term of weight {weight} lies above the window 2D={2 * int(D)}")
+      for command, element, D, weight in [(["steenrod", "-i", "0"], "t^3", "2", 6),
+                                          (["atiyah"], "t^2", "1", 4),
+                                          (["atiyah"], "t + t^2*t", "2", 6)]),
 ])
 def test_hostile_input_exits_two(name, argv, message, tmp_path, capsys):
     sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
@@ -473,10 +479,11 @@ def _one_generator_document(tmp_path, p):
     return str(path)
 
 
-@pytest.mark.parametrize("command", [["atiyah", "--element", "1000*t"]])
+@pytest.mark.parametrize("command", [["atiyah", "--element", "1000 + t"]])
 def test_a_coefficient_power_beyond_the_bit_budget_exits_two(command, tmp_path, capsys):
-    # 1000^p alone would be about 2.7 GB at this prime; a tree without the
-    # budget fails this module's import of MAX_POWER_BITS before building it
+    # the top layer (1000 + t)^p holds 1000^p, about 2.7 GB at this prime; a
+    # tree without the budget fails this module's import of MAX_POWER_BITS
+    # before building it
     path = _one_generator_document(tmp_path, 2147483647)
     t0 = time.perf_counter()
     rc = main([command[0], "--doc", path, *command[1:]])
@@ -487,9 +494,13 @@ def test_a_coefficient_power_beyond_the_bit_budget_exits_two(command, tmp_path, 
     assert f"above MAX_POWER_BITS={MAX_POWER_BITS}" in captured.err
     assert captured.err.count("\n") == 1
     assert elapsed < 2.0
-    # a unit coefficient has a trivial power and still splits
-    assert main(["atiyah", "--doc", path, "--element", "t", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["layers"] == ["t", "0"]
+    # a unit coefficient has a trivial power and still splits, and so does
+    # 1000*t, whose power lies above the window and is never built
+    for element, layers in (("t", ["t", "0"]), ("1000*t", ["1000*t", "0"])):
+        t0 = time.perf_counter()
+        assert main(["atiyah", "--doc", path, "--element", element, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["layers"] == layers
+        assert time.perf_counter() - t0 < 2.0
 
 
 def _two_generator_document(tmp_path, p):
@@ -515,7 +526,7 @@ def test_a_sum_power_beyond_the_bit_budget_exits_two(command, tmp_path, capsys):
     elapsed = time.perf_counter() - t0
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err.startswith("error: a sum of 2 terms raised to the power p=10007")
+    assert captured.err.startswith("error: the p-th power of a 2-term element at p=10007")
     assert f"above MAX_POWER_BITS={MAX_POWER_BITS}" in captured.err
     assert captured.err.count("\n") == 1
     assert elapsed < 2.0

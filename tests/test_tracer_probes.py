@@ -4,6 +4,7 @@
 function would crash the traced benchmark run, so this checks the names
 from the tier-1 suite."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -15,6 +16,12 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+# Probed functions that nothing in the package calls: the benchmark times
+# them, the program never reaches them, and they go with their probes.
+PROBE_ONLY = {"hermite_normal_form", "smith_normal_form", "check_pth_power",
+              "check_instability", "check_p0_identity_table", "check_adem_table",
+              "atiyah_sum", "atiyah_product"}
 
 
 def _probes():
@@ -47,3 +54,21 @@ def test_every_probed_module_loads_with_the_cli():
         [sys.executable, "-c", "import sys, psibench.cli; print(*sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout.split()
     assert not probed - set(loaded), sorted(probed - set(loaded))
+
+
+@pytest.mark.skipif(not TRACER.is_file(), reason="benchmark tracer not present")
+def test_only_the_listed_probes_time_code_the_package_never_calls():
+    """Every name the package's code reads, as a name or an attribute: a
+    ``def`` and an import bind a name without reading it, so neither the
+    definition nor the ``__init__`` re-exports count.  Dunder methods run
+    through operators and are not looked for."""
+    read = set()
+    for path in (ROOT / "src" / "psibench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    probed = {attr.split(".")[-1] for _, _, attr in _probes()}
+    unread = {name for name in probed - read if not name.startswith("__")}
+    assert unread == PROBE_ONLY

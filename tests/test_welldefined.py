@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import psibench.atiyah as atiyah
 from psibench.atiyah import (atiyah_decompose, explicit_lift_decomposition,
                              graded_classes_agree, random_element,
                              verify_welldefined)
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
-                             projective_space_ring)
+                             product_projective_spaces, projective_space_ring)
 from psibench.verdicts import PASS
+from splitting_calculus import calculus_decompose
 
 
 def test_identical_lifts_pass():
@@ -37,10 +39,12 @@ def test_explicit_lift_matches_engine():
         dx = explicit_lift_decomposition(A, x, dr, h, f)
         assert dx.weighted_sum() == A.apply_psi(s)
         ds = atiyah_decompose(A, s, 2)
+        calculus = calculus_decompose(A, s, 2)
         for i in range(3):
             w = 4 + 4 * i
             agree = graded_classes_agree(A, dx.layers[i], ds.layers[i], w)
             assert agree is True
+            assert graded_classes_agree(A, calculus.layers[i], ds.layers[i], w) is True
         # and both agree with the original element's layer classes
         for i in range(3):
             w = 4 + 4 * i
@@ -54,9 +58,44 @@ def test_explicit_lift_specific_perturbation():
     x = A.ring.gen("x")
     d1 = atiyah_decompose(A, x, 2)
     d2 = atiyah_decompose(A, x * 4, 2)
+    calculus = calculus_decompose(A, x, 2)
     for i in range(3):
         w = 4 + 4 * i
         assert graded_classes_agree(A, d1.layers[i], d2.layers[i], w) is True
+        assert graded_classes_agree(A, calculus.layers[i], d2.layers[i], w) is True
+
+
+@pytest.mark.parametrize("make, generator, q", [
+    (lambda: adem_failure_ring(3), "x", 2),
+    (lambda: adem_failure_ring(5, D=8), "x", 4),
+    (lambda: projective_space_ring(3, 5), "t", 1),
+    (lambda: projective_space_ring(2, 6), "t", 1),
+    (lambda: dual_numbers_ring(5, 2), "e", 2),
+    (lambda: product_projective_spaces(3, 2, 2), "u", 1),
+], ids=["adem-p3", "adem-p5", "projective-p3", "projective-p2", "dual-p5", "product-p3"])
+def test_explicit_lift_from_the_calculus_has_the_band_classes(make, generator, q, monkeypatch):
+    """The explicit construction built wholly from the calculus's splittings
+    of e, h and f (tests/splitting_calculus.py) has the layer classes of the
+    band splitting of s = e + p*h + f, in every weight the window decides."""
+    A = make()
+    engine, p, top = atiyah.atiyah_decompose, A.p, A.ring.top_weight()
+    monkeypatch.setattr(atiyah, "atiyah_decompose", calculus_decompose)
+    e = A.ring.gen(generator)
+    dr = calculus_decompose(A, e, q)
+    rng, compared = random.Random(generator + str(p)), 0
+    for _ in range(10):
+        h = random_element(A, rng, min_weight=2 * q)
+        f = random_element(A, rng, min_weight=2 * q + 2)
+        s = e + h * p + f
+        dx = explicit_lift_decomposition(A, e, dr, h, f)
+        assert dx.weighted_sum() == A.apply_psi(s)
+        ds = engine(A, s, q)
+        for i in range(q + 1):
+            w = 2 * q + 2 * i * (p - 1)
+            if w <= top:
+                assert graded_classes_agree(A, dx.layer(i), ds.layer(i), w) is True, (str(s), i)
+                compared += 1
+    assert compared >= 10
 
 
 def test_explicit_lift_requires_positive_level():

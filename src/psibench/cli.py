@@ -9,7 +9,9 @@ errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import sys
 
 from . import __version__
@@ -108,6 +110,12 @@ def cmd_atiyah(args) -> int:
     level = args.level if args.level is not None else int(element.weight() // 2)
     d = atiyah_decompose(algebra, element, level)
     problems = d.problems()
+    for i, layer in enumerate(d.layers):
+        c = max(map(abs, layer.terms.values()), default=0)
+        if c >= 10 ** (limit := sys.get_int_max_str_digits() or math.inf):  # 0: no limit
+            digits = int(c.bit_length() * math.log10(2))  # the count, or one less
+            raise ValueError(f"layer {i} has a coefficient of {digits + (c >= 10 ** digits)} "
+                             f"digits; Python prints at most sys.get_int_max_str_digits()={limit}")
     report = _base_report("atiyah", doc, None, {
         "element": args.element, "level": level})
     report.update({
@@ -282,5 +290,8 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry: ``main`` over a frozen start-up heap, which exit's collections skip.
+    ``main`` never freezes, since tests and the benchmark tracer call it in process."""
+    gc.freeze()
     sys.exit(main())

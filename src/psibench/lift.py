@@ -28,10 +28,9 @@ from .unstable import UnstableAlgebra
 from .verdicts import Verdict
 
 # Largest admissible-variable set a window may need, sized from measured
-# presentations plus lifts on a shared 2-CPU host: p=2, D=12 (5,702
-# variables) takes about 0.8 s and 56 MB peak RSS; the largest windows under
-# the cap, p=5, D=48 (8,021) and p=7, D=72 (8,161), take about 3.4 s and
-# 4.6 s and up to 77 MB.
+# presentations plus lifts in process on a shared 2-CPU host: p=2, D=12 (5,702
+# variables) takes 0.5-0.6 s and 49 MB peak RSS; the largest windows under the
+# cap, p=5, D=48 (8,021) and p=7, D=72 (8,161), take 0.9-1.0 s and 63-70 MB.
 MAX_LIFT_VARIABLES = 8192
 
 # Largest number of psi-iterates a lift may record.  default_k_max, the least

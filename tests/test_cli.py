@@ -323,6 +323,13 @@ def test_unknown_axiom_lists_the_registry(docs, name, capsys):
     assert captured.err == f"error: unknown axiom {name!r}; choose from {names}\n"
 
 
+def test_the_readme_lists_the_axioms_in_report_order():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = readme.splitlines()
+    at = lines.index("# the axiom names, in report order:")
+    assert lines[at + 1].lstrip("# ").split(", ") == [a.cli for a in AXIOMS]
+
+
 def test_byte_identical_reports(docs):
     for args in (
         ["verify", "--doc", docs["dual-k2.json"], "--seed", "7", "--trials", "3",
@@ -420,6 +427,10 @@ def test_kmax_outside_its_range_exits_two(docs, kmax, message, capsys):
 # projective-space-p3-n4.json carrying a prime above MAX_PRIME
 HUGE_PRIME_DOCUMENT = "projective-space-p1000000000000000003-n4.json"
 
+# Z[x], |x| = 2, D = 1, psi(x) = p*x + x^p at p = 199,999: the level-0 pair of
+# the constant 2 is ((2 - 2^p)/p, 2^p), whose first coefficient has 60,201 digits
+HUGE_LAYER_DOCUMENT = "one-generator-p199999-D1.json"
+
 
 # Without the element bound, atiyah on x^2000 (weight 8000) at --truncation
 # 100000 takes about 8 s on a 2-CPU host: psi of a monomial raises the psi
@@ -452,6 +463,10 @@ HUGE_PRIME_DOCUMENT = "projective-space-p1000000000000000003-n4.json"
       for command, element, D, weight in [(["steenrod", "-i", "0"], "t^3", "2", 6),
                                           (["atiyah"], "t^2", "1", 4),
                                           (["atiyah"], "t + t^2*t", "2", 6)]),
+    *((HUGE_LAYER_DOCUMENT, ["atiyah", "--element", "2", "--format", fmt],
+       "error: layer 0 has a coefficient of 60201 digits; Python prints at most "
+       f"sys.get_int_max_str_digits()={sys.get_int_max_str_digits()}")
+      for fmt in ("json", "text")),
 ])
 def test_hostile_input_exits_two(name, argv, message, tmp_path, capsys):
     sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"
@@ -460,6 +475,12 @@ def test_hostile_input_exits_two(name, argv, message, tmp_path, capsys):
         data = json.loads((sample / "projective-space-p3-n4.json").read_text())
         doc = tmp_path / name
         doc.write_text(json.dumps({**data, "prime": 1000000000000000003}))
+    if name == HUGE_LAYER_DOCUMENT:
+        doc = tmp_path / name
+        x = [{"coefficient": 1, "monomial": [["x", 1]]}]
+        dump_document({"kind": "pre-psi-algebra", "name": "one-generator", "prime": 199999,
+                       "truncation": 1, "generators": [{"id": "x", "weight": 2, "layers": [x, []]}]},
+                      str(doc))
     t0 = time.perf_counter()
     rc = main([argv[0], "--doc", str(doc), *argv[1:]])
     elapsed = time.perf_counter() - t0

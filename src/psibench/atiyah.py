@@ -21,7 +21,7 @@ import random
 from collections import namedtuple
 
 from .arith import require_power_bits, validate_prime
-from .rings import Element, RingMap, WeightedRing, add_into, mono_str
+from .rings import Element, RingMap, WeightedRing, add_into, band_cut, mono_str, mono_weight
 from .verdicts import Verdict
 
 
@@ -269,10 +269,10 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
     psi(e) in weights [w_i, w_(i+1)) divided by p^(k-i), layer k-1 is the
     rest of psi(e) - e^p divided by p, and the top is e^p.  Every term of a
     monomial's psi image that lands in band i carries at least p^(k-i), and
-    psi(e) = e^p mod p, so every division is exact (``exact_div`` checks
-    it).  e^p is refused before it is built when its size bound
-    (``_power_bits``) exceeds ``MAX_POWER_BITS``.  psi's monomial memo is
-    the only cache.
+    psi(e) = e^p mod p, so every division is exact (``rings.band_cut``,
+    which ``PsiModule.decompose`` calls too, checks it).  e^p is refused
+    before it is built when its size bound (``_power_bits``) exceeds
+    ``MAX_POWER_BITS``.  psi's monomial memo is the only cache.
     """
     if e.ring is not algebra.ring:
         raise ValueError("element lives in a different ambient ring")
@@ -289,12 +289,8 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
                        f"the p-th power of a {len(e.terms)}-term element at p={p}")
     top = e**p
     psi = algebra.apply_psi(e)
-    bands = [{} for _ in range(k)]
-    for m, c in psi.terms.items():
-        bands[min((m[0] - 2 * q) // (2 * (p - 1)), k - 1)][m] = c
-    add_into(bands[-1], top.terms.items(), -1)
-    layers = [Element._clean(algebra.ring, band, None, psi.truncated).exact_div(p ** (k - i))
-              for i, band in enumerate(bands)]
+    bands = band_cut(psi.terms.items(), mono_weight, q, p, k, k, top.terms.items())
+    layers = [Element._clean(algebra.ring, band, None, psi.truncated) for band in bands]
     return AtiyahDecomposition(algebra, e, q, (*layers, top))
 
 

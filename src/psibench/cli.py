@@ -110,17 +110,19 @@ def cmd_atiyah(args) -> int:
     level = args.level if args.level is not None else int(element.weight() // 2)
     d = atiyah_decompose(algebra, element, level)
     problems = d.problems()
-    for i, layer in enumerate(d.layers):
-        c = max(map(abs, layer.terms.values()), default=0)
+    psi = algebra.apply_psi(element)
+    for what, e in (("element", element), ("psi", psi), *(
+            (f"layer {i}", layer) for i, layer in enumerate(d.layers))):
+        c = max(map(abs, e.terms.values()), default=0)
         if c >= 10 ** (limit := sys.get_int_max_str_digits() or math.inf):  # 0: no limit
             digits = int(c.bit_length() * math.log10(2))  # the count, or one less
-            raise ValueError(f"layer {i} has a coefficient of {digits + (c >= 10 ** digits)} "
+            raise ValueError(f"{what} has a coefficient of {digits + (c >= 10 ** digits)} "
                              f"digits; Python prints at most sys.get_int_max_str_digits()={limit}")
     report = _base_report("atiyah", doc, None, {
         "element": args.element, "level": level})
     report.update({
         "element": str(element),
-        "psi": str(algebra.apply_psi(element)),
+        "psi": str(psi),
         "level": d.level,
         "layers": [str(layer) for layer in d.layers],
         "exact": not problems,

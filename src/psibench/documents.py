@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 
 # the builtin SHA-256 spares every command hashlib's OpenSSL load
 try:
@@ -210,6 +211,14 @@ _TOKEN = re.compile(
     r"|(?P<op>[-+*^]))")
 
 
+def _literal(digits: str) -> int:
+    """A decimal literal, refused above ``sys.get_int_max_str_digits()``."""
+    if (limit := sys.get_int_max_str_digits()) and len(digits) > limit:
+        raise ValueError(f"integer literal of {len(digits)} digits; Python reads at most "
+                         f"sys.get_int_max_str_digits()={limit}")
+    return int(digits)
+
+
 def _tokenize(text: str) -> list:
     tokens = []
     pos = 0
@@ -221,10 +230,11 @@ def _tokenize(text: str) -> list:
             break
         pos = m.end()
         if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int"))))
+            tokens.append(("int", _literal(m.group("int"))))
         elif m.group("name") is not None:
             idx = m.group("idx")
-            indices = tuple(int(s) for s in idx.split(",") if s.strip()) if idx is not None else ()
+            indices = (tuple(_literal(s.strip()) for s in idx.split(",") if s.strip())
+                       if idx is not None else ())
             tokens.append(("var", (m.group("name"), indices)))
         else:
             tokens.append(("op", m.group("op")))
@@ -414,6 +424,8 @@ def module_from_document(doc: dict) -> PsiModule:
 
 
 def module_to_document(module: PsiModule) -> dict:
+    """The document of a module, each symbol written as its band splitting
+    at its own level (``PsiModule.decompose``)."""
     doc = {
         "kind": "psi-module",
         "prime": module.p,
@@ -421,12 +433,9 @@ def module_to_document(module: PsiModule) -> dict:
         "symbols": [],
     }
     for s in module.symbols:
-        layers = {}
-        for i, layer in enumerate(module.layers[s.name]):
-            if layer:
-                layers[str(i)] = [
-                    {"coefficient": c, "symbol": n}
-                    for n, c in sorted(layer.coords.items())]
+        split = module.decompose(module.basis_element(s.name), s.weight // 2)
+        layers = {str(i): [{"coefficient": c, "symbol": n} for n, c in sorted(layer.coords.items())]
+                  for i, layer in enumerate(split) if layer}
         doc["symbols"].append({"id": s.name, "weight": s.weight, "layers": layers})
     if module.name:
         doc["name"] = module.name

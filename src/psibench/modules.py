@@ -1,13 +1,15 @@
-"""Filtered abelian groups with a distinguished endomorphism splitting into
-weighted layers, and the finite-generation closure check.
+"""Filtered abelian groups with a distinguished endomorphism psi, their
+splittings into weighted layers, and the finite-generation closure check.
 
 Module elements are integer combinations of basis symbols sitting in even
-weights up to the window 2D.  Each symbol carries layer data at its own
-level; splittings of arbitrary elements follow by linearity and level
-shifting through ``horner``, and psi is the level-0 splitting (no
-multiplicative top-layer constraint here, unlike the ring case).  Generation is decided weight by
-weight through exact membership in one sparse incremental lattice over Z
-(``normalforms.Lattice``) whose columns are the symbol names.
+weights up to the window 2D.  A document writes each symbol's layers at its
+own level; the module keeps only their weighted sum, psi of the symbol, so
+two documents with one psi are one module.  The splitting of any element at
+any level is the weight-band cut of its psi image (``rings.band_cut``), the
+one rule ``atiyah_decompose`` applies to ring elements (no multiplicative
+top layer here), and psi is the level-0 splitting.  Generation is decided
+weight by weight through exact membership in one sparse incremental
+lattice over Z (``normalforms.Lattice``) whose columns are the symbol names.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import namedtuple
 
 from .arith import validate_prime
 from .normalforms import Lattice, in_lattice
-from .rings import add_into
+from .rings import add_into, band_cut
 from .verdicts import Verdict
 
 
@@ -90,43 +92,13 @@ class ModuleElement:
     __repr__ = __str__
 
 
-def horner(layers, p: int, k: int) -> tuple:
-    """sum_i p^(n-i) * layers[i], n = len(layers) - 1, with layers k .. n
-    merged by Horner's rule and those below scaled by p^(n-k); at k = 0 the
-    one layer left is the weighted sum."""
-    merged = layers[k]
-    for layer in layers[k + 1:]:
-        merged = merged * p + layer
-    scale = p ** (len(layers) - 1 - k)
-    return (*(layer * scale for layer in layers[:k]), merged)
-
-
-class ModuleDecomposition(namedtuple("ModuleDecomposition", "module source level layers")):
-    """psi(source) = sum_i p^(level-i) * layers[i] with layer i in weight
-    >= 2*level + 2*i*(p-1)."""
-
-    __slots__ = ()
-
-    def weighted_sum(self) -> ModuleElement:
-        return horner(self.layers, self.module.p, 0)[0]
-
-    def problems(self) -> list:
-        out = []
-        if self.weighted_sum() != self.module.psi(self.source):
-            out.append("weighted layer sum differs from psi(source)")
-        for i, layer in enumerate(self.layers):
-            if layer.weight() < 2 * self.level + 2 * i * (self.module.p - 1):
-                out.append(f"layer {i} has weight {layer.weight()}")
-        return out
-
-
 class PsiModule:
-    """Free filtered abelian group on weighted symbols with layer data.
+    """Free filtered abelian group on weighted symbols with one psi image each.
 
-    ``layers`` maps each symbol name to its splitting at level weight/2
-    (length weight/2 + 1); psi is the induced weighted sum, extended
-    additively.  Every symbol lies inside the window 2D and layers are
-    combinations of symbols, so nothing is clipped: psi is exact.
+    ``layers`` maps each symbol name to a splitting at level weight/2 (length
+    weight/2 + 1, layer i of weight >= weight + 2i(p-1)); ``images`` keeps
+    only its weighted sum, psi of the symbol.  Symbols lie in the window 2D
+    and layers combine symbols, so nothing is clipped: psi is exact.
     """
 
     def __init__(self, p: int, truncation: int, symbols, layers: dict,
@@ -144,22 +116,23 @@ class PsiModule:
                 raise ValueError(f"symbol {s.name} has weight {s.weight} beyond 2D")
         self.symbols = tuple(syms)
         self._weights = {s.name: s.weight for s in syms}
-        self.layers = {}
-        zero = self.zero()
+        self.images = {}
         for s in syms:
             q = s.weight // 2
             if s.name not in layers:
                 raise ValueError(f"missing layer data for symbol {s.name}")
-            given = tuple(ModuleElement(self, c) if c else zero for c in layers[s.name])
+            given = tuple(ModuleElement(self, c) for c in layers[s.name])
             if len(given) != q + 1:
                 raise ValueError(
                     f"symbol {s.name} at level {q} needs {q + 1} layers, got {len(given)}")
+            image: dict = {}
             for i, layer in enumerate(given):
                 if layer.weight() < s.weight + 2 * i * (p - 1):
                     raise ValueError(
                         f"layer {i} of {s.name} has weight {layer.weight()}, below "
                         f"{s.weight + 2 * i * (p - 1)}")
-            self.layers[s.name] = given
+                add_into(image, layer.coords.items(), p ** (q - i))
+            self.images[s.name] = image
 
     def zero(self) -> ModuleElement:
         return ModuleElement._clean(self, {})
@@ -171,23 +144,22 @@ class PsiModule:
         return ModuleElement(self, {name: 1})
 
     def psi(self, e: ModuleElement) -> ModuleElement:
-        """psi(e): its splitting at level 0, whose one layer is the weighted sum."""
-        return self.decompose(e, 0).layers[0]
+        """psi(e): the symbols' images added in symbol order."""
+        coords: dict = {}
+        for name, c in sorted(e.coords.items()):
+            add_into(coords, self.images[name].items(), c)
+        return ModuleElement._clean(self, coords)
 
-    def decompose(self, e: ModuleElement, q: int) -> ModuleDecomposition:
-        """Splitting of an arbitrary element at level q <= weight(e)/2.  Each
-        symbol's stored splitting moves from its level down to q in one step
-        through ``horner``: layers q .. level merge, those below pick up
-        p^(level-q), and the result is scaled by the symbol's coordinate; the
-        symbols add layerwise, into one coordinate dict per layer."""
+    def decompose(self, e: ModuleElement, q: int) -> tuple:
+        """The q + 1 layers of e at level q <= weight(e)/2: ``rings.band_cut``
+        of psi(e), as ``atiyah_decompose`` cuts, with layer q the rest.  Band
+        i holds only the layers j <= i of a symbol, each carrying
+        p^(level-j), so its division by p^(q-i) is exact."""
         if 2 * q > e.weight():
             raise ValueError(f"element has weight {e.weight()}, below 2q={2 * q}")
-        layers = [{} for _ in range(q + 1)]
-        for name, c in sorted(e.coords.items()):
-            for coords, shifted in zip(layers, horner(self.layers[name], self.p, q)):
-                add_into(coords, shifted.coords.items(), c)
-        return ModuleDecomposition(self, e, q, tuple(ModuleElement._clean(self, coords)
-                                                     for coords in layers))
+        bands = band_cut(self.psi(e).coords.items(), self._weights.__getitem__,
+                         q, self.p, q + 1, q)
+        return tuple(ModuleElement._clean(self, band) for band in bands)
 
 
 WitnessNode = namedtuple("WitnessNode", "depth element level")
@@ -225,8 +197,7 @@ def closure_enumerate(module: PsiModule, gens, max_depth: int | None = None) -> 
     for depth in range(1, max_depth + 1):
         frontier, done = nodes[done:], len(nodes)
         for node in frontier:
-            d = module.decompose(node.element, node.level)
-            for j, child in enumerate(d.layers):
+            for j, child in enumerate(module.decompose(node.element, node.level)):
                 if child:
                     grow(depth, child, node.level + j * (module.p - 1))
         if len(nodes) == done:

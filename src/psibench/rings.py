@@ -119,6 +119,32 @@ def add_into(terms: dict, items, scale: int = 1, mod: int | None = None) -> None
             del terms[m]
 
 
+def exact_quotient(terms: dict, k: int) -> dict:
+    """{m: c/k} for the terms c*m, refused unless k divides every c."""
+    out = {}
+    for m, c in terms.items():
+        q, r = divmod(c, k)
+        if r:
+            raise ArithmeticError(f"coefficient {c} not divisible by {k}")
+        out[m] = q
+    return out
+
+
+def band_cut(items, weight, q: int, p: int, count: int, n: int, less=()) -> list:
+    """The one band splitting of a psi image at level q, given by its items
+    (m, c) of weight >= 2q: ``count`` term dicts, dict i < count - 1 holding
+    the terms of weight in [2q + 2i(p-1), 2q + 2(i+1)(p-1)) and the last the
+    rest less the items ``less``, each dict i divided exactly by p^(n-i).
+    ``weight`` maps a term's key to its weight."""
+    step, last = 2 * (p - 1), count - 1
+    bands = [{} for _ in range(count)]
+    for m, c in items:
+        bands[min((weight(m) - 2 * q) // step, last)][m] = c
+    add_into(bands[last], less, -1)
+    return [exact_quotient(band, p ** (n - i)) if i < n else band
+            for i, band in enumerate(bands)]
+
+
 # Entries one bounded memo holds; once full it stops inserting.
 SPLITTING_CACHE_SIZE = 4096
 
@@ -525,13 +551,7 @@ class Element:
         """Divide every coefficient by the integer k, which must be exact."""
         if self.mod is not None:
             raise ValueError("exact division is an integral-layer operation")
-        terms = {}
-        for m, c in self.terms.items():
-            q, r = divmod(c, k)
-            if r:
-                raise ArithmeticError(f"coefficient {c} not divisible by {k}")
-            terms[m] = q
-        return Element._clean(self.ring, terms, None, self.truncated)
+        return Element._clean(self.ring, exact_quotient(self.terms, k), None, self.truncated)
 
     def __str__(self):
         if not self.terms:

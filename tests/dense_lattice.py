@@ -92,7 +92,7 @@ def dense_closure(module, gens, max_depth=None) -> list:
     for depth in range(1, max_depth + 1):
         frontier, done = nodes[done:], len(nodes)
         for node in frontier:
-            for j, child in enumerate(module.decompose(node.element, node.level).layers):
+            for j, child in enumerate(module.decompose(node.element, node.level)):
                 if child:
                     grow(depth, child, node.level + j * (module.p - 1))
         if len(nodes) == done:

@@ -9,15 +9,26 @@ splittings are added by one ``atiyah_sum``, and the sum moves down to the
 requested level by at most one ``atiyah_shift``.  Its layers need not equal
 the band layers, which keep each term in its own weight band; their mod-p
 classes agree in every graded weight the window decides, and the weighted
-layer sums are both psi of the element.
+layer sums are both psi of the element.  ``horner``, the level-lowering rule
+of ``atiyah_shift``, is also the module tests' reference for written layers.
 """
 
 from __future__ import annotations
 
 from psibench.arith import require_power_bits
 from psibench.atiyah import AtiyahDecomposition, atiyah_product, atiyah_sum
-from psibench.modules import horner
 from psibench.rings import UNIT, mono_div
+
+
+def horner(layers, p: int, k: int) -> tuple:
+    """sum_i p^(n-i) * layers[i], n = len(layers) - 1, with layers k .. n
+    merged by Horner's rule and those below scaled by p^(n-k); at k = 0 the
+    one layer left is the weighted sum."""
+    merged = layers[k]
+    for layer in layers[k + 1:]:
+        merged = merged * p + layer
+    scale = p ** (len(layers) - 1 - k)
+    return (*(layer * scale for layer in layers[:k]), merged)
 
 
 def fermat_quotient(c: int, p: int) -> int:

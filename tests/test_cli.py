@@ -15,7 +15,7 @@ import psibench.steenrod as steenrod
 from psibench.arith import MAX_POWER_BITS
 from psibench.atiyah import PrePsiAlgebra
 from psibench.cli import main
-from psibench.documents import (algebra_to_document, dump_document,
+from psibench.documents import (algebra_to_document, document_digest, dump_document,
                                 module_to_document, presentation_to_document)
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, power_tower_module,
@@ -243,6 +243,29 @@ def test_fingen_doubling_cycle_is_decided_quickly(coefficient, rc_expected, witn
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_fingen_reads_psi_not_the_written_layers(fmt, tmp_path, capsys):
+    # p = 2, D = 3: a of weight 2 with psi(a) = 2b, b of weight 6 with
+    # psi(b) = 0.  (b, 0) and (0, 2b) both split psi(a) at level 1; b lies
+    # above band 0 = weights [2, 4), so a's splitting is (0, 2b) and b is not
+    # generated, whichever the document writes
+    b = [{"coefficient": 1, "symbol": "b"}]
+    runs = []
+    for name, layers in (("b-0", {"0": b}), ("0-2b", {"1": [{"coefficient": 2, "symbol": "b"}]})):
+        doc = {"kind": "psi-module", "prime": 2, "truncation": 3,
+               "symbols": [{"id": "a", "weight": 2, "layers": layers},
+                           {"id": "b", "weight": 6, "layers": {}}]}
+        path = tmp_path / f"{name}.json"
+        dump_document(doc, str(path))
+        rc = main(["fingen", "--doc", str(path), "--generators", "a", "--format", fmt])
+        runs.append((rc, capsys.readouterr().out, document_digest(doc)))
+    (rc1, out1, digest1), (rc2, out2, digest2) = runs
+    assert rc1 == rc2 == 1 and digest1 != digest2
+    assert out1.replace(digest1, "") == out2.replace(digest2, "")
+    if fmt == "json":
+        assert json.loads(out1)["per_weight"] == {"2": [1, 1], "6": [0, 1]}
+
+
 def test_fingen_huge_truncation_matches_the_document_window(docs, capsys):
     keys = ("per_weight", "abelian_generator_profile", "status")
     assert main(["fingen", "--doc", docs["tower.json"], "--generators", "x",
@@ -467,6 +490,13 @@ HUGE_LAYER_DOCUMENT = "one-generator-p199999-D1.json"
        "error: layer 0 has a coefficient of 60201 digits; Python prints at most "
        f"sys.get_int_max_str_digits()={sys.get_int_max_str_digits()}")
       for fmt in ("json", "text")),
+    # psi of (10^4300 - 1)*x is 199,999 times it: the layer prints, psi does not
+    (HUGE_LAYER_DOCUMENT, ["atiyah", "--element", "9" * 4300 + "*x"],
+     "error: psi has a coefficient of 4306 digits; Python prints at most "
+     f"sys.get_int_max_str_digits()={sys.get_int_max_str_digits()}"),
+    (HUGE_LAYER_DOCUMENT, ["atiyah", "--element", "1" * 4301],
+     "error: integer literal of 4301 digits; Python reads at most "
+     f"sys.get_int_max_str_digits()={sys.get_int_max_str_digits()}"),
 ])
 def test_hostile_input_exits_two(name, argv, message, tmp_path, capsys):
     sample = pathlib.Path(__file__).resolve().parent.parent / "sample_documents"

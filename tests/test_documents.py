@@ -147,6 +147,17 @@ def _shipped_documents():
     return [json.loads(path.read_text(encoding="utf-8")) for path in SHIPPED]
 
 
+MODULE_DOCUMENTS = [path for path in SHIPPED
+                    if json.loads(path.read_text(encoding="utf-8"))["kind"] == "psi-module"]
+
+
+@pytest.mark.parametrize("path", MODULE_DOCUMENTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_module_documents_keep_their_bytes(path):
+    # a module writes each symbol's band splitting, which every shipped one is
+    module = module_from_document(load_document(str(path)))
+    assert canonical_json(module_to_document(module)) + "\n" == path.read_text(encoding="utf-8")
+
+
 def test_document_digest_is_the_sha256_of_the_compact_sorted_json():
     assert SHIPPED
     for doc in _shipped_documents():

@@ -4,9 +4,10 @@ from collections import deque
 
 import pytest
 from dense_lattice import dense_closure, dense_hnf, dense_in_lattice, dense_vector, pivots
+from splitting_calculus import horner
 
 from psibench.models import power_tower_module
-from psibench.modules import (ModuleDecomposition, ModuleSymbol, PsiModule,
+from psibench.modules import (ModuleElement, ModuleSymbol, PsiModule,
                               abelian_generator_profile, closure_enumerate, is_fg_by)
 from psibench.normalforms import Lattice, hermite_normal_form, in_lattice, smith_normal_form
 
@@ -66,31 +67,73 @@ def test_smith_invariant_factors():
 
 # -- psi-modules --------------------------------------------------------------------
 
+class WrittenModule(PsiModule):
+    """A module that also keeps the layers its data wrote, which the module
+    itself reduces to one psi image per symbol: the oracles read them."""
+
+    def __init__(self, p, D, symbols, layers):
+        super().__init__(p, D, symbols, layers)
+        self.written = {s.name: tuple(ModuleElement(self, c) for c in layers[s.name])
+                        for s in self.symbols}
+
+
+def weighted_sum(module, layers):
+    """sum_i p^(q-i) * layers[i], q = len(layers) - 1."""
+    return horner(layers, module.p, 0)[0]
+
+
+def written_psi(module, e):
+    """psi(e) from the written layers: the weighted sum of each symbol's."""
+    out = module.zero()
+    for name, c in e.coords.items():
+        out = out + weighted_sum(module, module.written[name]) * c
+    return out
+
+
+def band_problems(module, e, layers):
+    """Each clause of the band splitting of e at level q = len(layers) - 1
+    that the layers break: their weighted sum is psi(e), layer i < q lies in
+    weights [2q + 2i(p-1), 2q + 2(i+1)(p-1)) and layer q in weights
+    >= 2q + 2q(p-1)."""
+    p, q = module.p, len(layers) - 1
+    out = []
+    if weighted_sum(module, layers) != written_psi(module, e):
+        out.append("weighted layer sum differs from psi(source)")
+    for i, layer in enumerate(layers):
+        low, high = 2 * q + 2 * i * (p - 1), 2 * q + 2 * (i + 1) * (p - 1)
+        for name in sorted(layer.coords):
+            w = module._weights[name]
+            if w < low or (i < q and w >= high):
+                out.append(f"layer {i} has {name} of weight {w}")
+    return out
+
+
 def fixed_point_module(p=3):
     """Single symbol m at weight 4 with psi(m) = p^2 * m: layers (m, 0, 0)."""
     sym = ModuleSymbol("m", 4)
-    return PsiModule(p, 4, [sym], {"m": [{"m": 1}, {}, {}]})
+    return WrittenModule(p, 4, [sym], {"m": [{"m": 1}, {}, {}]})
 
 
 def test_module_psi_and_decompose():
     M = fixed_point_module()
     m = M.basis_element("m")
     assert M.psi(m) == m * 9
-    d = M.decompose(m * 5, 2)
-    assert d.weighted_sum() == M.psi(m * 5)
-    assert d.problems() == []
+    layers = M.decompose(m * 5, 2)
+    assert layers == (m * 5, M.zero(), M.zero())
+    assert band_problems(M, m * 5, layers) == []
     shifted = M.decompose(m, 1)
-    assert shifted.weighted_sum() == M.psi(m)
+    assert shifted == (m * 3, M.zero())  # band 0 at level 1 is [2, 6)
+    assert band_problems(M, m, shifted) == []
+    assert M.decompose(m, 0) == (M.psi(m),)
 
 
 def test_module_problems_report_each_broken_contract():
     # psi(m) = 9m; each hand-built splitting breaks exactly one clause
     M = fixed_point_module()
     m, z = M.basis_element("m"), M.zero()
-    wrong_sum = ModuleDecomposition(M, m, 2, (m * 2, z, z))
-    assert wrong_sum.problems() == ["weighted layer sum differs from psi(source)"]
-    too_low = ModuleDecomposition(M, m, 2, (z, m * 3, z))  # layer 1 needs weight >= 8
-    assert too_low.problems() == ["layer 1 has weight 4"]
+    assert band_problems(M, m, (m * 2, z, z)) == ["weighted layer sum differs from psi(source)"]
+    assert band_problems(M, m, (z, m * 3, z)) == ["layer 1 has m of weight 4"]  # needs [8, 12)
+    assert band_problems(M, m, (z, m * 9)) == ["layer 1 has m of weight 4"]  # a top at level 1 needs >= 6
 
 
 def test_module_symbol_validation():
@@ -208,7 +251,7 @@ def node_closure_per_weight(module, gens, max_depth=None):
         rows.append(dense_vector(e))
         if depth >= max_depth:
             continue
-        for j, child in enumerate(module.decompose(e, level).layers):
+        for j, child in enumerate(module.decompose(e, level)):
             key = (str(child), level + j * (module.p - 1))
             if child and key not in seen:
                 seen.add(key)
@@ -253,7 +296,7 @@ def random_forest(seed, p, D, size, generated):
         child = next(iter(layers[parent][i]))
         layers[parent][i][child] *= rng.choice([2, p])
     data = {s: [layers[s].get(i, {}) for i in range(weights[s] // 2 + 1)] for s in order}
-    return PsiModule(p, D, [ModuleSymbol(s, weights[s]) for s in order], data)
+    return WrittenModule(p, D, [ModuleSymbol(s, weights[s]) for s in order], data)
 
 
 def two_level_module():
@@ -264,7 +307,7 @@ def two_level_module():
                ModuleSymbol("a", 4), ModuleSymbol("x", 6), ModuleSymbol("y", 8)]
     layers = {"b": [{"a": 1}, {}], "c": [{"d": 1}, {}, {}], "d": [{"a": 1}, {}, {}],
               "a": [{}, {"x": 1}, {"y": 1}], "x": [{}] * 4, "y": [{}] * 5}
-    return PsiModule(2, 4, symbols, layers)
+    return WrittenModule(2, 4, symbols, layers)
 
 
 def oracle_cases():
@@ -314,7 +357,7 @@ def breadth_first_forest(rng, p, D, size, generated):
         child = next(iter(layers[parent][i]))
         layers[parent][i][child] *= rng.choice([2, p])
     data = {s: [layers[s].get(i, {}) for i in range(w // 2 + 1)] for s, w in weights.items()}
-    return PsiModule(p, D, [ModuleSymbol(s, w) for s, w in weights.items()], data)
+    return WrittenModule(p, D, [ModuleSymbol(s, w) for s, w in weights.items()], data)
 
 
 def test_sparse_closure_keeps_the_nodes_of_the_dense_rebuild():
@@ -339,40 +382,64 @@ def test_sparse_closure_keeps_the_nodes_of_the_dense_rebuild():
     assert cases > 500 and kept > 4000
 
 
-# -- the one-step module shift against the per-level loop ---------------------------
+# -- the band splitting against the written layers ------------------------------------
 
-def per_level_layers(module, e, q):
-    """Reference: lower each symbol's splitting one level at a time (every
-    layer times p, the top two merged into one), then add layerwise."""
-    layers = [module.zero() for _ in range(q + 1)]
+def horner_layers(module, e, q):
+    """Reference: each symbol's written layers moved down to level q by
+    Horner's rule (layers q .. level merged, those below times
+    p^(level-q)), scaled by its coordinate and added layerwise."""
+    layers = [module.zero()] * (q + 1)
     for name, c in sorted(e.coords.items()):
-        own = [layer * c for layer in module.layers[name]]
-        level = len(own) - 1
-        while level > q:
-            merged = [layer * module.p for layer in own[:-2]]
-            merged.append(own[-2] * module.p + own[-1])
-            own = merged
-            level -= 1
-        for i in range(q + 1):
-            layers[i] = layers[i] + own[i]
+        for i, layer in enumerate(horner(module.written[name], module.p, q)):
+            layers[i] = layers[i] + layer * c
     return tuple(layers)
 
 
-def test_module_shift_matches_the_per_level_loop():
+def written_tower(p, D):
+    """``power_tower_module``'s data: x^(p^n) writes psi(x^(p^n)) =
+    x^(p^(n+1)) as its top layer while that lies in the window."""
+    powers = [p**n for n in range(D.bit_length()) if p**n <= D]
+    name = {q: "x" if q == 1 else f"x^{q}" for q in powers}
+    layers = {name[q]: [{} for _ in range(q)] + [{name[q * p]: 1} if q * p <= D else {}]
+              for q in powers}
+    return WrittenModule(p, D, [ModuleSymbol(name[q], 2 * q) for q in powers], layers)
+
+
+def test_written_tower_is_the_model_tower():
+    for p in (2, 3, 5):
+        tower, model = written_tower(p, p**3), power_tower_module(p, p**3)
+        assert tower.symbols == model.symbols and tower.images == model.images
+
+
+def test_module_splitting_is_the_band_cut_of_psi():
+    # on every module, element and level the layers add up to psi(e) and lie
+    # in their bands; that splitting is unique, so wherever the Horner
+    # layers lie in their bands they are the same.  A forest symbol split
+    # below its own level moves its layers up the bands, as do layers that
+    # take symbols of several weights; towers and forests split at their
+    # own level keep their written layers
     rng = random.Random(0)
-    modules = [two_level_module()] + [random_forest(seed, p, D, 14, seed % 2 == 0)
-                                      for seed in range(3)
-                                      for p, D in ((2, 12), (3, 15), (5, 20))]
-    spread = shifted = 0
-    for module in modules:
+    mixed = [two_level_module()] + [random_forest(seed, p, D, 14, seed % 2 == 0)
+                                    for seed in range(3)
+                                    for p, D in ((2, 12), (3, 15), (5, 20))]
+    forests = [breadth_first_forest(rng, p, D, size, n % 2 == 0)
+               for n in range(2) for p, D, size in ((2, 12, 14), (3, 15, 18), (5, 20, 12))]
+    towers = [written_tower(p, p**3) for p in (2, 3, 5)]
+    checked = agreed = shaped = 0
+    for module in mixed + forests + towers:
         names = [s.name for s in module.symbols]
         for _ in range(12):
             picked = rng.sample(names, rng.randint(1, min(4, len(names))))
             e = module.element({n: rng.choice([-6, -3, -1, 1, 2, 5]) for n in picked})
-            spread += len({module._weights[n] for n in picked}) > 1
             for q in range(int(e.weight()) // 2 + 1):
-                d = module.decompose(e, q)
-                assert d.layers == per_level_layers(module, e, q), (names, e, q)
-                assert d.problems() == []
-                shifted += any(module._weights[n] // 2 - q >= 2 for n in picked)
-    assert spread > 20 and shifted > 100
+                layers = module.decompose(e, q)
+                assert band_problems(module, e, layers) == [], (names, e, q)
+                reference = horner_layers(module, e, q)
+                band_shaped = module in towers or (
+                    module in forests and {module._weights[n] for n in picked} == {2 * q})
+                if band_shaped or not band_problems(module, e, reference):
+                    assert layers == reference, (names, e, q)
+                    agreed += 1
+                checked += 1
+                shaped += band_shaped
+    assert checked > 1000 and agreed > 800 and shaped > 250

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from psibench.cli import main
+from psibench.documents import load_document, module_from_document, module_to_document
 
 WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -39,3 +40,23 @@ def test_every_workload_command_meets_its_known_answer(tmp_path, monkeypatch, ca
             assert command.check(code, report) is None, (name, command.name)
             ran += 1
     assert ran > len(workloads.WORKLOADS)
+
+
+@pytest.mark.skipif(not WORKLOADS.is_file(), reason="benchmark workloads not present")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fingen_module_forests_are_band_splittings(seed, tmp_path, monkeypatch, capsys):
+    # each forest writes every child in the band of its layer, so it is the
+    # module's band splitting, up to the order of its symbols, and its known
+    # answer holds at every seed
+    workloads = _workloads(monkeypatch)
+    monkeypatch.chdir(workloads.ROOT)
+    commands = workloads.build("fingen-modules", seed, tmp_path)
+    for command in commands:
+        code = main(command.argv)
+        assert command.check(code, json.loads(capsys.readouterr().out)) is None, command.name
+    forests = sorted(tmp_path.glob("module-*.json"))
+    assert len(forests) == 6
+    for path in forests:
+        doc = load_document(str(path))
+        symbols = sorted(doc["symbols"], key=lambda s: (s["weight"], s["id"]))
+        assert module_to_document(module_from_document(doc)) == {**doc, "symbols": symbols}

@@ -1,4 +1,4 @@
-from .cli import run
+from .commands import run
 
 if __name__ == "__main__":
     run()

@@ -7,6 +7,10 @@ lives in ``rings`` (``poly_to_json``, ``poly_from_json``), so a presentation
 reads its relations in the encoding its document holds.  A small
 expression grammar (name[indices]^exp products joined by + and -) covers
 command-line element input.
+
+Each kind's builder imports its layer when it builds, so loading a module
+document never compiles the splitting or lift code, and only a document with
+graded relations loads ``groebner``.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .atiyah import PrePsiAlgebra
-from .groebner import groebner_build
-from .lift import Lift, UnstablePresentation
-from .modules import ModuleSymbol, PsiModule
 from .rings import (Element, GeneratorSymbol, WeightedRing, id_from_json, id_to_json,
                     poly_from_json, poly_to_json)
 
@@ -302,6 +302,7 @@ def parse_element(ring: WeightedRing, text: str, mod: int | None = None) -> Elem
 
 @_loader("pre-psi-algebra")
 def algebra_from_document(doc: dict) -> PrePsiAlgebra:
+    from .atiyah import PrePsiAlgebra
     p = doc["prime"]
     D = doc["truncation"]
     symbols = []
@@ -320,7 +321,10 @@ def algebra_from_document(doc: dict) -> PrePsiAlgebra:
                 f"expected {sym.weight // 2 + 1} layers, got {len(layers)}")
         psi_data[sym.key], tops[sym] = layers[:-1], layers[-1]
     graded = [poly_from_json(ring, r, mod=p) for r in doc.get("graded_relations", [])]
-    gb = groebner_build(graded, p) if any(graded) else None
+    gb = None
+    if any(graded):
+        from .groebner import groebner_build
+        gb = groebner_build(graded, p)
     algebra = PrePsiAlgebra(ring, p, psi_data, graded_gb=gb, name=doc.get("name", ""))
     for sym, top in tops.items():
         _expect(top == algebra.psi_data[sym.key][-1], f"top layer of {sym} must equal {sym}^{p}")
@@ -359,6 +363,7 @@ def _algebra_fields(algebra: PrePsiAlgebra) -> dict:
 
 @_loader("presentation")
 def presentation_from_document(doc: dict) -> UnstablePresentation:
+    from .lift import UnstablePresentation
     generators = [(g["theta"], g["degree"]) for g in doc["generators"]]
     return UnstablePresentation(
         doc["prime"], generators, doc.get("relations", []), doc["truncation"],
@@ -401,6 +406,7 @@ def lift_to_document(lift: Lift) -> dict:
 
 @_loader("psi-module")
 def module_from_document(doc: dict) -> PsiModule:
+    from .modules import ModuleSymbol, PsiModule
     symbols = [ModuleSymbol(s["id"], s["weight"]) for s in doc["symbols"]]
     layer_coords = {}
     for s in doc["symbols"]:

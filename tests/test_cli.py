@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ import time
 import pytest
 
 import psibench.cli
+import psibench.commands
 import psibench.documents
 import psibench.lift
 import psibench.steenrod as steenrod
@@ -16,7 +18,8 @@ from psibench.arith import MAX_POWER_BITS
 from psibench.atiyah import PrePsiAlgebra
 from psibench.cli import main
 from psibench.documents import (algebra_to_document, document_digest, dump_document,
-                                module_to_document, presentation_to_document)
+                                lift_to_document, module_to_document, presentation_to_document)
+from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, power_tower_module,
                              product_projective_spaces, projective_space_ring)
@@ -388,7 +391,7 @@ def test_each_document_is_validated_once_without_overrides(docs, tmp_path, monke
         return original(doc)
 
     monkeypatch.setattr(psibench.documents, "validate_document", counting)
-    monkeypatch.setattr(psibench.cli, "validate_document", counting)
+    monkeypatch.setattr(psibench.commands, "validate_document", counting)
     for args in (["verify", "--doc", docs["dual-k1.json"], "--axioms", "p0", "--trials", "1"],
                  ["atiyah", "--doc", docs["adem.json"], "--element", "x"],
                  ["fingen", "--doc", docs["tower.json"], "--generators", "x"],
@@ -924,6 +927,96 @@ def test_no_command_imports_jsonschema_valid_or_rejected(tmp_path):
         "exit codes [0, 2, 0, 2, 0, 2, 0, 2, 0, 2] imported []"]
 
 
+# the psibench modules every command loads, and those each command adds: a
+# command compiles only the layers it runs
+COMMAND_BASE = {"psibench", "psibench.commands", "psibench.documents", "psibench.rings",
+                "psibench.verdicts"}
+COMMAND_LAYERS = {
+    "atiyah": {"arith", "atiyah"},
+    "steenrod": {"arith", "atiyah", "steenrod"},
+    "verify": {"arith", "atiyah", "steenrod"},
+    "lift": {"arith", "atiyah", "groebner", "lift", "steenrod", "unstable"},
+    "fingen": {"arith", "modules", "normalforms"},
+}
+
+# runs one command line through commands.main, then says on the last stderr
+# line what it returned and which psibench modules are loaded
+MAIN_PROBE = ("import json, sys\n"
+              "from psibench.commands import main\n"
+              "code = main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.partition('.')[0] == 'psibench')]),\n"
+              "      file=sys.stderr)\n")
+
+# runs one command line through commands.run, with gc.freeze replaced by a
+# record of the psibench modules loaded when run() freezes the heap
+RUN_PROBE = ("import gc, json, sys\n"
+             "import psibench.commands\n"
+             "def loaded():\n"
+             "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'psibench')\n"
+             "frozen = []\n"
+             "gc.freeze = lambda: frozen.append(loaded())\n"
+             "sys.argv = ['psibench', *json.loads(sys.argv[1])]\n"
+             "try:\n"
+             "    psibench.commands.run()\n"
+             "except SystemExit as exc:\n"
+             "    print(json.dumps([exc.code, frozen, loaded()]), file=sys.stderr)\n")
+
+
+def _package_env():
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(psibench.__file__).parent.parent)}
+
+
+def _loaded_through_main(argv):
+    """(exit code, psibench modules at exit) of ``commands.main(argv)`` in a
+    child."""
+    proc = subprocess.run([sys.executable, "-S", "-c", MAIN_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    return code, set(loaded)
+
+
+def _loaded_through_python_m(argv):
+    """(exit code, psibench modules loaded) of ``python -m psibench argv``:
+    ``-v`` says ``import 'name'`` as each module loads."""
+    proc = subprocess.run([sys.executable, "-v", "-m", "psibench", *argv],
+                          capture_output=True, text=True, env=_package_env())
+    return proc.returncode, set(re.findall(r"^import '(psibench(?:\.\w+)*)'", proc.stderr,
+                                           re.MULTILINE))
+
+
+@pytest.mark.parametrize("sample, command", ONE_OF_EACH, ids=[c[0] for _, c in ONE_OF_EACH])
+def test_each_command_loads_only_its_layers(sample, command):
+    argv = [command[0], "--doc", str(SAMPLES / sample), *command[1:]]
+    want = COMMAND_BASE | {f"psibench.{m}" for m in COMMAND_LAYERS[command[0]]}
+    assert _loaded_through_main(argv) == (0, want)
+    assert _loaded_through_python_m(argv) == (0, want)
+
+
+@pytest.mark.parametrize("sample, command", ONE_OF_EACH, ids=[c[0] for _, c in ONE_OF_EACH])
+def test_run_loads_the_command_modules_before_it_freezes(sample, command):
+    # COMMANDS lists what the command imports, so nothing loads after the freeze
+    argv = [command[0], "--doc", str(SAMPLES / sample), *command[1:]]
+    proc = subprocess.run([sys.executable, "-S", "-c", RUN_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=_package_env())
+    code, frozen, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0
+    assert frozen == [loaded]
+    assert set(loaded) == COMMAND_BASE | {f"psibench.{m}" for m in COMMAND_LAYERS[command[0]]}
+
+
+def test_only_a_document_with_graded_relations_loads_groebner(tmp_path):
+    doc = lift_to_document(build_lift(free_polynomial_presentation(2, 4)))
+    assert doc["graded_relations"]
+    path = tmp_path / "lift.json"
+    dump_document(doc, str(path))
+    argv = ["verify", "--doc", str(path), "--axioms", "closure"]
+    want = COMMAND_BASE | {f"psibench.{m}" for m in COMMAND_LAYERS["verify"] | {"groebner"}}
+    assert _loaded_through_main(argv) == (0, want)
+    assert _loaded_through_python_m(argv) == (0, want)
+
+
 def test_the_closure_axiom_computes_no_graded_basis(monkeypatch, capsys):
     # closure reads no degrees, so verify --axioms closure lists none
     doc = str(SAMPLES.parent / "perfbench" / "data" / "product-projective-p3-3-3.json")
@@ -987,4 +1080,24 @@ def test_help_version_and_usage_errors_are_pinned(argv, digest, monkeypatch, cap
         main(argv)
     out = capsys.readouterr()
     text = f"{exc.value.code}|{out.out}\0{out.err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the same outputs of the process entry, whose parser loads verify's axiom
+# list and lift's MAX_KMAX only with their branches; lift --help is pinned as
+# it read before the commands loaded their layers lazily
+ENTRY_OUTPUTS = [
+    *PARSER_OUTPUTS,
+    (["lift", "--help"], "ff90017fc1421720fc38ece6ea7f52cd42d82c1b0f415c7e126b089b188e1013"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words its help and errors differently across Python "
+                           "versions; the hashes are of Python 3.11")
+@pytest.mark.parametrize("argv, digest", ENTRY_OUTPUTS)
+def test_python_m_psibench_help_and_usage_errors_are_pinned(argv, digest):
+    proc = subprocess.run([sys.executable, "-m", "psibench", *argv], capture_output=True,
+                          env={**_package_env(), "COLUMNS": "80"})
+    text = f"{proc.returncode}|{proc.stdout.decode()}\0{proc.stderr.decode()}"
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,4 +1,4 @@
-"""The process entry ``cli.run``: ``python -m psibench`` and the ``psibench``
+"""The process entry ``commands.run``: ``python -m psibench`` and the ``psibench``
 script freeze the start-up heap, then exit with ``main``'s status.
 
 The real ``gc.freeze()`` runs only in child processes: frozen objects stay
@@ -13,15 +13,15 @@ import sys
 
 import pytest
 
-import psibench.cli
-from psibench.cli import main, run
+import psibench.commands
+from psibench.commands import main, run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_documents"
 
 
 def test_the_entry_freezes_the_heap_before_main():
-    probe = ("import gc, psibench.cli as c; "
+    probe = ("import gc, psibench.commands as c; "
              "c.main = lambda: print(gc.get_freeze_count()) or 0; c.run()")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -32,7 +32,7 @@ def test_the_entry_freezes_the_heap_before_main():
 def test_run_freezes_then_exits_with_the_status_of_main(status, monkeypatch):
     events = []
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-    monkeypatch.setattr(psibench.cli, "main", lambda: events.append("main") or status)
+    monkeypatch.setattr(psibench.commands, "main", lambda: events.append("main") or status)
     with pytest.raises(SystemExit) as exc:
         run()
     assert exc.value.code == status
@@ -42,7 +42,7 @@ def test_run_freezes_then_exits_with_the_status_of_main(status, monkeypatch):
 def test_importing_the_main_module_runs_no_command(monkeypatch):
     events = []
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-    monkeypatch.setattr(psibench.cli, "main", lambda: events.append("main") or 0)
+    monkeypatch.setattr(psibench.commands, "main", lambda: events.append("main") or 0)
     monkeypatch.delitem(sys.modules, "psibench.__main__", raising=False)
     importlib.import_module("psibench.__main__")
     assert events == []
@@ -51,7 +51,7 @@ def test_importing_the_main_module_runs_no_command(monkeypatch):
 def test_the_installed_script_enters_through_run():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert project["scripts"] == {"psibench": "psibench.cli:run"}
+    assert project["scripts"] == {"psibench": "psibench.commands:run"}
 
 
 @pytest.mark.parametrize("sample, command, status", [

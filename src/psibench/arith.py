@@ -1,4 +1,4 @@
-"""Small number-theoretic helpers: primality, Lucas binomials, Adem coefficients."""
+"""Small integer helpers: primality, Lucas binomials, Adem coefficients, sparse dict arithmetic."""
 
 from __future__ import annotations
 
@@ -81,3 +81,44 @@ def require_power_bits(bits: int, what: str) -> None:
         raise ValueError(f"{what} needs about {bits} bits, above "
                          f"MAX_POWER_BITS={MAX_POWER_BITS}")
 
+
+def add_into(terms: dict, items, scale: int = 1, mod: int | None = None) -> None:
+    """Add scale * c * m into ``terms`` for each (m, c) of ``items``, reduced
+    mod ``mod``.  Each scale * c must be nonzero mod ``mod``, so a sum that
+    cancels names a term already there; it leaves at once, and the others
+    keep the order that adding one element at a time gives."""
+    get = terms.get
+    for m, c in items:
+        c = get(m, 0) + scale * c
+        if mod is not None:
+            c %= mod
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
+
+
+def exact_quotient(terms: dict, k: int) -> dict:
+    """{m: c/k} for the terms c*m, refused unless k divides every c."""
+    out = {}
+    for m, c in terms.items():
+        q, r = divmod(c, k)
+        if r:
+            raise ArithmeticError(f"coefficient {c} not divisible by {k}")
+        out[m] = q
+    return out
+
+
+def band_cut(items, weight, q: int, p: int, count: int, n: int, less=()) -> list:
+    """The one band splitting of a psi image at level q, given by its items
+    (m, c) of weight >= 2q: ``count`` term dicts, dict i < count - 1 holding
+    the terms of weight in [2q + 2i(p-1), 2q + 2(i+1)(p-1)) and the last the
+    rest less the items ``less``, each dict i divided exactly by p^(n-i).
+    ``weight`` maps a term's key to its weight."""
+    step, last = 2 * (p - 1), count - 1
+    bands = [{} for _ in range(count)]
+    for m, c in items:
+        bands[min((weight(m) - 2 * q) // step, last)][m] = c
+    add_into(bands[last], less, -1)
+    return [exact_quotient(band, p ** (n - i)) if i < n else band
+            for i, band in enumerate(bands)]

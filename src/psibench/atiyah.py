@@ -20,8 +20,8 @@ import math
 import random
 from collections import namedtuple
 
-from .arith import require_power_bits, validate_prime
-from .rings import Element, RingMap, WeightedRing, add_into, band_cut, mono_str, mono_weight
+from .arith import add_into, band_cut, require_power_bits, validate_prime
+from .rings import Element, RingMap, WeightedRing, mono_str, mono_weight
 from .verdicts import Verdict
 
 
@@ -269,7 +269,7 @@ def atiyah_decompose(algebra: PrePsiAlgebra, e: Element, q: int) -> AtiyahDecomp
     psi(e) in weights [w_i, w_(i+1)) divided by p^(k-i), layer k-1 is the
     rest of psi(e) - e^p divided by p, and the top is e^p.  Every term of a
     monomial's psi image that lands in band i carries at least p^(k-i), and
-    psi(e) = e^p mod p, so every division is exact (``rings.band_cut``,
+    psi(e) = e^p mod p, so every division is exact (``arith.band_cut``,
     which ``PsiModule.decompose`` calls too, checks it).  e^p is refused
     before it is built when its size bound (``_power_bits``) exceeds
     ``MAX_POWER_BITS``.  psi's monomial memo is the only cache.

@@ -6,7 +6,7 @@ everything passed or was constructed, 1 on a FAIL with witness, 2 on input
 errors.
 
 Each command imports its layers inside the function that runs it, so a
-command compiles only the modules it runs: ``fingen`` never loads the
+command compiles only the modules it runs: ``fingen`` never loads the ring,
 splitting, Steenrod, Groebner or lift code, and ``atiyah``, ``steenrod`` and
 ``verify`` never load the lift or module code.
 """

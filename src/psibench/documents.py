@@ -8,9 +8,9 @@ reads its relations in the encoding its document holds.  A small
 expression grammar (name[indices]^exp products joined by + and -) covers
 command-line element input.
 
-Each kind's builder imports its layer when it builds, so loading a module
-document never compiles the splitting or lift code, and only a document with
-graded relations loads ``groebner``.
+Builders import their layer, and only algebra and presentation code imports
+``rings``, so a module document compiles no ring, splitting or lift code, and
+only a document with graded relations loads ``groebner``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ except ImportError:
         from _sha2 import sha256  # Python 3.12 and later
     except ImportError:
         from hashlib import sha256
-
-from .rings import (Element, GeneratorSymbol, WeightedRing, id_from_json, id_to_json,
-                    poly_from_json, poly_to_json)
 
 
 class DocumentError(ValueError):
@@ -303,6 +300,7 @@ def parse_element(ring: WeightedRing, text: str, mod: int | None = None) -> Elem
 @_loader("pre-psi-algebra")
 def algebra_from_document(doc: dict) -> PrePsiAlgebra:
     from .atiyah import PrePsiAlgebra
+    from .rings import GeneratorSymbol, WeightedRing, id_from_json, poly_from_json
     p = doc["prime"]
     D = doc["truncation"]
     symbols = []
@@ -336,6 +334,7 @@ def algebra_to_document(algebra: PrePsiAlgebra) -> dict:
 
 
 def _algebra_fields(algebra: PrePsiAlgebra) -> dict:
+    from .rings import id_to_json, poly_to_json
     ring = algebra.ring
     doc = {
         "kind": "pre-psi-algebra",
@@ -376,6 +375,7 @@ def presentation_to_document(pres: UnstablePresentation) -> dict:
 
 
 def _presentation_fields(pres: UnstablePresentation) -> dict:
+    from .rings import poly_to_json
     doc = {
         "kind": "presentation",
         "prime": pres.p,

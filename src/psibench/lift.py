@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .arith import validate_prime
+from .arith import add_into, validate_prime
 from .atiyah import PrePsiAlgebra
 from .groebner import groebner_build
-from .rings import Element, GeneratorSymbol, WeightedRing, add_into, id_from_json, poly_from_json
+from .rings import Element, GeneratorSymbol, WeightedRing, id_from_json, poly_from_json
 from .steenrod import closure_outcomes, graded_basis, run_axioms
 from .unstable import UnstableAlgebra
 from .verdicts import Verdict

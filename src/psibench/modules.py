@@ -5,10 +5,10 @@ Module elements are integer combinations of basis symbols sitting in even
 weights up to the window 2D.  A document writes each symbol's layers at its
 own level; the module keeps only their weighted sum, psi of the symbol, so
 two documents with one psi are one module.  The splitting of any element at
-any level is the weight-band cut of its psi image (``rings.band_cut``), the
-one rule ``atiyah_decompose`` applies to ring elements (no multiplicative
-top layer here), and psi is the level-0 splitting.  Generation is decided
-weight by weight through exact membership in one sparse incremental
+any level is the weight-band cut of its psi image (``arith.band_cut``), the
+one rule ``atiyah_decompose`` applies to ring elements (no multiplicative top
+layer here), and psi is the level-0 splitting; no ring code loads.  Generation
+is decided weight by weight through exact membership in one sparse incremental
 lattice over Z (``normalforms.Lattice``) whose columns are the symbol names.
 """
 
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .arith import validate_prime
+from .arith import add_into, band_cut, validate_prime
 from .normalforms import Lattice, in_lattice
-from .rings import add_into, band_cut
 from .verdicts import Verdict
 
 
@@ -121,16 +120,16 @@ class PsiModule:
             q = s.weight // 2
             if s.name not in layers:
                 raise ValueError(f"missing layer data for symbol {s.name}")
-            given = tuple(ModuleElement(self, c) for c in layers[s.name])
+            # an empty layer fails neither check and adds nothing, so it is not built
+            given = tuple(layers[s.name])
+            built = [(i, ModuleElement(self, c)) for i, c in enumerate(given) if c]
             if len(given) != q + 1:
                 raise ValueError(
                     f"symbol {s.name} at level {q} needs {q + 1} layers, got {len(given)}")
             image: dict = {}
-            for i, layer in enumerate(given):
-                if layer.weight() < s.weight + 2 * i * (p - 1):
-                    raise ValueError(
-                        f"layer {i} of {s.name} has weight {layer.weight()}, below "
-                        f"{s.weight + 2 * i * (p - 1)}")
+            for i, layer in built:
+                if (w := layer.weight()) < (low := s.weight + 2 * i * (p - 1)):
+                    raise ValueError(f"layer {i} of {s.name} has weight {w}, below {low}")
                 add_into(image, layer.coords.items(), p ** (q - i))
             self.images[s.name] = image
 
@@ -151,7 +150,7 @@ class PsiModule:
         return ModuleElement._clean(self, coords)
 
     def decompose(self, e: ModuleElement, q: int) -> tuple:
-        """The q + 1 layers of e at level q <= weight(e)/2: ``rings.band_cut``
+        """The q + 1 layers of e at level q <= weight(e)/2: ``arith.band_cut``
         of psi(e), as ``atiyah_decompose`` cuts, with layer q the rest.  Band
         i holds only the layers j <= i of a symbol, each carrying
         p^(level-j), so its division by p^(q-i) is exact."""

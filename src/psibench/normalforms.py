@@ -4,7 +4,7 @@ normal form."""
 
 from __future__ import annotations
 
-from .rings import add_into
+from .arith import add_into
 
 
 class Lattice:

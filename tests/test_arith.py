@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from psibench.arith import MAX_POWER_BITS, adem_coefficient, is_prime, lucas_binom, validate_prime
+from psibench.arith import (MAX_POWER_BITS, adem_coefficient, add_into, band_cut, exact_quotient,
+                            is_prime, lucas_binom, validate_prime)
 from splitting_calculus import fermat_quotient
 
 
@@ -93,3 +94,47 @@ def test_fermat_quotient_refuses_a_power_beyond_the_bit_budget():
     assert 10007 * fermat_quotient(c, 10007) + c**10007 == c
     with pytest.raises(ValueError, match="MAX_POWER_BITS"):
         fermat_quotient(-(2**bits), 10007)
+
+
+# -- sparse {key: coefficient} helpers -----------------------------------------------
+
+def test_add_into_deletes_a_cancelled_key_and_keeps_the_order():
+    terms = {"a": 1, "b": 2, "c": 3}
+    add_into(terms, [("b", 1), ("d", 4)], -2)
+    assert terms == {"a": 1, "c": 3, "d": -8}
+    assert list(terms) == ["a", "c", "d"]
+    add_into(terms, [("a", -1), ("c", 1)])
+    assert list(terms.items()) == [("c", 4), ("d", -8)]
+
+
+def test_add_into_reduces_mod():
+    terms = {"a": 4}
+    add_into(terms, [("a", 5), ("b", 7)], 1, 5)
+    assert list(terms.items()) == [("a", 4), ("b", 2)]
+    add_into(terms, [("b", -3), ("a", 1)], 1, 5)  # a: 5 = 0 mod 5 leaves
+    assert list(terms.items()) == [("b", 4)]
+    add_into(terms, [("c", 3)], 4, 5)
+    assert terms == {"b": 4, "c": 2}
+
+
+def test_exact_quotient_divides_or_refuses():
+    assert exact_quotient({"a": 6, "b": -9}, 3) == {"a": 2, "b": -3}
+    assert exact_quotient({}, 7) == {}
+    with pytest.raises(ArithmeticError, match=r"^coefficient 7 not divisible by 3$"):
+        exact_quotient({"a": 6, "b": 7}, 3)
+
+
+def test_band_cut_edges_divisions_and_rest():
+    # p = 3, q = 2: bands start at 2q + 2i(p-1) = 4, 8, 12, 16; a key is its weight
+    items = [(4, 81), (7, 162), (8, 27), (11, 54), (12, 9), (15, 18), (16, 5), (40, 7), (41, 1)]
+    bands = band_cut(items, lambda m: m, 2, 3, 4, 2, less=[(40, 7), (17, 2)])
+    # band i < n = 2 divided by 3^(2-i); bands 2 and 3 not divided; the last is
+    # the rest less ``less``, whose cancelled key leaves
+    assert bands == [{4: 9, 7: 18}, {8: 9, 11: 18}, {12: 9, 15: 18}, {16: 5, 41: 1, 17: -2}]
+    assert list(bands[3]) == [16, 41, 17]
+    # with n = count, as a ring splitting cuts, the last band is divided by p
+    assert band_cut([(2, 4), (3, 8), (4, 2), (9, 6)], lambda m: m, 1, 2, 2, 2) == [
+        {2: 1, 3: 2}, {4: 1, 9: 3}]
+    assert band_cut([], lambda m: m, 1, 5, 2, 1) == [{}, {}]
+    with pytest.raises(ArithmeticError, match="coefficient 3 not divisible by 9"):
+        band_cut([(4, 9), (5, 3)], lambda m: m, 2, 3, 2, 2)

@@ -10,13 +10,13 @@ from psibench.documents import (algebra_from_document, algebra_to_document,
                                 canonical_json, document_digest, dump_document,
                                 lift_to_document, load_document,
                                 module_from_document, module_to_document,
-                                parse_element, poly_from_json, poly_to_json,
-                                presentation_from_document,
+                                parse_element, presentation_from_document,
                                 presentation_to_document, validate_document)
 from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, power_tower_module,
                              projective_space_ring)
+from psibench.rings import poly_from_json, poly_to_json
 from psibench.steenrod import graded_basis
 
 

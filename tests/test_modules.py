@@ -145,14 +145,20 @@ def test_module_symbol_validation():
 
 def test_module_layer_validation():
     sym = ModuleSymbol("m", 4)
-    with pytest.raises(ValueError):
-        PsiModule(3, 4, [sym], {"m": [{}, {}]})        # wrong layer count
-    with pytest.raises(ValueError):
-        PsiModule(3, 4, [sym], {"m": [{}, {"m": 1}, {}]})  # layer weight too low
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^symbol m at level 2 needs 3 layers, got 2$"):
+        PsiModule(3, 4, [sym], {"m": [{}, {}]})
+    # a nonempty layer is checked wherever it sits among empty ones
+    with pytest.raises(ValueError, match=r"^layer 1 of m has weight 4, below 8$"):
+        PsiModule(3, 4, [sym], {"m": [{}, {"m": 1}, {}]})
+    with pytest.raises(ValueError, match="beyond 2D"):
         PsiModule(3, 1, [sym], {"m": [{}, {}, {}]})    # symbol beyond window
     with pytest.raises(KeyError):
         fixed_point_module().element({"zz": 1})
+    # every symbol check comes before the count check and the weight checks
+    with pytest.raises(KeyError, match="unknown module symbol 'zz'"):
+        PsiModule(3, 4, [sym], {"m": [{}, {"m": 1}, {}, {"zz": 1}]})
+    M = PsiModule(3, 4, [sym], {"m": [{"m": 1}, {"m": 0, "zz": 0}, {}]})  # zeros drop
+    assert M.images == {"m": {"m": 9}}
 
 
 def test_closure_fixed_point_is_singleton():

@@ -40,10 +40,9 @@ class PrePsiAlgebra:
     unstable algebras).
 
     ``psi`` memoizes each monomial's image, the one cache that splittings
-    (``atiyah_decompose``) and P^i (``apply_P``) read.  ``graded_bases``
-    memoizes ``steenrod.graded_basis`` by degree, and ``operations``
-    memoizes ``steenrod.steenrod_P`` by (i, class), each holding at most
-    ``rings.SPLITTING_CACHE_SIZE`` entries.
+    (``atiyah_decompose``) and P^i (``apply_P``) read, holding at most
+    ``rings.SPLITTING_CACHE_SIZE`` entries.  ``graded_bases`` memoizes
+    ``steenrod.graded_basis`` by degree.
     """
 
     def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
@@ -80,7 +79,6 @@ class PrePsiAlgebra:
                 raise ValueError(f"psi does not preserve the relation {mono_str(ring, m)} = 0: "
                                  f"the product of the psi images of its factors keeps {term}")
         self.graded_bases: dict = {}
-        self.operations: dict = {}
 
     def apply_psi(self, e: Element) -> Element:
         """psi of an integral element of this algebra's ring."""

@@ -20,8 +20,7 @@ class UnstableAlgebra:
     operations P^i read off the total operation ``total``: the ``RingMap``
     sending each generator, in ``ring.generators`` order, to its image in
     ``totals`` (g + g^p by default).  ``graded_bases`` memoizes
-    ``steenrod.graded_basis`` by degree, and ``operations`` memoizes
-    ``steenrod.steenrod_P`` by (i, class)."""
+    ``steenrod.graded_basis`` by degree."""
 
     def __init__(self, ring: WeightedRing, p: int, graded_gb=None, totals=None,
                  name: str = ""):
@@ -37,7 +36,6 @@ class UnstableAlgebra:
             raise ValueError(f"the total operation takes one mod-{p} image per generator")
         self.total = RingMap(ring, totals, mod=p)
         self.graded_bases: dict = {}
-        self.operations: dict = {}
 
     def apply_P(self, i: int, e: Element) -> Element:
         """P^i on a raw mod-p element: ``total.band`` at shift 2i(p-1), with

@@ -19,8 +19,7 @@ from psibench.models import (adem_failure_ring, dual_numbers_ring,
                              free_polynomial_presentation, product_projective_spaces,
                              projective_space_ring)
 from psibench.rings import UNIT
-from psibench.steenrod import (GradedClass, check_exactness, classify,
-                               interesting_degrees, sample_classes, steenrod_P)
+from psibench.steenrod import check_exactness, classify
 from psibench.verdicts import FAIL
 from splitting_calculus import (atiyah_shift, calculus_decompose, monomial_decomposition,
                                 scalar_decomposition)
@@ -556,77 +555,12 @@ def test_splitting_cache_bound(monkeypatch):
     assert len(A.psi.memo) == 3
 
 
-def _operation_cases(A, rng):
-    """(i, class) pairs with a decidable target: basis classes and random
-    combinations in every degree, i from 0 to one above the level."""
-    cases = []
-    for d in interesting_degrees(A, 2):
-        for cls in sample_classes(A, d, rng, 3):
-            cases.extend((i, cls) for i in range(d // 2 + 2)
-                         if A.ring.decidable(d + 2 * i * (A.p - 1)))
-    return cases
-
-
-def _operation_algebras():
-    return (projective_space_ring(3, 5), adem_failure_ring(3), dual_numbers_ring(2, 3),
-            product_projective_spaces(3, 3, 3),
-            build_lift(free_polynomial_presentation(3, 4)).graded)
-
-
-def test_operation_memo_warm_equals_cold():
-    rng = random.Random(29)
-    for A in _operation_algebras():
-        cases = _operation_cases(A, rng)
-        warm = [steenrod_P(A, i, c) for i, c in cases]
-        assert A.operations, A
-        for (i, c), w in zip(cases, warm):
-            # an equal class built afresh finds the stored value
-            twin = GradedClass(A, c.degree, A.ring.element(c.rep.terms, mod=A.p))
-            again = steenrod_P(A, i, twin)
-            assert again == w
-            if c and i <= c.degree // 2 and c.degree + 2 * i * (A.p - 1) <= A.ring.top_weight():
-                assert again is w
-        for (i, c), w in zip(cases, warm):
-            A.operations.clear()
-            assert steenrod_P(A, i, c) == w, (A, i, str(c))
-
-
-def test_operation_memo_is_per_algebra():
-    doc = algebra_to_document(projective_space_ring(3, 4))
-    A, B = algebra_from_document(doc), algebra_from_document(doc)
-    c = GradedClass(A, 4, A.ring.gen("t", mod=3) ** 2)
-    a = steenrod_P(A, 1, c)
-    assert A.operations and not B.operations
-    b = steenrod_P(B, 1, GradedClass(B, 4, B.ring.gen("t", mod=3) ** 2))
-    assert b is not a and b.algebra is B and b.rep.ring is B.ring
-    assert str(a) == str(b) == "[2*t^4]@8"
-    assert not set(A.operations.values()) & set(B.operations.values())
-
-
-def test_operation_memo_bound(monkeypatch):
-    for A in _operation_algebras():
-        cases = _operation_cases(A, random.Random(37))
-        unbounded = [steenrod_P(A, i, c) for i, c in cases]
-        A.operations.clear()
-        monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", 3)
-        bounded = []
-        for i, c in cases:
-            bounded.append(steenrod_P(A, i, c))
-            assert len(A.operations) <= 3
-        # only a target below the top monomial is computed, and so memoized
-        memoizable = {(i, c.degree, c.rep) for i, c in cases if c and i <= c.degree // 2
-                      and c.degree + 2 * i * (A.p - 1) <= A.ring.top_weight()}
-        assert len(A.operations) == min(3, len(memoizable))
-        assert bounded == unbounded
-        monkeypatch.undo()
-
-
 def test_memoized_operations_keep_the_adem_witness(monkeypatch):
     memoized = classify(adem_failure_ring(3))
     monkeypatch.setattr(rings, "SPLITTING_CACHE_SIZE", 0)  # no memo at all
     A = adem_failure_ring(3)
     plain = classify(A)
-    assert not A.operations and not A.psi.memo
+    assert not A.psi.memo
     assert memoized.label == plain.label == "pre-psi-p"
     adem = memoized.verdict("adem")
     assert adem.status == FAIL and adem.to_dict() == plain.verdict("adem").to_dict()

@@ -19,9 +19,12 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 # Probed functions that nothing in the package calls: the benchmark times
 # them, the program never reaches them, and they go with their probes.
+# check_exactness, check_additivity and check_cartan left verify's registry;
+# tests/test_self_checks.py runs them.
 PROBE_ONLY = {"hermite_normal_form", "smith_normal_form", "check_pth_power",
               "check_instability", "check_p0_identity_table", "check_adem_table",
-              "atiyah_sum", "atiyah_product"}
+              "atiyah_sum", "atiyah_product", "check_exactness", "check_additivity",
+              "check_cartan"}
 
 
 def _probes():

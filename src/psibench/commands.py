@@ -29,7 +29,7 @@ from .verdicts import FAIL, Verdict
 
 # Largest --trials, and largest weight of verify's top (the nilpotent bound,
 # else 2D) and of an --element's heaviest term; on a shared 2-CPU host
-# classify(projective_space_ring(3, 32)) at --trials 32 takes about 1 s.
+# classify(projective_space_ring(3, 32)) at --trials 32 takes about 1.5 s.
 MAX_TRIALS = 32
 MAX_WEIGHT = 64
 

@@ -318,7 +318,12 @@ def check_cartan(algebra, deg1: int, deg2: int) -> Verdict:
 
 
 def check_p0_identity(algebra, degrees) -> Verdict:
-    """P^0 = Id on every basis class of the listed degrees (linear)."""
+    """P^0 = Id on every basis class of the listed degrees (linear).  A
+    nilpotent ring whose top monomial lies above the window 2D has degrees
+    no class can reach: each even one in (2D, top] is one skip, so a window
+    cut below the top never reads as exact."""
+    ring = algebra.ring
+
     def outcomes():
         for degree in degrees:
             for cls in graded_basis(algebra, degree):
@@ -327,6 +332,8 @@ def check_p0_identity(algebra, degrees) -> Verdict:
                     yield True
                 else:
                     yield {"degree": degree, "class": str(cls.rep), "P0": str(image.rep)}
+        if (top := ring.max_monomial_weight()) is not None:
+            yield max(0, (top - ring.max_weight) // 2)
     return Verdict.tally("p0-identity", outcomes())
 
 

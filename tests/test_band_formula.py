@@ -36,16 +36,15 @@ import random
 
 import pytest
 
-from psibench.atiyah import PrePsiAlgebra, atiyah_decompose, random_element
+from psibench.atiyah import atiyah_decompose, random_element
 from psibench.documents import algebra_from_document, load_document
 from psibench.lift import build_lift
 from psibench.models import (adem_failure_ring, dual_numbers_ring, free_polynomial_presentation,
                              product_projective_spaces, projective_space_ring)
-from psibench.rings import WeightedRing
 from psibench.steenrod import (gr_class, graded_basis, interesting_degrees, sample_classes,
                                steenrod_P)
 from splitting_calculus import calculus_decompose
-from test_psi_preserves_relations import MODELS, _random_algebra
+from test_psi_preserves_relations import MODELS, loadable_algebras
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted(path for path in [*(ROOT / "sample_documents").glob("*.json"),
@@ -192,14 +191,7 @@ def test_band_layers_have_the_calculus_classes_on_random_algebras():
     the band splitting moves and the calculus keeps."""
     rng = random.Random("band-splitting")
     built = compared = 0
-    for _ in range(300):
-        p, symbols, D, relations, layers = _random_algebra(rng)
-        ring = WeightedRing(symbols, D, relations)
-        psi_data = {g.key: tuple(ring.element(terms) for terms in layers[g]) for g in symbols}
-        try:
-            algebra = PrePsiAlgebra(ring, p, psi_data)
-        except ValueError:
-            continue
+    for algebra in loadable_algebras(rng):
         built += 1
         for e, q in _random_pairs(algebra, rng, 3):
             compared += _agrees_with_the_calculus(algebra, e, q)

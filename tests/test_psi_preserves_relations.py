@@ -153,19 +153,33 @@ def _naive_images(p, symbols, D, relations, layers):
     return out
 
 
-def test_random_algebras_agree_with_the_naive_check():
-    rng = random.Random("psi-preserves-relations")
-    refused = accepted = 0
-    for _ in range(300):
-        p, symbols, D, relations, layers = _random_algebra(rng)
+def random_algebras(rng, tries=300):
+    """Per try, the data of ``_random_algebra`` and the ``PrePsiAlgebra`` it
+    builds, or the ValueError the constructor refuses it with.  Lazy, so a
+    caller may draw from ``rng`` between two algebras."""
+    for _ in range(tries):
+        data = p, symbols, D, relations, layers = _random_algebra(rng)
         ring = WeightedRing(symbols, D, relations)
         psi_data = {g.key: tuple(ring.element(terms) for terms in layers[g]) for g in symbols}
-        naive = _naive_images(p, symbols, D, relations, layers)
         try:
-            PrePsiAlgebra(ring, p, psi_data)
+            built = PrePsiAlgebra(ring, p, psi_data)
         except ValueError as exc:
+            built = exc
+        yield data, built
+
+
+def loadable_algebras(rng, tries=300):
+    """The random algebras of ``random_algebras`` that load."""
+    return (A for _, A in random_algebras(rng, tries) if not isinstance(A, ValueError))
+
+
+def test_random_algebras_agree_with_the_naive_check():
+    refused = accepted = 0
+    for data, built in random_algebras(random.Random("psi-preserves-relations")):
+        naive = _naive_images(*data)
+        if isinstance(built, ValueError):
             refused += 1
-            relation, term = MESSAGE.fullmatch(str(exc)).groups()
+            relation, term = MESSAGE.fullmatch(str(built)).groups()
             assert term in naive[relation]
         else:
             accepted += 1

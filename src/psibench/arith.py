@@ -120,5 +120,5 @@ def band_cut(items, weight, q: int, p: int, count: int, n: int, less=()) -> list
     for m, c in items:
         bands[min((weight(m) - 2 * q) // step, last)][m] = c
     add_into(bands[last], less, -1)
-    return [exact_quotient(band, p ** (n - i)) if i < n else band
+    return [exact_quotient(band, p ** (n - i)) if band and i < n else band
             for i, band in enumerate(bands)]

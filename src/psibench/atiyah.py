@@ -1,16 +1,16 @@
-"""Distinguished-endomorphism structures and their layer splittings.
+"""Distinguished-endomorphism structures and their band splittings.
 
 A pre-psi-p algebra is a weighted ring with a prime p and, for every
-generator g of weight 2*sigma, a chosen splitting of psi(g) into layers
+generator g of weight 2*sigma, its psi image, which a document writes as
 
-    psi(g) = p^sigma g_0 + p^(sigma-1) g_1 + ... + p g_(sigma-1) + g_sigma,
+    psi(g) = p^sigma g_0 + p^(sigma-1) g_1 + ... + p g_(sigma-1) + g^p
 
-with g_i of weight >= 2*sigma + 2*i*(p-1) and g_sigma = g^p.  The psi image
-of any element then determines a splitting of it at every level: cut psi(e)
-into weight bands and divide each by its power of p (``atiyah_decompose``).
-A level-0 pair (r', r^p) weighs like a level-1 splitting, so one rule serves
-every level.  Everything is exact integer arithmetic; the only approximation
-in the system is the weight truncation of the ambient ring, which the sticky
+with layers g_i of weight >= 2*sigma + 2*i*(p-1).  The psi image of any
+element determines a splitting of it at every level: cut psi(e) into weight
+bands and divide each by its power of p (``atiyah_decompose``).  A level-0
+pair (r', r^p) weighs like a level-1 splitting, so one rule serves every
+level.  Everything is exact integer arithmetic; the only approximation in
+the system is the weight truncation of the ambient ring, which the sticky
 ``truncated`` flags record.
 """
 
@@ -26,18 +26,17 @@ from .verdicts import Verdict
 
 
 class PrePsiAlgebra:
-    """A weighted ring with a prime p and per-generator layer data.
+    """A weighted ring with a prime p and one psi image per generator.
 
-    ``psi_data`` maps each generator key, g of weight 2*sigma, to its sigma
-    layers below the top; the algebra appends the top g^p itself, so
-    ``self.psi_data`` holds the whole splitting, and ``psi`` is the
-    ``RingMap`` on its layer sums (it fixes integers).  It
-    must preserve each monomial relation prod g^e: the product of the
-    psi(g)^e may keep no term in the window, though it may lose terms above
-    it (``truncated``), as any windowed identity may.  Graded relations are
-    not checked.  An optional Groebner basis over Z/p realizes the graded
-    quotient when the algebra presents one (e.g. lifts of presented
-    unstable algebras).
+    ``images`` maps each generator key, g of weight 2*sigma, to psi(g) - g^p;
+    the algebra adds g^p, keeping its truncated flag, and ``psi`` is the
+    ``RingMap`` on the sums (it fixes integers).  An image must be integral,
+    with no term below weight 2*sigma and a ``band_cut`` at level sigma that
+    divides, as any layers' weighted sum does.  psi must preserve each
+    monomial relation prod g^e: the product of the psi(g)^e may keep no term
+    in the window, though it may lose terms above it (``truncated``).  Graded
+    relations are not checked.  An optional Groebner basis over Z/p realizes
+    the graded quotient of an algebra that presents one (e.g. a lift).
 
     ``psi`` memoizes each monomial's image, the one cache that splittings
     (``atiyah_decompose``) and P^i (``apply_P``) read, holding at most
@@ -45,32 +44,26 @@ class PrePsiAlgebra:
     ``steenrod.graded_basis`` by degree.
     """
 
-    def __init__(self, ring: WeightedRing, p: int, psi_data: dict,
+    def __init__(self, ring: WeightedRing, p: int, images: dict,
                  graded_gb=None, name: str = ""):
         self.ring = ring
         self.p = validate_prime(p)
         self.name = name
         self.graded_gb = graded_gb
-        data = {}
+        full = []
         for g in ring.generators:
-            if g.key not in psi_data:
-                raise ValueError(f"missing psi layer data for generator {g}")
-            layers = tuple(psi_data[g.key])
-            if len(layers) != g.weight // 2:
-                raise ValueError(
-                    f"generator {g} has weight {g.weight}; expected {g.weight // 2} layers "
-                    f"below the top {g}^{p}, got {len(layers)}")
-            for i, layer in enumerate(layers):
-                if layer.ring is not ring or layer.mod is not None:
-                    raise ValueError(f"layer {i} of {g} is not an integral element of the ring")
-                if layer and layer.weight() < g.weight + 2 * i * (p - 1):
-                    raise ValueError(
-                        f"layer {i} of {g} has weight {layer.weight()}, "
-                        f"below the bound {g.weight + 2 * i * (p - 1)}")
-            data[g.key] = (*layers, ring.var(g) ** p)
-        self.psi_data = data
-        self.psi = RingMap(ring, (self.generator_decomposition(g).weighted_sum()
-                                  for g in ring.generators))
+            below, sigma = images.get(g.key), g.weight // 2
+            if below is None or below.ring is not ring or below.mod is not None:
+                raise ValueError(f"generator {g} needs its psi image below the top as an "
+                                 f"integral element of the ring")
+            if below and below.weight() < g.weight:
+                raise ValueError(f"the psi image of {g} has a term below weight {g.weight}")
+            try:
+                band_cut(below.terms.items(), mono_weight, sigma, p, sigma, sigma)
+            except ArithmeticError as exc:
+                raise ValueError(f"the psi image of {g} does not cut into layers: {exc}") from None
+            full.append(below + ring.var(g) ** p)
+        self.psi = RingMap(ring, full)
         for m in ring.monomial_relations:
             image = math.prod((self.psi.images[g] ** e for g, e in reversed(m[1])),
                               start=ring.one())
@@ -100,10 +93,6 @@ class PrePsiAlgebra:
             raise ValueError(f"P^{i} is read off psi only for 0 <= i <= {q}")
         band = self.psi.band(e.integer_lift(), 2 * i * (p - 1))
         return band.exact_div(p ** (q - i)).reduce_mod(p)
-
-    def generator_decomposition(self, g) -> "AtiyahDecomposition":
-        layers = self.psi_data[g.key]
-        return AtiyahDecomposition(self, self.ring.var(g), g.weight // 2, layers)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""

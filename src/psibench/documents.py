@@ -299,8 +299,9 @@ def parse_element(ring: WeightedRing, text: str, mod: int | None = None) -> Elem
 
 @_loader("pre-psi-algebra")
 def algebra_from_document(doc: dict) -> PrePsiAlgebra:
+    from .arith import add_into, validate_prime
     from .atiyah import PrePsiAlgebra
-    from .rings import GeneratorSymbol, WeightedRing, id_from_json, poly_from_json
+    from .rings import Element, GeneratorSymbol, WeightedRing, id_from_json, poly_from_json
     p = doc["prime"]
     D = doc["truncation"]
     symbols = []
@@ -311,21 +312,33 @@ def algebra_from_document(doc: dict) -> PrePsiAlgebra:
     relations = [[(probe.symbol(*id_from_json(gid)), e) for gid, e in m]
                  for m in doc.get("monomial_relations", [])]
     ring = WeightedRing(symbols, D, relations)
-    # a document writes sigma + 1 layers; the written top must equal the algebra's g^p
-    psi_data, tops = {}, {}
+    # a document writes sigma + 1 layers; the algebra takes the weighted sum below the top
+    written, images = {}, {}
     for sym, g in zip(symbols, doc["generators"]):
-        layers = [poly_from_json(ring, layer) for layer in g["layers"]]
-        _expect(len(layers) == sym.weight // 2 + 1, f"generator {sym} has weight {sym.weight}; "
-                f"expected {sym.weight // 2 + 1} layers, got {len(layers)}")
-        psi_data[sym.key], tops[sym] = layers[:-1], layers[-1]
+        written[sym] = [poly_from_json(ring, layer) for layer in g["layers"]]
+        _expect(len(written[sym]) == sym.weight // 2 + 1, f"generator {sym} has weight "
+                f"{sym.weight}; expected {sym.weight // 2 + 1} layers, got {len(written[sym])}")
     graded = [poly_from_json(ring, r, mod=p) for r in doc.get("graded_relations", [])]
     gb = None
     if any(graded):
         from .groebner import groebner_build
         gb = groebner_build(graded, p)
-    algebra = PrePsiAlgebra(ring, p, psi_data, graded_gb=gb, name=doc.get("name", ""))
-    for sym, top in tops.items():
-        _expect(top == algebra.psi_data[sym.key][-1], f"top layer of {sym} must equal {sym}^{p}")
+    validate_prime(p)  # before any g^p is built
+    for sym in ring.generators:
+        *below, _ = written[sym]
+        terms = {}
+        for i, layer in enumerate(below):
+            if not layer:
+                continue
+            if layer.weight() < (bound := sym.weight + 2 * i * (p - 1)):
+                raise ValueError(f"layer {i} of {sym} has weight {layer.weight()}, "
+                                 f"below the bound {bound}")
+            add_into(terms, layer.terms.items(), p ** (len(below) - i))
+        images[sym.key] = Element._clean(ring, terms, None, any(l.truncated for l in below))
+    algebra = PrePsiAlgebra(ring, p, images, graded_gb=gb, name=doc.get("name", ""))
+    for sym, (*_, top) in written.items():  # the algebra's g^p: psi(g) less the image below
+        _expect(algebra.psi.images[ring._pos[sym.key]] - images[sym.key] == top,
+                f"top layer of {sym} must equal {sym}^{p}")
     return algebra
 
 
@@ -334,18 +347,20 @@ def algebra_to_document(algebra: PrePsiAlgebra) -> dict:
 
 
 def _algebra_fields(algebra: PrePsiAlgebra) -> dict:
-    from .rings import id_to_json, poly_to_json
-    ring = algebra.ring
-    doc = {
-        "kind": "pre-psi-algebra",
-        "prime": algebra.p,
-        "truncation": ring.truncation,
-        "generators": [
-            {"id": id_to_json(g), "weight": g.weight,
-             "layers": [poly_to_json(layer) for layer in algebra.psi_data[g.key]]}
-            for g in ring.generators
-        ],
-    }
+    from .arith import band_cut
+    from .rings import Element, id_to_json, mono_weight, poly_to_json
+    ring, p = algebra.ring, algebra.p
+    generators = []
+    for g, image in zip(ring.generators, algebra.psi.images):
+        # the band cut of psi(g) - g^p at g's own level, then the top g^p
+        sigma, top = g.weight // 2, ring.var(g) ** p
+        bands = band_cut(image.terms.items(), mono_weight, sigma, p, sigma, sigma,
+                         top.terms.items())
+        layers = [poly_to_json(Element._clean(ring, band)) if band else [] for band in bands]
+        generators.append({"id": id_to_json(g), "weight": g.weight,
+                           "layers": [*layers, poly_to_json(top)]})
+    doc = {"kind": "pre-psi-algebra", "prime": p, "truncation": ring.truncation,
+           "generators": generators}
     if ring.monomial_relations:
         doc["monomial_relations"] = [
             [[id_to_json(g), e] for g, e in ring.symbol_pairs(m)]

@@ -5,11 +5,12 @@ set over the admissible iterated-operation variables X_(theta, i_1..i_n),
 the builder equips the presentation's polynomial ring Pi on those variables
 with the distinguished endomorphism
 
-    psi X = p^sigma X + sum_{i=1..sigma-1} p^(sigma-i) X_(...,i) + X^p,
+    psi X = p^sigma X + sum_{i=1..sigma-1} p^(sigma-i) X_(...,i) + X^p
 
-and builds the ideal generated by all psi-iterates of the integral relation
-lifts.  The graded quotient over Z/p is the presented algebra itself, on
-the same ring and representatives.  Generator enumeration is windowed:
+over the children X_(...,i) in the weight window, and builds the ideal
+generated by all psi-iterates of the integral relation lifts.  The graded
+quotient over Z/p is the presented algebra itself, on the same ring and
+representatives.  Generator enumeration is windowed:
 positive indices are bounded by the weight cap and the number of zero
 indices (which encode P^0) is capped explicitly, which keeps the variable
 set finite and closed under the layers of psi within the window.
@@ -74,17 +75,17 @@ def enumerate_generators(p: int, generators, D: int, max_zeros: int = 1) -> list
     return out
 
 
-def lift_generator_layers(ring: WeightedRing, p: int, sym: GeneratorSymbol) -> tuple:
-    """The psi layers of a lift variable below its top X^p:
-    (X, X_(...,1), ..., X_(...,sigma-1)).
-
-    ``enumerate_generators`` admits the child X_(...,i) exactly for
-    i <= (D - sigma)//(p - 1), so the first k = min(sigma - 1, that bound)
-    slots are children and the rest, beyond the weight window, one flagged zero."""
+def _psi_below_top(ring: WeightedRing, p: int, sym: GeneratorSymbol) -> Element:
+    """psi(X) - X^p = p^sigma X + sum_(i <= k) p^(sigma-i) X_(...,i) for X of weight
+    2*sigma: ``enumerate_generators`` admits child i exactly for i <= (D - sigma)//(p - 1),
+    so k = min(sigma - 1, that bound), and a missing child flags the image truncated."""
     sigma = sym.weight // 2
     k = min(sigma - 1, (ring.truncation - sigma) // (p - 1))
     children = (ring.gen(sym.name, sym.indices + (i,)) for i in range(1, k + 1))
-    return (ring.var(sym), *children, *(Element(ring, {}, truncated=True),) * (sigma - 1 - k))
+    terms: dict = {}
+    for i, var in enumerate((ring.var(sym), *children)):
+        add_into(terms, var.terms.items(), p ** (sigma - i))
+    return Element._clean(ring, terms, None, k < sigma - 1)
 
 
 class UnstablePresentation:
@@ -92,11 +93,10 @@ class UnstablePresentation:
     admissible variables; the presented quotient carries the table action.
 
     Relations are polynomials in the document encoding (``rings.poly_from_json``).
-    ``pi`` is the lift's pre-psi-p algebra, built once here on the psi layers
-    of every variable (``lift_generator_layers``), with the relations'
-    Groebner basis as its graded quotient: the total operation sends X to
-    the sum of its layers in ``pi.psi_data`` mod p, and ``build_lift`` takes
-    ``pi`` as it is.
+    ``pi`` is the lift's pre-psi-p algebra, built once here on the psi image
+    of every variable (``_psi_below_top``), with the relations' Groebner
+    basis as its graded quotient: the total operation sends X to X, its
+    children and X^p mod p, and ``build_lift`` takes ``pi`` as it is.
 
     Load-validation checks that the relation ideal contains the identifying
     relations for zero indices (P^0) and top indices (p-th powers), is closed
@@ -127,15 +127,12 @@ class UnstablePresentation:
         self.relations = tuple(poly_from_json(self.ring, r, mod=p) for r in relations)
         live = [r for r in self.relations if r]
         self.gb = groebner_build(live, p) if live else None
-        below = {g.key: lift_generator_layers(self.ring, p, g) for g in self.ring.generators}
+        below = {g.key: _psi_below_top(self.ring, p, g) for g in self.ring.generators}
         self.pi = PrePsiAlgebra(self.ring, p, below, graded_gb=self.gb,
                                 name=(name or "lift") + ":Pi")
-        totals = []
-        for layers in self.pi.psi_data.values():
-            terms = {}
-            for layer in filter(None, layers):
-                add_into(terms, layer.terms.items(), 1, p)
-            totals.append(Element._clean(self.ring, terms, p, any(l.truncated for l in layers)))
+        # X, its children and X^p summed mod p: psi(X) with unit coefficients
+        totals = [Element._clean(self.ring, dict.fromkeys(image.terms, 1), p, image.truncated)
+                  for image in self.pi.psi.images]
         self.algebra = UnstableAlgebra(self.ring, p, self.gb, totals=totals,
                                        name=name or "presentation")
         self.validation = self.validate()
@@ -166,14 +163,14 @@ class UnstablePresentation:
 
     def _top_index_outcomes(self, nf):
         """X_(theta,I,sigma) = X_(theta,I)^p in the quotient, where sigma is
-        the parent's level; X^p is the parent's stored top layer."""
+        the parent's level."""
         p = self.p
         for sym in self.symbols:
             if not sym.indices:
                 continue
             parent = self.ring._by_key.get((sym.name, sym.indices[:-1]))
             if parent is not None and sym.indices[-1] == parent.weight // 2:
-                top = self.pi.psi_data[parent.key][-1].reduce_mod(p)
+                top = self.ring.var(parent, mod=p) ** p
                 if nf(self.ring.var(sym, mod=p) - top):
                     yield {"variable": str(sym), "missing": f"{sym} = {parent}^{p}"}
                 else:

@@ -14,7 +14,7 @@ from .unstable import UnstableAlgebra
 
 def dual_numbers_ring(p: int, k: int, D: int = 8) -> PrePsiAlgebra:
     """Integers adjoined a square-zero variable of weight 4, with
-    psi(e) = p^2*k*e split as (k*e, 0, e^p); the algebra adds the top e^p.
+    psi(e) = p^2*k*e; the top e^p is zero.
 
     P^0 acts as multiplication by k on the weight-4 class, so the identity
     axiom holds iff k = 1 mod p; everything above is zero, which settles the
@@ -22,7 +22,7 @@ def dual_numbers_ring(p: int, k: int, D: int = 8) -> PrePsiAlgebra:
     eps = GeneratorSymbol("e", (), 4)
     ring = WeightedRing([eps], D, monomial_relations=[((eps, 2),)])
     e = ring.var(eps)
-    return PrePsiAlgebra(ring, p, {eps.key: (e * k, ring.zero())}, name=f"dual-numbers(k={k})")
+    return PrePsiAlgebra(ring, p, {eps.key: e * (p * p * k)}, name=f"dual-numbers(k={k})")
 
 
 def adem_failure_ring(p: int, D: int | None = None) -> PrePsiAlgebra:
@@ -38,18 +38,18 @@ def adem_failure_ring(p: int, D: int | None = None) -> PrePsiAlgebra:
     x = GeneratorSymbol("x", (), 2 * (p - 1))
     ring = WeightedRing([x], D)
     xe = ring.var(x)
-    layers = (xe, ring.zero(), *(xe ** (i + 1) for i in range(2, p - 1)))
-    return PrePsiAlgebra(ring, p, {x.key: layers}, name="broken-adem")
+    image = sum((xe**j * p ** (p - j) for j in range(3, p)), xe * p ** (p - 1))
+    return PrePsiAlgebra(ring, p, {x.key: image}, name="broken-adem")
 
 
-def _projective_layers(v, p: int) -> tuple:
-    """The layer sum_j binom(p,j)/p v^j below the top v^p of psi(v) = (1+v)^p - 1."""
-    return (sum(((math.comb(p, j) // p) * v**j for j in range(1, p)), v.ring.zero()),)
+def _projective_image(v, p: int):
+    """psi(v) - v^p = (1+v)^p - 1 - v^p = sum_(0<j<p) binom(p,j) v^j."""
+    return sum((math.comb(p, j) * v**j for j in range(1, p)), v.ring.zero())
 
 
 def projective_space_ring(p: int, n: int, D: int | None = None) -> PrePsiAlgebra:
     """Truncated polynomial ring Z[t]/(t^(n+1)), |t| = 2, with
-    psi(t) = (1+t)^p - 1 split as (sum_j binom(p,j)/p t^j, t^p).
+    psi(t) = (1+t)^p - 1, handed over as (1+t)^p - 1 - t^p.
 
     All axioms hold; the derived operations obey
     P^i(t^q) = binom(q, i) t^(q + i(p-1))."""
@@ -59,7 +59,7 @@ def projective_space_ring(p: int, n: int, D: int | None = None) -> PrePsiAlgebra
         D = n * p
     t = GeneratorSymbol("t", (), 2)
     ring = WeightedRing([t], D, monomial_relations=[((t, n + 1),)])
-    return PrePsiAlgebra(ring, p, {t.key: _projective_layers(ring.var(t), p)},
+    return PrePsiAlgebra(ring, p, {t.key: _projective_image(ring.var(t), p)},
                          name=f"projective-space(n={n})")
 
 
@@ -78,9 +78,8 @@ def product_projective_spaces(p: int, n: int, m: int,
     u = GeneratorSymbol("u", (), 2)
     ring = WeightedRing([t, u], D,
                         monomial_relations=[((t, n + 1),), ((u, m + 1),)])
-    psi_data = {sym.key: _projective_layers(ring.var(sym), p) for sym in (t, u)}
-    return PrePsiAlgebra(ring, p, psi_data,
-                         name=f"product-projective-spaces(n={n},m={m})")
+    images = {sym.key: _projective_image(ring.var(sym), p) for sym in (t, u)}
+    return PrePsiAlgebra(ring, p, images, name=f"product-projective-spaces(n={n},m={m})")
 
 
 def base_polynomial_algebra(p: int, d: int = 1, theta: str = "x",

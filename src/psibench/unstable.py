@@ -3,8 +3,8 @@
 P = sum_i P^i is the ring map given by one image per generator, and P^i of a
 class is the weight-shifted part of its image.  P^0 g = g and the p-th power
 at the top hold only as the caller's images hold them: the default g + g^p
-and every presentation's layer sum do, and the ``p0`` and ``adem`` verdicts
-judge the rest.  Quotients are realized by a Groebner basis over Z/p.
+and a presentation's X + children + X^p do, and the ``p0`` and ``adem``
+verdicts judge the rest.  Quotients are realized by a Groebner basis over Z/p.
 """
 
 from __future__ import annotations

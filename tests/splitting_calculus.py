@@ -2,8 +2,9 @@
 band splitting of ``atiyah.atiyah_decompose``.
 
 It builds a splitting from the polynomial expression of an element, never
-from the bands of its psi image: a generator uses its stored layers, a
-monomial multiplies them together (``atiyah_product``), an integer
+from the bands of its psi image: a generator uses its own layers, cut
+here from psi(g) term by term (``generator_splitting``), a monomial
+multiplies them together (``atiyah_product``), an integer
 coefficient enters through the Fermat-quotient rule at level 0, the term
 splittings are added by one ``atiyah_sum``, and the sum moves down to the
 requested level by at most one ``atiyah_shift``.  Its layers need not equal
@@ -65,13 +66,29 @@ def atiyah_shift(d: AtiyahDecomposition, level: int) -> AtiyahDecomposition:
     return AtiyahDecomposition(d.algebra, d.source, level, (*lowered, d.layers[q]))
 
 
+def generator_splitting(algebra, g) -> AtiyahDecomposition:
+    """The splitting of a generator g of weight 2*sigma at level sigma, cut
+    from psi(g) - g^p a term at a time: a term of weight w joins layer
+    min((w - 2*sigma)//(2(p-1)), sigma - 1), divided by its power of p."""
+    ring, p = algebra.ring, algebra.p
+    sigma, var = g.weight // 2, ring.var(g)
+    top = var**p
+    below = algebra.apply_psi(var) - top
+    layers = [ring.zero() for _ in range(sigma)]
+    for m, c in below.terms.items():
+        i = min((m[0] - 2 * sigma) // (2 * (p - 1)), sigma - 1)
+        assert i >= 0 and c % p ** (sigma - i) == 0, (g, m, c)
+        layers[i] = layers[i] + ring.element({m: c // p ** (sigma - i)})
+    return AtiyahDecomposition(algebra, var, sigma, (*layers, top))
+
+
 def monomial_decomposition(algebra, m) -> AtiyahDecomposition:
     """Splitting of a monomial at its natural level weight/2: the splitting
     of m with the exponent of its heaviest-sorted generator lowered by one,
-    times that generator's stored splitting."""
+    times that generator's own splitting."""
     ring = algebra.ring
     g = m[1][0][0]
-    gd = algebra.generator_decomposition(ring.generators[g])
+    gd = generator_splitting(algebra, ring.generators[g])
     rest = mono_div(m, ring.power(g, 1))
     return gd if not rest[1] else atiyah_product(monomial_decomposition(algebra, rest), gd)
 

@@ -357,7 +357,7 @@ def test_apply_psi_is_a_ring_map(free_ring):
     # psi(x) = 3(x + x^2) + x^3 and psi(y) = 18y + 3x^4 + y^3 on Z[x, y] with
     # D = 8, where products lose their terms above weight 16
     x, y = free_ring.gen("x"), free_ring.gen("y")
-    A = PrePsiAlgebra(free_ring, 3, {("x", ()): (x + x**2,), ("y", ()): (y * 2, x**4)})
+    A = PrePsiAlgebra(free_ring, 3, {("x", ()): (x + x**2) * 3, ("y", ()): y * 18 + x**4 * 3})
     a, b = x * 3 + y, x**2 - y
     assert A.apply_psi(a + b) == A.apply_psi(a) + A.apply_psi(b)
     assert A.apply_psi(a * b) == A.apply_psi(a) * A.apply_psi(b)
@@ -475,17 +475,31 @@ def test_sum_and_product_identities_property(data):
 
 
 def test_generator_data_validation():
+    """The constructor refuses, naming the generator, every image below the
+    top that no layer splitting writes; x has weight 4, so sigma = 2."""
     from psibench.atiyah import PrePsiAlgebra
     from psibench.rings import GeneratorSymbol, WeightedRing
     x = GeneratorSymbol("x", (), 4)
     ring = WeightedRing([x], 8)
     xe = ring.var(x)
-    with pytest.raises(ValueError):  # wrong layer count
-        PrePsiAlgebra(ring, 3, {x.key: (xe,)})
-    with pytest.raises(ValueError):  # layer weight too small
-        PrePsiAlgebra(ring, 3, {x.key: (xe, xe)})
-    with pytest.raises(ValueError):  # missing generator data
-        PrePsiAlgebra(ring, 3, {})
+    refusals = [
+        # a term below weight 2*sigma: a band_cut would file it under band -1
+        ({x.key: xe * 9 + 3}, r"^the psi image of x has a term below weight 4$"),
+        # psi(x) - x^3 = 3x: band 0 must divide by p^2
+        ({x.key: xe * 3},
+         r"^the psi image of x does not cut into layers: coefficient 3 not divisible by 9$"),
+        # a whole psi(x) passed in: x^3 lands in the last band, which p must divide
+        ({x.key: xe * 9 + xe**3},
+         r"^the psi image of x does not cut into layers: coefficient 1 not divisible by 3$"),
+    ]
+    needs = r"^generator x needs its psi image below the top as an integral element of the ring$"
+    refusals += [({x.key: xe.reduce_mod(3)}, needs), ({}, needs)]
+    for images, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            PrePsiAlgebra(ring, 3, images)
+    # the same image with its top left out loads, and psi adds the top back
+    A = PrePsiAlgebra(ring, 3, {x.key: xe * 9})
+    assert A.apply_psi(xe) == xe * 9 + xe**3
 
 
 # -- the one cache: psi's monomial memo -----------------------------------------------

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+from psibench.cli import main
 from psibench.documents import (algebra_from_document, algebra_to_document,
                                 canonical_json, document_digest, dump_document,
                                 lift_to_document, load_document,
@@ -20,7 +22,18 @@ from psibench.rings import poly_from_json, poly_to_json
 from psibench.steenrod import graded_basis
 
 
+# e of weight 4 killed by the relation e: every layer, the top e^3 too, is zero
+KILLED = {"kind": "pre-psi-algebra", "prime": 3, "truncation": 4, "name": "killed",
+          "generators": [{"id": "e", "weight": 4, "layers": [[], [], []]}],
+          "monomial_relations": [[["e", 1]]]}
+
+
 def test_algebra_document_round_trip():
+    """An algebra writes each psi(g) as its band cut.  Every shipped algebra
+    document, the lift document of every shipped presentation and a
+    generator a monomial relation kills are written that way already, so
+    each loads and writes itself back unchanged (a lift less the keys only
+    ``lift_to_document`` writes)."""
     for A in (dual_numbers_ring(3, 2), adem_failure_ring(3),
               projective_space_ring(2, 4)):
         doc = algebra_to_document(A)
@@ -32,6 +45,49 @@ def test_algebra_document_round_trip():
             img_b = back.apply_psi(back.ring.var(g))
             assert str(img_a) == str(img_b)
         assert algebra_to_document(back) == doc
+    shipped = _shipped_documents()
+    lifts = [lift_to_document(build_lift(presentation_from_document(doc)))
+             for doc in shipped if doc["kind"] == "presentation"]
+    algebras = [doc for doc in shipped if doc["kind"] == "pre-psi-algebra"]
+    assert len(algebras) == 11 and len(lifts) == 4
+    for doc in [*algebras, *lifts, KILLED]:
+        want = {key: value for key, value in doc.items()
+                if key not in ("presentation", "census", "k_max")}
+        assert algebra_to_document(algebra_from_document(doc)) == want, doc.get("name")
+
+
+def _written(layers):
+    """A generator e of weight 4 at p = 3, D = 6, with the given layers."""
+    poly = {"e": [{"coefficient": 1, "monomial": [["e", 1]]}],
+            "e + e^2": [{"coefficient": 1, "monomial": [["e", 1]]},
+                        {"coefficient": 1, "monomial": [["e", 2]]}],
+            "3e^2": [{"coefficient": 3, "monomial": [["e", 2]]}],
+            "0": [], "e^3": [{"coefficient": 1, "monomial": [["e", 3]]}]}
+    return {"kind": "pre-psi-algebra", "prime": 3, "truncation": 6,
+            "generators": [{"id": "e", "weight": 4, "layers": [poly[l] for l in layers]}]}
+
+
+def test_two_layer_choices_give_one_algebra(tmp_path, capsys):
+    """(e + e^2, 0, e^3) and (e, 3e^2, e^3) both write psi(e) = 9e + 9e^2 + e^3:
+    they load to one psi, write its band cut (e, 3e^2, e^3), and every report
+    on them differs only in the digest of its input."""
+    first, second = _written(("e + e^2", "0", "e^3")), _written(("e", "3e^2", "e^3"))
+    a, b = algebra_from_document(first), algebra_from_document(second)
+    assert [str(image) for image in a.psi.images] == ["e^3 + 9*e^2 + 9*e"]
+    assert [str(image) for image in b.psi.images] == ["e^3 + 9*e^2 + 9*e"]
+    assert algebra_to_document(a) == algebra_to_document(b) == _written(("e", "3e^2", "e^3"))
+    reports = []
+    for doc in (first, second):
+        path = tmp_path / "e.json"
+        dump_document(doc, str(path))
+        for command in (["verify"], ["atiyah", "--element", "e"],
+                        ["steenrod", "-i", "1", "--element", "e"]):
+            for fmt in ("json", "text"):
+                rc = main([*command, "--doc", str(path), "--format", fmt])
+                out = capsys.readouterr().out
+                reports.append((rc, re.sub(r"sha256:[0-9a-f]{64}", "sha256:", out)))
+    assert reports[:6] == reports[6:]
+    assert all(out.count("sha256:") == 1 for _, out in reports)
 
 
 def test_poly_json_round_trip():

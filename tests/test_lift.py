@@ -4,7 +4,7 @@ import psibench.groebner
 import psibench.lift
 from psibench.documents import lift_to_document
 from psibench.lift import (UnstablePresentation, build_lift, default_k_max,
-                           enumerate_generators, lift_generator_layers)
+                           enumerate_generators)
 from psibench.models import free_polynomial_presentation
 from psibench.rings import GeneratorSymbol, poly_to_json
 from psibench.steenrod import (check_adem, check_additivity, check_cartan,
@@ -12,6 +12,7 @@ from psibench.steenrod import (check_adem, check_additivity, check_cartan,
                                check_pth_power, classify, gr_class,
                                interesting_degrees, steenrod_P)
 from psibench.verdicts import FAIL, PASS
+from splitting_calculus import generator_splitting
 
 
 def index_weight(p: int, d: int, indices) -> int:
@@ -121,12 +122,12 @@ def test_psi_on_lift_generator_formula():
     ring = lift.pi.ring
     # sigma = 1: psi X = pX + X^p
     base = ring.symbol("x")
-    image, dec = lift.pi.apply_psi(ring.var(base)), lift.pi.generator_decomposition(base)
+    image, dec = lift.pi.apply_psi(ring.var(base)), generator_splitting(lift.pi, base)
     assert image == ring.var(base) * 3 + ring.var(base) ** 3
     assert dec.problems() == []
     # sigma = 3 at index (1): psi X = 27X + 9X[1,1] + 3X[1,2] + X^3
     v = ring.symbol("x", (1,))
-    image, dec = lift.pi.apply_psi(ring.var(v)), lift.pi.generator_decomposition(v)
+    image, dec = lift.pi.apply_psi(ring.var(v)), generator_splitting(lift.pi, v)
     expected = (ring.var(v) * 27 + ring.gen("x", (1, 1)) * 9
                 + ring.gen("x", (1, 2)) * 3 + ring.var(v) ** 3)
     assert image == expected
@@ -251,13 +252,13 @@ def test_projection_to_quotient_commutes_with_P():
     """Naturality for the quotient map: operations computed in the free ring
     and then normal-formed agree with operations computed in the quotient."""
     from psibench.atiyah import PrePsiAlgebra
-    from psibench.lift import lift_generator_layers
     from psibench.steenrod import gr_class_of_rep
     pres = free_polynomial_presentation(2, 5)
     lift = build_lift(pres)
     ring = lift.pi.ring
-    free_pi = PrePsiAlgebra(
-        ring, 2, {s.key: lift_generator_layers(ring, 2, s) for s in pres.symbols})
+    # the lift's psi without its graded quotient
+    free_pi = PrePsiAlgebra(ring, 2, {g.key: image - ring.var(g) ** 2
+                                      for g, image in zip(ring.generators, lift.pi.psi.images)})
     for sym in pres.symbols:
         degree = sym.weight
         up = gr_class(free_pi, ring.var(sym), degree)
@@ -422,13 +423,13 @@ def test_lift_layers_are_the_enumerated_children(p, D):
             assert admitted.keys() == {g.key for g in ring.generators}
             for sym in ring.generators:
                 want = _reference_layers(ring, sym, admitted)
-                got = lift_generator_layers(ring, p, sym)
-                full = pres.pi.psi_data[sym.key]
-                top = ring.var(sym) ** p
-                assert list(got) == want and list(full) == want + [top], (generators, sym)
-                flags = [layer.truncated for layer in want]
-                assert [layer.truncated for layer in got] == flags, (generators, sym)
-                assert [layer.truncated for layer in full] == flags + [top.truncated]
+                sigma, top = sym.weight // 2, ring.var(sym) ** p
+                image = pres.pi.apply_psi(ring.var(sym))
+                summed = sum((layer * p ** (sigma - i) for i, layer in enumerate(want)), top)
+                assert image == summed, (generators, sym)
+                assert image.truncated == summed.truncated, (generators, sym)
+                split = generator_splitting(pres.pi, sym).layers
+                assert list(split) == want + [top], (generators, sym)
                 for layer in want[1:]:
                     # a padded slot is a flagged zero, a child slot an unflagged variable
                     assert layer.truncated == (not layer), (generators, sym)

@@ -91,7 +91,7 @@ def test_a_product_that_vanishes_only_by_truncation_is_accepted():
     t, u = GeneratorSymbol("t", (), 2), GeneratorSymbol("u", (), 2)
     ring = WeightedRing([t, u], 2, monomial_relations=[((t, 2),)])
     te, ue = ring.var(t), ring.var(u)
-    A = PrePsiAlgebra(ring, 2, {t.key: (te + ue**2,), u.key: (ue,)})
+    A = PrePsiAlgebra(ring, 2, {t.key: (te + ue**2) * 2, u.key: ue * 2})
     square = A.psi.images[ring.generators.index(t)] ** 2
     assert not square and square.truncated
 
@@ -160,9 +160,11 @@ def random_algebras(rng, tries=300):
     for _ in range(tries):
         data = p, symbols, D, relations, layers = _random_algebra(rng)
         ring = WeightedRing(symbols, D, relations)
-        psi_data = {g.key: tuple(ring.element(terms) for terms in layers[g]) for g in symbols}
+        images = {g.key: sum((ring.element(terms) * p ** (g.weight // 2 - i)
+                              for i, terms in enumerate(layers[g])), ring.zero())
+                  for g in symbols}
         try:
-            built = PrePsiAlgebra(ring, p, psi_data)
+            built = PrePsiAlgebra(ring, p, images)
         except ValueError as exc:
             built = exc
         yield data, built

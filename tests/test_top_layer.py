@@ -1,5 +1,5 @@
 """The top layer g^p has one owner: ``PrePsiAlgebra`` takes each generator's
-layers below the top and builds the top itself.  A document still writes
+psi image below the top and builds the top itself.  A document still writes
 all sigma + 1 layers, and its loader refuses a written top that differs
 from the algebra's; a top lost above the window loads however it is
 written (``tests/test_cli.py``)."""
@@ -48,7 +48,7 @@ def test_the_algebra_refuses_a_top_passed_in():
     t = GeneratorSymbol("t", (), 2)
     ring = WeightedRing([t], 6)
     te = ring.var(t)
-    with pytest.raises(ValueError, match=r"expected 1 layers below the top t\^3, got 2"):
-        PrePsiAlgebra(ring, 3, {t.key: (te + te**2, te**3)})
-    A = PrePsiAlgebra(ring, 3, {t.key: (te + te**2,)})
-    assert A.psi_data[t.key] == (te + te**2, te**3)
+    with pytest.raises(ValueError, match=r"^the psi image of t does not cut into layers"):
+        PrePsiAlgebra(ring, 3, {t.key: (te + te**2) * 3 + te**3})
+    A = PrePsiAlgebra(ring, 3, {t.key: (te + te**2) * 3})
+    assert A.apply_psi(te) == (te + te**2) * 3 + te**3
